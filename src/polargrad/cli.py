@@ -2,7 +2,9 @@
 
 Commands: analyze, polar-degree, monodromy, bounds, catalog.
 Exit codes: 0 success, 1 input error, 2 hypothesis violation, 3 internal
-inconsistency (methods disagree after retries, or a catalog mismatch).
+inconsistency (methods disagree after retries, or a catalog mismatch),
+4 resource limit (a --max-basis or --max-degree cap was exceeded).  The caps
+hold for one `main` call; the previous caps are restored when it returns.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from . import monodromy as mono
 from .monodromy import KNotDividingD, NonIntegralResult
 from .catalog import BY_NAME, CATALOG, run_entry
-from .groebner import Caps, ResourceLimit, set_default_caps
+from .groebner import Caps, ResourceLimit, active_caps, set_default_caps
 from .hypersurface import (
     HypersurfaceError,
     InconsistentMu,
@@ -30,6 +32,7 @@ from .polar import (
     OracleInconsistent,
     PolarError,
     PositiveDimensionalFiber,
+    consolidate,
     polar_degree_fiber_oracle,
     polar_degree_formula,
     polar_degree_tame,
@@ -46,6 +49,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_HYPOTHESIS = 2
 EXIT_INCONSISTENT = 3
+EXIT_RESOURCE = 4
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
@@ -75,10 +79,6 @@ def _poly_flags(p: argparse.ArgumentParser) -> None:
         help="JSON file with singularity declarations "
         '[{"point": [..], "bp_exponents": [..] | "weights": [..], "label": ..}]',
     )
-
-
-def _setup_caps(args) -> None:
-    set_default_caps(Caps(max_basis=args.max_basis, max_degree=args.max_degree))
 
 
 def _parse_vars(args) -> tuple[str, ...]:
@@ -111,7 +111,6 @@ def _load_declarations(args) -> list[dict]:
 
 
 def cmd_analyze(args) -> int:
-    _setup_caps(args)
     names = _parse_vars(args)
     f = parse_poly(args.poly, names)
     _check_input_degree(args, f)
@@ -128,7 +127,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_polar_degree(args) -> int:
-    _setup_caps(args)
     names = _parse_vars(args)
     f = parse_poly(args.poly, names)
     _check_input_degree(args, f)
@@ -147,8 +145,8 @@ def cmd_polar_degree(args) -> int:
             for r in runs
         ],
     }
-    values = {r.value for r in runs}
-    payload["consolidated"] = values.pop() if len(values) == 1 else None
+    value, unanimous = consolidate([r.value for r in runs])
+    payload["consolidated"] = value if unanimous else None
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
@@ -239,7 +237,6 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    _setup_caps(args)
     if args.action == "list":
         for entry in CATALOG:
             kind = "oracle-only" if entry.oracle_only else "full"
@@ -319,8 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    previous_caps = active_caps()
+    set_default_caps(Caps(max_basis=args.max_basis, max_degree=args.max_degree))
     try:
         return args.func(args)
+    except ResourceLimit as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
     except (InputError, ParseError, ValueError, NonIntegralResult, KNotDividingD) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -331,7 +333,6 @@ def main(argv=None) -> int:
         NotIsolated,
         NotTame,
         TransversalityNotFound,
-        ResourceLimit,
     ) as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
@@ -347,6 +348,8 @@ def main(argv=None) -> int:
     except (PolyError, PolarError, HypersurfaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    finally:
+        set_default_caps(previous_caps)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,11 @@
 """Hypersurface-level analysis: Jacobian ideals, singular points, local
 Milnor numbers, generic affine frames and the critical-multiplicity split.
 
+`frame_split` draws a certified affine frame and splits its critical
+multiplicity into mu_on = mu(V) and mu_off; `mu_summary` adds the points step:
+rational singular points, their local Milnor numbers, and the check that these
+sum to mu_on when the enumeration is complete.
+
 Local Milnor numbers are computed with the global Groebner engine by double
 saturation: first remove the component at the point of interest to find the
 "everything else" ideal, then remove everything else from the original to
@@ -37,6 +42,9 @@ from .poly import (
     translate,
 )
 from .rng import SplitMix64
+
+MAX_FRAME_DRAWS = 32  # coordinate changes drawn per frame seed
+FRAME_ATTEMPTS = 8  # frame seeds tried before the tame split gives up
 
 
 class HypersurfaceError(Exception):
@@ -314,14 +322,14 @@ def _frame_certificates(fM: Poly) -> bool:
     return projective_dim(at_infinity) == -1
 
 
-def generic_frame(f: Poly, seed: int, max_draws: int = 32) -> AffineModel:
+def generic_frame(f: Poly, seed: int) -> AffineModel:
     """Seeded random small-integer coordinate change certified to be generic
     enough for the affine critical-point analysis."""
     if not has_isolated_singularities(f):
         raise NotIsolated("singular locus is positive-dimensional")
     nv = len(f.vars)
     rng = SplitMix64(seed * 0x9E3779B9 + 17)
-    for draw in range(1, max_draws + 1):
+    for draw in range(1, MAX_FRAME_DRAWS + 1):
         M = tuple(rng.int_vector(nv, -5, 5) for _ in range(nv))
         if det_fraction(M) == 0:
             continue
@@ -332,7 +340,7 @@ def generic_frame(f: Poly, seed: int, max_draws: int = 32) -> AffineModel:
             f=f, matrix=M, h=dehomogenize(fM, 0), seed=seed, draws=draw
         )
     raise TransversalityNotFound(
-        f"no admissible frame after {max_draws} draws from seed {seed}"
+        f"no admissible frame after {MAX_FRAME_DRAWS} draws from seed {seed}"
     )
 
 
@@ -359,7 +367,7 @@ def tame_split(model: AffineModel) -> tuple[int, int]:
     return total - mu_off, mu_off
 
 
-# ------------------------------------------------------------- consolidation
+# -------------------------------------------------------- the analysis steps
 
 
 @dataclass
@@ -368,7 +376,6 @@ class MuSummary:
     of V(f) for one certified frame."""
 
     model: AffineModel
-    mu_total: int
     mu_on: int
     mu_off: int
     points: list[ProjectivePoint]
@@ -376,23 +383,26 @@ class MuSummary:
     local_mu: dict[ProjectivePoint, int] = field(default_factory=dict)
 
 
-def mu_summary(f: Poly, seed: int, frame_attempts: int = 8) -> MuSummary:
-    """Certified frame plus the critical-multiplicity split, cross-checked
-    against per-point local Milnor numbers when the rational enumeration of
-    singular points is complete."""
+def frame_split(f: Poly, seed: int) -> tuple[AffineModel, int, int]:
+    """Certified frame with its critical-multiplicity split (model, mu_on,
+    mu_off); a frame whose split fails the tame certificate is redrawn from
+    the next seed in the sequence."""
     last_error: Exception | None = None
-    model = None
-    mu_on = mu_off = 0
-    for k in range(frame_attempts):
+    for k in range(FRAME_ATTEMPTS):
         try:
             model = generic_frame(f, seed + 7919 * k)
             mu_on, mu_off = tame_split(model)
-            break
+            return model, mu_on, mu_off
         except NotTame as exc:
             last_error = exc
-            model = None
-    if model is None:
-        raise NotTame(f"all frames rejected: {last_error}")
+    raise NotTame(f"all frames rejected: {last_error}")
+
+
+def mu_summary(f: Poly, seed: int) -> MuSummary:
+    """`frame_split` plus the points step: the rational singular points and
+    their local Milnor numbers, whose sum is cross-checked against mu_on when
+    the enumeration is complete."""
+    model, mu_on, mu_off = frame_split(f, seed)
     points, complete = rational_singular_points(f)
     local_mu: dict[ProjectivePoint, int] = {}
     for pt in points:
@@ -404,11 +414,8 @@ def mu_summary(f: Poly, seed: int, frame_attempts: int = 8) -> MuSummary:
             f"local Milnor numbers sum to {sum(local_mu.values())} but the "
             f"frame split gives {mu_on}"
         )
-    d = homogeneous_degree(f)
-    n = len(f.vars) - 1
     return MuSummary(
         model=model,
-        mu_total=(d - 1) ** n,
         mu_on=mu_on,
         mu_off=mu_off,
         points=points,

@@ -24,7 +24,7 @@ from .groebner import (
     saturate,
     zero_dim_degree_projective,
 )
-from .hypersurface import has_isolated_singularities, mu_summary
+from .hypersurface import frame_split, has_isolated_singularities, mu_summary
 from .monodromy import (
     CycDivisor,
     fermat_mult_reference,
@@ -108,16 +108,16 @@ def polar_degree_tame(f: Poly, seed: int = 1) -> PolarDegreeResult:
     """Critical multiplicity of the affine model away from the zero fiber."""
     homogeneous_degree(f)
     require_hypotheses(f, seed)
-    summary = mu_summary(f, seed)
+    model, mu_on, mu_off = frame_split(f, seed)
     return PolarDegreeResult(
         "tame_split",
-        summary.mu_off,
+        mu_off,
         seed,
         {
-            "mu_total": summary.mu_total,
-            "mu_on": summary.mu_on,
-            "frame_seed": summary.model.seed,
-            "frame_draws": summary.model.draws,
+            "mu_total": mu_on + mu_off,
+            "mu_on": mu_on,
+            "frame_seed": model.seed,
+            "frame_draws": model.draws,
         },
     )
 
@@ -280,12 +280,11 @@ def polar_degree_fiber_oracle(
 # ------------------------------------------------------------- consolidation
 
 
-def consolidate(results: list[PolarDegreeResult]) -> tuple[int | None, bool]:
-    """(consolidated value, unanimous flag); the value is present when at
-    least two methods agree."""
-    values = [r.value for r in results]
-    counts = Counter(values)
-    top, freq = counts.most_common(1)[0]
+def consolidate(values: list[int]) -> tuple[int | None, bool]:
+    """The one consolidation rule for d(f) values: (consolidated value,
+    unanimous flag); the value is present when at least two values agree,
+    or when there is a single value."""
+    top, freq = Counter(values).most_common(1)[0]
     if freq == len(values):
         return top, True
     if freq >= 2:
@@ -302,7 +301,7 @@ def is_homaloidal(
         polar_degree_fiber_oracle(f, trials, seed, modp),
         polar_degree_tame(f, seed + 1),
     ]
-    value, unanimous = consolidate(results)
+    value, unanimous = consolidate([r.value for r in results])
     if not unanimous:
         raise MethodsDisagree(f"methods disagree: {[r.value for r in results]}")
     return value == 1, results

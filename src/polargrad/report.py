@@ -1,23 +1,25 @@
 """End-to-end analysis of one homogeneous polynomial, and report types.
 
 The pipeline checks the hypotheses (isolated singularities, reducedness),
-computes the polar degree by all three methods with independent frames,
-assembles local singularity data (with user-declared weighted-homogeneous
-structure), evaluates the bound checkers and produces a JSON-serializable
-verdict bundle.
+computes the polar degree by all three methods, assembles local singularity
+data (with user-declared weighted-homogeneous structure), evaluates the
+bound checkers and produces a JSON-serializable verdict bundle.
+
+The singular points are enumerated once (`mu_summary`); the tame value comes
+from a second certified frame (`frame_split` at seed + 1) whose mu(V) must
+match, and `polar.consolidate` combines the three values.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import monodromy as mono
 from .groebner import projective_dim
-from .hypersurface import SingularityRecord, jacobian_ideal, mu_summary
+from .hypersurface import SingularityRecord, frame_split, jacobian_ideal, mu_summary
 from .parser import ParseError, parse_poly
 from .poly import (
     NotHomogeneous,
@@ -33,6 +35,7 @@ from .polar import (
     check_polar_degree_lower_bound,
     check_surface_criterion,
     conjecture_verdict,
+    consolidate,
     polar_degree_fiber_oracle,
 )
 
@@ -215,13 +218,12 @@ def analyze_polynomial(text: str, vars, options: AnalysisOptions | None = None) 
     notes: list[str] = []
     t1 = time.monotonic()
     summary = mu_summary(f, options.seed)
-    summary_alt = mu_summary(f, options.seed + 1)
-    if summary.mu_on != summary_alt.mu_on:
+    _, mu_on_alt, tame_value = frame_split(f, options.seed + 1)
+    if summary.mu_on != mu_on_alt:
         raise InconsistencyError(
-            f"mu(V) differs between frames: {summary.mu_on} vs {summary_alt.mu_on}"
+            f"mu(V) differs between frames: {summary.mu_on} vs {mu_on_alt}"
         )
     formula_value = (d - 1) ** n - summary.mu_on
-    tame_value = summary_alt.mu_off
     timings["frames"] = time.monotonic() - t1
 
     t2 = time.monotonic()
@@ -235,18 +237,11 @@ def analyze_polynomial(text: str, vars, options: AnalysisOptions | None = None) 
         "fiber_oracle": oracle.value,
         "tame_split": tame_value,
     }
-    ordered = [formula_value, oracle.value, tame_value]
-    consolidated = None
-    unanimous = len(set(ordered)) == 1
-    if unanimous:
-        consolidated = ordered[0]
-    else:
-        top, freq = Counter(ordered).most_common(1)[0]
-        if freq >= 2:
-            consolidated = top
-            notes.append(f"methods disagree: {values}")
-        else:
-            raise InconsistencyError(f"all three methods disagree: {values}")
+    consolidated, unanimous = consolidate(list(values.values()))
+    if consolidated is None:
+        raise InconsistencyError(f"all three methods disagree: {values}")
+    if not unanimous:
+        notes.append(f"methods disagree: {values}")
 
     t3 = time.monotonic()
     declarations = parse_declarations(options.declarations, len(f.vars))
@@ -265,7 +260,7 @@ def analyze_polynomial(text: str, vars, options: AnalysisOptions | None = None) 
     timings["singularities"] = time.monotonic() - t3
 
     bounds: dict = {}
-    if d > 2 and n >= 3 and mu0_v is not None and consolidated is not None:
+    if d > 2 and n >= 3 and mu0_v is not None:
         bounds["polar_degree_lower_bound"] = {
             "applicable": True,
             **check_polar_degree_lower_bound(d, n, consolidated, mu0_v),
@@ -331,13 +326,7 @@ def analyze_polynomial(text: str, vars, options: AnalysisOptions | None = None) 
         }
         if delta_v is not None
         else None,
-        "d_f": {
-            "formula": formula_value,
-            "fiber_oracle": oracle.value,
-            "tame_split": tame_value,
-            "consolidated": consolidated,
-            "unanimous": unanimous,
-        },
+        "d_f": {**values, "consolidated": consolidated, "unanimous": unanimous},
         "bounds": bounds,
         "conjecture_status": status,
         "notes": notes,

@@ -2,9 +2,14 @@
 
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 from polargrad.cli import main
+from polargrad.groebner import DEFAULT_CAPS, active_caps
+from polargrad.report import analyze_polynomial
+
+# a smooth cubic whose Groebner bases need more than two elements
+CAPPED_RUN = ["analyze", "x^3+y^3+z^3+x*y*z", "--vars", "x,y,z", "--max-basis", "2"]
 
 
 def run_cli(argv):
@@ -110,6 +115,22 @@ class TestAnalyze:
             ]
         )
         assert code == 1
+
+
+class TestResourceLimit:
+    def test_exceeded_cap_exits_4(self):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, _ = run_cli(CAPPED_RUN)
+        assert code == 4
+        assert err.getvalue().startswith("resource limit: basis cap 2 exceeded")
+
+    def test_caps_do_not_outlive_the_call(self):
+        with redirect_stderr(io.StringIO()):
+            assert run_cli(CAPPED_RUN)[0] == 4
+        assert active_caps() == DEFAULT_CAPS
+        report = analyze_polynomial("x*y*z", ("x", "y", "z")).data
+        assert report["d_f"]["consolidated"] == 1
 
 
 class TestPolarDegree:

@@ -10,6 +10,7 @@ from polargrad.hypersurface import (
     IncompleteEnumeration,
     NotACriticalPoint,
     NotIsolated,
+    frame_split,
     generic_frame,
     has_isolated_singularities,
     jacobian_ideal,
@@ -223,3 +224,8 @@ class TestMuSummary:
         s = mu_summary(A1A5_CUBIC, 1)
         assert s.mu_on == 6
         assert sorted(s.local_mu.values()) == [1, 5]
+
+    def test_frame_split_is_the_frame_step_of_the_summary(self):
+        for f in (XYZ, CONIC_TANGENT, A1A5_CUBIC):
+            s = mu_summary(f, 1)
+            assert frame_split(f, 1) == (s.model, s.mu_on, s.mu_off)

@@ -98,7 +98,10 @@ class TestFiberOracle:
 class TestFormulaAndTame:
     def test_triangle(self):
         assert polar_degree_formula(XYZ, 1).value == 1
-        assert polar_degree_tame(XYZ, 1).value == 1
+        tame = polar_degree_tame(XYZ, 1)
+        assert tame.value == 1
+        assert tame.details["mu_total"] == 4 and tame.details["mu_on"] == 3
+        assert set(tame.details) == {"mu_total", "mu_on", "frame_seed", "frame_draws"}
 
     def test_fermat_is_mu_zero(self):
         r = polar_degree_formula(FERMAT2, 1)
@@ -126,8 +129,15 @@ class TestConsolidation:
             polar_degree_fiber_oracle(XYZ, seed=1),
             polar_degree_tame(XYZ, 2),
         ]
-        value, unanimous = consolidate(results)
+        value, unanimous = consolidate([r.value for r in results])
         assert value == 1 and unanimous
+
+    def test_consolidation_rule(self):
+        assert consolidate([4]) == (4, True)
+        assert consolidate([4, 4, 4]) == (4, True)
+        assert consolidate([4, 4, 3]) == (4, False)
+        assert consolidate([3, 4, 4]) == (4, False)
+        assert consolidate([1, 2, 3]) == (None, False)
 
     def test_homaloidal_examples(self):
         assert is_homaloidal(XYZ)[0]

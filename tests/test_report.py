@@ -2,8 +2,16 @@
 
 import pytest
 
-from polargrad.polar import HypothesisError
-from polargrad.report import AnalysisOptions, InputError, analyze_polynomial
+import polargrad.hypersurface as hypersurface
+import polargrad.report as report_module
+from polargrad.catalog import BY_NAME
+from polargrad.polar import HypothesisError, PolarDegreeResult
+from polargrad.report import (
+    AnalysisOptions,
+    InconsistencyError,
+    InputError,
+    analyze_polynomial,
+)
 
 V3 = ("x", "y", "z")
 V4 = ("w", "x", "y", "z")
@@ -118,3 +126,54 @@ class TestTimings:
         assert "timings" not in plain
         timed = analyze_polynomial("x*y*z", V3, AnalysisOptions(timings=True)).data
         assert "total" in timed["timings"]
+
+
+class TestPipeline:
+    def test_local_milnor_numbers_computed_once(self, monkeypatch):
+        # five nodes: one local Milnor number each, not one per frame
+        calls = []
+        real = hypersurface.local_milnor_number
+
+        def counting(h, point):
+            calls.append(tuple(point))
+            return real(h, point)
+
+        monkeypatch.setattr(hypersurface, "local_milnor_number", counting)
+        entry = BY_NAME["five-node-quartic"]
+        report = analyze_polynomial(entry.text, entry.vars).data
+        assert report["mu_V"] == 5
+        assert len(calls) == 5
+
+
+class TestConsolidation:
+    @staticmethod
+    def fixed_oracle(value):
+        def oracle(f, trials=3, seed=1, modp="dual"):
+            details = {"values": [value], "trials": [], "discrepancy": False, "modp": modp}
+            return PolarDegreeResult("fiber_oracle", value, seed, details)
+
+        return oracle
+
+    def test_one_wrong_method_is_outvoted(self, monkeypatch):
+        monkeypatch.setattr(report_module, "polar_degree_fiber_oracle", self.fixed_oracle(7))
+        report = analyze_polynomial("x*y*z", V3).data
+        assert report["d_f"] == {
+            "formula": 1,
+            "fiber_oracle": 7,
+            "tame_split": 1,
+            "consolidated": 1,
+            "unanimous": False,
+        }
+        assert any(note.startswith("methods disagree") for note in report["notes"])
+
+    def test_three_different_values_raise(self, monkeypatch):
+        real = report_module.frame_split
+
+        def shifted_split(f, seed):
+            model, mu_on, mu_off = real(f, seed)
+            return model, mu_on, mu_off + 5
+
+        monkeypatch.setattr(report_module, "polar_degree_fiber_oracle", self.fixed_oracle(7))
+        monkeypatch.setattr(report_module, "frame_split", shifted_split)
+        with pytest.raises(InconsistencyError, match="all three methods disagree"):
+            analyze_polynomial("x*y*z", V3)
