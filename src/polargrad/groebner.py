@@ -4,17 +4,28 @@ saturation and staircase invariants (dimension, degree, quotient dimension).
 Everything is deterministic: the normal pair-selection strategy, sorted
 generator intake and final inter-reduction make the reduced basis unique for
 a given input and order.  Resource caps fail loudly instead of hanging.
+
+Hot-path layout: each `TermOrder` builds its ascending `key` and descending
+`neg_key` once, when it is constructed.  Buchberger keeps its pairs in a heap
+keyed by (order key of the lcm of the leading terms, pair), pushed once when
+the pair is created, so the pair popped is the least pending pair under the
+normal strategy.  `leading_monomial` remembers its answer on the polynomial
+for the last order asked, so a divisor's lead is found once, not once per
+reduction.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Callable
 
 from .poly import (
     DomainMismatch,
     Mono,
     Poly,
+    _grevlex_key,
     homogeneous_parts,
     is_homogeneous,
     mono_degree,
@@ -63,30 +74,68 @@ def active_caps() -> Caps:
 # -------------------------------------------------------------- term orders
 
 
-def _grevlex_key_on(m: Mono, sig: tuple[int, ...]):
-    return (sum(m[i] for i in sig), tuple(-m[i] for i in reversed(sig)))
+def _grevlex_neg_key(m: Mono):
+    return (-sum(m), m[::-1])
+
+
+def _lex_neg_key(m: Mono):
+    return tuple([-e for e in m])
+
+
+def _block_keys(k: int):
+    # the two grevlex keys of the blocks, flattened into one tuple
+    def key(m: Mono):
+        a, b = m[:k], m[k:]
+        return (
+            sum(a), tuple([-e for e in reversed(a)]), sum(b), tuple([-e for e in reversed(b)])
+        )
+
+    def neg_key(m: Mono):
+        a, b = m[:k], m[k:]
+        return (-sum(a), a[::-1], -sum(b), b[::-1])
+
+    return key, neg_key
+
+
+def _composed(key, pick):
+    return lambda m: key(pick(m))
 
 
 @dataclass(frozen=True)
 class TermOrder:
     """Monomial order: graded-reverse-lex, lex, or a two-block elimination
     order (grevlex inside each block).  `perm` lists variable indices from
-    most to least significant; None means the natural order."""
+    most to least significant; None means the natural order.
+
+    `key` sorts monomials ascending in the order and `neg_key` descending.
+    Both are built once, with the order, for its kind and `perm`."""
 
     kind: str
     perm: tuple[int, ...] | None = None
     block_size: int | None = None
+    key: Callable[[Mono], tuple] = field(init=False, repr=False, compare=False)
+    neg_key: Callable[[Mono], tuple] = field(init=False, repr=False, compare=False)
 
-    def key(self, m: Mono):
-        sig = self.perm if self.perm is not None else tuple(range(len(m)))
+    def __post_init__(self):
         if self.kind == "grevlex":
-            return _grevlex_key_on(m, sig)
-        if self.kind == "lex":
-            return tuple(m[i] for i in sig)
-        if self.kind == "block":
-            k = self.block_size or 0
-            return (_grevlex_key_on(m, sig[:k]), _grevlex_key_on(m, sig[k:]))
-        raise ValueError(f"unknown term order kind {self.kind!r}")
+            key, neg_key = _grevlex_key, _grevlex_neg_key
+        elif self.kind == "lex":
+            key, neg_key = tuple, _lex_neg_key
+        elif self.kind == "block":
+            key, neg_key = _block_keys(self.block_size or 0)
+        else:
+            raise ValueError(f"unknown term order kind {self.kind!r}")
+        perm = self.perm
+        if perm is not None and perm != tuple(range(len(perm))):
+            get = itemgetter(*perm)
+            pick = get if len(perm) > 1 else lambda m: (get(m),)
+            key = _composed(key, pick)
+            neg_key = _composed(neg_key, pick)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "neg_key", neg_key)
+
+    def __reduce__(self):
+        return TermOrder, (self.kind, self.perm, self.block_size)
 
 
 GREVLEX = TermOrder("grevlex")
@@ -97,14 +146,15 @@ def elimination_order(eliminated: tuple[int, ...], kept: tuple[int, ...]) -> Ter
     return TermOrder("block", perm=tuple(eliminated) + tuple(kept), block_size=len(eliminated))
 
 
-def _neg_key(k):
-    if isinstance(k, tuple):
-        return tuple(_neg_key(x) for x in k)
-    return -k
-
-
 def leading_monomial(p: Poly, order: TermOrder) -> Mono:
-    return max(p.terms, key=order.key)
+    """Largest monomial of a nonzero p; remembered on p for the last order
+    it was asked for."""
+    cached = p._lead
+    if cached is not None and (cached[0] is order or cached[0] == order):
+        return cached[1]
+    lt = max(p.terms, key=order.key)
+    object.__setattr__(p, "_lead", (order, lt))
+    return lt
 
 
 # ----------------------------------------------------------------- division
@@ -124,8 +174,9 @@ def poly_divmod(p: Poly, divisors: list[Poly], order: TermOrder, caps: Caps | No
             continue
         lt = leading_monomial(g, order)
         lead.append((lt, g.terms[lt], g.terms))
+    neg_key = order.neg_key
     work = dict(p.terms)
-    heap = [(_neg_key(order.key(m)), m) for m in work]
+    heap = [(neg_key(m), m) for m in work]
     heapq.heapify(heap)
     remainder: dict[Mono, object] = {}
     quotients: list[dict[Mono, object]] = [{} for _ in divisors]
@@ -157,7 +208,7 @@ def poly_divmod(p: Poly, divisors: list[Poly], order: TermOrder, caps: Caps | No
                         work.pop(nm, None)
                     else:
                         if nm not in work:
-                            heapq.heappush(heap, (_neg_key(order.key(nm)), nm))
+                            heapq.heappush(heap, (neg_key(nm), nm))
                         work[nm] = d
                 break
         else:
@@ -227,16 +278,19 @@ def buchberger(gens, order: TermOrder = GREVLEX, caps: Caps | None = None) -> li
     G: list[Poly] = []
     lts: list[Mono] = []
     pending: set[tuple[int, int]] = set()
+    queue: list = []  # heap of (order key of the lcm, pair), the pair selection
 
     def add(h: Poly) -> None:
         h = _monic(h, order)
         idx = len(G)
         if idx + 1 > caps.max_basis:
             raise ResourceLimit(f"basis cap {caps.max_basis} exceeded")
+        lt = leading_monomial(h, order)
         for i in range(idx):
             pending.add((i, idx))
+            heapq.heappush(queue, (order.key(mono_lcm(lts[i], lt)), (i, idx)))
         G.append(h)
-        lts.append(leading_monomial(h, order))
+        lts.append(lt)
 
     intake = sorted(
         {g for g in (_monic(g, order) for g in gens)},
@@ -245,11 +299,8 @@ def buchberger(gens, order: TermOrder = GREVLEX, caps: Caps | None = None) -> li
     for g in intake:
         add(g)
 
-    while pending:
-        i, j = min(
-            pending,
-            key=lambda ij: (order.key(mono_lcm(lts[ij[0]], lts[ij[1]])), ij),
-        )
+    while queue:
+        _, (i, j) = heapq.heappop(queue)
         pending.discard((i, j))
         lcm = mono_lcm(lts[i], lts[j])
         if lcm == mono_mul(lts[i], lts[j]):

@@ -137,9 +137,13 @@ def mono_degree(m: Mono) -> int:
 
 
 class Poly:
-    """Immutable sparse polynomial: variable list, term map, domain tag."""
+    """Immutable sparse polynomial: variable list, term map, domain tag.
 
-    __slots__ = ("vars", "terms", "domain")
+    `_lead` holds (term order, leading monomial) for the last order the
+    leading monomial was asked for (see `groebner.leading_monomial`); it
+    takes no part in equality or hashing."""
+
+    __slots__ = ("vars", "terms", "domain", "_lead")
 
     def __init__(
         self,
@@ -149,6 +153,7 @@ class Poly:
     ):
         object.__setattr__(self, "vars", tuple(vars))
         object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "_lead", None)
         clean: dict[Mono, object] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         n = len(self.vars)
@@ -477,7 +482,7 @@ def to_prime_field(f: Poly, p: int) -> Poly:
 
 
 def _grevlex_key(m: Mono):
-    return (mono_degree(m), tuple(-e for e in reversed(m)))
+    return (sum(m), tuple([-e for e in reversed(m)]))
 
 
 def _format_coeff(c: Fraction) -> str:

@@ -5,9 +5,13 @@ saturations against the extra-variable construction, and the Buchberger
 criterion as a post-hoc test on computed bases.
 """
 
+import pickle
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
+from polargrad import groebner
 from polargrad.groebner import (
     GREVLEX,
     LEX,
@@ -15,10 +19,13 @@ from polargrad.groebner import (
     Ideal,
     NotZeroDimensional,
     ResourceLimit,
+    TermOrder,
     buchberger,
     eliminate,
+    elimination_order,
     hilbert_numerator,
     ideal_quotient,
+    intersect,
     leading_monomial,
     normal_form,
     poly_divmod,
@@ -46,6 +53,88 @@ V3 = ("x", "y", "z")
 
 def P(text, vars=V3):
     return parse_poly(text, vars)
+
+
+def _reference_key(order, m):
+    """The term-order key written out from the definition of each order."""
+    sig = order.perm if order.perm is not None else tuple(range(len(m)))
+
+    def grevlex(sig):
+        return (sum(m[i] for i in sig), tuple(-m[i] for i in reversed(sig)))
+
+    if order.kind == "grevlex":
+        return grevlex(sig)
+    if order.kind == "lex":
+        return tuple(m[i] for i in sig)
+    k = order.block_size or 0
+    return (grevlex(sig[:k]), grevlex(sig[k:]))
+
+
+@st.composite
+def orders_and_monomials(draw):
+    n = draw(st.integers(1, 5))
+    perm = tuple(draw(st.permutations(range(n))))
+    split = draw(st.integers(0, n))
+    order = draw(
+        st.sampled_from(
+            [
+                GREVLEX,
+                LEX,
+                TermOrder("grevlex", perm=perm),
+                TermOrder("lex", perm=perm),
+                elimination_order(perm[:split], perm[split:]),
+                TermOrder("block", block_size=1),
+            ]
+        )
+    )
+    monos = draw(
+        st.lists(st.tuples(*[st.integers(0, 4)] * n), min_size=1, max_size=12, unique=True)
+    )
+    return order, monos
+
+
+class TestTermOrder:
+    @given(orders_and_monomials())
+    @settings(max_examples=200, deadline=None)
+    def test_keys_match_the_definition(self, case):
+        order, monos = case
+        expected = sorted(monos, key=lambda m: _reference_key(order, m))
+        assert sorted(monos, key=order.key) == expected
+        assert sorted(monos, key=order.neg_key) == expected[::-1]
+
+    def test_unknown_kind_is_rejected_when_built(self):
+        with pytest.raises(ValueError):
+            TermOrder("bogus")
+
+    def test_equality_and_pickling_ignore_the_keys(self):
+        order = elimination_order((2,), (0, 1))
+        assert order == TermOrder("block", perm=(2, 0, 1), block_size=1)
+        assert hash(order) == hash(TermOrder("block", perm=(2, 0, 1), block_size=1))
+        assert pickle.loads(pickle.dumps(order)) == order
+        assert order != elimination_order((0,), (1, 2))
+
+
+class TestLeadingMonomial:
+    def test_cached_lead_follows_the_order(self):
+        p = P("x*z^3 + y^4 + x*y + z^5")
+        elim = elimination_order((0,), (1, 2))
+        seen = []
+        for order in (GREVLEX, LEX, elim, GREVLEX):
+            lt = leading_monomial(p, order)
+            assert lt == max(p.terms, key=order.key)
+            seen.append(lt)
+        assert seen == [(0, 0, 5), (1, 1, 0), (1, 0, 3), (0, 0, 5)]
+        # an equal order built separately is served from the cache
+        assert leading_monomial(p, TermOrder("grevlex")) == (0, 0, 5)
+        assert p._lead[0] is GREVLEX
+
+    def test_cache_is_invisible_to_equality(self):
+        p, q = P("x^2 - y*z"), P("x^2 - y*z")
+        leading_monomial(p, LEX)
+        assert p._lead is not None and q._lead is None
+        assert p == q
+        assert hash(p) == hash(q)
+        assert len({p, q}) == 1
 
 
 class TestNormalForm:
@@ -114,6 +203,14 @@ class TestBuchberger:
         with pytest.raises(ResourceLimit):
             buchberger(gens, GREVLEX, Caps(max_basis=2, max_degree=120))
 
+    def test_caps_trip_at_the_same_basis_size(self):
+        gens = [P("x^5 - y*z^4"), P("x*y^4 - z^5"), P("x^4*z - y^5")]
+        for order, last_tripped in ((GREVLEX, 2), (LEX, 6)):
+            for k in range(1, last_tripped + 1):
+                with pytest.raises(ResourceLimit):
+                    buchberger(gens, order, Caps(max_basis=k, max_degree=120))
+            buchberger(gens, order, Caps(max_basis=last_tripped + 1, max_degree=120))
+
     @given(polys(max_vars=2, max_exp=3, max_terms=3))
     @settings(max_examples=30, deadline=None)
     def test_buchberger_criterion_on_random_pairs(self, p):
@@ -142,6 +239,40 @@ class TestBuchberger:
         lts_q = {leading_monomial(g, GREVLEX) for g in basis_q}
         lts_p = {leading_monomial(g, GREVLEX) for g in basis_p}
         assert lts_q == lts_p
+
+
+class TestPairOrder:
+    """The pair selection fixes how many S-polynomials Buchberger forms and
+    reduces; these counts pin it."""
+
+    def _count(self, monkeypatch, run):
+        counts = {"s_polynomial": 0, "normal_form": 0}
+        for name in counts:
+            original = getattr(groebner, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(groebner, name, counted)
+        result = run()
+        monkeypatch.undo()
+        return counts, result
+
+    def test_counts_over_the_rationals(self, monkeypatch):
+        gens = [P("x^5 - y*z^4"), P("x*y^4 - z^5"), P("x^4*z - y^5")]
+        for order, spolys, reductions, size in ((GREVLEX, 2, 5, 3), (LEX, 10, 17, 7)):
+            counts, basis = self._count(monkeypatch, lambda: buchberger(gens, order))
+            assert counts == {"s_polynomial": spolys, "normal_form": reductions}
+            assert len(basis) == size
+
+    def test_counts_of_an_intersection_mod_p(self, monkeypatch):
+        p = 32003
+        I = Ideal([to_prime_field(P(t), p) for t in ("x^3 - y*z^2", "y^3 - x^2*z", "x*y*z - z^3")])
+        J = Ideal([to_prime_field(P(t), p) for t in ("x*y - z^2", "x^2 + y^2 + z^2")])
+        counts, K = self._count(monkeypatch, lambda: intersect(I, J))
+        assert counts == {"s_polynomial": 46, "normal_form": 78}
+        assert len(K.gens) == 9
 
 
 class TestEliminate:
