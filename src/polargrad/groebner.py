@@ -1,5 +1,6 @@
 """Groebner-basis engine: term orders, Buchberger, elimination, quotients,
-saturation and staircase invariants (dimension, degree, quotient dimension).
+saturation, staircase invariants (dimension, degree, quotient dimension) and
+multiplication matrices on zero-dimensional quotients.
 
 Everything is deterministic: the normal pair-selection strategy, sorted
 generator intake and final inter-reduction make the reduced basis unique for
@@ -607,6 +608,73 @@ def quotient_vs_dim(I: Ideal) -> int:
             "no pure power of some variable among the leading terms"
         )
     return len(report.standard_monomials)
+
+
+# ------------------------------------------------- multiplication matrices
+
+
+def multiplication_matrix(I: Ideal, g: Poly) -> tuple[tuple[Mono, ...], list[list]]:
+    """The standard monomials of a zero-dimensional I and the matrix of
+    multiplication by g on k[x]/I in that basis: row i holds the coordinates
+    of the normal form of g * std[i], which has only standard terms."""
+    if I.vars != g.vars or I.domain != g.domain:
+        raise DomainMismatch("ideal and multiplier live in different rings")
+    std = staircase(I).standard_monomials
+    if std is None:
+        raise NotZeroDimensional("no pure power of some variable among the leading terms")
+    column = {m: i for i, m in enumerate(std)}
+    zero = I.domain.zero()
+    rows = []
+    for m in std:
+        shifted = Poly(g.vars, {mono_mul(gm, m): c for gm, c in g.terms.items()}, g.domain)
+        row = [zero] * len(std)
+        for t, c in normal_form(shifted, I.basis, I.order).terms.items():
+            row[column[t]] = c
+        rows.append(row)
+    return std, rows
+
+
+def _echelon(rows, domain) -> list[list]:
+    """A basis of the row space in reduced echelon form, pivots scaled to 1."""
+    zero = domain.zero()
+    basis: list[tuple[int, list]] = []
+    for r in rows:
+        for col, b in basis:
+            c = r[col]
+            if c != zero:
+                r = [domain.sub(x, domain.mul(c, y)) for x, y in zip(r, b)]
+        pivot = next((i for i, x in enumerate(r) if x != zero), None)
+        if pivot is None:
+            continue
+        inv = domain.inv(r[pivot])
+        r = [domain.mul(inv, x) for x in r]
+        for k, (col, b) in enumerate(basis):
+            c = b[pivot]
+            if c != zero:
+                basis[k] = (col, [domain.sub(x, domain.mul(c, y)) for x, y in zip(b, r)])
+        basis.append((pivot, r))
+    return [b for _, b in basis]
+
+
+def stable_rank(rows, domain) -> int:
+    """Dimension of the stable image of the matrix `rows` acting on row
+    vectors: the images of M, M^2, ... shrink until two have equal dimension,
+    within len(rows) steps.  Each image is kept as an echelon basis, which
+    keeps the coefficients small where powers of M would not."""
+    image = _echelon(rows, domain)
+    zero = domain.zero()
+    while True:
+        products = []
+        for v in image:
+            out = [zero] * len(rows)
+            for c, row in zip(v, rows):
+                if c != zero:
+                    out = [domain.add(x, domain.mul(c, y)) for x, y in zip(out, row)]
+            products.append(out)
+        nxt = _echelon(products, domain)
+        if len(nxt) == len(image):
+            return len(image)
+        image = nxt
 
 
 def hilbert_numerator(leads, nvars: int) -> list[int]:

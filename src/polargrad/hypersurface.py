@@ -4,7 +4,10 @@ Milnor numbers, generic affine frames and the critical-multiplicity split.
 `frame_split` draws a certified affine frame and splits its critical
 multiplicity into mu_on = mu(V) and mu_off; `mu_summary` adds the points step:
 rational singular points, their local Milnor numbers, and the check that these
-sum to mu_on when the enumeration is complete.
+sum to mu_on when the enumeration is complete.  mu_off is the stable rank of
+the multiplication matrix of h on k[x]/(grad h) (Stickelberger's theorem):
+the critical points with h(p) != 0 carry exactly the part that no power of
+the matrix kills.
 
 Local Milnor numbers are computed with the global Groebner engine by double
 saturation: first remove the component at the point of interest to find the
@@ -23,10 +26,11 @@ from .groebner import (
     LEX,
     Ideal,
     NotZeroDimensional,
+    multiplication_matrix,
     projective_dim,
     quotient_vs_dim,
-    saturate,
     saturate_ideal,
+    stable_rank,
     zero_dim_degree_projective,
 )
 from .monodromy import CycDivisor, divisor_degree, mu0_from_charpoly
@@ -346,8 +350,11 @@ def generic_frame(f: Poly, seed: int) -> AffineModel:
 
 def tame_split(model: AffineModel) -> tuple[int, int]:
     """Split the total critical multiplicity of h into the part supported on
-    the zero fiber and the part off it.  The total must equal (d-1)^n, which
-    certifies that no critical multiplicity escaped to infinity."""
+    the zero fiber and the part off it.  The total, dim k[x]/(grad h), must
+    equal (d-1)^n, which certifies that no critical multiplicity escaped to
+    infinity.  mu_off is the stable rank of multiplication by h on
+    k[x]/(grad h): on the local algebra at a critical point p it acts as h(p)
+    plus a nilpotent, so its powers keep exactly the points with h(p) != 0."""
     h = model.h
     d = homogeneous_degree(model.f)
     n = len(h.vars)
@@ -355,15 +362,15 @@ def tame_split(model: AffineModel) -> tuple[int, int]:
     if Jh.is_zero_ideal():
         raise NotTame("gradient of h vanishes identically")
     try:
-        total = quotient_vs_dim(Jh)
+        std, rows = multiplication_matrix(Jh, h)
     except NotZeroDimensional as exc:
         raise NotTame("affine critical scheme is not finite") from exc
+    total = len(std)
     if total != (d - 1) ** n:
         raise NotTame(
             f"total critical multiplicity {total} differs from (d-1)^n = {(d-1)**n}"
         )
-    off_ideal, _ = saturate(Jh, h)
-    mu_off = 0 if off_ideal.is_unit() else quotient_vs_dim(off_ideal)
+    mu_off = stable_rank(rows, h.domain)
     return total - mu_off, mu_off
 
 

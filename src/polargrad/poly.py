@@ -8,10 +8,10 @@ immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from .arith import is_prime
 from .rng import SplitMix64

@@ -81,7 +81,8 @@ def homogeneous_polys(draw, max_vars=4, max_degree=6, max_terms=5):
 # ------------------------------------------------------------- linear algebra
 
 
-def fraction_rank(rows: list[list[Fraction]]) -> int:
+def fraction_rank(rows: list[list], p: int | None = None) -> int:
+    """Rank over the rationals, or over GF(p) for entries in [0, p)."""
     rows = [list(r) for r in rows]
     rank = 0
     ncols = len(rows[0]) if rows else 0
@@ -93,11 +94,13 @@ def fraction_rank(rows: list[list[Fraction]]) -> int:
         if pivot is None:
             continue
         rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        inv = 1 / rows[pivot_row][col]
+        inv = 1 / rows[pivot_row][col] if p is None else pow(rows[pivot_row][col], -1, p)
         for r in range(len(rows)):
             if r != pivot_row and rows[r][col] != 0:
                 factor = rows[r][col] * inv
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot_row])]
+                if p is not None:
+                    rows[r] = [a % p for a in rows[r]]
         pivot_row += 1
         rank += 1
         if pivot_row == len(rows):
@@ -143,18 +146,20 @@ def monomials_up_to(nv: int, bound: int) -> list[tuple[int, ...]]:
 def macaulay_quotient_dim(gens: list[Poly], bound: int) -> int:
     """Dimension of (monomials of degree <= bound) modulo the span of all
     degree-<= bound multiples of the generators; equals the quotient
-    dimension once `bound` passes the staircase."""
+    dimension once `bound` passes the staircase.  The rank is taken over the
+    coefficient field of the generators."""
     nv = len(gens[0].vars)
+    p = gens[0].domain.p
     cols = {m: i for i, m in enumerate(monomials_up_to(nv, bound))}
     rows = []
     for g in gens:
         dg = g.degree()
         for m in monomials_up_to(nv, bound - dg):
-            row = [Fraction(0)] * len(cols)
+            row = [0] * len(cols)
             for gm, c in g.terms.items():
-                row[cols[mono_mul(m, gm)]] = Fraction(c)
+                row[cols[mono_mul(m, gm)]] = c
             rows.append(row)
-    return len(cols) - fraction_rank(rows)
+    return len(cols) - fraction_rank(rows, p)
 
 
 def random_zero_dim_ideal(seed: int, nv: int) -> list[Poly]:

@@ -25,6 +25,7 @@ from polargrad.monodromy import (
 )
 from polargrad.parser import parse_poly
 from polargrad.polar import polar_degree_fiber_oracle
+from polargrad.report import analyze_polynomial
 
 from helpers import (
     bp_tuples_up_to,
@@ -202,3 +203,23 @@ def test_criterion_10_kernel_oracles(catalog_runs):
         mus = {total_mu_on_V(f, seed) for seed in (11, 12, 13)}
         ok &= mus == {entry.mu}
     _report("10 Macaulay oracle, tame totals, frame invariance", ok)
+
+
+def test_criterion_11_scale_tier():
+    # smooth, so mu(V) = 0 and d(f) = (d-1)^n; each finishes in a few seconds
+    # with the multiplication-matrix tame split, and the 60 s bound (about
+    # 15x that) fails a return to saturating grad h by h, which ran > 300 s
+    ok = True
+    for text, vars, d_f in (
+        ("w^4+x^4+y^4+z^4", ("w", "x", "y", "z"), 27),
+        ("v^3+w^3+x^3+y^3+z^3", ("v", "w", "x", "y", "z"), 16),
+    ):
+        start = time.monotonic()
+        report = analyze_polynomial(text, vars).data
+        elapsed = time.monotonic() - start
+        df = report["d_f"]
+        ok &= df["formula"] == df["fiber_oracle"] == df["tame_split"] == d_f
+        ok &= df["consolidated"] == d_f and df["unanimous"]
+        ok &= report["mu_V"] == 0
+        ok &= elapsed < 60.0
+    _report("11 scale tier: Fermat quartic surface 27, cubic threefold 16, <60s each", ok)

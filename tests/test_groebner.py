@@ -27,6 +27,7 @@ from polargrad.groebner import (
     ideal_quotient,
     intersect,
     leading_monomial,
+    multiplication_matrix,
     normal_form,
     poly_divmod,
     projective_dim,
@@ -34,11 +35,12 @@ from polargrad.groebner import (
     s_polynomial,
     saturate,
     saturate_ideal,
+    stable_rank,
     staircase,
     zero_dim_degree_projective,
 )
 from polargrad.parser import parse_poly
-from polargrad.poly import to_prime_field
+from polargrad.poly import QQ, DomainMismatch, Poly, to_prime_field
 
 from helpers import (
     macaulay_quotient_dim,
@@ -402,6 +404,75 @@ class TestStaircaseInvariants:
             ) + max(g.degree() for g in gens) + 1
             assert macaulay_quotient_dim(list(gens), bound) == dim
             checked += 1
+
+
+class TestMultiplicationMatrix:
+    """Multiplication by g on k[x]/I acts on the local algebra at each point p
+    as g(p) plus a nilpotent, so its stable rank is dim k[x]/(I : g^inf)
+    (Stickelberger).  Checked against the extra-variable saturation, and the
+    standard monomials against the Macaulay rank, over QQ and GF(32003)."""
+
+    @pytest.mark.parametrize("p", [None, 32003])
+    @given(
+        seed=st.integers(0, 10**6),
+        nv=st.integers(2, 3),
+        g_terms=st.lists(
+            st.tuples(st.tuples(*[st.integers(0, 2)] * 3), st.integers(-3, 3).filter(bool)),
+            min_size=1,
+            max_size=3,
+        ),
+        constant=st.integers(-2, 2),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_stable_rank_is_the_saturation_dimension(self, p, seed, nv, g_terms, constant):
+        gens = random_zero_dim_ideal(seed, nv)
+        if p is not None:
+            gens = [to_prime_field(g, p) for g in gens]
+        I = Ideal(gens)
+        g = Poly(I.vars, [(m[:nv], c) for m, c in g_terms] + [((0,) * nv, constant)], I.domain)
+        std, rows = multiplication_matrix(I, g)
+        S = rabinowitsch_saturate(I, g)
+        assert stable_rank(rows, I.domain) == (0 if S.is_unit() else quotient_vs_dim(S))
+        # the generators have pure-power leading forms, so multiples up to one
+        # degree past the staircase already span the ideal in those degrees
+        bound = max(sum(m) for m in std) + 1
+        assert len(std) == macaulay_quotient_dim(gens, bound)
+
+    def test_linear_multipliers_split_the_support(self):
+        # on these seeds' ideals x_k - a vanishes on some points of V(I) but
+        # not on others, so stable ranks fall strictly between 0 and dim k[x]/I
+        partial = 0
+        for seed in (6, 8, 10, 11, 13):
+            nv = 2 + seed % 2
+            I = Ideal(random_zero_dim_ideal(seed, nv))
+            for k in range(nv):
+                for a in range(-2, 3):
+                    g = Poly.variable(I.vars, k) - Poly.constant(I.vars, a)
+                    std, rows = multiplication_matrix(I, g)
+                    S = rabinowitsch_saturate(I, g)
+                    rank = stable_rank(rows, I.domain)
+                    assert rank == (0 if S.is_unit() else quotient_vs_dim(S))
+                    partial += 0 < rank < len(std)
+        assert partial == 9
+
+    def test_worked_examples(self):
+        I = Ideal([P("x^2 - y", V2), P("y^2 - y", V2)])  # (0,0) double, (+-1,1)
+        std, rows = multiplication_matrix(I, P("1", V2))
+        assert std == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert stable_rank(rows, I.domain) == 4
+        for member in (P("x^2 - y", V2), P("x^2*y - y^2", V2)):
+            assert stable_rank(multiplication_matrix(I, member)[1], I.domain) == 0
+        # x and y vanish on the double point at the origin only
+        assert stable_rank(multiplication_matrix(I, P("y", V2))[1], I.domain) == 2
+        assert stable_rank(multiplication_matrix(I, P("x", V2))[1], I.domain) == 2
+
+    def test_degenerate_inputs(self):
+        std, rows = multiplication_matrix(Ideal([P("x", V2), P("x - 1", V2)]), P("x", V2))
+        assert std == () and rows == [] and stable_rank(rows, QQ) == 0
+        with pytest.raises(NotZeroDimensional):
+            multiplication_matrix(Ideal([P("x*y", V2)]), P("x", V2))
+        with pytest.raises(DomainMismatch):
+            multiplication_matrix(Ideal([P("x^2", V2), P("y", V2)]), to_prime_field(P("x", V2), 7))
 
 
 class TestPrimeFieldPipeline:

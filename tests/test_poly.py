@@ -1,6 +1,7 @@
 """Polynomial kernel: parser, calculus, substitution, reducedness probe."""
 
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import assume, given, settings
@@ -73,6 +74,16 @@ class TestParser:
     @given(polys())
     def test_round_trip(self, p):
         assert parse_poly(poly_text(p), p.vars) == p
+
+
+class TestConstruction:
+    def test_term_containers_build_equal_polynomials(self):
+        terms = {(2, 0): Fraction(3), (0, 1): -5, (0, 0): 7}
+        from_dict = Poly(V2, terms)
+        assert from_dict == Poly(V2, MappingProxyType(terms))
+        assert from_dict == Poly(V2, list(terms.items()))
+        assert from_dict == Poly(V2, iter(terms.items()))
+        assert from_dict == parse_poly("3*x^2 - 5*y + 7", V2)
 
 
 class TestCalculus:
