@@ -635,7 +635,10 @@ def multiplication_matrix(I: Ideal, g: Poly) -> tuple[tuple[Mono, ...], list[lis
 
 
 def _echelon(rows, domain) -> list[list]:
-    """A basis of the row space in reduced echelon form, pivots scaled to 1."""
+    """A basis of the row space in reduced echelon form, pivots scaled to 1.
+    Clearing each new pivot from the rows already kept is not needed for the
+    rank, but keeps the Fractions small: without it `stable_rank` on the
+    27-dimensional quotients of quartic surfaces took 1.5-2x as long."""
     zero = domain.zero()
     basis: list[tuple[int, list]] = []
     for r in rows:
