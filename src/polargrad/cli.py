@@ -252,7 +252,8 @@ def cmd_catalog(args) -> int:
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        caps = (active_caps(),)  # spawn and forkserver workers do not inherit them
+        with ProcessPoolExecutor(args.jobs, initializer=set_default_caps, initargs=caps) as pool:
             futures = [
                 pool.submit(run_entry, e, args.seed, args.trials, args.modp)
                 for e in entries

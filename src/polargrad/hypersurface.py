@@ -331,9 +331,10 @@ def _frame_certificates(fM: Poly) -> bool:
 
 def generic_frame(f: Poly, seed: int) -> AffineModel:
     """Seeded random small-integer coordinate change certified to be generic
-    enough for the affine critical-point analysis."""
-    if not has_isolated_singularities(f):
-        raise NotIsolated("singular locus is positive-dimensional")
+    enough for the affine critical-point analysis.  A certified frame has no
+    singular point on x_0 = 0, which every positive-dimensional singular
+    locus meets, so it also proves the singularities isolated."""
+    homogeneous_degree(f)
     nv = len(f.vars)
     rng = SplitMix64(seed * 0x9E3779B9 + 17)
     for draw in range(1, MAX_FRAME_DRAWS + 1):
@@ -346,6 +347,8 @@ def generic_frame(f: Poly, seed: int) -> AffineModel:
         return AffineModel(
             f=f, matrix=M, h=dehomogenize(fM, 0), seed=seed, draws=draw
         )
+    if not has_isolated_singularities(f):
+        raise NotIsolated("singular locus is positive-dimensional")
     raise TransversalityNotFound(
         f"no admissible frame after {MAX_FRAME_DRAWS} draws from seed {seed}"
     )

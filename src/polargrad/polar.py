@@ -5,7 +5,8 @@
   supported off the zero fiber.
 * `polar_degree_fiber_oracle`: projective degree of a saturated generic-fiber
   ideal built from the 2x2 minors of (grad f | u).  This route needs no
-  reducedness or isolatedness hypotheses and is the general fallback.
+  reducedness or isolatedness hypotheses and is the general fallback; the
+  other two need both, which `require_hypotheses` alone decides, exactly.
 
 The oracle can run its Groebner steps modulo two fixed large primes; a value
 is only reported from the modular path when both primes agree, and any
@@ -24,7 +25,7 @@ from .groebner import (
     saturate,
     zero_dim_degree_projective,
 )
-from .hypersurface import frame_split, has_isolated_singularities, mu_summary
+from .hypersurface import frame_split, jacobian_ideal, mu_summary
 from .monodromy import (
     CycDivisor,
     fermat_mult_reference,
@@ -33,11 +34,11 @@ from .monodromy import (
 )
 from .poly import (
     DomainMismatch,
+    NotHomogeneous,
     Poly,
-    Reducedness,
+    ZeroPolynomial,
     gradient,
     homogeneous_degree,
-    squarefree_probe,
     to_prime_field,
 )
 from .rng import SplitMix64
@@ -73,20 +74,32 @@ class PolarDegreeResult:
     details: dict = field(default_factory=dict)
 
 
-def require_hypotheses(f: Poly, seed: int = 1) -> None:
-    """Reducedness (probabilistic, one-sided) and isolated singularities."""
-    if squarefree_probe(f, seed=seed) is not Reducedness.PROBABLY_REDUCED:
+def require_hypotheses(f: Poly) -> int:
+    """Degree of f after checking that it is a reduced form in two or more
+    variables with isolated singularities.  Both are read off the projective
+    dimension pd of the Jacobian scheme: for n >= 2 a square factor g^2 makes
+    V(g) (dimension n - 1) singular, so pd <= 0 proves f reduced; for n = 1,
+    f is reduced exactly when pd = -1."""
+    try:
+        d = homogeneous_degree(f)
+    except (NotHomogeneous, ZeroPolynomial) as exc:
+        raise HypothesisError(str(exc)) from exc
+    n = len(f.vars) - 1
+    if n < 1:
+        raise HypothesisError("need at least two variables")
+    pd = projective_dim(jacobian_ideal(f))
+    if pd > 0:
+        raise HypothesisError(f"singular locus has dimension {pd}")
+    if n == 1 and pd == 0:
         raise HypothesisError("input polynomial is not reduced")
-    if not has_isolated_singularities(f):
-        raise HypothesisError("singular locus is positive-dimensional")
+    return d
 
 
 def polar_degree_formula(f: Poly, seed: int = 1) -> PolarDegreeResult:
     """(d-1)^n - mu(V(f)), with mu computed through a certified frame and
     cross-checked against per-point local Milnor numbers when possible."""
-    d = homogeneous_degree(f)
+    d = require_hypotheses(f)
     n = len(f.vars) - 1
-    require_hypotheses(f, seed)
     summary = mu_summary(f, seed)
     value = (d - 1) ** n - summary.mu_on
     if value < 0:
@@ -106,8 +119,7 @@ def polar_degree_formula(f: Poly, seed: int = 1) -> PolarDegreeResult:
 
 def polar_degree_tame(f: Poly, seed: int = 1) -> PolarDegreeResult:
     """Critical multiplicity of the affine model away from the zero fiber."""
-    homogeneous_degree(f)
-    require_hypotheses(f, seed)
+    require_hypotheses(f)
     model, mu_on, mu_off = frame_split(f, seed)
     return PolarDegreeResult(
         "tame_split",
@@ -227,6 +239,8 @@ def polar_degree_fiber_oracle(
         raise HypothesisError("the gradient map needs a non-constant polynomial")
     if modp not in ("dual", "off"):
         raise ValueError("modp must be 'dual' or 'off'")
+    if trials < 1:
+        raise ValueError(f"need at least one oracle trial, got {trials}")
     grads = gradient(f)
     contexts: dict = {}
     rng = SplitMix64(seed * 6364136223846793005 + 0xDA3E39CB94B95BDB)
@@ -352,12 +366,10 @@ def check_multiplicity_inequality(
     return {"applicable": True, "rows": rows}
 
 
-def conjecture_verdict(
-    d: int, n: int, reduced: bool, isolated: bool, d_f: int | None
-) -> str:
-    """Status of the d(f) != 1 expectation for reduced hypersurfaces with
-    isolated singularities in the range d > 2, n > 2."""
-    if d <= 2 or n <= 2 or not reduced or not isolated:
+def conjecture_verdict(d: int, n: int, d_f: int | None) -> str:
+    """Status of the d(f) != 1 expectation in the range d > 2, n > 2, for an
+    f that has passed `require_hypotheses` (reduced, isolated singularities)."""
+    if d <= 2 or n <= 2:
         return "out_of_hypothesis"
     if d_f is None:
         return "undetermined"

@@ -1,9 +1,10 @@
 """End-to-end analysis of one homogeneous polynomial, and report types.
 
-The pipeline checks the hypotheses (isolated singularities, reducedness),
-computes the polar degree by all three methods, assembles local singularity
-data (with user-declared weighted-homogeneous structure), evaluates the
-bound checkers and produces a JSON-serializable verdict bundle.
+The pipeline checks the hypotheses with the exact gate
+`polar.require_hypotheses`, computes the polar degree by all three methods,
+assembles local singularity data (with user-declared weighted-homogeneous
+structure), evaluates the bound checkers and produces a JSON-serializable
+verdict bundle.
 
 The singular points are enumerated once (`mu_summary`); the tame value comes
 from a second certified frame (`frame_split` at seed + 1) whose mu(V) must
@@ -18,25 +19,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import monodromy as mono
-from .groebner import projective_dim
-from .hypersurface import SingularityRecord, frame_split, jacobian_ideal, mu_summary
+from .hypersurface import SingularityRecord, frame_split, mu_summary
 from .parser import ParseError, parse_poly
-from .poly import (
-    NotHomogeneous,
-    ProjectivePoint,
-    Reducedness,
-    ZeroPolynomial,
-    homogeneous_degree,
-    squarefree_probe,
-)
+from .poly import ProjectivePoint
 from .polar import (
-    HypothesisError,
     check_multiplicity_inequality,
     check_polar_degree_lower_bound,
     check_surface_criterion,
     conjecture_verdict,
     consolidate,
     polar_degree_fiber_oracle,
+    require_hypotheses,
 )
 
 
@@ -199,20 +192,8 @@ def analyze_polynomial(text: str, vars, options: AnalysisOptions | None = None) 
         f = parse_poly(text, vars)
     except ParseError as exc:
         raise InputError(str(exc)) from exc
-    try:
-        d = homogeneous_degree(f)
-    except (NotHomogeneous, ZeroPolynomial) as exc:
-        raise HypothesisError(str(exc)) from exc
+    d = require_hypotheses(f)
     n = len(f.vars) - 1
-    if n < 1:
-        raise HypothesisError("need at least two variables")
-
-    pd = projective_dim(jacobian_ideal(f))
-    if pd > 0:
-        raise HypothesisError(f"singular locus has dimension {pd}")
-    reduced = squarefree_probe(f, seed=options.seed)
-    if reduced is not Reducedness.PROBABLY_REDUCED:
-        raise HypothesisError("input polynomial is not reduced")
     timings["hypotheses"] = time.monotonic() - t0
 
     notes: list[str] = []
@@ -281,7 +262,7 @@ def analyze_polynomial(text: str, vars, options: AnalysisOptions | None = None) 
     else:
         bounds["eigenvalue_multiplicities"] = {"applicable": False, "rows": []}
 
-    status = conjecture_verdict(d, n, True, True, consolidated)
+    status = conjecture_verdict(d, n, consolidated)
     if status == "COUNTEREXAMPLE" and not unanimous:
         # a counterexample claim needs all three methods, not a majority
         status = "undetermined"
@@ -301,8 +282,9 @@ def analyze_polynomial(text: str, vars, options: AnalysisOptions | None = None) 
         "d": d,
         "n": n,
         "reduced": {
-            "verdict": reduced.value,
-            "method": "random-line probe, one-sided error",
+            "verdict": "reduced",
+            "method": "exact: a square factor makes the singular locus "
+            "positive-dimensional (n >= 2) or nonempty (n = 1)",
         },
         "isolated": True,
         "frame_seed": summary.model.seed,

@@ -35,6 +35,8 @@ class TestAnalyze:
         assert data["mu_V"] == 3
         assert len(data["singular_points"]) == 3
         assert data["conjecture_status"] == "out_of_hypothesis"
+        assert data["reduced"]["verdict"] == "reduced"
+        assert data["reduced"]["method"].startswith("exact")
 
     def test_text_and_json_agree(self):
         _, text = run_cli(["analyze", "x*y*z", "--vars", "x,y,z"])
@@ -163,6 +165,15 @@ class TestPolarDegree:
         )
         assert code == 2
 
+    def test_fewer_than_one_trial_exits_1(self):
+        argv = ["polar-degree", "x*y*z", "--vars", "x,y,z", "--method", "oracle"]
+        for trials in ("0", "-3"):
+            err = io.StringIO()
+            with redirect_stderr(err):
+                code, _ = run_cli(argv + ["--trials", trials])
+            assert code == 1
+            assert err.getvalue().startswith("input error:")
+
     def test_oracle_accepts_non_reduced(self):
         code, out = run_cli(
             ["polar-degree", "x^2*y", "--vars", "x,y", "--method", "oracle"]
@@ -238,6 +249,22 @@ class TestCatalog:
     def test_parallel_jobs(self):
         code, out = run_cli(["catalog", "run", "line-pair", "--jobs", "2"])
         assert code == 0 and "pass" in out
+
+    def test_parallel_workers_keep_the_caps(self, monkeypatch):
+        # spawned workers do not inherit the parent's module state, so the
+        # caps must be handed to them
+        import concurrent.futures
+        import multiprocessing
+
+        pool_class = concurrent.futures.ProcessPoolExecutor
+
+        def spawn_pool(*args, **kwargs):
+            return pool_class(*args, mp_context=multiprocessing.get_context("spawn"), **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawn_pool)
+        argv = ["catalog", "run", "cremona-triangle", "--jobs", "2", "--max-basis", "2"]
+        with redirect_stderr(io.StringIO()):
+            assert run_cli(argv)[0] == 4
 
     def test_unknown_entry(self):
         code, _ = run_cli(["catalog", "run", "no-such-entry"])

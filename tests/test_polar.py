@@ -1,6 +1,10 @@
 """Polar degree by three methods, consistency, and the bound checkers."""
 
+from itertools import combinations_with_replacement
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import assume, given, settings
 
 from polargrad.monodromy import CycDivisor, bp_charpoly, charpoly_product
 from polargrad.parser import parse_poly
@@ -15,8 +19,9 @@ from polargrad.polar import (
     polar_degree_fiber_oracle,
     polar_degree_formula,
     polar_degree_tame,
+    require_hypotheses,
 )
-from polargrad.poly import substitute_linear
+from polargrad.poly import Poly, Reducedness, squarefree_probe, substitute_linear
 from polargrad.rng import SplitMix64
 
 V2 = ("x", "y")
@@ -94,6 +99,11 @@ class TestFiberOracle:
         with pytest.raises(HypothesisError):
             polar_degree_fiber_oracle(parse_poly("5", V2))
 
+    def test_fewer_than_one_trial_rejected(self):
+        for trials in (0, -3):
+            with pytest.raises(ValueError, match="at least one oracle trial"):
+                polar_degree_fiber_oracle(XYZ, trials=trials)
+
 
 class TestFormulaAndTame:
     def test_triangle(self):
@@ -120,6 +130,71 @@ class TestFormulaAndTame:
             polar_degree_formula(parse_poly("x^2*y", V3), 1)  # not reduced
         with pytest.raises(HypothesisError):
             polar_degree_tame(parse_poly("x^2*y", V3), 1)
+
+    def test_one_variable_rejected_by_the_gate(self):
+        # no frame is drawn: the gate rejects the input before any draw
+        f = parse_poly("x", ("x",))
+        for method in (polar_degree_formula, polar_degree_tame):
+            with pytest.raises(HypothesisError, match="at least two variables"):
+                method(f, 1)
+
+
+def _monomials(nv, degree):
+    return [
+        tuple(combo.count(i) for i in range(nv))
+        for combo in combinations_with_replacement(range(nv), degree)
+    ]
+
+
+@st.composite
+def form_products(draw):
+    """(f, whether f was built with a square factor): a product of one or two
+    linear or quadratic forms in 2 or 3 variables, the first factor possibly
+    taken twice."""
+    nv = draw(st.sampled_from((2, 3)))
+    factors = []
+    for _ in range(draw(st.integers(1, 2))):
+        monos = _monomials(nv, draw(st.sampled_from((1, 2))))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos)))
+        factors.append(Poly(V3[:nv], zip(monos, coeffs)))
+    assume(all(not g.is_zero() for g in factors))
+    square = draw(st.booleans())
+    if square:
+        factors.append(factors[0])
+    f = factors[0]
+    for g in factors[1:]:
+        f = f * g
+    return f, square
+
+
+class TestHypothesisGate:
+    @given(form_products())
+    @settings(max_examples=60, deadline=None)
+    def test_gate_against_the_line_probe(self, case):
+        f, square = case
+        n = len(f.vars) - 1
+        if square:
+            with pytest.raises(HypothesisError) as err:
+                require_hypotheses(f)
+            assert ("not reduced" if n == 1 else "dimension") in str(err.value)
+        if squarefree_probe(f, seed=1) is Reducedness.PROBABLY_REDUCED:
+            # the probe's one-sided answer is a proof of reducedness, and a
+            # reduced curve in P^1 or P^2 has isolated singularities
+            assert require_hypotheses(f) == f.degree()
+
+    def test_messages(self):
+        cases = [
+            ("x^2 + y", V2, "degrees"),
+            ("0", V2, "zero polynomial"),
+            ("x", ("x",), "at least two variables"),
+            ("x^2*y", V3, "singular locus has dimension 1"),
+            ("x^2*y", V2, "input polynomial is not reduced"),
+        ]
+        for text, vars, message in cases:
+            with pytest.raises(HypothesisError, match=message):
+                require_hypotheses(parse_poly(text, vars))
+        assert require_hypotheses(XYZ) == 3
+        assert require_hypotheses(parse_poly("x*y", V2)) == 2
 
 
 class TestConsolidation:
@@ -192,10 +267,8 @@ class TestCheckers:
         assert not out["applicable"]
 
     def test_conjecture_verdicts(self):
-        assert conjecture_verdict(3, 2, True, True, 1) == "out_of_hypothesis"
-        assert conjecture_verdict(3, 3, True, True, 2) == "consistent"
-        assert conjecture_verdict(2, 3, True, True, 1) == "out_of_hypothesis"
-        assert conjecture_verdict(3, 3, False, True, 1) == "out_of_hypothesis"
-        assert conjecture_verdict(3, 3, True, False, 1) == "out_of_hypothesis"
-        assert conjecture_verdict(3, 3, True, True, 1) == "COUNTEREXAMPLE"
-        assert conjecture_verdict(3, 3, True, True, None) == "undetermined"
+        assert conjecture_verdict(3, 2, 1) == "out_of_hypothesis"
+        assert conjecture_verdict(3, 3, 2) == "consistent"
+        assert conjecture_verdict(2, 3, 1) == "out_of_hypothesis"
+        assert conjecture_verdict(3, 3, 1) == "COUNTEREXAMPLE"
+        assert conjecture_verdict(3, 3, None) == "undetermined"

@@ -97,7 +97,8 @@ class TestHypothesisGates:
 
     def test_not_reduced_rejected(self):
         # in two variables the singular scheme of x^2*y is a point, so the
-        # isolatedness gate passes and the reducedness probe must catch it
+        # isolatedness gate passes; a binary form is reduced exactly when its
+        # singular scheme is empty, so the gate rejects it
         with pytest.raises(HypothesisError) as err:
             analyze_polynomial("x^2*y", ("x", "y"))
         assert "reduced" in str(err.value)
