@@ -206,10 +206,6 @@ CATALOG: tuple[CatalogEntry, ...] = (
 BY_NAME = {entry.name: entry for entry in CATALOG}
 
 
-def entry_names() -> list[str]:
-    return [e.name for e in CATALOG]
-
-
 def run_entry(entry: CatalogEntry, seed: int = 1, trials: int = 3, modp: str = "dual") -> dict:
     """Analyze one entry and diff the result against its expected fields."""
     mismatches: list[str] = []

@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Commands: analyze, polar-degree, monodromy, bounds, catalog.
-Exit codes: 0 success, 1 input error, 2 hypothesis violation, 3 internal
-inconsistency (methods disagree after retries, or a catalog mismatch),
-4 resource limit (a --max-basis or --max-degree cap was exceeded).  The caps
-hold for one `main` call; the previous caps are restored when it returns.
+Exit codes: 0 success, 1 input or usage error, 2 hypothesis violation, 3
+internal inconsistency (methods disagree after retries, or a catalog
+mismatch), 4 resource limit (a --max-basis or --max-degree cap was exceeded).
+The caps hold for one `main` call; the previous caps are restored after it.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ EXIT_RESOURCE = 4
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    """Flags of the commands that run the Groebner pipeline."""
     p.add_argument("--seed", type=int, default=1, help="deterministic seed (default 1)")
     p.add_argument("--trials", type=int, default=3, help="oracle trials (default 3)")
     p.add_argument(
@@ -294,14 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bp", default=None, help="pure-power exponents, e.g. 3,4,2")
     p.add_argument("--weights", default=None, help="rational weights, e.g. 1/3,1/5")
     p.add_argument("--fermat", default=None, help="d,n for the Fermat closed form")
-    _common_flags(p)
     p.set_defaults(func=cmd_monodromy)
 
     p = sub.add_parser("bounds", help="reference Betti numbers and multiplicity bounds")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--mu0", type=int, default=None)
-    _common_flags(p)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("catalog", help="list or run the example catalog")
@@ -311,14 +309,21 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     p.set_defaults(func=cmd_catalog)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("text", "json"), default="text")
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 2:  # argparse's usage error; here 2 is a hypothesis violation
+            return EXIT_INPUT
+        raise
     previous_caps = active_caps()
-    set_default_caps(Caps(max_basis=args.max_basis, max_degree=args.max_degree))
+    if "max_basis" in args:  # monodromy and bounds build no Groebner basis
+        set_default_caps(Caps(max_basis=args.max_basis, max_degree=args.max_degree))
     try:
         return args.func(args)
     except ResourceLimit as exc:

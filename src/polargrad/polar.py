@@ -3,8 +3,9 @@
 * `polar_degree_formula`: (d-1)^n minus the total Milnor number of V(f).
 * `polar_degree_tame`: the critical multiplicity of a certified affine model
   supported off the zero fiber.
-* `polar_degree_fiber_oracle`: projective degree of a saturated generic-fiber
-  ideal built from the 2x2 minors of (grad f | u).  This route needs no
+* `polar_degree_fiber_oracle`: projective degree of the generic-fiber ideal
+  built from the 2x2 minors of (grad f | u), saturated by one partial f_j
+  with u_j != 0 to remove the base locus grad f = 0.  This route needs no
   reducedness or isolatedness hypotheses and is the general fallback; the
   other two need both, which `require_hypotheses` alone decides, exactly.
 
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 
 from .groebner import (
     Ideal,
+    # unused; perfbench's test_install_rebinds_every_namespace_and_restores rebinds it
     intersect,
     projective_dim,
     saturate,
@@ -149,44 +151,44 @@ def _minor_gens(grads: list[Poly], u: tuple[int, ...]) -> list[Poly]:
 
 
 class _OracleContext:
-    """Per-domain gradient data shared across trials: the nonzero partials
-    and whether the base locus grad f = 0 is empty.  With an empty base
-    locus the saturation is skipped: removing the irrelevant component never
-    changes the projective dimension or degree of the fiber scheme."""
+    """Per-domain gradient data shared across trials: the partials and whether
+    the base locus grad f = 0 is empty.  With an empty base locus the
+    saturation is skipped: removing the irrelevant component never changes
+    the projective dimension or degree of the fiber scheme."""
 
     def __init__(self, grads: list[Poly]):
         self.grads = grads
-        self.nonzero = [g for g in grads if not g.is_zero()]
-        self.base_locus_empty = projective_dim(Ideal(self.nonzero)) == -1
+        self.base_locus_empty = projective_dim(Ideal(grads)) == -1
 
 
 def _fiber_degree(ctx: _OracleContext, u: tuple[int, ...]):
-    """Fiber count and saturation exponents over one coefficient domain.
+    """Fiber count and saturation exponent over one coefficient domain.
 
-    Returns (count, exponents); the count is 0 for an empty (non-dominant)
-    fiber.  Raises PositiveDimensionalFiber for a degenerate target."""
+    One saturation by a partial f_j with f_j != 0 and u_j != 0 in this domain
+    gives I : (grad f)^inf with no hypothesis on f: off the base locus,
+    grad f = c*u with c != 0, so f_j does not vanish there, and the base
+    locus lies in V(f_j).  Returns (count, exponent); the count is 0 for an
+    empty fiber and the exponent None when nothing was saturated.  Raises
+    PositiveDimensionalFiber for a degenerate target."""
     gens = _minor_gens(ctx.grads, u)
     if not gens:
         raise PositiveDimensionalFiber("target is proportional to the gradient")
     fiber = Ideal(gens)
-    exponents: list[int] = []
+    exponent = None
     if not ctx.base_locus_empty:
-        parts = []
-        for g in ctx.nonzero:
-            part, n = saturate(fiber, g)
-            parts.append(part)
-            exponents.append(n)
-        fiber = parts[0]
-        for part in parts[1:]:
-            fiber = intersect(fiber, part)
+        # u_j * f_j is zero exactly when f_j = 0 or u_j = 0 in this domain
+        j = next((j for j, g in enumerate(ctx.grads) if not g.scale(u[j]).is_zero()), None)
+        if j is None:  # the minors contain u_k * f_i for all i: I holds grad f
+            return 0, None
+        fiber, exponent = saturate(fiber, ctx.grads[j])
     if fiber.is_unit():
-        return 0, exponents
+        return 0, exponent
     pd = projective_dim(fiber)
     if pd == -1:
-        return 0, exponents
+        return 0, exponent
     if pd != 0:
         raise PositiveDimensionalFiber(f"saturated fiber has dimension {pd}")
-    return zero_dim_degree_projective(fiber), exponents
+    return zero_dim_degree_projective(fiber), exponent
 
 
 def _oracle_value(contexts: dict, grads: list[Poly], u: tuple[int, ...], modp: str):
@@ -198,33 +200,27 @@ def _oracle_value(contexts: dict, grads: list[Poly], u: tuple[int, ...], modp: s
                 contexts[key] = _OracleContext([to_prime_field(g, key) for g in grads])
         return contexts[key]
 
+    path, result = "rational", None
     if modp == "dual":
+        path = "rational (prime fallback)"
         try:
             results = [_fiber_degree(context(p), u) for p in ORACLE_PRIMES]
             if results[0][0] == results[1][0]:
-                value, exps = results[0]
-                return value, {
-                    "u": list(u),
-                    "path": "dual-prime",
-                    "saturation_exponents": exps,
-                    "degree": value,
-                }
+                path, result = "dual-prime", results[0]
         except DomainMismatch:
             pass
-        value, exps = _fiber_degree(context("qq"), u)
-        return value, {
-            "u": list(u),
-            "path": "rational (prime fallback)",
-            "saturation_exponents": exps,
-            "degree": value,
-        }
-    value, exps = _fiber_degree(context("qq"), u)
-    return value, {
-        "u": list(u),
-        "path": "rational",
-        "saturation_exponents": exps,
-        "degree": value,
-    }
+    if result is None:
+        result = _fiber_degree(context("qq"), u)
+    value, exponent = result
+    return value, {"u": list(u), "path": path, "saturation_exponent": exponent, "degree": value}
+
+
+def check_oracle_options(trials: int, modp: str) -> None:
+    """Reject oracle settings before any Groebner work is done."""
+    if modp not in ("dual", "off"):
+        raise ValueError("modp must be 'dual' or 'off'")
+    if trials < 1:
+        raise ValueError(f"need at least one oracle trial, got {trials}")
 
 
 def polar_degree_fiber_oracle(
@@ -237,10 +233,7 @@ def polar_degree_fiber_oracle(
     d = homogeneous_degree(f)
     if d < 1:
         raise HypothesisError("the gradient map needs a non-constant polynomial")
-    if modp not in ("dual", "off"):
-        raise ValueError("modp must be 'dual' or 'off'")
-    if trials < 1:
-        raise ValueError(f"need at least one oracle trial, got {trials}")
+    check_oracle_options(trials, modp)
     grads = gradient(f)
     contexts: dict = {}
     rng = SplitMix64(seed * 6364136223846793005 + 0xDA3E39CB94B95BDB)

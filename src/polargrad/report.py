@@ -25,6 +25,7 @@ from .poly import ProjectivePoint
 from .polar import (
     check_multiplicity_inequality,
     check_polar_degree_lower_bound,
+    check_oracle_options,
     check_surface_criterion,
     conjecture_verdict,
     consolidate,
@@ -186,6 +187,7 @@ def _build_records(points, local_mu, declarations) -> list[SingularityRecord]:
 def analyze_polynomial(text: str, vars, options: AnalysisOptions | None = None) -> AnalysisReport:
     """Full verdict bundle for one input polynomial."""
     options = options or AnalysisOptions()
+    check_oracle_options(options.trials, options.modp)
     timings: dict[str, float] = {}
     t0 = time.monotonic()
     try:

@@ -4,9 +4,12 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
+import polargrad.report
 from polargrad.cli import main
 from polargrad.groebner import DEFAULT_CAPS, active_caps
-from polargrad.report import analyze_polynomial
+from polargrad.report import AnalysisOptions, analyze_polynomial
 
 # a smooth cubic whose Groebner bases need more than two elements
 CAPPED_RUN = ["analyze", "x^3+y^3+z^3+x*y*z", "--vars", "x,y,z", "--max-basis", "2"]
@@ -117,6 +120,42 @@ class TestAnalyze:
             ]
         )
         assert code == 1
+
+    def test_oracle_options_checked_before_groebner_work(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("mu_summary ran before the options were checked")
+
+        monkeypatch.setattr(polargrad.report, "mu_summary", forbidden)
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, _ = run_cli(["analyze", "x^3+y^3+z^3+x*y*z", "--vars", "x,y,z", "--trials", "0"])
+        assert code == 1
+        assert err.getvalue().startswith("input error:")
+        with pytest.raises(ValueError, match="modp"):
+            analyze_polynomial("x*y*z", ("x", "y", "z"), AnalysisOptions(modp="maybe"))
+
+
+class TestUsage:
+    def test_usage_error_exits_1(self):
+        # argparse's own exit status 2 would read as a hypothesis violation
+        for argv in (["monodromy", "--fermat", "3,3", "--bogus"], ["no-such-command"], []):
+            with redirect_stderr(io.StringIO()):
+                assert run_cli(argv)[0] == 1
+
+    def test_help_exits_0(self):
+        with redirect_stdout(io.StringIO()), pytest.raises(SystemExit) as exc:
+            main(["monodromy", "--help"])
+        assert exc.value.code == 0
+
+    def test_pipeline_flags_only_where_read(self):
+        for argv in (
+            ["monodromy", "--fermat", "3,3", "--seed", "2"],
+            ["monodromy", "--fermat", "3,3", "--timings"],
+            ["bounds", "--degree", "3", "--dim", "3", "--max-basis", "2"],
+            ["bounds", "--degree", "3", "--dim", "3", "--trials", "5"],
+        ):
+            with redirect_stderr(io.StringIO()):
+                assert run_cli(argv)[0] == 1
 
 
 class TestResourceLimit:

@@ -6,6 +6,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
+import polargrad.polar as polar
+from helpers import rabinowitsch_saturate
+from polargrad.groebner import Ideal, saturate_ideal
 from polargrad.monodromy import CycDivisor, bp_charpoly, charpoly_product
 from polargrad.parser import parse_poly
 from polargrad.polar import (
@@ -21,7 +24,14 @@ from polargrad.polar import (
     polar_degree_tame,
     require_hypotheses,
 )
-from polargrad.poly import Poly, Reducedness, squarefree_probe, substitute_linear
+from polargrad.poly import (
+    Poly,
+    Reducedness,
+    gradient,
+    squarefree_probe,
+    substitute_linear,
+    to_prime_field,
+)
 from polargrad.rng import SplitMix64
 
 V2 = ("x", "y")
@@ -147,11 +157,11 @@ def _monomials(nv, degree):
 
 
 @st.composite
-def form_products(draw):
+def form_products(draw, nvs=(2, 3)):
     """(f, whether f was built with a square factor): a product of one or two
-    linear or quadratic forms in 2 or 3 variables, the first factor possibly
-    taken twice."""
-    nv = draw(st.sampled_from((2, 3)))
+    linear or quadratic forms in a number of variables drawn from `nvs`, the
+    first factor possibly taken twice."""
+    nv = draw(st.sampled_from(nvs))
     factors = []
     for _ in range(draw(st.integers(1, 2))):
         monos = _monomials(nv, draw(st.sampled_from((1, 2))))
@@ -195,6 +205,73 @@ class TestHypothesisGate:
                 require_hypotheses(parse_poly(text, vars))
         assert require_hypotheses(XYZ) == 3
         assert require_hypotheses(parse_poly("x*y", V2)) == 2
+
+
+class TestOnePartialSaturation:
+    @given(
+        form_products(nvs=(3,)),
+        st.tuples(*[st.integers(-2, 2)] * 3).filter(any),
+        st.sampled_from((None, 32003)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_partial_equals_the_whole_gradient(self, case, u, p):
+        # no hypothesis on f: square factors and non-isolated loci included
+        f = case[0] if p is None else to_prime_field(case[0], p)
+        grads = gradient(f)
+        gens = polar._minor_gens(grads, u)
+        assume(gens)
+        fiber = Ideal(gens)
+        expected = saturate_ideal(fiber, Ideal(grads))
+        admissible = [g for g, c in zip(grads, u) if c and not g.is_zero()]
+        if not admissible:  # then the minors contain grad f
+            assert expected.is_unit()
+        for g in admissible:
+            assert rabinowitsch_saturate(fiber, g) == expected
+
+    @pytest.mark.parametrize(
+        "text, vars, modp, domains, value",
+        [
+            ("x^2*y*z", V3, "off", 1, 1),
+            ("x^2*y*z", V3, "dual", 2, 1),
+            ("w*x*y + w*x*z + w*y*z + x*y*z", V4, "dual", 2, 4),
+        ],
+    )
+    def test_one_saturation_per_trial_and_domain(
+        self, monkeypatch, text, vars, modp, domains, value
+    ):
+        # both inputs have a nonempty base locus, so every trial saturates
+        saturate = polar.saturate
+        calls = []
+
+        def counted(I, g):
+            calls.append(g)
+            return saturate(I, g)
+
+        def forbidden(I, J):
+            raise AssertionError("the oracle intersected")
+
+        monkeypatch.setattr(polar, "saturate", counted)
+        monkeypatch.setattr(polar, "intersect", forbidden)
+        r = polar_degree_fiber_oracle(parse_poly(text, vars), seed=1, modp=modp)
+        assert r.value == value
+        path = "rational" if modp == "off" else "dual-prime"
+        assert {t["path"] for t in r.details["trials"]} == {path}
+        assert len(calls) == domains * len(r.details["trials"])
+
+    def test_no_admissible_partial_gives_an_empty_fiber(self, monkeypatch):
+        # u = (0, 0, 1) and f_z = 0: the minors contain f_x and f_y, so the
+        # count is 0 and no saturation runs
+        monkeypatch.setattr(polar, "saturate", None)
+        ctx = polar._OracleContext(gradient(parse_poly("x^2*y", V3)))
+        assert not ctx.base_locus_empty
+        assert polar._fiber_degree(ctx, (0, 0, 1)) == (0, None)
+
+    def test_saturation_exponent_per_trial(self):
+        for text, exponent in (("x^2*y*z", 1), ("x^3 + y^3 + z^3", None)):
+            r = polar_degree_fiber_oracle(parse_poly(text, V3), seed=1)
+            for trial in r.details["trials"]:
+                assert list(trial) == ["u", "path", "saturation_exponent", "degree"]
+                assert trial["saturation_exponent"] == exponent
 
 
 class TestConsolidation:
