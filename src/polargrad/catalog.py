@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .groebner import DEFAULT_CAPS, Caps
 from .parser import parse_poly
 from .polar import polar_degree_fiber_oracle
 from .report import AnalysisOptions, analyze_polynomial
@@ -206,12 +207,15 @@ CATALOG: tuple[CatalogEntry, ...] = (
 BY_NAME = {entry.name: entry for entry in CATALOG}
 
 
-def run_entry(entry: CatalogEntry, seed: int = 1, trials: int = 3, modp: str = "dual") -> dict:
+def run_entry(
+    entry: CatalogEntry, seed: int = 1, trials: int = 3, modp: str = "dual",
+    caps: Caps = DEFAULT_CAPS,
+) -> dict:
     """Analyze one entry and diff the result against its expected fields."""
     mismatches: list[str] = []
     if entry.oracle_only:
         f = parse_poly(entry.text, entry.vars)
-        result = polar_degree_fiber_oracle(f, trials=trials, seed=seed, modp=modp)
+        result = polar_degree_fiber_oracle(f, trials=trials, seed=seed, modp=modp, caps=caps)
         if result.value != entry.d_f:
             mismatches.append(f"d_f oracle: got {result.value}, expected {entry.d_f}")
         return {
@@ -225,6 +229,7 @@ def run_entry(entry: CatalogEntry, seed: int = 1, trials: int = 3, modp: str = "
         trials=trials,
         modp=modp,
         declarations=[s.declaration() for s in entry.singularities],
+        caps=caps,
     )
     report = analyze_polynomial(entry.text, entry.vars, options).data
     df = report["d_f"]

@@ -4,7 +4,9 @@ Commands: analyze, polar-degree, monodromy, bounds, catalog.
 Exit codes: 0 success, 1 input or usage error, 2 hypothesis violation, 3
 internal inconsistency (methods disagree after retries, or a catalog
 mismatch), 4 resource limit (a --max-basis or --max-degree cap was exceeded).
-The caps hold for one `main` call; the previous caps are restored after it.
+Each command takes only the flags it reads.  The two cap flags make one
+`Caps` value, which the command passes down with its work, so nothing set by
+one `main` call outlives it.
 """
 
 from __future__ import annotations
@@ -13,11 +15,12 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import monodromy as mono
 from .monodromy import KNotDividingD, NonIntegralResult
 from .catalog import BY_NAME, CATALOG, run_entry
-from .groebner import Caps, ResourceLimit, active_caps, set_default_caps
+from .groebner import DEFAULT_CAPS, Caps, ResourceLimit
 from .hypersurface import (
     HypersurfaceError,
     InconsistentMu,
@@ -63,38 +66,31 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
         help="oracle Groebner steps over two large primes with agreement "
         "required (dual, default) or over the rationals only (off)",
     )
-    p.add_argument("--max-basis", type=int, default=600)
-    p.add_argument("--max-degree", type=int, default=120)
-    p.add_argument("--max-vars", type=int, default=8)
-    p.add_argument("--max-input-degree", type=int, default=12)
-    p.add_argument("--timings", action="store_true", help="include wall-clock timings")
+    p.add_argument("--max-basis", type=int, default=DEFAULT_CAPS.max_basis)
+    p.add_argument("--max-degree", type=int, default=DEFAULT_CAPS.max_degree)
 
 
 def _poly_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("poly", help="polynomial text, e.g. 'x*y*z'")
     p.add_argument("--vars", required=True, help="comma-separated variable names")
-    p.add_argument(
-        "--singular-data",
-        default=None,
-        help="JSON file with singularity declarations "
-        '[{"point": [..], "bp_exponents": [..] | "weights": [..], "label": ..}]',
-    )
+    p.add_argument("--max-vars", type=int, default=8)
+    p.add_argument("--max-input-degree", type=int, default=12)
 
 
-def _parse_vars(args) -> tuple[str, ...]:
+def _caps(args) -> Caps:
+    return Caps(max_basis=args.max_basis, max_degree=args.max_degree)
+
+
+def _parse_input(args):
+    """The variable names and the polynomial, checked against --max-vars and
+    --max-input-degree."""
     names = tuple(v.strip() for v in args.vars.split(",") if v.strip())
     if not 2 <= len(names) <= args.max_vars:
-        raise InputError(
-            f"need between 2 and {args.max_vars} variables, got {len(names)}"
-        )
-    return names
-
-
-def _check_input_degree(args, f) -> None:
+        raise InputError(f"need between 2 and {args.max_vars} variables, got {len(names)}")
+    f = parse_poly(args.poly, names)
     if f.degree() > args.max_input_degree:
-        raise InputError(
-            f"input degree {f.degree()} exceeds the cap {args.max_input_degree}"
-        )
+        raise InputError(f"input degree {f.degree()} exceeds the cap {args.max_input_degree}")
+    return names, f
 
 
 def _load_declarations(args) -> list[dict]:
@@ -111,15 +107,14 @@ def _load_declarations(args) -> list[dict]:
 
 
 def cmd_analyze(args) -> int:
-    names = _parse_vars(args)
-    f = parse_poly(args.poly, names)
-    _check_input_degree(args, f)
+    names, f = _parse_input(args)
     options = AnalysisOptions(
         seed=args.seed,
         trials=args.trials,
         modp=args.modp,
         declarations=_load_declarations(args),
         timings=args.timings,
+        caps=_caps(args),
     )
     report = analyze_polynomial(args.poly, names, options)
     print(report.to_json() if args.format == "json" else report.to_text())
@@ -127,16 +122,15 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_polar_degree(args) -> int:
-    names = _parse_vars(args)
-    f = parse_poly(args.poly, names)
-    _check_input_degree(args, f)
+    names, f = _parse_input(args)
+    caps = _caps(args)
     runs = []
     if args.method in ("formula", "all"):
-        runs.append(polar_degree_formula(f, args.seed))
+        runs.append(polar_degree_formula(f, args.seed, caps))
     if args.method in ("oracle", "all"):
-        runs.append(polar_degree_fiber_oracle(f, args.trials, args.seed, args.modp))
+        runs.append(polar_degree_fiber_oracle(f, args.trials, args.seed, args.modp, caps))
     if args.method in ("tame", "all"):
-        runs.append(polar_degree_tame(f, args.seed + 1))
+        runs.append(polar_degree_tame(f, args.seed + 1, caps))
     payload = {
         "input": args.poly,
         "vars": list(names),
@@ -248,19 +242,14 @@ def cmd_catalog(args) -> int:
         if args.target not in BY_NAME:
             raise InputError(f"unknown catalog entry {args.target!r}")
         entries = [BY_NAME[args.target]]
-    results = []
+    run = partial(run_entry, seed=args.seed, trials=args.trials, modp=args.modp, caps=_caps(args))
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        caps = (active_caps(),)  # spawn and forkserver workers do not inherit them
-        with ProcessPoolExecutor(args.jobs, initializer=set_default_caps, initargs=caps) as pool:
-            futures = [
-                pool.submit(run_entry, e, args.seed, args.trials, args.modp)
-                for e in entries
-            ]
-            results = [f.result() for f in futures]
+        with ProcessPoolExecutor(args.jobs) as pool:
+            results = list(pool.map(run, entries))
     else:
-        results = [run_entry(e, args.seed, args.trials, args.modp) for e in entries]
+        results = [run(e) for e in entries]
     failed = False
     for res in results:
         mark = "pass" if res["ok"] else "FAIL"
@@ -281,7 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full verdict bundle for one polynomial")
     _poly_flags(p)
+    p.add_argument(
+        "--singular-data",
+        default=None,
+        help="JSON file with singularity declarations "
+        '[{"point": [..], "bp_exponents": [..] | "weights": [..], "label": ..}]',
+    )
     _common_flags(p)
+    p.add_argument("--timings", action="store_true", help="include wall-clock timings")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("polar-degree", help="degree of the gradient map")
@@ -309,8 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     p.set_defaults(func=cmd_catalog)
 
-    for p in sub.choices.values():
-        p.add_argument("--format", choices=("text", "json"), default="text")
+    for name, p in sub.choices.items():
+        if name != "catalog":  # catalog prints one pass or FAIL line per entry
+            p.add_argument("--format", choices=("text", "json"), default="text")
     return top
 
 
@@ -321,9 +318,6 @@ def main(argv=None) -> int:
         if exc.code == 2:  # argparse's usage error; here 2 is a hypothesis violation
             return EXIT_INPUT
         raise
-    previous_caps = active_caps()
-    if "max_basis" in args:  # monodromy and bounds build no Groebner basis
-        set_default_caps(Caps(max_basis=args.max_basis, max_degree=args.max_degree))
     try:
         return args.func(args)
     except ResourceLimit as exc:
@@ -354,8 +348,6 @@ def main(argv=None) -> int:
     except (PolyError, PolarError, HypersurfaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    finally:
-        set_default_caps(previous_caps)
 
 
 if __name__ == "__main__":

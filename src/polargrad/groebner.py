@@ -60,16 +60,6 @@ class Caps:
 
 
 DEFAULT_CAPS = Caps()
-_active_caps = DEFAULT_CAPS
-
-
-def set_default_caps(caps: Caps) -> None:
-    global _active_caps
-    _active_caps = caps
-
-
-def active_caps() -> Caps:
-    return _active_caps
 
 
 # -------------------------------------------------------------- term orders
@@ -161,11 +151,10 @@ def leading_monomial(p: Poly, order: TermOrder) -> Mono:
 # ----------------------------------------------------------------- division
 
 
-def poly_divmod(p: Poly, divisors: list[Poly], order: TermOrder, caps: Caps | None = None):
+def poly_divmod(p: Poly, divisors: list[Poly], order: TermOrder, caps: Caps = DEFAULT_CAPS):
     """Multivariate division: returns (quotients, remainder) with
     p = sum(q_i * divisors_i) + remainder and no remainder term divisible by
     any leading term of the divisors."""
-    caps = caps or _active_caps
     dom = p.domain
     zero = dom.zero()
     lead = []
@@ -225,7 +214,7 @@ def poly_divmod(p: Poly, divisors: list[Poly], order: TermOrder, caps: Caps | No
     return qpolys, rem
 
 
-def normal_form(p: Poly, basis, order: TermOrder, caps: Caps | None = None) -> Poly:
+def normal_form(p: Poly, basis, order: TermOrder, caps: Caps = DEFAULT_CAPS) -> Poly:
     """Remainder of p under full reduction by `basis`."""
     basis = list(basis)
     if p.is_zero() or not basis:
@@ -234,11 +223,11 @@ def normal_form(p: Poly, basis, order: TermOrder, caps: Caps | None = None) -> P
     return rem
 
 
-def exact_div(p: Poly, g: Poly, order: TermOrder = GREVLEX) -> Poly:
+def exact_div(p: Poly, g: Poly, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_CAPS) -> Poly:
     """p / g for exact divisibility; raises GroebnerError otherwise."""
     if p.is_zero():
         return p
-    qs, rem = poly_divmod(p, [g], order)
+    qs, rem = poly_divmod(p, [g], order, caps)
     if not rem.is_zero():
         raise GroebnerError("exact division has a nonzero remainder")
     return qs[0]
@@ -265,9 +254,8 @@ def s_polynomial(f: Poly, g: Poly, order: TermOrder) -> Poly:
     return mf * f - mg * g
 
 
-def buchberger(gens, order: TermOrder = GREVLEX, caps: Caps | None = None) -> list[Poly]:
+def buchberger(gens, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_CAPS) -> list[Poly]:
     """Unique reduced Groebner basis (normal strategy, both skip criteria)."""
-    caps = caps or _active_caps
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
@@ -351,15 +339,19 @@ def buchberger(gens, order: TermOrder = GREVLEX, caps: Caps | None = None) -> li
 
 
 class Ideal:
-    """Generator list with a term order and a lazily cached reduced basis.
+    """Generator list with a term order, resource caps and a lazily cached
+    reduced basis.  Every ideal derived from this one (intersection,
+    elimination, quotient, saturation) keeps its order and caps.
 
     Instances are immutable; the basis is computed at most once and then
     shared read-only, so concurrent readers are safe.
     """
 
-    __slots__ = ("gens", "order", "vars", "domain", "_basis")
+    __slots__ = ("gens", "order", "vars", "domain", "caps", "_basis")
 
-    def __init__(self, gens, order: TermOrder = GREVLEX, vars=None, domain=None):
+    def __init__(
+        self, gens, order: TermOrder = GREVLEX, vars=None, domain=None, caps: Caps = DEFAULT_CAPS
+    ):
         gens = tuple(g for g in gens if not g.is_zero())
         if gens:
             vars = gens[0].vars
@@ -373,6 +365,7 @@ class Ideal:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "vars", tuple(vars))
         object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "caps", caps)
         object.__setattr__(self, "_basis", None)
 
     def __setattr__(self, name, value):
@@ -381,7 +374,7 @@ class Ideal:
     @property
     def basis(self) -> tuple[Poly, ...]:
         if self._basis is None:
-            object.__setattr__(self, "_basis", tuple(buchberger(self.gens, self.order)))
+            object.__setattr__(self, "_basis", tuple(buchberger(self.gens, self.order, self.caps)))
         return self._basis
 
     def is_zero_ideal(self) -> bool:
@@ -393,7 +386,7 @@ class Ideal:
     def contains(self, p: Poly) -> bool:
         if self.is_zero_ideal():
             return p.is_zero()
-        return normal_form(p, self.basis, self.order).is_zero()
+        return normal_form(p, self.basis, self.order, self.caps).is_zero()
 
     def contains_ideal(self, other: "Ideal") -> bool:
         return all(self.contains(g) for g in other.gens)
@@ -439,12 +432,12 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
         lifted.append(_prepend_var(g, tname, 0) - _prepend_var(g, tname, 1))
     nv = len(I.vars) + 1
     order = elimination_order((0,), tuple(range(1, nv)))
-    basis = buchberger(lifted, order)
+    basis = buchberger(lifted, order, I.caps)
     kept = []
     for g in basis:
         if all(m[0] == 0 for m in g.terms):
             kept.append(Poly(I.vars, {m[1:]: c for m, c in g.terms.items()}, I.domain))
-    return Ideal(kept, I.order, vars=I.vars, domain=I.domain)
+    return Ideal(kept, I.order, vars=I.vars, domain=I.domain, caps=I.caps)
 
 
 def eliminate(I: Ideal, keep) -> Ideal:
@@ -454,9 +447,9 @@ def eliminate(I: Ideal, keep) -> Ideal:
     if I.is_zero_ideal() or not elim:
         return I
     order = elimination_order(elim, tuple(keep))
-    basis = buchberger(I.gens, order)
+    basis = buchberger(I.gens, order, I.caps)
     kept = [g for g in basis if all(all(m[i] == 0 for i in elim) for m in g.terms)]
-    return Ideal(kept, I.order, vars=I.vars, domain=I.domain)
+    return Ideal(kept, I.order, vars=I.vars, domain=I.domain, caps=I.caps)
 
 
 def ideal_quotient(I: Ideal, g: Poly) -> Ideal:
@@ -465,16 +458,16 @@ def ideal_quotient(I: Ideal, g: Poly) -> Ideal:
         raise ValueError("quotient by the zero polynomial")
     if I.is_zero_ideal():
         return I
-    inter = intersect(I, Ideal([g], I.order))
+    inter = intersect(I, Ideal([g], I.order, caps=I.caps))
     qgens: list[Poly] = []
     split = I.is_homogeneous() and is_homogeneous(g)
     for h in inter.gens:
-        q = exact_div(h, g, I.order)
+        q = exact_div(h, g, I.order, I.caps)
         if split:
             qgens.extend(homogeneous_parts(q))
         else:
             qgens.append(q)
-    return Ideal(qgens, I.order, vars=I.vars, domain=I.domain)
+    return Ideal(qgens, I.order, vars=I.vars, domain=I.domain, caps=I.caps)
 
 
 def saturate(I: Ideal, g: Poly) -> tuple[Ideal, int]:
@@ -507,7 +500,7 @@ def saturate_ideal(I: Ideal, J: Ideal) -> Ideal:
         regraded: list[Poly] = []
         for g in result.gens:
             regraded.extend(homogeneous_parts(g))
-        result = Ideal(regraded, I.order, vars=I.vars, domain=I.domain)
+        result = Ideal(regraded, I.order, vars=I.vars, domain=I.domain, caps=I.caps)
     return result
 
 
@@ -628,7 +621,7 @@ def multiplication_matrix(I: Ideal, g: Poly) -> tuple[tuple[Mono, ...], list[lis
     for m in std:
         shifted = Poly(g.vars, {mono_mul(gm, m): c for gm, c in g.terms.items()}, g.domain)
         row = [zero] * len(std)
-        for t, c in normal_form(shifted, I.basis, I.order).terms.items():
+        for t, c in normal_form(shifted, I.basis, I.order, I.caps).terms.items():
             row[column[t]] = c
         rows.append(row)
     return std, rows

@@ -22,8 +22,10 @@ from fractions import Fraction
 
 from .arith import divisors as _divisors
 from .groebner import (
+    DEFAULT_CAPS,
     GREVLEX,
     LEX,
+    Caps,
     Ideal,
     NotZeroDimensional,
     multiplication_matrix,
@@ -82,23 +84,23 @@ class InconsistentMu(HypersurfaceError):
     pass
 
 
-def jacobian_ideal(f: Poly) -> Ideal:
+def jacobian_ideal(f: Poly, caps: Caps = DEFAULT_CAPS) -> Ideal:
     """Ideal generated by all partial derivatives of f."""
     if f.is_zero() or f.degree() == 0:
         raise ValueError("need a non-constant polynomial")
-    return Ideal(gradient(f), GREVLEX, vars=f.vars, domain=f.domain)
+    return Ideal(gradient(f), GREVLEX, vars=f.vars, domain=f.domain, caps=caps)
 
 
-def has_isolated_singularities(f: Poly) -> bool:
+def has_isolated_singularities(f: Poly, caps: Caps = DEFAULT_CAPS) -> bool:
     """True when the projective singular scheme is empty or zero-dimensional."""
     homogeneous_degree(f)
-    return projective_dim(jacobian_ideal(f)) <= 0
+    return projective_dim(jacobian_ideal(f, caps)) <= 0
 
 
 # ----------------------------------------------------------- local invariants
 
 
-def local_component_dim(gens, point) -> int:
+def local_component_dim(gens, point, caps: Caps = DEFAULT_CAPS) -> int:
     """Vector-space dimension of the primary component of the affine ideal
     (gens) at `point`: translate the point to the origin, saturate away the
     component at the origin, then saturate the original by the remainder."""
@@ -107,10 +109,10 @@ def local_component_dim(gens, point) -> int:
         raise NotZeroDimensional("zero ideal has no finite local component")
     vars = gens[0].vars
     translated = [translate(g, point) for g in gens]
-    J = Ideal(translated, GREVLEX)
+    J = Ideal(translated, GREVLEX, caps=caps)
     if J.is_unit():
         return 0
-    m = Ideal([Poly.variable(vars, i, J.domain) for i in range(len(vars))], GREVLEX)
+    m = Ideal([Poly.variable(vars, i, J.domain) for i in range(len(vars))], GREVLEX, caps=caps)
     rest = saturate_ideal(J, m)
     if rest.is_unit():
         primary = J
@@ -119,7 +121,7 @@ def local_component_dim(gens, point) -> int:
     return quotient_vs_dim(primary)
 
 
-def local_milnor_number(h: Poly, point) -> int:
+def local_milnor_number(h: Poly, point, caps: Caps = DEFAULT_CAPS) -> int:
     """Milnor number of h at an isolated critical point: the dimension of the
     local algebra of the partial-derivative ideal."""
     partials = gradient(h)
@@ -127,7 +129,7 @@ def local_milnor_number(h: Poly, point) -> int:
         if p.evaluate(point) != p.domain.zero():
             raise NotACriticalPoint(f"gradient of h does not vanish at {tuple(point)}")
     try:
-        mu = local_component_dim(partials, point)
+        mu = local_component_dim(partials, point, caps)
     except NotZeroDimensional as exc:
         raise NotIsolated(f"critical point {tuple(point)} is not isolated") from exc
     if mu < 1:
@@ -197,7 +199,9 @@ def _substitute_last(p: Poly, value: Fraction) -> Poly:
     return Poly(new_vars, out, dom)
 
 
-def rational_points_affine(gens: list[Poly]) -> list[tuple[Fraction, ...]]:
+def rational_points_affine(
+    gens: list[Poly], caps: Caps = DEFAULT_CAPS
+) -> list[tuple[Fraction, ...]]:
     """All rational points of a zero-dimensional affine system, by lex
     triangularization, rational root extraction and back-substitution."""
     gens = [g for g in gens if not g.is_zero()]
@@ -207,7 +211,7 @@ def rational_points_affine(gens: list[Poly]) -> list[tuple[Fraction, ...]]:
     k = len(vars)
     if k == 0:
         return [()]
-    basis = Ideal(gens, LEX).basis
+    basis = Ideal(gens, LEX, caps=caps).basis
     if any(b.degree() == 0 for b in basis):
         return []
     pure_last = [
@@ -232,7 +236,7 @@ def rational_points_affine(gens: list[Poly]) -> list[tuple[Fraction, ...]]:
         reduced = [g for g in reduced if not g.is_zero()]
         if not reduced:
             raise NotZeroDimensional("fiber slice is not zero-dimensional")
-        for sub in rational_points_affine(reduced):
+        for sub in rational_points_affine(reduced, caps):
             points.append(sub + (r,))
     return sorted(points)
 
@@ -254,14 +258,14 @@ def _chart_restriction(gens, chart: int) -> list[Poly]:
 
 
 def rational_singular_points(
-    f: Poly, require_complete: bool = False
+    f: Poly, require_complete: bool = False, caps: Caps = DEFAULT_CAPS
 ) -> tuple[list[ProjectivePoint], bool]:
     """All rational singular points of V(f), with a completeness certificate:
     the flag is True when the local multiplicities of the singular scheme at
     the found points add up to its full projective degree, so that no
     irrational point was missed.  With `require_complete`, an incomplete
     enumeration raises IncompleteEnumeration instead of returning."""
-    J = jacobian_ideal(f)
+    J = jacobian_ideal(f, caps)
     pd = projective_dim(J)
     if pd == -1:
         return [], True
@@ -279,7 +283,7 @@ def rational_singular_points(
             raise NotIsolated("singular scheme meets a coordinate cell in a curve")
         if any(g.degree() == 0 for g in cell_gens):
             continue
-        for sol in rational_points_affine(cell_gens):
+        for sol in rational_points_affine(cell_gens, caps):
             coords = sol + (Fraction(1),) + (Fraction(0),) * (nv - 1 - chart)
             points.append(ProjectivePoint(coords))
     points.sort(key=lambda p: p.coords)
@@ -288,7 +292,7 @@ def rational_singular_points(
     for pt in points:
         chart = pt.chart()
         affine_gens = [dehomogenize(g, chart) for g in J.gens]
-        found += local_component_dim(affine_gens, pt.affine_coords())
+        found += local_component_dim(affine_gens, pt.affine_coords(), caps)
     complete = found == total
     if require_complete and not complete:
         raise IncompleteEnumeration(
@@ -316,20 +320,20 @@ class AffineModel:
     singularities_off_infinity: bool = True
 
 
-def _frame_certificates(fM: Poly) -> bool:
+def _frame_certificates(fM: Poly, caps: Caps = DEFAULT_CAPS) -> bool:
     restriction = dehomogenize(set_variable_zero(fM, 0), 0)
     if restriction.is_zero():
         return False
-    Jw = Ideal(gradient(restriction), GREVLEX, vars=restriction.vars, domain=fM.domain)
+    Jw = Ideal(gradient(restriction), GREVLEX, vars=restriction.vars, domain=fM.domain, caps=caps)
     if Jw.is_zero_ideal() or projective_dim(Jw) != -1:
         return False
     at_infinity = Ideal(
-        list(gradient(fM)) + [Poly.variable(fM.vars, 0, fM.domain)], GREVLEX
+        list(gradient(fM)) + [Poly.variable(fM.vars, 0, fM.domain)], GREVLEX, caps=caps
     )
     return projective_dim(at_infinity) == -1
 
 
-def generic_frame(f: Poly, seed: int) -> AffineModel:
+def generic_frame(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS) -> AffineModel:
     """Seeded random small-integer coordinate change certified to be generic
     enough for the affine critical-point analysis.  A certified frame has no
     singular point on x_0 = 0, which every positive-dimensional singular
@@ -342,19 +346,19 @@ def generic_frame(f: Poly, seed: int) -> AffineModel:
         if det_fraction(M) == 0:
             continue
         fM = substitute_linear(f, M)
-        if not _frame_certificates(fM):
+        if not _frame_certificates(fM, caps):
             continue
         return AffineModel(
             f=f, matrix=M, h=dehomogenize(fM, 0), seed=seed, draws=draw
         )
-    if not has_isolated_singularities(f):
+    if not has_isolated_singularities(f, caps):
         raise NotIsolated("singular locus is positive-dimensional")
     raise TransversalityNotFound(
         f"no admissible frame after {MAX_FRAME_DRAWS} draws from seed {seed}"
     )
 
 
-def tame_split(model: AffineModel) -> tuple[int, int]:
+def tame_split(model: AffineModel, caps: Caps = DEFAULT_CAPS) -> tuple[int, int]:
     """Split the total critical multiplicity of h into the part supported on
     the zero fiber and the part off it.  The total, dim k[x]/(grad h), must
     equal (d-1)^n, which certifies that no critical multiplicity escaped to
@@ -364,7 +368,7 @@ def tame_split(model: AffineModel) -> tuple[int, int]:
     h = model.h
     d = homogeneous_degree(model.f)
     n = len(h.vars)
-    Jh = Ideal(gradient(h), GREVLEX, vars=h.vars, domain=h.domain)
+    Jh = Ideal(gradient(h), GREVLEX, vars=h.vars, domain=h.domain, caps=caps)
     if Jh.is_zero_ideal():
         raise NotTame("gradient of h vanishes identically")
     try:
@@ -396,32 +400,32 @@ class MuSummary:
     local_mu: dict[ProjectivePoint, int] = field(default_factory=dict)
 
 
-def frame_split(f: Poly, seed: int) -> tuple[AffineModel, int, int]:
+def frame_split(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS) -> tuple[AffineModel, int, int]:
     """Certified frame with its critical-multiplicity split (model, mu_on,
     mu_off); a frame whose split fails the tame certificate is redrawn from
     the next seed in the sequence."""
     last_error: Exception | None = None
     for k in range(FRAME_ATTEMPTS):
         try:
-            model = generic_frame(f, seed + 7919 * k)
-            mu_on, mu_off = tame_split(model)
+            model = generic_frame(f, seed + 7919 * k, caps)
+            mu_on, mu_off = tame_split(model, caps)
             return model, mu_on, mu_off
         except NotTame as exc:
             last_error = exc
     raise NotTame(f"all frames rejected: {last_error}")
 
 
-def mu_summary(f: Poly, seed: int) -> MuSummary:
+def mu_summary(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS) -> MuSummary:
     """`frame_split` plus the points step: the rational singular points and
     their local Milnor numbers, whose sum is cross-checked against mu_on when
     the enumeration is complete."""
-    model, mu_on, mu_off = frame_split(f, seed)
-    points, complete = rational_singular_points(f)
+    model, mu_on, mu_off = frame_split(f, seed, caps)
+    points, complete = rational_singular_points(f, caps=caps)
     local_mu: dict[ProjectivePoint, int] = {}
     for pt in points:
         chart = pt.chart()
         h = dehomogenize(f, chart)
-        local_mu[pt] = local_milnor_number(h, pt.affine_coords())
+        local_mu[pt] = local_milnor_number(h, pt.affine_coords(), caps)
     if complete and sum(local_mu.values()) != mu_on:
         raise InconsistentMu(
             f"local Milnor numbers sum to {sum(local_mu.values())} but the "
@@ -437,9 +441,9 @@ def mu_summary(f: Poly, seed: int) -> MuSummary:
     )
 
 
-def total_mu_on_V(f: Poly, seed: int) -> int:
+def total_mu_on_V(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS) -> int:
     """Sum of the Milnor numbers of all singularities of V(f)."""
-    return mu_summary(f, seed).mu_on
+    return mu_summary(f, seed, caps).mu_on
 
 
 # --------------------------------------------------------- singularity record

@@ -20,6 +20,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .groebner import (
+    DEFAULT_CAPS,
+    Caps,
     Ideal,
     # unused; perfbench's test_install_rebinds_every_namespace_and_restores rebinds it
     intersect,
@@ -76,7 +78,7 @@ class PolarDegreeResult:
     details: dict = field(default_factory=dict)
 
 
-def require_hypotheses(f: Poly) -> int:
+def require_hypotheses(f: Poly, caps: Caps = DEFAULT_CAPS) -> int:
     """Degree of f after checking that it is a reduced form in two or more
     variables with isolated singularities.  Both are read off the projective
     dimension pd of the Jacobian scheme: for n >= 2 a square factor g^2 makes
@@ -89,7 +91,7 @@ def require_hypotheses(f: Poly) -> int:
     n = len(f.vars) - 1
     if n < 1:
         raise HypothesisError("need at least two variables")
-    pd = projective_dim(jacobian_ideal(f))
+    pd = projective_dim(jacobian_ideal(f, caps))
     if pd > 0:
         raise HypothesisError(f"singular locus has dimension {pd}")
     if n == 1 and pd == 0:
@@ -97,12 +99,12 @@ def require_hypotheses(f: Poly) -> int:
     return d
 
 
-def polar_degree_formula(f: Poly, seed: int = 1) -> PolarDegreeResult:
+def polar_degree_formula(f: Poly, seed: int = 1, caps: Caps = DEFAULT_CAPS) -> PolarDegreeResult:
     """(d-1)^n - mu(V(f)), with mu computed through a certified frame and
     cross-checked against per-point local Milnor numbers when possible."""
-    d = require_hypotheses(f)
+    d = require_hypotheses(f, caps)
     n = len(f.vars) - 1
-    summary = mu_summary(f, seed)
+    summary = mu_summary(f, seed, caps)
     value = (d - 1) ** n - summary.mu_on
     if value < 0:
         raise PolarError(f"negative degree {(d-1)**n} - {summary.mu_on}")
@@ -119,10 +121,10 @@ def polar_degree_formula(f: Poly, seed: int = 1) -> PolarDegreeResult:
     )
 
 
-def polar_degree_tame(f: Poly, seed: int = 1) -> PolarDegreeResult:
+def polar_degree_tame(f: Poly, seed: int = 1, caps: Caps = DEFAULT_CAPS) -> PolarDegreeResult:
     """Critical multiplicity of the affine model away from the zero fiber."""
-    require_hypotheses(f)
-    model, mu_on, mu_off = frame_split(f, seed)
+    require_hypotheses(f, caps)
+    model, mu_on, mu_off = frame_split(f, seed, caps)
     return PolarDegreeResult(
         "tame_split",
         mu_off,
@@ -151,14 +153,16 @@ def _minor_gens(grads: list[Poly], u: tuple[int, ...]) -> list[Poly]:
 
 
 class _OracleContext:
-    """Per-domain gradient data shared across trials: the partials and whether
-    the base locus grad f = 0 is empty.  With an empty base locus the
-    saturation is skipped: removing the irrelevant component never changes
-    the projective dimension or degree of the fiber scheme."""
+    """Per-domain gradient data shared across trials: the partials, the caps
+    of every fiber ideal and whether the base locus grad f = 0 is empty.
+    With an empty base locus the saturation is skipped: removing the
+    irrelevant component never changes the projective dimension or degree of
+    the fiber scheme."""
 
-    def __init__(self, grads: list[Poly]):
+    def __init__(self, grads: list[Poly], caps: Caps = DEFAULT_CAPS):
         self.grads = grads
-        self.base_locus_empty = projective_dim(Ideal(grads)) == -1
+        self.caps = caps
+        self.base_locus_empty = projective_dim(Ideal(grads, caps=caps)) == -1
 
 
 def _fiber_degree(ctx: _OracleContext, u: tuple[int, ...]):
@@ -173,7 +177,7 @@ def _fiber_degree(ctx: _OracleContext, u: tuple[int, ...]):
     gens = _minor_gens(ctx.grads, u)
     if not gens:
         raise PositiveDimensionalFiber("target is proportional to the gradient")
-    fiber = Ideal(gens)
+    fiber = Ideal(gens, caps=ctx.caps)
     exponent = None
     if not ctx.base_locus_empty:
         # u_j * f_j is zero exactly when f_j = 0 or u_j = 0 in this domain
@@ -191,13 +195,13 @@ def _fiber_degree(ctx: _OracleContext, u: tuple[int, ...]):
     return zero_dim_degree_projective(fiber), exponent
 
 
-def _oracle_value(contexts: dict, grads: list[Poly], u: tuple[int, ...], modp: str):
+def _oracle_value(contexts: dict, grads: list[Poly], u: tuple[int, ...], modp: str, caps: Caps):
     def context(key) -> _OracleContext:
         if key not in contexts:
             if key == "qq":
-                contexts[key] = _OracleContext(grads)
+                contexts[key] = _OracleContext(grads, caps)
             else:
-                contexts[key] = _OracleContext([to_prime_field(g, key) for g in grads])
+                contexts[key] = _OracleContext([to_prime_field(g, key) for g in grads], caps)
         return contexts[key]
 
     path, result = "rational", None
@@ -224,7 +228,7 @@ def check_oracle_options(trials: int, modp: str) -> None:
 
 
 def polar_degree_fiber_oracle(
-    f: Poly, trials: int = 3, seed: int = 1, modp: str = "dual"
+    f: Poly, trials: int = 3, seed: int = 1, modp: str = "dual", caps: Caps = DEFAULT_CAPS
 ) -> PolarDegreeResult:
     """Count the points of the fiber of the gradient map over random rational
     targets.  Trials must agree; on a mismatch more targets are drawn and the
@@ -258,7 +262,7 @@ def polar_degree_fiber_oracle(
             u = rng.nonzero_vector(nv, -100, 100)
             drawn += 1
             try:
-                result = _oracle_value(contexts, grads, u, modp)
+                result = _oracle_value(contexts, grads, u, modp, caps)
                 break
             except PositiveDimensionalFiber:
                 continue
@@ -300,13 +304,13 @@ def consolidate(values: list[int]) -> tuple[int | None, bool]:
 
 
 def is_homaloidal(
-    f: Poly, seed: int = 1, trials: int = 3, modp: str = "dual"
+    f: Poly, seed: int = 1, trials: int = 3, modp: str = "dual", caps: Caps = DEFAULT_CAPS
 ) -> tuple[bool, list[PolarDegreeResult]]:
     """Whether the gradient map is birational, with the agreeing evidence."""
     results = [
-        polar_degree_formula(f, seed),
-        polar_degree_fiber_oracle(f, trials, seed, modp),
-        polar_degree_tame(f, seed + 1),
+        polar_degree_formula(f, seed, caps),
+        polar_degree_fiber_oracle(f, trials, seed, modp, caps),
+        polar_degree_tame(f, seed + 1, caps),
     ]
     value, unanimous = consolidate([r.value for r in results])
     if not unanimous:

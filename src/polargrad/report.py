@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import monodromy as mono
+from .groebner import DEFAULT_CAPS, Caps
 from .hypersurface import SingularityRecord, frame_split, mu_summary
 from .parser import ParseError, parse_poly
 from .poly import ProjectivePoint
@@ -49,6 +50,7 @@ class AnalysisOptions:
     modp: str = "dual"
     declarations: list[dict] = field(default_factory=list)
     timings: bool = False
+    caps: Caps = DEFAULT_CAPS
 
 
 @dataclass
@@ -194,14 +196,14 @@ def analyze_polynomial(text: str, vars, options: AnalysisOptions | None = None) 
         f = parse_poly(text, vars)
     except ParseError as exc:
         raise InputError(str(exc)) from exc
-    d = require_hypotheses(f)
+    d = require_hypotheses(f, options.caps)
     n = len(f.vars) - 1
     timings["hypotheses"] = time.monotonic() - t0
 
     notes: list[str] = []
     t1 = time.monotonic()
-    summary = mu_summary(f, options.seed)
-    _, mu_on_alt, tame_value = frame_split(f, options.seed + 1)
+    summary = mu_summary(f, options.seed, options.caps)
+    _, mu_on_alt, tame_value = frame_split(f, options.seed + 1, options.caps)
     if summary.mu_on != mu_on_alt:
         raise InconsistencyError(
             f"mu(V) differs between frames: {summary.mu_on} vs {mu_on_alt}"
@@ -210,7 +212,7 @@ def analyze_polynomial(text: str, vars, options: AnalysisOptions | None = None) 
     timings["frames"] = time.monotonic() - t1
 
     t2 = time.monotonic()
-    oracle = polar_degree_fiber_oracle(f, options.trials, options.seed, options.modp)
+    oracle = polar_degree_fiber_oracle(f, options.trials, options.seed, options.modp, options.caps)
     if oracle.details.get("discrepancy"):
         notes.append(f"oracle trials disagreed: {oracle.details['values']}")
     timings["oracle"] = time.monotonic() - t2
@@ -271,7 +273,7 @@ def analyze_polynomial(text: str, vars, options: AnalysisOptions | None = None) 
         notes.append("d(f) = 1 by majority only; counterexample claim withheld")
     if status == "COUNTEREXAMPLE" and options.modp != "off":
         # a counterexample claim must not rest on modular luck
-        rational = polar_degree_fiber_oracle(f, options.trials, options.seed, "off")
+        rational = polar_degree_fiber_oracle(f, options.trials, options.seed, "off", options.caps)
         if rational.value != 1:
             raise InconsistencyError(
                 f"modular oracle said 1 but the rational oracle says {rational.value}"

@@ -8,7 +8,6 @@ import pytest
 
 import polargrad.report
 from polargrad.cli import main
-from polargrad.groebner import DEFAULT_CAPS, active_caps
 from polargrad.report import AnalysisOptions, analyze_polynomial
 
 # a smooth cubic whose Groebner bases need more than two elements
@@ -153,6 +152,12 @@ class TestUsage:
             ["monodromy", "--fermat", "3,3", "--timings"],
             ["bounds", "--degree", "3", "--dim", "3", "--max-basis", "2"],
             ["bounds", "--degree", "3", "--dim", "3", "--trials", "5"],
+            ["polar-degree", "x*y*z", "--vars", "x,y,z", "--timings"],
+            ["polar-degree", "x*y*z", "--vars", "x,y,z", "--singular-data", "decl.json"],
+            ["catalog", "run", "line-pair", "--timings"],
+            ["catalog", "run", "line-pair", "--format", "json"],
+            ["catalog", "run", "line-pair", "--max-vars", "3"],
+            ["catalog", "run", "line-pair", "--max-input-degree", "3"],
         ):
             with redirect_stderr(io.StringIO()):
                 assert run_cli(argv)[0] == 1
@@ -160,16 +165,23 @@ class TestUsage:
 
 class TestResourceLimit:
     def test_exceeded_cap_exits_4(self):
-        err = io.StringIO()
-        with redirect_stderr(err):
-            code, _ = run_cli(CAPPED_RUN)
-        assert code == 4
-        assert err.getvalue().startswith("resource limit: basis cap 2 exceeded")
+        polar_degree = ["polar-degree", *CAPPED_RUN[1:], "--method"]
+        for argv in (
+            CAPPED_RUN,
+            polar_degree + ["formula"],
+            polar_degree + ["tame"],
+            polar_degree + ["oracle"],
+            ["catalog", "run", "all", "--max-basis", "2"],
+        ):
+            err = io.StringIO()
+            with redirect_stderr(err):
+                code, _ = run_cli(argv)
+            assert code == 4
+            assert err.getvalue().startswith("resource limit: basis cap 2 exceeded")
 
     def test_caps_do_not_outlive_the_call(self):
         with redirect_stderr(io.StringIO()):
             assert run_cli(CAPPED_RUN)[0] == 4
-        assert active_caps() == DEFAULT_CAPS
         report = analyze_polynomial("x*y*z", ("x", "y", "z")).data
         assert report["d_f"]["consolidated"] == 1
 

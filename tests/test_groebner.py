@@ -5,7 +5,9 @@ saturations against the extra-variable construction, and the Buchberger
 criterion as a post-hoc test on computed bases.
 """
 
+import ast
 import pickle
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -23,6 +25,7 @@ from polargrad.groebner import (
     buchberger,
     eliminate,
     elimination_order,
+    exact_div,
     hilbert_numerator,
     ideal_quotient,
     intersect,
@@ -241,6 +244,60 @@ class TestBuchberger:
         lts_q = {leading_monomial(g, GREVLEX) for g in basis_q}
         lts_p = {leading_monomial(g, GREVLEX) for g in basis_p}
         assert lts_q == lts_p
+
+
+class TestCaps:
+    """Caps travel with an Ideal: every ideal derived from it and every
+    Groebner step run for it keep them, and no module holds caps of its own."""
+
+    GENS = ("x^3 - y*z^2", "y^3 - x^2*z", "x*y*z - z^3")
+
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda I: intersect(I, Ideal([P("x*y - z^2"), P("x^2 + y^2 + z^2")])),
+            lambda I: ideal_quotient(I, P("x + y")),
+            lambda I: saturate(I, P("z")),
+            lambda I: eliminate(I, {1, 2}),
+        ],
+        ids=["intersect", "ideal_quotient", "saturate", "eliminate"],
+    )
+    def test_derived_operations_keep_the_caps(self, operation):
+        # eight basis elements hold the reduced basis of I itself, but not
+        # the bases of the derived ideals
+        capped = Ideal([P(t) for t in self.GENS], caps=Caps(max_basis=8))
+        assert len(capped.basis) <= 8
+        with pytest.raises(ResourceLimit):
+            operation(capped)
+        operation(Ideal([P(t) for t in self.GENS]))
+
+    def test_multiplication_matrix_keeps_the_caps(self):
+        # the basis has degree 2, but reducing x^3*y^3 times a standard
+        # monomial passes through degree 5
+        gens = [P("x^2 - y", V2), P("y^2 - 1", V2)]
+        capped = Ideal(gens, caps=Caps(max_degree=3))
+        assert len(capped.basis) == 2
+        with pytest.raises(ResourceLimit):
+            multiplication_matrix(capped, P("x^3*y^3", V2))
+        std, _ = multiplication_matrix(Ideal(gens), P("x^3*y^3", V2))
+        assert len(std) == 4
+
+    def test_exact_div_keeps_the_caps(self):
+        # ideal_quotient divides with its ideal's caps
+        p, g = P("x^4 - y^4", V2), P("x - y", V2)
+        with pytest.raises(ResourceLimit):
+            exact_div(p, g, GREVLEX, Caps(max_degree=3))
+        assert exact_div(p, g) == P("x^3 + x^2*y + x*y^2 + y^3", V2)
+
+    def test_no_global_statement_in_the_package(self):
+        package = Path(groebner.__file__).parent
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Global)
+        ]
+        assert found == []
 
 
 class TestPairOrder:

@@ -1,10 +1,13 @@
 """Analysis orchestration: verdict bundles, declarations, edge paths."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 import polargrad.hypersurface as hypersurface
 import polargrad.report as report_module
 from polargrad.catalog import BY_NAME
+from polargrad.groebner import Caps, ResourceLimit
 from polargrad.polar import HypothesisError, PolarDegreeResult
 from polargrad.report import (
     AnalysisOptions,
@@ -135,9 +138,9 @@ class TestPipeline:
         calls = []
         real = hypersurface.local_milnor_number
 
-        def counting(h, point):
+        def counting(h, point, caps):
             calls.append(tuple(point))
-            return real(h, point)
+            return real(h, point, caps)
 
         monkeypatch.setattr(hypersurface, "local_milnor_number", counting)
         entry = BY_NAME["five-node-quartic"]
@@ -145,11 +148,22 @@ class TestPipeline:
         assert report["mu_V"] == 5
         assert len(calls) == 5
 
+    def test_caps_do_not_leak_between_concurrent_analyses(self):
+        # the Jacobian ideal of x*y*z alone needs three basis elements
+        with ThreadPoolExecutor(2) as pool:
+            capped = pool.submit(
+                analyze_polynomial, "x*y*z", V3, AnalysisOptions(caps=Caps(max_basis=2))
+            )
+            plain = pool.submit(analyze_polynomial, "x*y*z", V3, AnalysisOptions())
+            with pytest.raises(ResourceLimit):
+                capped.result()
+            assert plain.result().data["d_f"]["consolidated"] == 1
+
 
 class TestConsolidation:
     @staticmethod
     def fixed_oracle(value):
-        def oracle(f, trials=3, seed=1, modp="dual"):
+        def oracle(f, trials=3, seed=1, modp="dual", caps=None):
             details = {"values": [value], "trials": [], "discrepancy": False, "modp": modp}
             return PolarDegreeResult("fiber_oracle", value, seed, details)
 
@@ -170,8 +184,8 @@ class TestConsolidation:
     def test_three_different_values_raise(self, monkeypatch):
         real = report_module.frame_split
 
-        def shifted_split(f, seed):
-            model, mu_on, mu_off = real(f, seed)
+        def shifted_split(f, seed, caps):
+            model, mu_on, mu_off = real(f, seed, caps)
             return model, mu_on, mu_off + 5
 
         monkeypatch.setattr(report_module, "polar_degree_fiber_oracle", self.fixed_oracle(7))
