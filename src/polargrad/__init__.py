@@ -21,7 +21,6 @@ from .groebner import (
 )
 from .hypersurface import (
     AffineModel,
-    IncompleteEnumeration,
     SingularityRecord,
     generic_frame,
     has_isolated_singularities,

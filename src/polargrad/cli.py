@@ -236,6 +236,8 @@ def cmd_catalog(args) -> int:
             kind = "oracle-only" if entry.oracle_only else "full"
             print(f"{entry.name:<28} {kind:<11} d(f)={entry.d_f}  {entry.text}")
         return EXIT_OK
+    if args.jobs < 1:
+        raise InputError(f"need --jobs >= 1, got {args.jobs}")
     if args.target == "all":
         entries = list(CATALOG)
     else:
@@ -246,7 +248,8 @@ def cmd_catalog(args) -> int:
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(args.jobs) as pool:
+        # a fork pool starts all its workers at once: no more than there are entries
+        with ProcessPoolExecutor(min(args.jobs, len(entries))) as pool:
             results = list(pool.map(run, entries))
     else:
         results = [run(e) for e in entries]

@@ -3,9 +3,10 @@ Milnor numbers, generic affine frames and the critical-multiplicity split.
 
 `frame_split` draws a certified affine frame and splits its critical
 multiplicity into mu_on = mu(V) and mu_off; `mu_summary` adds the points step:
-rational singular points, their local Milnor numbers, and the check that these
-sum to mu_on when the enumeration is complete.  mu_off is the stable rank of
-the multiplication matrix of h on k[x]/(grad h) (Stickelberger's theorem):
+rational singular points and their local Milnor numbers.  Every singular point
+has mu_p >= 1, so the rational points are all of them exactly when their mu_p
+sum to mu_on, and a larger sum is an inconsistency.  mu_off is the stable rank
+of the multiplication matrix of h on k[x]/(grad h) (Stickelberger's theorem):
 the critical points with h(p) != 0 carry exactly the part that no power of
 the matrix kills.
 
@@ -36,7 +37,6 @@ from .groebner import (
     saturate,
     saturate_ideal,
     stable_rank,
-    zero_dim_degree_projective,
 )
 from .monodromy import CycDivisor, divisor_degree, mu0_from_charpoly
 from .poly import (
@@ -73,10 +73,6 @@ class NotTame(HypersurfaceError):
 
 
 class TransversalityNotFound(HypersurfaceError):
-    pass
-
-
-class IncompleteEnumeration(HypersurfaceError):
     pass
 
 
@@ -257,18 +253,13 @@ def _chart_restriction(gens, chart: int) -> list[Poly]:
     return [h for h in out if not h.is_zero()]
 
 
-def rational_singular_points(
-    f: Poly, require_complete: bool = False, caps: Caps = DEFAULT_CAPS
-) -> tuple[list[ProjectivePoint], bool]:
-    """All rational singular points of V(f), with a completeness certificate:
-    the flag is True when the local multiplicities of the singular scheme at
-    the found points add up to its full projective degree, so that no
-    irrational point was missed.  With `require_complete`, an incomplete
-    enumeration raises IncompleteEnumeration instead of returning."""
+def rational_singular_points(f: Poly, caps: Caps = DEFAULT_CAPS) -> list[ProjectivePoint]:
+    """All rational singular points of V(f), sorted by coordinates.  Whether
+    they are all of its singular points is decided by `mu_summary`."""
     J = jacobian_ideal(f, caps)
     pd = projective_dim(J)
     if pd == -1:
-        return [], True
+        return []
     if pd > 0:
         raise NotIsolated(f"singular locus has dimension {pd}")
     nv = len(f.vars)
@@ -287,19 +278,7 @@ def rational_singular_points(
             coords = sol + (Fraction(1),) + (Fraction(0),) * (nv - 1 - chart)
             points.append(ProjectivePoint(coords))
     points.sort(key=lambda p: p.coords)
-    total = zero_dim_degree_projective(J)
-    found = 0
-    for pt in points:
-        chart = pt.chart()
-        affine_gens = [dehomogenize(g, chart) for g in J.gens]
-        found += local_component_dim(affine_gens, pt.affine_coords(), caps)
-    complete = found == total
-    if require_complete and not complete:
-        raise IncompleteEnumeration(
-            f"rational points carry multiplicity {found} of {total}; "
-            "irrational singular points exist"
-        )
-    return points, complete
+    return points
 
 
 # ------------------------------------------------------------- generic frame
@@ -417,26 +396,26 @@ def frame_split(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS) -> tuple[AffineMo
 
 def mu_summary(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS) -> MuSummary:
     """`frame_split` plus the points step: the rational singular points and
-    their local Milnor numbers, whose sum is cross-checked against mu_on when
-    the enumeration is complete."""
+    their local Milnor numbers.  The enumeration is complete when these sum to
+    mu_on; a sum above mu_on raises InconsistentMu."""
     model, mu_on, mu_off = frame_split(f, seed, caps)
-    points, complete = rational_singular_points(f, caps=caps)
+    points = rational_singular_points(f, caps)
     local_mu: dict[ProjectivePoint, int] = {}
     for pt in points:
         chart = pt.chart()
         h = dehomogenize(f, chart)
         local_mu[pt] = local_milnor_number(h, pt.affine_coords(), caps)
-    if complete and sum(local_mu.values()) != mu_on:
+    found = sum(local_mu.values())
+    if found > mu_on:
         raise InconsistentMu(
-            f"local Milnor numbers sum to {sum(local_mu.values())} but the "
-            f"frame split gives {mu_on}"
+            f"local Milnor numbers sum to {found} but the frame split gives {mu_on}"
         )
     return MuSummary(
         model=model,
         mu_on=mu_on,
         mu_off=mu_off,
         points=points,
-        complete=complete,
+        complete=found == mu_on,
         local_mu=local_mu,
     )
 

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the code paths they check: quotient
 dimensions are recomputed from a Macaulay matrix rank, saturations from the
 extra-variable construction, eigenvalue multiplicities by enumerating
-root-of-unity products.
+root-of-unity products, and the completeness of the rational singular points
+from Tjurina numbers instead of Milnor numbers.
 """
 
 from __future__ import annotations
@@ -13,8 +14,19 @@ from itertools import product as iproduct
 
 import hypothesis.strategies as st
 
-from polargrad.groebner import Ideal, buchberger, elimination_order
-from polargrad.poly import Poly, mono_mul
+from polargrad.groebner import (
+    Ideal,
+    buchberger,
+    elimination_order,
+    projective_dim,
+    zero_dim_degree_projective,
+)
+from polargrad.hypersurface import (
+    jacobian_ideal,
+    local_component_dim,
+    rational_singular_points,
+)
+from polargrad.poly import Poly, dehomogenize, mono_mul
 from polargrad.rng import SplitMix64
 
 VAR_POOL = ("w", "x", "y", "z", "u", "v")
@@ -204,6 +216,23 @@ def rabinowitsch_saturate(I: Ideal, g: Poly) -> Ideal:
         if all(m[0] == 0 for m in p.terms)
     ]
     return Ideal(kept, I.order, vars=I.vars, domain=I.domain)
+
+
+# ------------------------------------------------ Tjurina-degree certificate
+
+
+def tjurina_complete(f: Poly) -> bool:
+    """Whether the rational singular points of V(f) are all of them: their
+    Tjurina numbers (local lengths of the Jacobian scheme) sum to the degree
+    of the whole projective Jacobian scheme."""
+    J = jacobian_ideal(f)
+    if projective_dim(J) == -1:
+        return True
+    found = sum(
+        local_component_dim([dehomogenize(g, pt.chart()) for g in J.gens], pt.affine_coords())
+        for pt in rational_singular_points(f)
+    )
+    return found == zero_dim_degree_projective(J)
 
 
 # ------------------------------------------- eigenvalue product enumeration

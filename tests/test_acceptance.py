@@ -5,7 +5,9 @@ per criterion.  Heavy analyses are shared through a module-scoped cache so
 the suite stays within the per-entry time budget.
 """
 
+import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +37,8 @@ from helpers import (
 )
 
 FULL_ENTRIES = [e.name for e in CATALOG if not e.oracle_only]
+# the seed-1 report of every full entry, as `json.dumps(reports, indent=2)`
+GOLDEN_REPORTS = Path(__file__).parent / "data" / "catalog_reports_seed1.json"
 
 
 def _report(criterion: str, ok: bool) -> None:
@@ -52,6 +56,11 @@ def catalog_runs():
         runs[name] = run_entry(BY_NAME[name], seed=1, trials=3, modp="dual")
         runs[name]["elapsed"] = time.monotonic() - start
     return runs
+
+
+def test_catalog_reports_are_byte_identical_to_the_golden_file(catalog_runs):
+    reports = {name: catalog_runs[name]["report"] for name in FULL_ENTRIES}
+    assert json.dumps(reports, indent=2) + "\n" == GOLDEN_REPORTS.read_text(encoding="utf-8")
 
 
 def test_criterion_1_cubic_surface_reproduction(catalog_runs):

@@ -7,6 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import polargrad.report
+from polargrad.catalog import CATALOG
 from polargrad.cli import main
 from polargrad.report import AnalysisOptions, analyze_polynomial
 
@@ -316,6 +317,39 @@ class TestCatalog:
         argv = ["catalog", "run", "cremona-triangle", "--jobs", "2", "--max-basis", "2"]
         with redirect_stderr(io.StringIO()):
             assert run_cli(argv)[0] == 4
+
+    def test_jobs_below_one_rejected(self):
+        for jobs in ("0", "-2"):
+            err = io.StringIO()
+            with redirect_stderr(err):
+                assert run_cli(["catalog", "run", "line-pair", "--jobs", jobs])[0] == 1
+            assert "--jobs" in err.getvalue()
+
+    def test_pool_is_no_larger_than_the_entries(self, monkeypatch):
+        # a stand-in pool that records its size and runs the entries here, so
+        # no worker process is started
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        assert run_cli(["catalog", "run", "line-pair", "--jobs", "64"])[0] == 0
+        assert run_cli(["catalog", "run", "all", "--jobs", "64"])[0] == 0
+        assert run_cli(["catalog", "run", "all", "--jobs", "3"])[0] == 0
+        assert sizes == [1, len(CATALOG), 3]
 
     def test_unknown_entry(self):
         code, _ = run_cli(["catalog", "run", "no-such-entry"])

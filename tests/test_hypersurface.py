@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from polargrad.catalog import CATALOG
 from polargrad.groebner import projective_dim
 from polargrad.hypersurface import (
-    IncompleteEnumeration,
     NotACriticalPoint,
     NotIsolated,
     frame_split,
@@ -24,6 +24,8 @@ from polargrad.parser import parse_poly
 from polargrad.poly import det_fraction, homogeneous_degree, substitute_linear
 from polargrad.rng import SplitMix64
 
+from helpers import tjurina_complete
+
 V2 = ("x", "y")
 V3 = ("x", "y", "z")
 V4 = ("w", "x", "y", "z")
@@ -33,6 +35,15 @@ FERMAT = parse_poly("x^3 + y^3 + z^3", V3)
 CONIC_TANGENT = parse_poly("x*(x*z - y^2)", V3)
 E6_CUBIC = parse_poly("x^2*w + x*z^2 + y^3", V4)
 A1A5_CUBIC = parse_poly("w*x*z - w*y^2 + z^3", V4)
+
+# every analyzable catalog entry, plus inputs with irrational singular points
+# (the first three) and the Cayley cubic with four rational nodes
+COMPLETENESS_INPUTS = [(e.text, e.vars) for e in CATALOG if not e.oracle_only] + [
+    ("(x*z - 2*y^2)*(x - z)", V3),
+    ("y*(x*z - 2*y^2)*(x - z)", V3),
+    ("x^3+y^3+z^3-3*x*y*z", V3),
+    ("w*x*y + w*x*z + w*y*z + x*y*z", V4),
+]
 
 
 class TestJacobian:
@@ -68,27 +79,26 @@ class TestIsolatedness:
 
 class TestRationalSingularPoints:
     def test_triangle(self):
-        pts, complete = rational_singular_points(XYZ)
-        assert complete
+        pts = rational_singular_points(XYZ)
         assert {str(p) for p in pts} == {"(1 : 0 : 0)", "(0 : 1 : 0)", "(0 : 0 : 1)"}
+        assert mu_summary(XYZ, 1).complete
 
     def test_smooth_is_empty(self):
-        assert rational_singular_points(FERMAT) == ([], True)
+        assert rational_singular_points(FERMAT) == []
+        assert mu_summary(FERMAT, 1).complete
 
     def test_conic_tangent(self):
-        pts, complete = rational_singular_points(CONIC_TANGENT)
-        assert complete
-        assert [str(p) for p in pts] == ["(0 : 0 : 1)"]
+        assert [str(p) for p in rational_singular_points(CONIC_TANGENT)] == ["(0 : 0 : 1)"]
+        assert mu_summary(CONIC_TANGENT, 1).complete
 
     def test_irrational_points_flagged(self):
         # conic { xz = 2y^2 } plus the line { x = z } meet at the conjugate
         # pair (1 : ±1/sqrt(2) : 1); the enumeration finds no rational point
-        # and must declare itself incomplete
+        # and the summary must declare itself incomplete
         f = parse_poly("(x*z - 2*y^2)*(x - z)", V3)
-        pts, complete = rational_singular_points(f)
-        assert pts == [] and not complete
-        with pytest.raises(IncompleteEnumeration):
-            rational_singular_points(f, require_complete=True)
+        assert rational_singular_points(f) == []
+        s = mu_summary(f, 1)
+        assert s.mu_on == 2 and not s.complete
 
     def test_non_isolated_rejected(self):
         with pytest.raises(NotIsolated):
@@ -167,16 +177,16 @@ class TestGenericFrame:
     def test_triangle_frame_moves_points_off_infinity(self):
         model = generic_frame(XYZ, seed=1)
         fM = substitute_linear(XYZ, model.matrix)
-        pts, complete = rational_singular_points(fM)
-        assert complete and len(pts) == 3
+        pts = rational_singular_points(fM)
+        assert len(pts) == 3 and tjurina_complete(fM)
         # no singular point on the hyperplane x_0 = 0
         assert all(p.coords[0] != 0 for p in pts)
 
     def test_e6_frame(self):
         model = generic_frame(E6_CUBIC, seed=1)
         fM = substitute_linear(E6_CUBIC, model.matrix)
-        pts, complete = rational_singular_points(fM)
-        assert complete and len(pts) == 1
+        pts = rational_singular_points(fM)
+        assert len(pts) == 1 and tjurina_complete(fM)
         assert pts[0].coords[0] != 0
 
     def test_non_isolated_rejected(self):
@@ -224,6 +234,13 @@ class TestMuSummary:
         s = mu_summary(A1A5_CUBIC, 1)
         assert s.mu_on == 6
         assert sorted(s.local_mu.values()) == [1, 5]
+
+    @pytest.mark.parametrize(
+        "text,vars", COMPLETENESS_INPUTS, ids=[t for t, _ in COMPLETENESS_INPUTS]
+    )
+    def test_completeness_agrees_with_the_tjurina_degree(self, text, vars):
+        f = parse_poly(text, vars)
+        assert mu_summary(f, 1).complete == tjurina_complete(f)
 
     def test_frame_split_is_the_frame_step_of_the_summary(self):
         for f in (XYZ, CONIC_TANGENT, A1A5_CUBIC):

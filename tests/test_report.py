@@ -1,13 +1,17 @@
 """Analysis orchestration: verdict bundles, declarations, edge paths."""
 
+import io
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 import polargrad.hypersurface as hypersurface
 import polargrad.report as report_module
 from polargrad.catalog import BY_NAME
+from polargrad.cli import main
 from polargrad.groebner import Caps, ResourceLimit
+from polargrad.parser import parse_poly
 from polargrad.polar import HypothesisError, PolarDegreeResult
 from polargrad.report import (
     AnalysisOptions,
@@ -45,6 +49,18 @@ class TestIncompleteEnumeration:
         assert report["delta_V"] is None
         assert any("incomplete" in note for note in report["notes"])
         assert not report["bounds"]["eigenvalue_multiplicities"]["applicable"]
+
+    def test_rational_and_irrational_nodes(self):
+        # the line y = 0 meets the conic at (0 : 0 : 1) and (1 : 0 : 0) and the
+        # line x = z at (1 : 0 : 1); the conjugate pair above stays irrational
+        report = analyze_polynomial("y*(x*z - 2*y^2)*(x - z)", V3).data
+        points = [sp["point"] for sp in report["singular_points"]]
+        assert points == [["0", "0", "1"], ["1", "0", "0"], ["1", "0", "1"]]
+        assert [sp["mu"] for sp in report["singular_points"]] == [1, 1, 1]
+        assert report["mu_V"] == 5
+        assert not report["enumeration_complete"]
+        assert report["d_f"]["consolidated"] == 4 and report["d_f"]["unanimous"]
+        assert any("incomplete" in note for note in report["notes"])
 
 
 class TestDeclarations:
@@ -147,6 +163,21 @@ class TestPipeline:
         report = analyze_polynomial(entry.text, entry.vars).data
         assert report["mu_V"] == 5
         assert len(calls) == 5
+
+    def test_milnor_sum_above_mu_on_raises(self, monkeypatch):
+        real = hypersurface.local_milnor_number
+
+        def inflated(h, point, caps):
+            return real(h, point, caps) + 1
+
+        monkeypatch.setattr(hypersurface, "local_milnor_number", inflated)
+        # three nodes now sum to 6 against mu_on = 3
+        with pytest.raises(hypersurface.InconsistentMu):
+            hypersurface.mu_summary(parse_poly("x*y*z", V3), 1)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            assert main(["analyze", "x*y*z", "--vars", "x,y,z"]) == 3
+        assert err.getvalue().startswith("inconsistency:")
 
     def test_caps_do_not_leak_between_concurrent_analyses(self):
         # the Jacobian ideal of x*y*z alone needs three basis elements
