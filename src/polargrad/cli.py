@@ -176,7 +176,10 @@ def cmd_monodromy(args) -> int:
         exponents = [int(x) for x in args.bp.split(",")]
         divisor = mono.bp_charpoly(exponents)
     elif args.weights:
-        weights = [Fraction(x) for x in args.weights.split(",")]
+        try:
+            weights = [Fraction(x) for x in args.weights.split(",")]
+        except ZeroDivisionError as exc:
+            raise InputError(f"bad --weights {args.weights!r}: {exc}") from exc
         divisor = mono.wh_charpoly(weights)
     else:
         d, n = (int(x) for x in args.fermat.split(","))

@@ -1,6 +1,7 @@
 """Groebner-basis engine: term orders, Buchberger, elimination, quotients,
-saturation, staircase invariants (dimension, degree, quotient dimension) and
-multiplication matrices on zero-dimensional quotients.
+saturation, staircase invariants (dimension, degree, quotient dimension),
+multiplication matrices on zero-dimensional quotients and the one kernel on
+them, `local_component_dim`.
 
 Everything is deterministic: the normal pair-selection strategy, sorted
 generator intake and final inter-reduction make the reduced basis unique for
@@ -630,7 +631,7 @@ def multiplication_matrix(I: Ideal, g: Poly) -> tuple[tuple[Mono, ...], list[lis
 def _echelon(rows, domain) -> list[list]:
     """A basis of the row space in reduced echelon form, pivots scaled to 1.
     Clearing each new pivot from the rows already kept is not needed for the
-    rank, but keeps the Fractions small: without it `stable_rank` on the
+    rank, but keeps the Fractions small: without it the stable images on the
     27-dimensional quotients of quartic surfaces took 1.5-2x as long."""
     zero = domain.zero()
     basis: list[tuple[int, list]] = []
@@ -652,11 +653,11 @@ def _echelon(rows, domain) -> list[list]:
     return [b for _, b in basis]
 
 
-def stable_rank(rows, domain) -> int:
-    """Dimension of the stable image of the matrix `rows` acting on row
-    vectors: the images of M, M^2, ... shrink until two have equal dimension,
-    within len(rows) steps.  Each image is kept as an echelon basis, which
-    keeps the coefficients small where powers of M would not."""
+def _stable_image(rows, domain) -> list[list]:
+    """An echelon basis of the stable image of the matrix `rows` acting on
+    row vectors: the images of M, M^2, ... shrink until two have equal
+    dimension, within len(rows) steps.  Each image is kept as an echelon
+    basis, which keeps the coefficients small where powers of M would not."""
     image = _echelon(rows, domain)
     zero = domain.zero()
     while True:
@@ -669,8 +670,23 @@ def stable_rank(rows, domain) -> int:
             products.append(out)
         nxt = _echelon(products, domain)
         if len(nxt) == len(image):
-            return len(image)
+            return image
         image = nxt
+
+
+def local_component_dim(I: Ideal, forms) -> int:
+    """Dimension of the part of a zero-dimensional k[x]/I on which every
+    polynomial in `forms` vanishes: the sum of the local algebras at the
+    points of V(I) where they all vanish.  Multiplication by g acts on the
+    local algebra at p as g(p) plus a nilpotent (Stickelberger's theorem), so
+    the stable image of its matrix is the sum of the local algebras where
+    g(p) != 0, and the stable images of the forms together span the local
+    algebras where some form does not vanish."""
+    total = quotient_vs_dim(I)
+    images: list[list] = []
+    for g in forms:
+        images += _stable_image(multiplication_matrix(I, g)[1], I.domain)
+    return total - len(_echelon(images, I.domain))
 
 
 def hilbert_numerator(leads, nvars: int) -> list[int]:

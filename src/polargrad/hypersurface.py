@@ -5,15 +5,13 @@ Milnor numbers, generic affine frames and the critical-multiplicity split.
 multiplicity into mu_on = mu(V) and mu_off; `mu_summary` adds the points step:
 rational singular points and their local Milnor numbers.  Every singular point
 has mu_p >= 1, so the rational points are all of them exactly when their mu_p
-sum to mu_on, and a larger sum is an inconsistency.  mu_off is the stable rank
-of the multiplication matrix of h on k[x]/(grad h) (Stickelberger's theorem):
-the critical points with h(p) != 0 carry exactly the part that no power of
-the matrix kills.
+sum to mu_on, and a larger sum is an inconsistency.
 
-Local Milnor numbers are computed with the global Groebner engine by double
-saturation: first remove the component at the point of interest to find the
-"everything else" ideal, then remove everything else from the original to
-isolate the primary component at the point.
+Each of these numbers is one `local_component_dim` on the frame's algebra
+A = k[x]/(grad h), the local algebras of h at its critical points
+(Stickelberger's theorem).  mu_on is the part of A on which h vanishes, mu_off
+the rest, and mu_p the part on which the linear forms cutting out the point p
+vanish: no other critical point of h lies on them.
 """
 
 from __future__ import annotations
@@ -29,14 +27,12 @@ from .groebner import (
     Caps,
     Ideal,
     NotZeroDimensional,
-    multiplication_matrix,
+    local_component_dim,
     projective_dim,
     quotient_vs_dim,
     # not called here: perfbench/tests/test_perfbench.py checks that the
     # tracer rebinds `saturate` in this namespace
     saturate,
-    saturate_ideal,
-    stable_rank,
 )
 from .monodromy import CycDivisor, divisor_degree, mu0_from_charpoly
 from .poly import (
@@ -48,7 +44,6 @@ from .poly import (
     homogeneous_degree,
     set_variable_zero,
     substitute_linear,
-    translate,
 )
 from .rng import SplitMix64
 
@@ -96,43 +91,22 @@ def has_isolated_singularities(f: Poly, caps: Caps = DEFAULT_CAPS) -> bool:
 # ----------------------------------------------------------- local invariants
 
 
-def local_component_dim(gens, point, caps: Caps = DEFAULT_CAPS) -> int:
-    """Vector-space dimension of the primary component of the affine ideal
-    (gens) at `point`: translate the point to the origin, saturate away the
-    component at the origin, then saturate the original by the remainder."""
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        raise NotZeroDimensional("zero ideal has no finite local component")
-    vars = gens[0].vars
-    translated = [translate(g, point) for g in gens]
-    J = Ideal(translated, GREVLEX, caps=caps)
-    if J.is_unit():
-        return 0
-    m = Ideal([Poly.variable(vars, i, J.domain) for i in range(len(vars))], GREVLEX, caps=caps)
-    rest = saturate_ideal(J, m)
-    if rest.is_unit():
-        primary = J
-    else:
-        primary = saturate_ideal(J, rest)
-    return quotient_vs_dim(primary)
-
-
 def local_milnor_number(h: Poly, point, caps: Caps = DEFAULT_CAPS) -> int:
-    """Milnor number of h at an isolated critical point: the dimension of the
-    local algebra of the partial-derivative ideal."""
+    """Milnor number of h at a critical point: the part of k[x]/(grad h) on
+    which every x_i - point_i vanishes.  Needs finitely many critical points."""
     partials = gradient(h)
     for p in partials:
         if p.evaluate(point) != p.domain.zero():
             raise NotACriticalPoint(f"gradient of h does not vanish at {tuple(point)}")
+    J = Ideal(partials, GREVLEX, vars=h.vars, domain=h.domain, caps=caps)
+    forms = [
+        Poly.variable(h.vars, i, h.domain) - Poly.constant(h.vars, a, h.domain)
+        for i, a in enumerate(point)
+    ]
     try:
-        mu = local_component_dim(partials, point, caps)
+        return local_component_dim(J, forms)
     except NotZeroDimensional as exc:
-        raise NotIsolated(f"critical point {tuple(point)} is not isolated") from exc
-    if mu < 1:
-        # the gradient vanishes but no finite primary component sits at the
-        # point, so the critical locus through it is positive-dimensional
-        raise NotIsolated(f"critical point {tuple(point)} is not isolated")
-    return mu
+        raise NotIsolated("h has infinitely many critical points") from exc
 
 
 # ------------------------------------------------------- rational point solve
@@ -288,15 +262,15 @@ def rational_singular_points(f: Poly, caps: Caps = DEFAULT_CAPS) -> list[Project
 class AffineModel:
     """A certified affine chart for f: a coordinate change M with smooth
     section at infinity and no singular points on the hyperplane x_0 = 0,
-    together with the dehomogenized polynomial h."""
+    together with the dehomogenized polynomial h and its critical ideal
+    (grad h), whose one Groebner basis serves the split and every point."""
 
     f: Poly
     matrix: tuple[tuple[int, ...], ...]
     h: Poly
     seed: int
     draws: int
-    infinity_section_smooth: bool = True
-    singularities_off_infinity: bool = True
+    critical_ideal: Ideal = field(compare=False)
 
 
 def _frame_certificates(fM: Poly, caps: Caps = DEFAULT_CAPS) -> bool:
@@ -327,9 +301,9 @@ def generic_frame(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS) -> AffineModel:
         fM = substitute_linear(f, M)
         if not _frame_certificates(fM, caps):
             continue
-        return AffineModel(
-            f=f, matrix=M, h=dehomogenize(fM, 0), seed=seed, draws=draw
-        )
+        h = dehomogenize(fM, 0)
+        Jh = Ideal(gradient(h), GREVLEX, vars=h.vars, domain=h.domain, caps=caps)
+        return AffineModel(f=f, matrix=M, h=h, seed=seed, draws=draw, critical_ideal=Jh)
     if not has_isolated_singularities(f, caps):
         raise NotIsolated("singular locus is positive-dimensional")
     raise TransversalityNotFound(
@@ -337,30 +311,25 @@ def generic_frame(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS) -> AffineModel:
     )
 
 
-def tame_split(model: AffineModel, caps: Caps = DEFAULT_CAPS) -> tuple[int, int]:
+def tame_split(model: AffineModel) -> tuple[int, int]:
     """Split the total critical multiplicity of h into the part supported on
     the zero fiber and the part off it.  The total, dim k[x]/(grad h), must
     equal (d-1)^n, which certifies that no critical multiplicity escaped to
-    infinity.  mu_off is the stable rank of multiplication by h on
-    k[x]/(grad h): on the local algebra at a critical point p it acts as h(p)
-    plus a nilpotent, so its powers keep exactly the points with h(p) != 0."""
+    infinity.  mu_on is the part of k[x]/(grad h) on which h vanishes."""
     h = model.h
     d = homogeneous_degree(model.f)
     n = len(h.vars)
-    Jh = Ideal(gradient(h), GREVLEX, vars=h.vars, domain=h.domain, caps=caps)
-    if Jh.is_zero_ideal():
-        raise NotTame("gradient of h vanishes identically")
+    Jh = model.critical_ideal
     try:
-        std, rows = multiplication_matrix(Jh, h)
+        total = quotient_vs_dim(Jh)
     except NotZeroDimensional as exc:
         raise NotTame("affine critical scheme is not finite") from exc
-    total = len(std)
     if total != (d - 1) ** n:
         raise NotTame(
             f"total critical multiplicity {total} differs from (d-1)^n = {(d-1)**n}"
         )
-    mu_off = stable_rank(rows, h.domain)
-    return total - mu_off, mu_off
+    mu_on = local_component_dim(Jh, [h])
+    return mu_on, total - mu_on
 
 
 # -------------------------------------------------------- the analysis steps
@@ -387,7 +356,7 @@ def frame_split(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS) -> tuple[AffineMo
     for k in range(FRAME_ATTEMPTS):
         try:
             model = generic_frame(f, seed + 7919 * k, caps)
-            mu_on, mu_off = tame_split(model, caps)
+            mu_on, mu_off = tame_split(model)
             return model, mu_on, mu_off
         except NotTame as exc:
             last_error = exc
@@ -396,15 +365,20 @@ def frame_split(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS) -> tuple[AffineMo
 
 def mu_summary(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS) -> MuSummary:
     """`frame_split` plus the points step: the rational singular points and
-    their local Milnor numbers.  The enumeration is complete when these sum to
-    mu_on; a sum above mu_on raises InconsistentMu."""
+    their local Milnor numbers, each the part of the frame's k[x]/(grad h) on
+    which the forms x_i - p_i x_c (c = p.chart()) vanish.  The enumeration is
+    complete when these sum to mu_on; a sum above mu_on raises InconsistentMu."""
     model, mu_on, mu_off = frame_split(f, seed, caps)
     points = rational_singular_points(f, caps)
+    # the coordinates x_i = sum_j M[i][j] y_j that substitute_linear
+    # substitutes, dehomogenized at y_0 = 1 like h
+    units = [tuple(int(k == j) for k in range(len(f.vars))) for j in range(len(f.vars))]
+    x = [dehomogenize(Poly(f.vars, zip(units, row), f.domain), 0) for row in model.matrix]
     local_mu: dict[ProjectivePoint, int] = {}
     for pt in points:
-        chart = pt.chart()
-        h = dehomogenize(f, chart)
-        local_mu[pt] = local_milnor_number(h, pt.affine_coords(), caps)
+        c = pt.chart()
+        forms = [x[i] - x[c].scale(a) for i, a in enumerate(pt.coords) if i != c]
+        local_mu[pt] = local_component_dim(model.critical_ideal, forms)
     found = sum(local_mu.values())
     if found > mu_on:
         raise InconsistentMu(

@@ -461,17 +461,6 @@ def homogeneous_parts(f: Poly) -> list[Poly]:
     return [Poly(f.vars, terms, f.domain) for _, terms in sorted(buckets.items())]
 
 
-def translate(f: Poly, point: Sequence) -> Poly:
-    """Shift coordinates so that `point` becomes the origin: x -> x + a."""
-    images = []
-    for i, a in enumerate(point):
-        img = Poly.variable(f.vars, i, f.domain)
-        if a:
-            img = img + Poly.constant(f.vars, Fraction(a), f.domain)
-        images.append(img)
-    return f.subs(images)
-
-
 def to_prime_field(f: Poly, p: int) -> Poly:
     """Reduce a rational polynomial mod p; denominators must be invertible."""
     dom = GF(p)

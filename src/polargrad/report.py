@@ -14,6 +14,7 @@ match, and `polar.consolidate` combines the three values.
 from __future__ import annotations
 
 import json
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -125,12 +126,22 @@ def _coords_strings(pt: ProjectivePoint) -> list[str]:
 
 def parse_declarations(raw: list[dict], nvars: int) -> dict[ProjectivePoint, dict]:
     """Validate user-supplied singularity declarations (points as rational
-    strings plus optional weights / pure-power exponents / label)."""
+    strings plus optional weights / pure-power exponents / label) and derive
+    each declared monodromy divisor."""
     out: dict[ProjectivePoint, dict] = {}
     for item in raw:
+        if not isinstance(item, dict):
+            raise InputError(f"singularity declaration {item!r} is not an object")
         if "point" not in item:
             raise InputError("singularity declaration lacks a point")
-        coords = [Fraction(str(c)) for c in item["point"]]
+        try:
+            coords = [Fraction(str(c)) for c in item["point"]]
+            bp = item.get("bp_exponents")
+            bp = tuple(operator.index(a) for a in bp) if bp else None
+            weights = item.get("weights")
+            weights = tuple(Fraction(str(w)) for w in weights) if weights else None
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"bad singularity declaration {item!r}: {exc}") from exc
         if len(coords) != nvars:
             raise InputError(
                 f"declared point {item['point']} has {len(coords)} coordinates, "
@@ -140,16 +151,13 @@ def parse_declarations(raw: list[dict], nvars: int) -> dict[ProjectivePoint, dic
             pt = ProjectivePoint(coords)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-        decl = {
-            "label": item.get("label"),
-            "bp_exponents": tuple(item["bp_exponents"]) if item.get("bp_exponents") else None,
-            "weights": tuple(Fraction(str(w)) for w in item["weights"])
-            if item.get("weights")
-            else None,
-        }
-        if decl["bp_exponents"] and decl["weights"]:
+        if bp and weights:
             raise InputError("declare either weights or pure-power exponents, not both")
-        out[pt] = decl
+        try:
+            delta = mono.bp_charpoly(bp) if bp else mono.wh_charpoly(weights) if weights else None
+        except (ValueError, mono.NonIntegralResult) as exc:
+            raise InputError(f"bad singularity declaration at {pt}: {exc}") from exc
+        out[pt] = dict(label=item.get("label"), bp_exponents=bp, weights=weights, delta=delta)
     return out
 
 
@@ -163,14 +171,6 @@ def _build_records(points, local_mu, declarations) -> list[SingularityRecord]:
     records = []
     for pt in points:
         decl = declarations.get(pt, {})
-        delta = None
-        try:
-            if decl.get("bp_exponents"):
-                delta = mono.bp_charpoly(decl["bp_exponents"])
-            elif decl.get("weights"):
-                delta = mono.wh_charpoly(decl["weights"])
-        except (ValueError, mono.NonIntegralResult) as exc:
-            raise InputError(f"bad singularity declaration at {pt}: {exc}") from exc
         try:
             rec = SingularityRecord(
                 point=pt,
@@ -178,7 +178,7 @@ def _build_records(points, local_mu, declarations) -> list[SingularityRecord]:
                 label=decl.get("label"),
                 bp_exponents=decl.get("bp_exponents"),
                 weights=decl.get("weights"),
-                delta=delta,
+                delta=decl.get("delta"),
             )
         except ValueError as exc:
             raise InputError(str(exc)) from exc
@@ -196,6 +196,7 @@ def analyze_polynomial(text: str, vars, options: AnalysisOptions | None = None) 
         f = parse_poly(text, vars)
     except ParseError as exc:
         raise InputError(str(exc)) from exc
+    declarations = parse_declarations(options.declarations, len(f.vars))
     d = require_hypotheses(f, options.caps)
     n = len(f.vars) - 1
     timings["hypotheses"] = time.monotonic() - t0
@@ -229,7 +230,6 @@ def analyze_polynomial(text: str, vars, options: AnalysisOptions | None = None) 
         notes.append(f"methods disagree: {values}")
 
     t3 = time.monotonic()
-    declarations = parse_declarations(options.declarations, len(f.vars))
     records = _build_records(summary.points, summary.local_mu, declarations)
     if not summary.complete:
         notes.append(

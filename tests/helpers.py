@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the code paths they check: quotient
 dimensions are recomputed from a Macaulay matrix rank, saturations from the
-extra-variable construction, eigenvalue multiplicities by enumerating
+extra-variable construction, local lengths by double saturation instead of
+multiplication matrices, eigenvalue multiplicities by enumerating
 root-of-unity products, and the completeness of the rational singular points
 from Tjurina numbers instead of Milnor numbers.
 """
@@ -15,17 +16,17 @@ from itertools import product as iproduct
 import hypothesis.strategies as st
 
 from polargrad.groebner import (
+    GREVLEX,
     Ideal,
+    NotZeroDimensional,
     buchberger,
     elimination_order,
     projective_dim,
+    quotient_vs_dim,
+    saturate_ideal,
     zero_dim_degree_projective,
 )
-from polargrad.hypersurface import (
-    jacobian_ideal,
-    local_component_dim,
-    rational_singular_points,
-)
+from polargrad.hypersurface import jacobian_ideal, rational_singular_points
 from polargrad.poly import Poly, dehomogenize, mono_mul
 from polargrad.rng import SplitMix64
 
@@ -218,6 +219,33 @@ def rabinowitsch_saturate(I: Ideal, g: Poly) -> Ideal:
     return Ideal(kept, I.order, vars=I.vars, domain=I.domain)
 
 
+# ---------------------------------------------------- double-saturation oracle
+
+
+def saturation_local_dim(gens, point) -> int:
+    """Vector-space dimension of the primary component of the affine ideal
+    (gens) at `point`: translate the point to the origin, saturate away the
+    component at the origin, then saturate the original by the remainder."""
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        raise NotZeroDimensional("zero ideal has no finite local component")
+    vars = gens[0].vars
+    shift = [
+        Poly.variable(vars, i, gens[0].domain) + Poly.constant(vars, Fraction(a), gens[0].domain)
+        for i, a in enumerate(point)
+    ]
+    J = Ideal([g.subs(shift) for g in gens], GREVLEX)
+    if J.is_unit():
+        return 0
+    m = Ideal([Poly.variable(vars, i, J.domain) for i in range(len(vars))], GREVLEX)
+    rest = saturate_ideal(J, m)
+    if rest.is_unit():
+        primary = J
+    else:
+        primary = saturate_ideal(J, rest)
+    return quotient_vs_dim(primary)
+
+
 # ------------------------------------------------ Tjurina-degree certificate
 
 
@@ -229,7 +257,7 @@ def tjurina_complete(f: Poly) -> bool:
     if projective_dim(J) == -1:
         return True
     found = sum(
-        local_component_dim([dehomogenize(g, pt.chart()) for g in J.gens], pt.affine_coords())
+        saturation_local_dim([dehomogenize(g, pt.chart()) for g in J.gens], pt.affine_coords())
         for pt in rational_singular_points(f)
     )
     return found == zero_dim_degree_projective(J)

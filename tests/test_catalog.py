@@ -12,7 +12,7 @@ from polargrad.catalog import BY_NAME
 from polargrad.hypersurface import local_milnor_number
 from polargrad.monodromy import bp_charpoly, wh_charpoly
 from polargrad.parser import parse_poly
-from polargrad.poly import Poly, ProjectivePoint, dehomogenize, translate
+from polargrad.poly import Poly, ProjectivePoint, dehomogenize
 
 from helpers import fraction_rank
 

@@ -135,6 +135,31 @@ class TestAnalyze:
             analyze_polynomial("x*y*z", ("x", "y", "z"), AnalysisOptions(modp="maybe"))
 
 
+    @pytest.mark.parametrize(
+        "decl",
+        [
+            [{"point": ["0", "0", "1"], "bp_exponents": 5}],
+            [{"point": ["0", "0", "1"], "bp_exponents": [2, "x"]}],
+            [{"point": ["1/0", "0", "1"]}],
+            [{"point": ["0", "0", "1"], "weights": ["1/0", "1/2"]}],
+            [{"point": ["0", "0", "1"], "bp_exponents": [1, 2]}],
+            [["0", "0", "1"]],
+        ],
+    )
+    def test_malformed_declaration_exits_1_before_any_analysis(self, decl, tmp_path, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("mu_summary ran before the declarations were checked")
+
+        monkeypatch.setattr(polargrad.report, "mu_summary", forbidden)
+        path = tmp_path / "sing.json"
+        path.write_text(json.dumps(decl))
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, _ = run_cli(["analyze", "x*y*z", "--vars", "x,y,z", "--singular-data", str(path)])
+        assert code == 1
+        assert err.getvalue().startswith("input error:")
+
+
 class TestUsage:
     def test_usage_error_exits_1(self):
         # argparse's own exit status 2 would read as a hypothesis violation
@@ -258,6 +283,13 @@ class TestMonodromy:
     def test_invalid_weights_exit_1(self):
         code, _ = run_cli(["monodromy", "--weights", "2/3,2/3"])
         assert code == 1
+
+    def test_zero_denominator_weight_exits_1(self):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, _ = run_cli(["monodromy", "--weights", "1/0,1/2"])
+        assert code == 1
+        assert err.getvalue().startswith("input error:")
 
     def test_exactly_one_mode_required(self):
         code, _ = run_cli(["monodromy", "--bp", "2,2", "--fermat", "2,2"])

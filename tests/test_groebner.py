@@ -30,6 +30,7 @@ from polargrad.groebner import (
     ideal_quotient,
     intersect,
     leading_monomial,
+    local_component_dim,
     multiplication_matrix,
     normal_form,
     poly_divmod,
@@ -38,12 +39,11 @@ from polargrad.groebner import (
     s_polynomial,
     saturate,
     saturate_ideal,
-    stable_rank,
     staircase,
     zero_dim_degree_projective,
 )
 from polargrad.parser import parse_poly
-from polargrad.poly import QQ, DomainMismatch, Poly, to_prime_field
+from polargrad.poly import DomainMismatch, Poly, to_prime_field
 
 from helpers import (
     macaulay_quotient_dim,
@@ -463,23 +463,26 @@ class TestStaircaseInvariants:
             checked += 1
 
 
+# a polynomial in at most three variables as (monomial, coefficient) pairs,
+# cut to the ring of the ideal it multiplies
+TERMS = st.lists(
+    st.tuples(st.tuples(*[st.integers(0, 2)] * 3), st.integers(-3, 3).filter(bool)),
+    min_size=1,
+    max_size=3,
+)
+
+
 class TestMultiplicationMatrix:
     """Multiplication by g on k[x]/I acts on the local algebra at each point p
-    as g(p) plus a nilpotent, so its stable rank is dim k[x]/(I : g^inf)
-    (Stickelberger).  Checked against the extra-variable saturation, and the
-    standard monomials against the Macaulay rank, over QQ and GF(32003)."""
+    as g(p) plus a nilpotent, so its stable image is k[x]/(I : g^inf)
+    (Stickelberger), and `local_component_dim(I, forms)` is what the stable
+    images of the forms leave of k[x]/I.  Checked against the extra-variable
+    saturation and `saturate_ideal`, and the standard monomials against the
+    Macaulay rank, over QQ and GF(32003)."""
 
     @pytest.mark.parametrize("p", [None, 32003])
-    @given(
-        seed=st.integers(0, 10**6),
-        nv=st.integers(2, 3),
-        g_terms=st.lists(
-            st.tuples(st.tuples(*[st.integers(0, 2)] * 3), st.integers(-3, 3).filter(bool)),
-            min_size=1,
-            max_size=3,
-        ),
-        constant=st.integers(-2, 2),
-    )
+    @given(seed=st.integers(0, 10**6), nv=st.integers(2, 3), g_terms=TERMS,
+           constant=st.integers(-2, 2))
     @settings(max_examples=30, deadline=None)
     def test_stable_rank_is_the_saturation_dimension(self, p, seed, nv, g_terms, constant):
         gens = random_zero_dim_ideal(seed, nv)
@@ -487,13 +490,32 @@ class TestMultiplicationMatrix:
             gens = [to_prime_field(g, p) for g in gens]
         I = Ideal(gens)
         g = Poly(I.vars, [(m[:nv], c) for m, c in g_terms] + [((0,) * nv, constant)], I.domain)
-        std, rows = multiplication_matrix(I, g)
+        std = multiplication_matrix(I, g)[0]
         S = rabinowitsch_saturate(I, g)
-        assert stable_rank(rows, I.domain) == (0 if S.is_unit() else quotient_vs_dim(S))
+        stable_rank = len(std) - local_component_dim(I, [g])
+        assert stable_rank == (0 if S.is_unit() else quotient_vs_dim(S))
         # the generators have pure-power leading forms, so multiples up to one
         # degree past the staircase already span the ideal in those degrees
         bound = max(sum(m) for m in std) + 1
         assert len(std) == macaulay_quotient_dim(gens, bound)
+
+    @pytest.mark.parametrize("p", [None, 32003])
+    @given(seed=st.integers(0, 10**6), nv=st.integers(2, 3),
+           forms_terms=st.lists(st.tuples(TERMS, st.integers(-2, 2)), min_size=1, max_size=3))
+    @settings(max_examples=30, deadline=None)
+    def test_local_component_dim_against_saturation(self, p, seed, nv, forms_terms):
+        gens = random_zero_dim_ideal(seed, nv)
+        if p is not None:
+            gens = [to_prime_field(g, p) for g in gens]
+        I = Ideal(gens)
+        forms = [
+            Poly(I.vars, [(m[:nv], c) for m, c in terms] + [((0,) * nv, constant)], I.domain)
+            for terms, constant in forms_terms
+        ]
+        assume(all(not g.is_zero() for g in forms))
+        S = saturate_ideal(I, Ideal(forms))
+        rest = 0 if S.is_unit() else quotient_vs_dim(S)
+        assert local_component_dim(I, forms) == quotient_vs_dim(I) - rest
 
     def test_linear_multipliers_split_the_support(self):
         # on these seeds' ideals x_k - a vanishes on some points of V(I) but
@@ -505,29 +527,34 @@ class TestMultiplicationMatrix:
             for k in range(nv):
                 for a in range(-2, 3):
                     g = Poly.variable(I.vars, k) - Poly.constant(I.vars, a)
-                    std, rows = multiplication_matrix(I, g)
                     S = rabinowitsch_saturate(I, g)
-                    rank = stable_rank(rows, I.domain)
+                    rank = quotient_vs_dim(I) - local_component_dim(I, [g])
                     assert rank == (0 if S.is_unit() else quotient_vs_dim(S))
-                    partial += 0 < rank < len(std)
+                    partial += 0 < rank < quotient_vs_dim(I)
         assert partial == 9
 
     def test_worked_examples(self):
         I = Ideal([P("x^2 - y", V2), P("y^2 - y", V2)])  # (0,0) double, (+-1,1)
         std, rows = multiplication_matrix(I, P("1", V2))
         assert std == ((0, 0), (0, 1), (1, 0), (1, 1))
-        assert stable_rank(rows, I.domain) == 4
+        assert local_component_dim(I, [P("1", V2)]) == 0
         for member in (P("x^2 - y", V2), P("x^2*y - y^2", V2)):
-            assert stable_rank(multiplication_matrix(I, member)[1], I.domain) == 0
+            assert local_component_dim(I, [member]) == 4
         # x and y vanish on the double point at the origin only
-        assert stable_rank(multiplication_matrix(I, P("y", V2))[1], I.domain) == 2
-        assert stable_rank(multiplication_matrix(I, P("x", V2))[1], I.domain) == 2
+        assert local_component_dim(I, [P("y", V2)]) == 2
+        assert local_component_dim(I, [P("x", V2)]) == 2
+        # x - 1 and y - 1 vanish together only at (1, 1); no form: all of it
+        assert local_component_dim(I, [P("x - 1", V2), P("y - 1", V2)]) == 1
+        assert local_component_dim(I, []) == 4
 
     def test_degenerate_inputs(self):
-        std, rows = multiplication_matrix(Ideal([P("x", V2), P("x - 1", V2)]), P("x", V2))
-        assert std == () and rows == [] and stable_rank(rows, QQ) == 0
+        unit = Ideal([P("x", V2), P("x - 1", V2)])
+        std, rows = multiplication_matrix(unit, P("x", V2))
+        assert std == () and rows == [] and local_component_dim(unit, [P("x", V2)]) == 0
         with pytest.raises(NotZeroDimensional):
             multiplication_matrix(Ideal([P("x*y", V2)]), P("x", V2))
+        with pytest.raises(NotZeroDimensional):
+            local_component_dim(Ideal([P("x*y", V2)]), [P("x", V2)])
         with pytest.raises(DomainMismatch):
             multiplication_matrix(Ideal([P("x^2", V2), P("y", V2)]), to_prime_field(P("x", V2), 7))
 

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 
 import polargrad.polar as polar
-from helpers import rabinowitsch_saturate
+from helpers import rabinowitsch_saturate, saturation_local_dim
 from polargrad.groebner import Ideal, saturate_ideal
+from polargrad.hypersurface import mu_summary
 from polargrad.monodromy import CycDivisor, bp_charpoly, charpoly_product
 from polargrad.parser import parse_poly
 from polargrad.polar import (
@@ -27,6 +28,7 @@ from polargrad.polar import (
 from polargrad.poly import (
     Poly,
     Reducedness,
+    dehomogenize,
     gradient,
     squarefree_probe,
     substitute_linear,
@@ -157,13 +159,13 @@ def _monomials(nv, degree):
 
 
 @st.composite
-def form_products(draw, nvs=(2, 3)):
-    """(f, whether f was built with a square factor): a product of one or two
-    linear or quadratic forms in a number of variables drawn from `nvs`, the
-    first factor possibly taken twice."""
+def form_products(draw, nvs=(2, 3), count=(1, 2)):
+    """(f, whether f was built with a square factor): a product of between
+    count[0] and count[1] linear or quadratic forms in a number of variables
+    drawn from `nvs`, the first factor possibly taken twice."""
     nv = draw(st.sampled_from(nvs))
     factors = []
-    for _ in range(draw(st.integers(1, 2))):
+    for _ in range(draw(st.integers(*count))):
         monos = _monomials(nv, draw(st.sampled_from((1, 2))))
         coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos)))
         factors.append(Poly(V3[:nv], zip(monos, coeffs)))
@@ -272,6 +274,49 @@ class TestOnePartialSaturation:
             for trial in r.details["trials"]:
                 assert list(trial) == ["u", "path", "saturation_exponent", "degree"]
                 assert trial["saturation_exponent"] == exponent
+
+
+def _check_milnor_numbers(f):
+    """Every local Milnor number against the double saturation on the point's
+    chart Jacobian, the three methods against each other, and the formula
+    against the sum of the local Milnor numbers when they are all of them."""
+    summary = mu_summary(f, 1)
+    for pt, mu in summary.local_mu.items():
+        chart_h = dehomogenize(f, pt.chart())
+        assert mu == saturation_local_dim(gradient(chart_h), pt.affine_coords()), pt
+    values = {
+        polar_degree_formula(f, 1).value,
+        polar_degree_tame(f, 1).value,
+        polar_degree_fiber_oracle(f, seed=1).value,
+    }
+    assert len(values) == 1
+    if summary.complete:
+        n = len(f.vars) - 1
+        assert values == {(f.degree() - 1) ** n - sum(summary.local_mu.values())}
+
+
+class TestMilnorNumbersFuzz:
+    @given(form_products(nvs=(3,), count=(2, 3)))
+    @settings(max_examples=20, deadline=None)
+    def test_reduced_plane_curves(self, case):
+        f = case[0]
+        assume(f.degree() <= 4)
+        try:
+            require_hypotheses(f)
+        except HypothesisError:
+            assume(False)
+        _check_milnor_numbers(f)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x^2*w + x*z^2 + y^3",  # E6
+            "w*x*z - w*y^2 + z^3",  # A1 + A5
+            "w*x*y + w*x*z + w*y*z + x*y*z",  # Cayley: four A1
+        ],
+    )
+    def test_cubic_surfaces(self, text):
+        _check_milnor_numbers(parse_poly(text, V4))
 
 
 class TestConsolidation:

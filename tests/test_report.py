@@ -150,27 +150,39 @@ class TestTimings:
 
 class TestPipeline:
     def test_local_milnor_numbers_computed_once(self, monkeypatch):
-        # five nodes: one local Milnor number each, not one per frame
+        # five nodes: one kernel call each, not one per frame, plus the split
+        # of each certified frame (the one form h; a point of P^2 takes two)
         calls = []
-        real = hypersurface.local_milnor_number
+        real = hypersurface.local_component_dim
 
-        def counting(h, point, caps):
-            calls.append(tuple(point))
-            return real(h, point, caps)
+        def counting(I, forms):
+            calls.append(len(forms))
+            return real(I, forms)
 
-        monkeypatch.setattr(hypersurface, "local_milnor_number", counting)
+        frames = []
+        real_split = hypersurface.tame_split
+
+        def splitting(model):
+            frames.append(model.seed)
+            return real_split(model)
+
+        monkeypatch.setattr(hypersurface, "local_component_dim", counting)
+        monkeypatch.setattr(hypersurface, "tame_split", splitting)
         entry = BY_NAME["five-node-quartic"]
         report = analyze_polynomial(entry.text, entry.vars).data
         assert report["mu_V"] == 5
-        assert len(calls) == 5
+        assert calls.count(2) == 5
+        assert calls.count(1) == len(frames) == 2
+        assert len(calls) == 5 + len(frames)
 
     def test_milnor_sum_above_mu_on_raises(self, monkeypatch):
-        real = hypersurface.local_milnor_number
+        real = hypersurface.local_component_dim
 
-        def inflated(h, point, caps):
-            return real(h, point, caps) + 1
+        def inflated(I, forms):
+            # the per-point calls only: a point of P^2 is cut out by two forms
+            return real(I, forms) + (len(forms) == 2)
 
-        monkeypatch.setattr(hypersurface, "local_milnor_number", inflated)
+        monkeypatch.setattr(hypersurface, "local_component_dim", inflated)
         # three nodes now sum to 6 against mu_on = 3
         with pytest.raises(hypersurface.InconsistentMu):
             hypersurface.mu_summary(parse_poly("x*y*z", V3), 1)
