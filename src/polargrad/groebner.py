@@ -13,14 +13,21 @@ keyed by (order key of the lcm of the leading terms, pair), pushed once when
 the pair is created, so the pair popped is the least pending pair under the
 normal strategy.  `leading_monomial` remembers its answer on the polynomial
 for the last order asked, so a divisor's lead is found once, not once per
-reduction.
+reduction.  Division runs on packed monomials (`_Packing`; compare Monagan &
+Pearce, "Sparse polynomial division using a heap", JSC 2011): one int per
+exponent vector, whose fields, guard bits, degree and linear order key make
+a product one addition, a divisibility test one subtraction and one mask,
+and the term order integer comparison.  The dividend is packed on entry and
+the remainder unpacked on exit; each divisor's packed lead and tail are
+remembered on it like its lead.  `Poly` keeps tuple monomials everywhere
+else, and only `poly_divmod` collects quotients.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from operator import itemgetter
+from heapq import heapify, heappop, heappush
+from operator import itemgetter, mul
 from typing import Callable
 
 from .poly import (
@@ -149,6 +156,171 @@ def leading_monomial(p: Poly, order: TermOrder) -> Mono:
     return lt
 
 
+# --------------------------------------------------------- packed monomials
+
+
+def _order_weights(order: TermOrder, n: int, W: int) -> list[int]:
+    """Integer weights w such that sum(w_i * m_i) sorts monomials of total
+    degree below W like `order.key`.  In a grevlex block of k variables, the
+    variable at position pos (most significant first) weighs W^k - W^pos:
+    the degree times W^k, less the exponents read as the base-W digits of a
+    number whose top digit is the least significant variable.  Lex weighs
+    position pos W^(n-1-pos), and a block order puts the first block's
+    grevlex weights above the second's, times W^(size of the second + 2)."""
+    sig = order.perm if order.perm is not None else tuple(range(n))
+
+    def grevlex(block) -> list[int]:
+        return [W ** len(block) - W**pos for pos in range(len(block))]
+
+    if order.kind == "grevlex":
+        by_position = grevlex(sig)
+    elif order.kind == "lex":
+        by_position = [W ** (n - 1 - pos) for pos in range(n)]
+    else:
+        k = order.block_size or 0
+        scale = W ** (n - k + 2)
+        by_position = [w * scale for w in grevlex(sig[:k])] + grevlex(sig[k:])
+    weights = [0] * n
+    for v, w in zip(sig, by_position):
+        weights[v] = w
+    return weights
+
+
+class _Packing:
+    """One int per monomial of n variables, for one term order and a field
+    width of `bits` bits.  From the bottom up: a field per variable, each
+    with a guard bit above it, then the total degree, then the order key
+    sum(w_i * m_i) of `_order_weights`.  Every part is linear in the
+    exponents, so the int of a product is the sum of the ints, and monomials
+    compare as their ints.  a | b exactly when (b - a) leaves every guard bit
+    clear: a borrow sets the guard bit of the lowest field where a is larger.
+
+    Valid while every total degree stays below 2^bits; `_reduce` picks the
+    width so that it does."""
+
+    __slots__ = ("order", "bits", "shifts", "top", "fmask", "guard", "coefs")
+
+    def __init__(self, order: TermOrder, n: int, bits: int):
+        stride = bits + 1
+        self.order, self.bits = order, bits
+        self.shifts = range(0, n * stride, stride)
+        self.top = n * stride  # the degree field
+        self.fmask = (1 << bits) - 1
+        self.guard = sum(1 << (s + bits) for s in self.shifts)
+        low = (n + 1) * stride  # the order key sits above the fields
+        self.coefs = [
+            (w << low) + (1 << s) + (1 << self.top)
+            for w, s in zip(_order_weights(order, n, 1 << bits), self.shifts)
+        ]
+
+    def pack(self, m: Mono) -> int:
+        return sum(map(mul, m, self.coefs))
+
+    def unpack(self, e: int) -> Mono:
+        fmask = self.fmask
+        return tuple([(e >> s) & fmask for s in self.shifts])
+
+    def degree(self, e: int) -> int:
+        return (e >> self.top) & self.fmask
+
+    def fits(self, order: TermOrder, bits: int) -> bool:
+        return self.bits == bits and (self.order is order or self.order == order)
+
+
+def _packed_divisor(g: Poly, packing: _Packing):
+    """(degree, packed lead, inverse of the leading coefficient, degree of
+    the tail, packed tail as (monomial, coefficient) pairs) of a nonzero g,
+    remembered on g with the packing of the last order and width asked for."""
+    cached = g._packed
+    if cached is not None and (cached[0] is packing or cached[0].fits(packing.order, packing.bits)):
+        return cached[1]
+    terms = sorted(((packing.pack(m), c) for m, c in g.terms.items()), reverse=True)
+    (lead, lc), tail = terms[0], terms[1:]
+    tail_deg = max((packing.degree(t) for t, _ in tail), default=0)
+    entry = (max(packing.degree(lead), tail_deg), lead, g.domain.inv(lc), tail_deg, tail)
+    object.__setattr__(g, "_packed", (packing, entry))
+    return entry
+
+
+def _degree(g: Poly) -> int:
+    cached = g._packed
+    return cached[1][0] if cached is not None else max(map(sum, g.terms))
+
+
+def _reduce(p: Poly, divisors, order: TermOrder, caps: Caps, quotients: bool = False):
+    """(remainder of p under full reduction by the divisors, the quotients'
+    term dicts, one per divisor, when `quotients` is set, else None), on
+    packed monomials.
+
+    The field width covers the degree cap, deg p and every divisor's
+    degree.  Each reduction step checks the cap on the degree of the shift
+    plus that of the divisor's tail before it forms any product, so every
+    term that enters the work set has degree at most max(deg p, cap) and
+    fits."""
+    nonzero = [(i, g) for i, g in enumerate(divisors) if g.terms]
+    need = max([caps.max_degree, max(map(sum, p.terms), default=0)]
+               + [_degree(g) for _, g in nonzero])
+    bits = need.bit_length()
+    # the divisors of one Buchberger run share one packing
+    cached = nonzero[0][1]._packed if nonzero else None
+    if cached is not None and cached[0].fits(order, bits):
+        packing = cached[0]
+    else:
+        packing = _Packing(order, len(p.vars), bits)
+    by_lead: dict[int, tuple] = {}
+    for i, g in nonzero:
+        _, lead, inv_lc, tail_deg, tail = _packed_divisor(g, packing)
+        by_lead.setdefault(lead, (i, inv_lc, tail_deg, tail))
+    leads = list(by_lead)
+    guard, top, fmask, max_degree = packing.guard, packing.top, packing.fmask, caps.max_degree
+    modulus = p.domain.p
+    work = {packing.pack(m): c for m, c in p.terms.items()}
+    heap = [-e for e in work]
+    heapify(heap)
+    remainder: dict[int, object] = {}
+    found = [{} for _ in divisors] if quotients else None
+    while heap:
+        e = -heappop(heap)
+        c = work.pop(e, None)
+        if c is None:
+            continue
+        for lead in leads:
+            if not (e - lead) & guard:
+                break
+        else:
+            remainder[e] = c
+            continue
+        i, inv_lc, tail_deg, tail = by_lead[lead]
+        shift = e - lead
+        if tail and ((shift >> top) & fmask) + tail_deg > max_degree:
+            raise ResourceLimit(f"degree cap {caps.max_degree} exceeded during reduction")
+        factor = c * inv_lc
+        if modulus:
+            factor %= modulus
+        if found is not None:
+            found[i][shift] = factor
+        factor = -factor
+        for t, tc in tail:
+            t += shift
+            old = work.get(t)
+            if old is None:
+                d = factor * tc
+                heappush(heap, -t)
+            else:
+                d = old + factor * tc
+            if modulus:
+                d %= modulus
+            if d:
+                work[t] = d
+            else:
+                del work[t]
+    unpack = packing.unpack
+    rem = Poly.from_clean(p.vars, {unpack(e): c for e, c in remainder.items()}, p.domain)
+    if found is None:
+        return rem, None
+    return rem, [{unpack(s): c for s, c in f.items()} for f in found]
+
+
 # ----------------------------------------------------------------- division
 
 
@@ -156,63 +328,8 @@ def poly_divmod(p: Poly, divisors: list[Poly], order: TermOrder, caps: Caps = DE
     """Multivariate division: returns (quotients, remainder) with
     p = sum(q_i * divisors_i) + remainder and no remainder term divisible by
     any leading term of the divisors."""
-    dom = p.domain
-    zero = dom.zero()
-    lead = []
-    for g in divisors:
-        if g.is_zero():
-            lead.append(None)
-            continue
-        lt = leading_monomial(g, order)
-        lead.append((lt, g.terms[lt], g.terms))
-    neg_key = order.neg_key
-    work = dict(p.terms)
-    heap = [(neg_key(m), m) for m in work]
-    heapq.heapify(heap)
-    remainder: dict[Mono, object] = {}
-    quotients: list[dict[Mono, object]] = [{} for _ in divisors]
-    while heap:
-        _, m = heapq.heappop(heap)
-        c = work.get(m)
-        if c is None:
-            continue
-        for gi, entry in enumerate(lead):
-            if entry is None:
-                continue
-            ltm, lc, gterms = entry
-            if mono_divides(ltm, m):
-                shift = mono_div(m, ltm)
-                factor = dom.div(c, lc)
-                q = quotients[gi]
-                q[shift] = dom.add(q.get(shift, zero), factor)
-                del work[m]
-                for gm, gc in gterms.items():
-                    if gm == ltm:
-                        continue
-                    nm = mono_mul(gm, shift)
-                    if mono_degree(nm) > caps.max_degree:
-                        raise ResourceLimit(
-                            f"degree cap {caps.max_degree} exceeded during reduction"
-                        )
-                    d = dom.sub(work.get(nm, zero), dom.mul(factor, gc))
-                    if d == zero:
-                        work.pop(nm, None)
-                    else:
-                        if nm not in work:
-                            heapq.heappush(heap, (neg_key(nm), nm))
-                        work[nm] = d
-                break
-        else:
-            remainder[m] = c
-            del work[m]
-    rem = Poly.zero(p.vars, dom)
-    object.__setattr__(rem, "terms", remainder)
-    qpolys = []
-    for q in quotients:
-        qp = Poly.zero(p.vars, dom)
-        object.__setattr__(qp, "terms", q)
-        qpolys.append(qp)
-    return qpolys, rem
+    rem, quotients = _reduce(p, divisors, order, caps, quotients=True)
+    return [Poly.from_clean(p.vars, q, p.domain) for q in quotients], rem
 
 
 def normal_form(p: Poly, basis, order: TermOrder, caps: Caps = DEFAULT_CAPS) -> Poly:
@@ -220,18 +337,17 @@ def normal_form(p: Poly, basis, order: TermOrder, caps: Caps = DEFAULT_CAPS) -> 
     basis = list(basis)
     if p.is_zero() or not basis:
         return p
-    _, rem = poly_divmod(p, basis, order, caps)
-    return rem
+    return _reduce(p, basis, order, caps)[0]
 
 
 def exact_div(p: Poly, g: Poly, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_CAPS) -> Poly:
     """p / g for exact divisibility; raises GroebnerError otherwise."""
     if p.is_zero():
         return p
-    qs, rem = poly_divmod(p, [g], order, caps)
+    (q,), rem = poly_divmod(p, [g], order, caps)
     if not rem.is_zero():
         raise GroebnerError("exact division has a nonzero remainder")
-    return qs[0]
+    return q
 
 
 # --------------------------------------------------------------- buchberger
@@ -250,8 +366,8 @@ def s_polynomial(f: Poly, g: Poly, order: TermOrder) -> Poly:
     ltg = leading_monomial(g, order)
     lcm = mono_lcm(ltf, ltg)
     dom = f.domain
-    mf = Poly(f.vars, {mono_div(lcm, ltf): dom.inv(f.terms[ltf])}, dom)
-    mg = Poly(f.vars, {mono_div(lcm, ltg): dom.inv(g.terms[ltg])}, dom)
+    mf = Poly.from_clean(f.vars, {mono_div(lcm, ltf): dom.inv(f.terms[ltf])}, dom)
+    mg = Poly.from_clean(f.vars, {mono_div(lcm, ltg): dom.inv(g.terms[ltg])}, dom)
     return mf * f - mg * g
 
 
@@ -278,7 +394,7 @@ def buchberger(gens, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_CAPS) -> l
         lt = leading_monomial(h, order)
         for i in range(idx):
             pending.add((i, idx))
-            heapq.heappush(queue, (order.key(mono_lcm(lts[i], lt)), (i, idx)))
+            heappush(queue, (order.key(mono_lcm(lts[i], lt)), (i, idx)))
         G.append(h)
         lts.append(lt)
 
@@ -290,7 +406,7 @@ def buchberger(gens, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_CAPS) -> l
         add(g)
 
     while queue:
-        _, (i, j) = heapq.heappop(queue)
+        _, (i, j) = heappop(queue)
         pending.discard((i, j))
         lcm = mono_lcm(lts[i], lts[j])
         if lcm == mono_mul(lts[i], lts[j]):

@@ -140,10 +140,11 @@ class Poly:
     """Immutable sparse polynomial: variable list, term map, domain tag.
 
     `_lead` holds (term order, leading monomial) for the last order the
-    leading monomial was asked for (see `groebner.leading_monomial`); it
-    takes no part in equality or hashing."""
+    leading monomial was asked for (see `groebner.leading_monomial`), and
+    `_packed` the packed form of the polynomial as a divisor (see
+    `groebner._packed_divisor`); neither takes part in equality or hashing."""
 
-    __slots__ = ("vars", "terms", "domain", "_lead")
+    __slots__ = ("vars", "terms", "domain", "_lead", "_packed")
 
     def __init__(
         self,
@@ -151,16 +152,14 @@ class Poly:
         terms: Mapping[Mono, object] | Iterable[tuple[Mono, object]] = (),
         domain: Domain = QQ,
     ):
-        object.__setattr__(self, "vars", tuple(vars))
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "_lead", None)
         clean: dict[Mono, object] = {}
+        vars = tuple(vars)
         items = terms.items() if isinstance(terms, Mapping) else terms
-        n = len(self.vars)
+        n = len(vars)
         for mono, coeff in items:
             mono = tuple(mono)
             if len(mono) != n:
-                raise PolyError(f"monomial {mono} has wrong length for {self.vars}")
+                raise PolyError(f"monomial {mono} has wrong length for {vars}")
             if any(e < 0 for e in mono):
                 raise PolyError(f"negative exponent in {mono}")
             c = domain.coerce(coeff)
@@ -170,7 +169,14 @@ class Poly:
                 clean.pop(mono, None)
             else:
                 clean[mono] = c
-        object.__setattr__(self, "terms", clean)
+        self._set(vars, clean, domain)
+
+    def _set(self, vars: tuple[str, ...], terms: dict[Mono, object], domain: Domain) -> None:
+        object.__setattr__(self, "vars", vars)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "_lead", None)
+        object.__setattr__(self, "_packed", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -178,8 +184,16 @@ class Poly:
     # ---------------------------------------------------------------- basics
 
     @classmethod
+    def from_clean(cls, vars: tuple[str, ...], terms: dict[Mono, object], domain: Domain) -> "Poly":
+        """`terms` taken as they are, unchecked: tuple monomials of the right
+        length and nonzero coefficients already in `domain`."""
+        p = object.__new__(cls)
+        p._set(vars, terms, domain)
+        return p
+
+    @classmethod
     def zero(cls, vars: Sequence[str], domain: Domain = QQ) -> "Poly":
-        return cls(vars, {}, domain)
+        return cls.from_clean(tuple(vars), {}, domain)
 
     @classmethod
     def constant(cls, vars: Sequence[str], c, domain: Domain = QQ) -> "Poly":
@@ -218,15 +232,11 @@ class Poly:
                 out.pop(m, None)
             else:
                 out[m] = s
-        p = Poly.zero(self.vars, dom)
-        object.__setattr__(p, "terms", out)
-        return p
+        return Poly.from_clean(self.vars, out, dom)
 
     def __neg__(self) -> "Poly":
         dom = self.domain
-        p = Poly.zero(self.vars, dom)
-        object.__setattr__(p, "terms", {m: dom.neg(c) for m, c in self.terms.items()})
-        return p
+        return Poly.from_clean(self.vars, {m: dom.neg(c) for m, c in self.terms.items()}, dom)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -244,18 +254,14 @@ class Poly:
                     out.pop(m, None)
                 else:
                     out[m] = s
-        p = Poly.zero(self.vars, dom)
-        object.__setattr__(p, "terms", out)
-        return p
+        return Poly.from_clean(self.vars, out, dom)
 
     def scale(self, c) -> "Poly":
         dom = self.domain
         c = dom.coerce(c)
         if c == dom.zero():
             return Poly.zero(self.vars, dom)
-        p = Poly.zero(self.vars, dom)
-        object.__setattr__(p, "terms", {m: dom.mul(v, c) for m, v in self.terms.items()})
-        return p
+        return Poly.from_clean(self.vars, {m: dom.mul(v, c) for m, v in self.terms.items()}, dom)
 
     def __rmul__(self, c) -> "Poly":
         if isinstance(c, (int, Fraction)):
@@ -308,9 +314,7 @@ class Poly:
                 out.pop(dm, None)
             else:
                 out[dm] = s
-        p = Poly.zero(self.vars, dom)
-        object.__setattr__(p, "terms", out)
-        return p
+        return Poly.from_clean(self.vars, out, dom)
 
     def evaluate(self, point: Sequence) -> object:
         """Evaluate at a point (coefficients coerced into the domain)."""

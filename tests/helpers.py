@@ -4,30 +4,37 @@ The oracles here deliberately avoid the code paths they check: quotient
 dimensions are recomputed from a Macaulay matrix rank, saturations from the
 extra-variable construction, local lengths by double saturation instead of
 multiplication matrices, eigenvalue multiplicities by enumerating
-root-of-unity products, and the completeness of the rational singular points
-from Tjurina numbers instead of Milnor numbers.
+root-of-unity products, the completeness of the rational singular points
+from Tjurina numbers instead of Milnor numbers, and multivariate division on
+tuple monomials instead of packed ints.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from itertools import product as iproduct
 
 import hypothesis.strategies as st
 
 from polargrad.groebner import (
+    DEFAULT_CAPS,
     GREVLEX,
+    Caps,
     Ideal,
     NotZeroDimensional,
+    ResourceLimit,
+    TermOrder,
     buchberger,
     elimination_order,
+    leading_monomial,
     projective_dim,
     quotient_vs_dim,
     saturate_ideal,
     zero_dim_degree_projective,
 )
 from polargrad.hypersurface import jacobian_ideal, rational_singular_points
-from polargrad.poly import Poly, dehomogenize, mono_mul
+from polargrad.poly import Mono, Poly, dehomogenize, mono_degree, mono_div, mono_divides, mono_mul
 from polargrad.rng import SplitMix64
 
 VAR_POOL = ("w", "x", "y", "z", "u", "v")
@@ -217,6 +224,75 @@ def rabinowitsch_saturate(I: Ideal, g: Poly) -> Ideal:
         if all(m[0] == 0 for m in p.terms)
     ]
     return Ideal(kept, I.order, vars=I.vars, domain=I.domain)
+
+
+# ------------------------------------------------ tuple-monomial division
+
+
+def reference_divmod(p: Poly, divisors: list[Poly], order: TermOrder, caps: Caps = DEFAULT_CAPS):
+    """The multivariate division of `groebner.poly_divmod` on tuple
+    monomials, as it was before monomials were packed into ints: a linear
+    scan of the divisors' leading monomials with `mono_divides` for each
+    term, and a heap keyed by `order.neg_key`.  Returns (quotients,
+    remainder) with p = sum(q_i * divisors_i) + remainder and no remainder
+    term divisible by any leading term of the divisors."""
+    dom = p.domain
+    zero = dom.zero()
+    lead = []
+    for g in divisors:
+        if g.is_zero():
+            lead.append(None)
+            continue
+        lt = leading_monomial(g, order)
+        lead.append((lt, g.terms[lt], g.terms))
+    neg_key = order.neg_key
+    work = dict(p.terms)
+    heap = [(neg_key(m), m) for m in work]
+    heapq.heapify(heap)
+    remainder: dict[Mono, object] = {}
+    quotients: list[dict[Mono, object]] = [{} for _ in divisors]
+    while heap:
+        _, m = heapq.heappop(heap)
+        c = work.get(m)
+        if c is None:
+            continue
+        for gi, entry in enumerate(lead):
+            if entry is None:
+                continue
+            ltm, lc, gterms = entry
+            if mono_divides(ltm, m):
+                shift = mono_div(m, ltm)
+                factor = dom.div(c, lc)
+                q = quotients[gi]
+                q[shift] = dom.add(q.get(shift, zero), factor)
+                del work[m]
+                for gm, gc in gterms.items():
+                    if gm == ltm:
+                        continue
+                    nm = mono_mul(gm, shift)
+                    if mono_degree(nm) > caps.max_degree:
+                        raise ResourceLimit(
+                            f"degree cap {caps.max_degree} exceeded during reduction"
+                        )
+                    d = dom.sub(work.get(nm, zero), dom.mul(factor, gc))
+                    if d == zero:
+                        work.pop(nm, None)
+                    else:
+                        if nm not in work:
+                            heapq.heappush(heap, (neg_key(nm), nm))
+                        work[nm] = d
+                break
+        else:
+            remainder[m] = c
+            del work[m]
+    rem = Poly.zero(p.vars, dom)
+    object.__setattr__(rem, "terms", remainder)
+    qpolys = []
+    for q in quotients:
+        qp = Poly.zero(p.vars, dom)
+        object.__setattr__(qp, "terms", q)
+        qpolys.append(qp)
+    return qpolys, rem
 
 
 # ---------------------------------------------------- double-saturation oracle

@@ -43,17 +43,19 @@ from polargrad.groebner import (
     zero_dim_degree_projective,
 )
 from polargrad.parser import parse_poly
-from polargrad.poly import DomainMismatch, Poly, to_prime_field
+from polargrad.poly import DomainMismatch, Poly, mono_divides, mono_mul, to_prime_field
 
 from helpers import (
     macaulay_quotient_dim,
     polys,
     rabinowitsch_saturate,
     random_zero_dim_ideal,
+    reference_divmod,
 )
 
 V2 = ("x", "y")
 V3 = ("x", "y", "z")
+V4 = ("w", "x", "y", "z")
 
 
 def P(text, vars=V3):
@@ -76,11 +78,11 @@ def _reference_key(order, m):
 
 
 @st.composite
-def orders_and_monomials(draw):
-    n = draw(st.integers(1, 5))
+def term_orders(draw, n):
+    """Every kind of term order on n variables, with and without a perm."""
     perm = tuple(draw(st.permutations(range(n))))
     split = draw(st.integers(0, n))
-    order = draw(
+    return draw(
         st.sampled_from(
             [
                 GREVLEX,
@@ -92,8 +94,14 @@ def orders_and_monomials(draw):
             ]
         )
     )
+
+
+@st.composite
+def orders_and_monomials(draw, max_exp=4):
+    n = draw(st.integers(1, 5))
+    order = draw(term_orders(n))
     monos = draw(
-        st.lists(st.tuples(*[st.integers(0, 4)] * n), min_size=1, max_size=12, unique=True)
+        st.lists(st.tuples(*[st.integers(0, max_exp)] * n), min_size=1, max_size=12, unique=True)
     )
     return order, monos
 
@@ -117,6 +125,124 @@ class TestTermOrder:
         assert hash(order) == hash(TermOrder("block", perm=(2, 0, 1), block_size=1))
         assert pickle.loads(pickle.dumps(order)) == order
         assert order != elimination_order((0,), (1, 2))
+
+
+class TestPackedMonomials:
+    """`groebner._Packing` against the tuple definitions, up to the largest
+    degree a width holds: the packed ints sort like `_reference_key`, the
+    guard test agrees with `mono_divides`, a product packs to the sum of the
+    ints, and unpacking gives the monomial back."""
+
+    @given(orders_and_monomials(max_exp=40), st.integers(0, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_packing_against_the_tuple_definitions(self, case, spare):
+        order, monos = case
+        n = len(monos[0])
+        # the narrowest width that holds every drawn degree, or a little more,
+        # and each variable's pure power of the largest degree it holds
+        bits = max(sum(m) for m in monos).bit_length() + spare
+        top = (1 << bits) - 1
+        monos = list(dict.fromkeys(monos + [tuple(top * (j == i) for j in range(n)) for i in range(n)]))
+        packing = groebner._Packing(order, n, bits)
+        packed = {m: packing.pack(m) for m in monos}
+        assert sorted(monos, key=packed.get) == sorted(monos, key=lambda m: _reference_key(order, m))
+        for a in monos:
+            assert packing.unpack(packed[a]) == a
+            assert packing.degree(packed[a]) == sum(a)
+            for b in monos:
+                assert (not (packed[b] - packed[a]) & packing.guard) == mono_divides(a, b)
+                ab = mono_mul(a, b)
+                if sum(ab) <= top:
+                    assert packing.pack(ab) == packed[a] + packed[b]
+                    assert not (packed[a] + packed[b] - packed[a]) & packing.guard
+
+
+@st.composite
+def division_cases(draw):
+    """An order, divisors (some may be zero) and a dividend that is a sum of
+    multiples of them plus a remainder, in at most four variables."""
+    n = draw(st.integers(1, 4))
+    order = draw(term_orders(n))
+
+    def poly(max_terms):
+        monos = st.tuples(*[st.integers(0, 4)] * n)
+        coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+        return Poly(V4[:n], draw(st.lists(st.tuples(monos, coeffs), max_size=max_terms)))
+
+    divisors = [poly(4) for _ in range(draw(st.integers(1, 4)))]
+    p = poly(4)
+    for g in divisors:
+        p = p + poly(3) * g
+    return order, p, divisors
+
+
+def _outcome(divide, p, divisors, order, caps=groebner.DEFAULT_CAPS):
+    """(quotients, remainder) as lists of terms in their dict order, or
+    "ResourceLimit"."""
+    try:
+        qs, r = divide(p, divisors, order, caps)
+    except ResourceLimit:
+        return "ResourceLimit"
+    return [list(q.terms.items()) for q in qs], list(r.terms.items())
+
+
+class TestPackedDivision:
+    """`poly_divmod` on packed monomials against the tuple-monomial division it
+    replaced (`helpers.reference_divmod`): the same quotients and remainder,
+    term for term in the same dict order, so everything built on them is
+    byte-identical."""
+
+    @pytest.mark.parametrize("prime", [None, 32003])
+    @given(division_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_divmod_matches_the_tuple_reference(self, prime, case):
+        order, p, divisors = case
+        if prime is not None:
+            p, divisors = to_prime_field(p, prime), [to_prime_field(g, prime) for g in divisors]
+        expected = _outcome(reference_divmod, p, divisors, order)
+        assert _outcome(poly_divmod, p, divisors, order) == expected
+        assert list(normal_form(p, divisors, order).terms.items()) == expected[1]
+
+    @pytest.mark.parametrize("caps", [Caps(max_degree=4), Caps(max_degree=10_000)], ids=["cap4", "cap10000"])
+    @pytest.mark.parametrize(
+        "order", [GREVLEX, LEX, TermOrder("lex", perm=(1, 0)), elimination_order((1,), (0,))],
+        ids=["grevlex", "lex", "lex-yx", "block-y"],
+    )
+    def test_inputs_far_above_the_cap(self, caps, order):
+        # divisors and dividends of degree up to 84 against a cap of 4, and a
+        # cap of 10000 that sets the field width instead of the inputs
+        cases = [
+            ("x^45 + x*y^3", ["x^40 - y"]),
+            ("x^83*y + y^2", ["x^40 - y", "y^3 - x"]),
+            ("x^3*y^2 + 1", ["x^40 - y", "x*y - 1"]),
+            ("x^2*y^2 - x", ["x*y - 1", "x^40 - y"]),
+        ]
+        for p, divisors in cases:
+            p, divisors = P(p, V2), [P(g, V2) for g in divisors]
+            expected = _outcome(reference_divmod, p, divisors, order, caps)
+            assert _outcome(poly_divmod, p, divisors, order, caps) == expected
+
+    @pytest.mark.parametrize("caps", [Caps(max_degree=4), Caps(max_degree=10_000)], ids=["cap4", "cap10000"])
+    @pytest.mark.parametrize("order", [GREVLEX, LEX, elimination_order((1,), (0, 2))], ids=["grevlex", "lex", "block-y"])
+    def test_buchberger_with_a_generator_above_the_cap(self, monkeypatch, caps, order):
+        # buchberger takes generators above the cap; its basis, or the cap it
+        # trips, is the same on the tuple-monomial division
+        gens = [P("x^40 - y"), P("x*y - z"), P("y*z^2 - 1")]
+
+        def run():
+            try:
+                return buchberger(gens, order, caps)
+            except ResourceLimit:
+                return "ResourceLimit"
+
+        packed = run()
+
+        def reference_normal_form(p, basis, order, caps=groebner.DEFAULT_CAPS):
+            basis = list(basis)
+            return p if p.is_zero() or not basis else reference_divmod(p, basis, order, caps)[1]
+
+        monkeypatch.setattr(groebner, "normal_form", reference_normal_form)
+        assert run() == packed
 
 
 class TestLeadingMonomial:
