@@ -3,15 +3,18 @@
 * `polar_degree_formula`: (d-1)^n minus the total Milnor number of V(f).
 * `polar_degree_tame`: the critical multiplicity of a certified affine model
   supported off the zero fiber.
-* `polar_degree_fiber_oracle`: projective degree of the generic-fiber ideal
-  built from the 2x2 minors of (grad f | u), saturated by one partial f_j
-  with u_j != 0 to remove the base locus grad f = 0.  This route needs no
+* `polar_degree_fiber_oracle`: the quotient dimension of the affine cone
+  ideal (f_i - u_i) over a random target u, divided by d - 1: each point of
+  the fiber over [u] has d - 1 affine lifts solving grad f = u, and the base
+  locus grad f = 0 has none, so nothing is saturated.  This route needs no
   reducedness or isolatedness hypotheses and is the general fallback; the
   other two need both, which `require_hypotheses` alone decides, exactly.
+  It shares no kernel with them: neither a frame nor `local_component_dim`.
 
 The oracle can run its Groebner steps modulo two fixed large primes; a value
-is only reported from the modular path when both primes agree, and any
-conjecture-counterexample claim is re-verified over the rationals.
+is only reported from the modular path when both primes agree and d - 1
+divides both counts, and any conjecture-counterexample claim is re-verified
+over the rationals.
 """
 
 from __future__ import annotations
@@ -23,11 +26,11 @@ from .groebner import (
     DEFAULT_CAPS,
     Caps,
     Ideal,
+    NotZeroDimensional,
     # unused; perfbench's test_install_rebinds_every_namespace_and_restores rebinds it
     intersect,
     projective_dim,
-    saturate,
-    zero_dim_degree_projective,
+    quotient_vs_dim,
 )
 from .hypersurface import frame_split, jacobian_ideal, mu_summary
 from .monodromy import (
@@ -141,82 +144,48 @@ def polar_degree_tame(f: Poly, seed: int = 1, caps: Caps = DEFAULT_CAPS) -> Pola
 # ---------------------------------------------------------------- the oracle
 
 
-def _minor_gens(grads: list[Poly], u: tuple[int, ...]) -> list[Poly]:
-    gens = []
-    nv = len(grads)
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            g = grads[i].scale(u[j]) - grads[j].scale(u[i])
-            if not g.is_zero():
-                gens.append(g)
-    return gens
+def _fiber_degree(grads: list[Poly], d: int, u: tuple[int, ...], caps: Caps = DEFAULT_CAPS) -> int:
+    """Fiber count over [u] in the coefficient domain of `grads`, from one
+    zero-dimensional basis and no saturation.
+
+    A fiber point is [x] with grad f(x) = c*u, c != 0; since grad f has
+    degree d - 1, exactly d - 1 rescalings of x solve grad f(x) = u (etale,
+    as the characteristic does not divide d - 1), and points of the base
+    locus grad f = 0 never do.  So the affine cone ideal (f_i - u_i) has
+    quotient dimension d - 1 times the count, with multiplicity; a unit
+    ideal is an empty fiber.  Raises PositiveDimensionalFiber for a
+    degenerate target and OracleInconsistent when d - 1 does not divide the
+    quotient dimension."""
+    if d == 1:  # grad f is constant: the generic fiber is empty
+        return 0
+    cone = Ideal([g - Poly.constant(g.vars, c, g.domain) for g, c in zip(grads, u)], caps=caps)
+    try:
+        count = quotient_vs_dim(cone)
+    except NotZeroDimensional as exc:
+        raise PositiveDimensionalFiber(f"fiber over {list(u)} is not finite") from exc
+    degree, rest = divmod(count, d - 1)
+    if rest:
+        raise OracleInconsistent(f"{count} cone solutions is not a multiple of d - 1 = {d - 1}")
+    return degree
 
 
-class _OracleContext:
-    """Per-domain gradient data shared across trials: the partials, the caps
-    of every fiber ideal and whether the base locus grad f = 0 is empty.
-    With an empty base locus the saturation is skipped: removing the
-    irrelevant component never changes the projective dimension or degree of
-    the fiber scheme."""
+def _oracle_value(grads_by_domain: dict, d: int, u: tuple[int, ...], modp: str, caps: Caps):
+    def partials(p: int) -> list[Poly]:
+        if p not in grads_by_domain:
+            grads_by_domain[p] = [to_prime_field(g, p) for g in grads_by_domain["qq"]]
+        return grads_by_domain[p]
 
-    def __init__(self, grads: list[Poly], caps: Caps = DEFAULT_CAPS):
-        self.grads = grads
-        self.caps = caps
-        self.base_locus_empty = projective_dim(Ideal(grads, caps=caps)) == -1
-
-
-def _fiber_degree(ctx: _OracleContext, u: tuple[int, ...]):
-    """Fiber count and saturation exponent over one coefficient domain.
-
-    One saturation by a partial f_j with f_j != 0 and u_j != 0 in this domain
-    gives I : (grad f)^inf with no hypothesis on f: off the base locus,
-    grad f = c*u with c != 0, so f_j does not vanish there, and the base
-    locus lies in V(f_j).  Returns (count, exponent); the count is 0 for an
-    empty fiber and the exponent None when nothing was saturated.  Raises
-    PositiveDimensionalFiber for a degenerate target."""
-    gens = _minor_gens(ctx.grads, u)
-    if not gens:
-        raise PositiveDimensionalFiber("target is proportional to the gradient")
-    fiber = Ideal(gens, caps=ctx.caps)
-    exponent = None
-    if not ctx.base_locus_empty:
-        # u_j * f_j is zero exactly when f_j = 0 or u_j = 0 in this domain
-        j = next((j for j, g in enumerate(ctx.grads) if not g.scale(u[j]).is_zero()), None)
-        if j is None:  # the minors contain u_k * f_i for all i: I holds grad f
-            return 0, None
-        fiber, exponent = saturate(fiber, ctx.grads[j])
-    if fiber.is_unit():
-        return 0, exponent
-    pd = projective_dim(fiber)
-    if pd == -1:
-        return 0, exponent
-    if pd != 0:
-        raise PositiveDimensionalFiber(f"saturated fiber has dimension {pd}")
-    return zero_dim_degree_projective(fiber), exponent
-
-
-def _oracle_value(contexts: dict, grads: list[Poly], u: tuple[int, ...], modp: str, caps: Caps):
-    def context(key) -> _OracleContext:
-        if key not in contexts:
-            if key == "qq":
-                contexts[key] = _OracleContext(grads, caps)
-            else:
-                contexts[key] = _OracleContext([to_prime_field(g, key) for g in grads], caps)
-        return contexts[key]
-
-    path, result = "rational", None
+    path = "rational"
     if modp == "dual":
         path = "rational (prime fallback)"
         try:
-            results = [_fiber_degree(context(p), u) for p in ORACLE_PRIMES]
-            if results[0][0] == results[1][0]:
-                path, result = "dual-prime", results[0]
-        except DomainMismatch:
+            first, second = (_fiber_degree(partials(p), d, u, caps) for p in ORACLE_PRIMES)
+            if first == second:
+                return first, {"u": list(u), "path": "dual-prime", "degree": first}
+        except (DomainMismatch, OracleInconsistent):
             pass
-    if result is None:
-        result = _fiber_degree(context("qq"), u)
-    value, exponent = result
-    return value, {"u": list(u), "path": path, "saturation_exponent": exponent, "degree": value}
+    value = _fiber_degree(grads_by_domain["qq"], d, u, caps)
+    return value, {"u": list(u), "path": path, "degree": value}
 
 
 def check_oracle_options(trials: int, modp: str) -> None:
@@ -231,15 +200,16 @@ def polar_degree_fiber_oracle(
     f: Poly, trials: int = 3, seed: int = 1, modp: str = "dual", caps: Caps = DEFAULT_CAPS
 ) -> PolarDegreeResult:
     """Count the points of the fiber of the gradient map over random rational
-    targets.  Trials must agree; on a mismatch more targets are drawn and the
-    smallest value confirmed by three trials is reported, with the
-    discrepancy logged in the details."""
+    targets u, each as the quotient dimension of the cone ideal (f_i - u_i)
+    over d - 1 (see `_fiber_degree`).  A target with a positive-dimensional
+    fiber is redrawn once.  Trials must agree; on a mismatch more targets are
+    drawn and the smallest value confirmed by three trials is reported, with
+    the discrepancy logged in the details."""
     d = homogeneous_degree(f)
     if d < 1:
         raise HypothesisError("the gradient map needs a non-constant polynomial")
     check_oracle_options(trials, modp)
-    grads = gradient(f)
-    contexts: dict = {}
+    grads_by_domain: dict = {"qq": gradient(f)}
     rng = SplitMix64(seed * 6364136223846793005 + 0xDA3E39CB94B95BDB)
     nv = len(f.vars)
     values: list[int] = []
@@ -262,7 +232,7 @@ def polar_degree_fiber_oracle(
             u = rng.nonzero_vector(nv, -100, 100)
             drawn += 1
             try:
-                result = _oracle_value(contexts, grads, u, modp, caps)
+                result = _oracle_value(grads_by_domain, d, u, modp, caps)
                 break
             except PositiveDimensionalFiber:
                 continue

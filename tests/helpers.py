@@ -3,10 +3,11 @@
 The oracles here deliberately avoid the code paths they check: quotient
 dimensions are recomputed from a Macaulay matrix rank, saturations from the
 extra-variable construction, local lengths by double saturation instead of
-multiplication matrices, eigenvalue multiplicities by enumerating
-root-of-unity products, the completeness of the rational singular points
-from Tjurina numbers instead of Milnor numbers, and multivariate division on
-tuple monomials instead of packed ints.
+multiplication matrices, fiber counts of the gradient map from the
+saturated projective fiber instead of the affine cone, eigenvalue
+multiplicities by enumerating root-of-unity products, the completeness of
+the rational singular points from Tjurina numbers instead of Milnor numbers,
+and multivariate division on tuple monomials instead of packed ints.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from polargrad.groebner import (
     leading_monomial,
     projective_dim,
     quotient_vs_dim,
+    saturate,
     saturate_ideal,
     zero_dim_degree_projective,
 )
@@ -224,6 +226,37 @@ def rabinowitsch_saturate(I: Ideal, g: Poly) -> Ideal:
         if all(m[0] == 0 for m in p.terms)
     ]
     return Ideal(kept, I.order, vars=I.vars, domain=I.domain)
+
+
+# ----------------------------------------------- saturated fiber oracle
+
+
+def fiber_minors(grads: list[Poly], u) -> list[Poly]:
+    """The nonzero 2x2 minors of the matrix with rows grad f and u."""
+    nv = len(grads)
+    minors = (
+        grads[i].scale(u[j]) - grads[j].scale(u[i]) for i in range(nv) for j in range(i + 1, nv)
+    )
+    return [g for g in minors if not g.is_zero()]
+
+
+def saturation_fiber_count(grads: list[Poly], u) -> int:
+    """Points of the fiber of the gradient map over [u], with multiplicity,
+    by the projective route the fiber oracle took before the affine cone:
+    the minors of (grad f | u), saturated by one partial f_j with
+    u_j * f_j != 0 to remove the base locus grad f = 0, then the degree of
+    the zero-dimensional projective scheme.  Raises NotZeroDimensional on a
+    positive-dimensional fiber."""
+    minors = fiber_minors(grads, u)
+    if not minors:
+        raise NotZeroDimensional("the target is proportional to the gradient")
+    j = next((j for j, g in enumerate(grads) if not g.scale(u[j]).is_zero()), None)
+    if j is None:  # the minors contain u_k * f_i for every i, hence grad f
+        return 0
+    fiber = saturate(Ideal(minors), grads[j])[0]
+    if projective_dim(fiber) == -1:
+        return 0
+    return zero_dim_degree_projective(fiber)
 
 
 # ------------------------------------------------ tuple-monomial division

@@ -6,14 +6,29 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
+import polargrad.groebner as groebner
 import polargrad.polar as polar
-from helpers import rabinowitsch_saturate, saturation_local_dim
-from polargrad.groebner import Ideal, saturate_ideal
+from helpers import (
+    fiber_minors,
+    rabinowitsch_saturate,
+    saturation_fiber_count,
+    saturation_local_dim,
+)
+from polargrad.groebner import (
+    Ideal,
+    NotZeroDimensional,
+    projective_dim,
+    quotient_vs_dim,
+    saturate_ideal,
+    zero_dim_degree_projective,
+)
 from polargrad.hypersurface import mu_summary
 from polargrad.monodromy import CycDivisor, bp_charpoly, charpoly_product
 from polargrad.parser import parse_poly
 from polargrad.polar import (
     HypothesisError,
+    OracleInconsistent,
+    PositiveDimensionalFiber,
     check_multiplicity_inequality,
     check_polar_degree_lower_bound,
     check_surface_criterion,
@@ -168,7 +183,7 @@ def form_products(draw, nvs=(2, 3), count=(1, 2)):
     for _ in range(draw(st.integers(*count))):
         monos = _monomials(nv, draw(st.sampled_from((1, 2))))
         coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos)))
-        factors.append(Poly(V3[:nv], zip(monos, coeffs)))
+        factors.append(Poly((V2, V3, V4)[nv - 2], zip(monos, coeffs)))
     assume(all(not g.is_zero() for g in factors))
     square = draw(st.booleans())
     if square:
@@ -210,6 +225,9 @@ class TestHypothesisGate:
 
 
 class TestOnePartialSaturation:
+    """`helpers.saturation_fiber_count`, the projective route that checks the
+    cone oracle, and what the oracle no longer does."""
+
     @given(
         form_products(nvs=(3,)),
         st.tuples(*[st.integers(-2, 2)] * 3).filter(any),
@@ -220,7 +238,7 @@ class TestOnePartialSaturation:
         # no hypothesis on f: square factors and non-isolated loci included
         f = case[0] if p is None else to_prime_field(case[0], p)
         grads = gradient(f)
-        gens = polar._minor_gens(grads, u)
+        gens = fiber_minors(grads, u)
         assume(gens)
         fiber = Ideal(gens)
         expected = saturate_ideal(fiber, Ideal(grads))
@@ -229,6 +247,13 @@ class TestOnePartialSaturation:
             assert expected.is_unit()
         for g in admissible:
             assert rabinowitsch_saturate(fiber, g) == expected
+        pd = projective_dim(expected)
+        if pd > 0:
+            with pytest.raises(NotZeroDimensional):
+                saturation_fiber_count(grads, u)
+        else:
+            degree = 0 if pd == -1 else zero_dim_degree_projective(expected)
+            assert saturation_fiber_count(grads, u) == degree
 
     @pytest.mark.parametrize(
         "text, vars, modp, domains, value",
@@ -238,42 +263,108 @@ class TestOnePartialSaturation:
             ("w*x*y + w*x*z + w*y*z + x*y*z", V4, "dual", 2, 4),
         ],
     )
-    def test_one_saturation_per_trial_and_domain(
-        self, monkeypatch, text, vars, modp, domains, value
-    ):
-        # both inputs have a nonempty base locus, so every trial saturates
-        saturate = polar.saturate
+    def test_one_basis_per_trial_and_domain(self, monkeypatch, text, vars, modp, domains, value):
+        # both inputs have a nonempty base locus, which the oracle never saturates away
+        buchberger = groebner.buchberger
         calls = []
 
-        def counted(I, g):
-            calls.append(g)
-            return saturate(I, g)
+        def counted(gens, order, caps):
+            calls.append(gens)
+            return buchberger(gens, order, caps)
 
-        def forbidden(I, J):
-            raise AssertionError("the oracle intersected")
+        def forbidden(*args):
+            raise AssertionError("the oracle saturated or intersected")
 
-        monkeypatch.setattr(polar, "saturate", counted)
-        monkeypatch.setattr(polar, "intersect", forbidden)
+        monkeypatch.setattr(groebner, "buchberger", counted)
+        for module, name in ((groebner, "saturate"), (groebner, "intersect"), (polar, "intersect")):
+            monkeypatch.setattr(module, name, forbidden)
         r = polar_degree_fiber_oracle(parse_poly(text, vars), seed=1, modp=modp)
         assert r.value == value
         path = "rational" if modp == "off" else "dual-prime"
         assert {t["path"] for t in r.details["trials"]} == {path}
         assert len(calls) == domains * len(r.details["trials"])
 
-    def test_no_admissible_partial_gives_an_empty_fiber(self, monkeypatch):
-        # u = (0, 0, 1) and f_z = 0: the minors contain f_x and f_y, so the
-        # count is 0 and no saturation runs
-        monkeypatch.setattr(polar, "saturate", None)
-        ctx = polar._OracleContext(gradient(parse_poly("x^2*y", V3)))
-        assert not ctx.base_locus_empty
-        assert polar._fiber_degree(ctx, (0, 0, 1)) == (0, None)
+    def test_no_admissible_partial_gives_an_empty_fiber(self):
+        # u = (0, 0, 1) and f_z = 0: the cone ideal holds f_z - 1 = -1, a unit
+        grads = gradient(parse_poly("x^2*y", V3))
+        assert saturation_fiber_count(grads, (0, 0, 1)) == 0
+        assert polar._fiber_degree(grads, 3, (0, 0, 1)) == 0
 
     def test_saturation_exponent_per_trial(self):
-        for text, exponent in (("x^2*y*z", 1), ("x^3 + y^3 + z^3", None)):
+        # the trial records carry no saturation exponent: nothing is saturated
+        for text in ("x^2*y*z", "x^3 + y^3 + z^3"):
             r = polar_degree_fiber_oracle(parse_poly(text, V3), seed=1)
             for trial in r.details["trials"]:
-                assert list(trial) == ["u", "path", "saturation_exponent", "degree"]
-                assert trial["saturation_exponent"] == exponent
+                assert list(trial) == ["u", "path", "degree"]
+
+
+class TestConeOracle:
+    @given(
+        form_products(nvs=(3, 4)),
+        st.data(),
+        st.sampled_from((None, 32003)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_cone_count_is_d_minus_1_times_the_saturated_count(self, case, data, p):
+        # square factors and non-isolated singular loci included; a target
+        # grad f(x0) has x0 in its fiber, which may be singular or not finite
+        f = case[0] if p is None else to_prime_field(case[0], p)
+        d, nv = f.degree(), len(f.vars)
+        assume(2 <= d <= (4 if nv == 3 else 3))
+        grads = gradient(f)
+        if data.draw(st.booleans(), label="target on a point"):
+            x0 = data.draw(st.tuples(*[st.integers(-2, 2)] * nv), label="x0")
+            u = tuple(int(g.evaluate(x0)) for g in grads)
+        else:
+            u = data.draw(st.tuples(*[st.integers(-3, 3)] * nv), label="u")
+        assume(any(u))
+        cone = Ideal([g - Poly.constant(f.vars, c, f.domain) for g, c in zip(grads, u)])
+        try:
+            expected = saturation_fiber_count(grads, u)
+        except NotZeroDimensional:
+            with pytest.raises(NotZeroDimensional):
+                quotient_vs_dim(cone)
+            with pytest.raises(PositiveDimensionalFiber):
+                polar._fiber_degree(grads, d, u)
+            return
+        assert quotient_vs_dim(cone) == (d - 1) * expected
+        assert polar._fiber_degree(grads, d, u) == expected
+
+    @pytest.mark.parametrize("modp", ["dual", "off"])
+    @pytest.mark.parametrize(
+        "text, vars",
+        [
+            ("a*d^2 + b*d*e + c*e^2", ("a", "b", "c", "d", "e")),  # Perazzo: Hessian zero
+            ("x^2", V3),  # cones: the gradient misses a coordinate
+            ("x^3 + y^3", V3),
+        ],
+    )
+    def test_empty_generic_fiber(self, text, vars, modp):
+        r = polar_degree_fiber_oracle(parse_poly(text, vars), seed=1, modp=modp)
+        assert r.value == 0 and set(r.details["values"]) == {0}
+
+    @pytest.mark.parametrize("modp", ["dual", "off"])
+    def test_linear_form_builds_no_basis(self, monkeypatch, modp):
+        def forbidden(*args):
+            raise AssertionError("a basis was built")
+
+        monkeypatch.setattr(groebner, "buchberger", forbidden)
+        r = polar_degree_fiber_oracle(parse_poly("x", V2), seed=1, modp=modp)
+        assert r.value == 0
+
+    def test_indivisible_count_is_inconsistent_over_qq(self, monkeypatch):
+        monkeypatch.setattr(polar, "quotient_vs_dim", lambda I: quotient_vs_dim(I) + 1)
+        with pytest.raises(OracleInconsistent, match="not a multiple of d - 1 = 2"):
+            polar_degree_fiber_oracle(FERMAT2, seed=1, modp="off")
+
+    def test_indivisible_modular_count_falls_back_to_qq(self, monkeypatch):
+        def off_by_one_mod_p(I):
+            return quotient_vs_dim(I) + (I.domain != FERMAT2.domain)
+
+        monkeypatch.setattr(polar, "quotient_vs_dim", off_by_one_mod_p)
+        r = polar_degree_fiber_oracle(FERMAT2, seed=1, modp="dual")
+        assert r.value == 4
+        assert {t["path"] for t in r.details["trials"]} == {"rational (prime fallback)"}
 
 
 def _check_milnor_numbers(f):
