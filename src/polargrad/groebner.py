@@ -1,7 +1,7 @@
 """Groebner-basis engine: term orders, Buchberger, elimination, quotients,
 saturation, staircase invariants (dimension, degree, quotient dimension),
-multiplication matrices on zero-dimensional quotients and the one kernel on
-them, `local_component_dim`.
+the algebra of a zero-dimensional quotient with its multiplication matrices,
+and the one kernel on them, `local_component_dim`.
 
 Everything is deterministic: the normal pair-selection strategy, sorted
 generator intake and final inter-reduction make the reduced basis unique for
@@ -21,12 +21,23 @@ and the term order integer comparison.  The dividend is packed on entry and
 the remainder unpacked on exit; each divisor's packed lead and tail are
 remembered on it like its lead.  `Poly` keeps tuple monomials everywhere
 else, and only `poly_divmod` collects quotients.
+
+Linear algebra on a zero-dimensional k[x]/I takes no Groebner work past the
+algebra itself.  `Ideal.algebra` builds it once per ideal: the standard
+monomials and the variable matrices M_{x_j} on integer rows over one common
+denominator, read off the border of the staircase, one normal form per
+border monomial (compare Faugere, Gianni, Lazard & Mora, JSC 1993).  A
+multiplication matrix is then one vector-matrix product per new monomial,
+and `_echelon` and `_stable_image` work on integer rows: fraction-free with
+primitive rows over QQ, residues over GF(p).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Callable
 
@@ -456,15 +467,18 @@ def buchberger(gens, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_CAPS) -> l
 
 
 class Ideal:
-    """Generator list with a term order, resource caps and a lazily cached
-    reduced basis.  Every ideal derived from this one (intersection,
-    elimination, quotient, saturation) keeps its order and caps.
+    """Generator list with a term order, resource caps and three lazily
+    cached values: the reduced basis, its `StaircaseReport` and, for a
+    zero-dimensional ideal, the `QuotientAlgebra` k[x]/I.  Every ideal
+    derived from this one (intersection, elimination, quotient, saturation)
+    keeps its order and caps.
 
-    Instances are immutable; the basis is computed at most once and then
-    shared read-only, so concurrent readers are safe.
+    Instances are immutable; each cached value is computed at most once and
+    then shared read-only, so concurrent readers are safe, and it is freed
+    with the ideal.
     """
 
-    __slots__ = ("gens", "order", "vars", "domain", "caps", "_basis")
+    __slots__ = ("gens", "order", "vars", "domain", "caps", "_basis", "_staircase", "_algebra")
 
     def __init__(
         self, gens, order: TermOrder = GREVLEX, vars=None, domain=None, caps: Caps = DEFAULT_CAPS
@@ -484,6 +498,8 @@ class Ideal:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "caps", caps)
         object.__setattr__(self, "_basis", None)
+        object.__setattr__(self, "_staircase", None)
+        object.__setattr__(self, "_algebra", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Ideal is immutable")
@@ -493,6 +509,19 @@ class Ideal:
         if self._basis is None:
             object.__setattr__(self, "_basis", tuple(buchberger(self.gens, self.order, self.caps)))
         return self._basis
+
+    @property
+    def staircase_report(self) -> "StaircaseReport":
+        if self._staircase is None:
+            object.__setattr__(self, "_staircase", staircase(self))
+        return self._staircase
+
+    @property
+    def algebra(self) -> "QuotientAlgebra":
+        """k[x]/I; raises NotZeroDimensional unless it is finite."""
+        if self._algebra is None:
+            object.__setattr__(self, "_algebra", QuotientAlgebra(self))
+        return self._algebra
 
     def is_zero_ideal(self) -> bool:
         return not self.gens
@@ -688,7 +717,11 @@ def _standard_monomials(leads: list[Mono], nvars: int) -> tuple[Mono, ...] | Non
     return tuple(sorted(std, key=lambda m: (mono_degree(m), m)))
 
 
+_INFINITE = "no pure power of some variable among the leading terms"
+
+
 def staircase(I: Ideal) -> StaircaseReport:
+    """The staircase of I's reduced basis; `Ideal.staircase_report` keeps it."""
     leads = _minimalize(leading_monomial(g, I.order) for g in I.basis)
     nv = len(I.vars)
     return StaircaseReport(
@@ -704,87 +737,194 @@ def projective_dim(I: Ideal) -> int:
         raise NotHomogeneousIdeal("projective dimension needs homogeneous generators")
     if I.is_zero_ideal():
         return len(I.vars) - 1
-    report = staircase(I)
-    return max(report.krull_dim - 1, -1)
+    return max(I.staircase_report.krull_dim - 1, -1)
 
 
 def quotient_vs_dim(I: Ideal) -> int:
     """Vector-space dimension of k[x]/I for a zero-dimensional affine ideal."""
     if I.is_zero_ideal():
         raise NotZeroDimensional("the zero ideal has an infinite quotient")
-    report = staircase(I)
-    if report.standard_monomials is None:
-        raise NotZeroDimensional(
-            "no pure power of some variable among the leading terms"
-        )
-    return len(report.standard_monomials)
+    std = I.staircase_report.standard_monomials
+    if std is None:
+        raise NotZeroDimensional(_INFINITE)
+    return len(std)
 
 
 # ------------------------------------------------- multiplication matrices
 
 
+class QuotientAlgebra:
+    """k[x]/I for a zero-dimensional I, in the basis of its standard
+    monomials `std` (`column` maps each to its index), with the variable
+    matrices on integer rows: `rows[j][i]` is D times the coordinates of the
+    normal form of x_j * std[i], for one common denominator D of them all
+    (residues and D = 1 over GF(p)), and `cols[j]` the same matrix by
+    columns.  When x_j * std[i] is itself standard its row is D at that
+    column, so only the border monomials that lead no basis element take a
+    normal form.  Built once per ideal and read-only; see `Ideal.algebra`."""
+
+    __slots__ = ("std", "column", "modulus", "denominator", "rows", "cols")
+
+    def __init__(self, I: Ideal):
+        std = I.staircase_report.standard_monomials
+        if std is None:
+            raise NotZeroDimensional(_INFINITE)
+        column = {m: i for i, m in enumerate(std)}
+        n, one = len(I.vars), I.domain.one()
+        # the normal form of each border monomial; the basis is reduced, so
+        # a leading monomial's is minus the rest of its basis element
+        border: dict[Mono, dict] = {}
+        for g in I.basis:
+            lead = leading_monomial(g, I.order)
+            border[lead] = {t: I.domain.neg(c) for t, c in g.terms.items() if t != lead}
+        products = []
+        for j in range(n):
+            shifted = [m[:j] + (m[j] + 1,) + m[j + 1 :] for m in std]
+            for u in shifted:
+                if u not in column and u not in border:
+                    unit = Poly.from_clean(I.vars, {u: one}, I.domain)
+                    border[u] = normal_form(unit, I.basis, I.order, I.caps).terms
+            products.append(shifted)
+        modulus = I.domain.p or 0
+        D = 1 if modulus else lcm(*(c.denominator for t in border.values() for c in t.values()))
+        self.std, self.column, self.modulus, self.denominator = std, column, modulus, D
+        self.rows = []
+        for shifted in products:
+            rows = []
+            for u in shifted:
+                row = [0] * len(std)
+                if u in column:
+                    row[column[u]] = D
+                else:
+                    for t, c in border[u].items():
+                        row[column[t]] = c if modulus else c.numerator * (D // c.denominator)
+                rows.append(row)
+            self.rows.append(rows)
+        self.cols = [[list(c) for c in zip(*rows)] for rows in self.rows]
+
+    def scaled_matrix(self, g: Poly) -> tuple[list[list[int]], int]:
+        """(R, s) with R the matrix of multiplication by g on integer rows and
+        s a nonzero integer, R = s * M_g (over GF(p) s = 1 and R = M_g).  The
+        row of std[i] is sum of c * NF(t * std[i]) over the terms c*t of g;
+        each NF(u) of a nonstandard u is remembered, as an integer vector v
+        with NF(u) = v / D^e, and built by one vector-matrix product:
+        NF(u) = NF(u / x_j) * M_{x_j}."""
+        std, column, modulus, D = self.std, self.column, self.modulus, self.denominator
+        memo: dict[Mono, tuple[list[int], int]] = {}
+
+        def vector(u: Mono) -> tuple[list[int], int]:
+            hit = memo.get(u)
+            if hit is not None:
+                return hit
+            below = [(j, u[:j] + (u[j] - 1,) + u[j + 1 :]) for j, e in enumerate(u) if e]
+            j, v = next(((j, v) for j, v in below if v in column), (None, None))
+            if j is not None:  # a border monomial: a row of M_{x_j}
+                hit = self.rows[j][column[v]], 1
+            else:
+                j, v = next(((j, v) for j, v in below if v in memo), below[0])
+                prev, e = vector(v)
+                out = [sum(map(mul, prev, col)) for col in self.cols[j]]
+                hit = ([x % modulus for x in out] if modulus else out), e + 1
+            memo[u] = hit
+            return hit
+
+        if modulus:
+            L, terms = 1, g.terms.items()
+        else:  # the integer coefficients of L * g
+            L = lcm(*(c.denominator for c in g.terms.values()))
+            terms = [(t, c.numerator * (L // c.denominator)) for t, c in g.terms.items()]
+        shifted = [[(mono_mul(t, m), c) for t, c in terms] for m in std]
+        k = max((vector(u)[1] for row in shifted for u, _ in row if u not in column), default=0)
+        Dk = D**k
+        rows = []
+        for row_terms in shifted:
+            out = [0] * len(std)
+            for u, c in row_terms:
+                i = column.get(u)
+                if i is not None:
+                    out[i] += c * Dk
+                else:
+                    v, e = memo[u]
+                    c *= D ** (k - e)
+                    out = [x + c * y for x, y in zip(out, v)]
+            rows.append([x % modulus for x in out] if modulus else out)
+        return rows, L * Dk
+
+
+def _scaled_matrix(I: Ideal, g: Poly) -> tuple[tuple[Mono, ...], list[list[int]], int]:
+    if I.vars != g.vars or I.domain != g.domain:
+        raise DomainMismatch("ideal and multiplier live in different rings")
+    A = I.algebra
+    top = max(map(sum, A.std), default=0)
+    if not g.is_zero() and g.degree() + top > I.caps.max_degree:
+        raise ResourceLimit(f"degree cap {I.caps.max_degree} exceeded by a product")
+    return A.std, *A.scaled_matrix(g)
+
+
 def multiplication_matrix(I: Ideal, g: Poly) -> tuple[tuple[Mono, ...], list[list]]:
     """The standard monomials of a zero-dimensional I and the matrix of
     multiplication by g on k[x]/I in that basis: row i holds the coordinates
-    of the normal form of g * std[i], which has only standard terms."""
-    if I.vars != g.vars or I.domain != g.domain:
-        raise DomainMismatch("ideal and multiplier live in different rings")
-    std = staircase(I).standard_monomials
-    if std is None:
-        raise NotZeroDimensional("no pure power of some variable among the leading terms")
-    column = {m: i for i, m in enumerate(std)}
-    zero = I.domain.zero()
-    rows = []
-    for m in std:
-        shifted = Poly(g.vars, {mono_mul(gm, m): c for gm, c in g.terms.items()}, g.domain)
-        row = [zero] * len(std)
-        for t, c in normal_form(shifted, I.basis, I.order, I.caps).terms.items():
-            row[column[t]] = c
-        rows.append(row)
-    return std, rows
+    of the normal form of g * std[i], which has only standard terms.  Built
+    from the variable matrices of `I.algebra`, without a normal form."""
+    std, rows, scale = _scaled_matrix(I, g)
+    if I.domain.p:
+        return std, rows
+    return std, [[Fraction(x, scale) for x in row] for row in rows]
 
 
-def _echelon(rows, domain) -> list[list]:
-    """A basis of the row space in reduced echelon form, pivots scaled to 1.
-    Clearing each new pivot from the rows already kept is not needed for the
-    rank, but keeps the Fractions small: without it the stable images on the
-    27-dimensional quotients of quartic surfaces took 1.5-2x as long."""
-    zero = domain.zero()
-    basis: list[tuple[int, list]] = []
+def _echelon(rows, modulus: int) -> list[list[int]]:
+    """A basis of the row space of integer rows in reduced echelon form:
+    over QQ (modulus 0) each row primitive, over GF(modulus) each pivot 1.
+    A row is cleared at a pivot by r <- s*r - t*b, with s and t the pivot
+    entries of b and r divided by their gcd (fraction-free, compare Bareiss,
+    Math. Comp. 1968; over GF(p), s = 1).  Clearing each new pivot from the
+    rows already kept is not needed for the rank, but keeps the entries
+    small."""
+    basis: list[tuple[int, list[int]]] = []
+
+    def combine(r, b, col):
+        c, pb = r[col], b[col]
+        if modulus:
+            return [(x - c * y) % modulus for x, y in zip(r, b)]
+        g = gcd(c, pb)
+        s, t = pb // g, c // g
+        r = [s * x - t * y for x, y in zip(r, b)]
+        g = gcd(*r)
+        return [x // g for x in r] if g > 1 else r
+
     for r in rows:
         for col, b in basis:
-            c = r[col]
-            if c != zero:
-                r = [domain.sub(x, domain.mul(c, y)) for x, y in zip(r, b)]
-        pivot = next((i for i, x in enumerate(r) if x != zero), None)
+            if r[col]:
+                r = combine(r, b, col)
+        pivot = next((i for i, x in enumerate(r) if x), None)
         if pivot is None:
             continue
-        inv = domain.inv(r[pivot])
-        r = [domain.mul(inv, x) for x in r]
+        if modulus:
+            inv = pow(r[pivot], -1, modulus)
+            r = [x * inv % modulus for x in r]
+        else:
+            g = gcd(*r)
+            r = [x // g for x in r] if g > 1 else r
         for k, (col, b) in enumerate(basis):
-            c = b[pivot]
-            if c != zero:
-                basis[k] = (col, [domain.sub(x, domain.mul(c, y)) for x, y in zip(b, r)])
+            if b[pivot]:
+                basis[k] = (col, combine(b, r, pivot))
         basis.append((pivot, r))
     return [b for _, b in basis]
 
 
-def _stable_image(rows, domain) -> list[list]:
-    """An echelon basis of the stable image of the matrix `rows` acting on
-    row vectors: the images of M, M^2, ... shrink until two have equal
-    dimension, within len(rows) steps.  Each image is kept as an echelon
-    basis, which keeps the coefficients small where powers of M would not."""
-    image = _echelon(rows, domain)
-    zero = domain.zero()
+def _stable_image(rows, modulus: int) -> list[list[int]]:
+    """An echelon basis (`_echelon`) of the stable image of the integer
+    matrix `rows` acting on row vectors: the images of M, M^2, ... shrink
+    until two have equal dimension, within len(rows) steps.  Each image is
+    kept as an echelon basis, which keeps the entries small where powers of
+    M would not.  A nonzero scale of M changes none of the images."""
+    image = _echelon(rows, modulus)
+    cols = list(zip(*rows))
     while True:
-        products = []
-        for v in image:
-            out = [zero] * len(rows)
-            for c, row in zip(v, rows):
-                if c != zero:
-                    out = [domain.add(x, domain.mul(c, y)) for x, y in zip(out, row)]
-            products.append(out)
-        nxt = _echelon(products, domain)
+        products = [[sum(map(mul, v, col)) for col in cols] for v in image]
+        if modulus:
+            products = [[x % modulus for x in v] for v in products]
+        nxt = _echelon(products, modulus)
         if len(nxt) == len(image):
             return image
         image = nxt
@@ -797,12 +937,14 @@ def local_component_dim(I: Ideal, forms) -> int:
     local algebra at p as g(p) plus a nilpotent (Stickelberger's theorem), so
     the stable image of its matrix is the sum of the local algebras where
     g(p) != 0, and the stable images of the forms together span the local
-    algebras where some form does not vanish."""
+    algebras where some form does not vanish.  Runs on the integer matrices
+    of `QuotientAlgebra.scaled_matrix`."""
     total = quotient_vs_dim(I)
-    images: list[list] = []
+    modulus = I.domain.p or 0
+    images: list[list[int]] = []
     for g in forms:
-        images += _stable_image(multiplication_matrix(I, g)[1], I.domain)
-    return total - len(_echelon(images, I.domain))
+        images += _stable_image(_scaled_matrix(I, g)[1], modulus)
+    return total - len(_echelon(images, modulus))
 
 
 def hilbert_numerator(leads, nvars: int) -> list[int]:
@@ -859,8 +1001,7 @@ def zero_dim_degree_projective(I: Ideal) -> int:
     the Hilbert function, read off the staircase."""
     if projective_dim(I) != 0:
         raise NotZeroDimensional("projective scheme is not zero-dimensional")
-    leads = _minimalize(leading_monomial(g, I.order) for g in I.basis)
-    num = hilbert_numerator(leads, len(I.vars))
+    num = hilbert_numerator(I.staircase_report.lead_monomials, len(I.vars))
     strips = 0
     while sum(num) == 0:
         num = _divide_one_minus_t(num)

@@ -112,8 +112,9 @@ class AnalysisReport:
         for note in d.get("notes", []):
             lines.append(f"note            {note}")
         if "timings" in d:
+            width = max(map(len, d["timings"]))
             for k, v in d["timings"].items():
-                lines.append(f"time {k:<11} {v:.3f}s")
+                lines.append(f"time {k:<{width}} {v:.3f}s")
         return "\n".join(lines)
 
 

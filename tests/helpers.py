@@ -7,7 +7,10 @@ multiplication matrices, fiber counts of the gradient map from the
 saturated projective fiber instead of the affine cone, eigenvalue
 multiplicities by enumerating root-of-unity products, the completeness of
 the rational singular points from Tjurina numbers instead of Milnor numbers,
-and multivariate division on tuple monomials instead of packed ints.
+multivariate division on tuple monomials instead of packed ints, and echelon
+forms, stable images and multiplication matrices in `Fraction` arithmetic and
+by one normal form per standard monomial instead of on integer rows from the
+variable matrices.
 """
 
 from __future__ import annotations
@@ -29,10 +32,12 @@ from polargrad.groebner import (
     buchberger,
     elimination_order,
     leading_monomial,
+    normal_form,
     projective_dim,
     quotient_vs_dim,
     saturate,
     saturate_ideal,
+    staircase,
     zero_dim_degree_projective,
 )
 from polargrad.hypersurface import jacobian_ideal, rational_singular_points
@@ -146,6 +151,70 @@ def invert_fraction_matrix(M):
                 factor = aug[r][col]
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+# ------------------------------------------- Fraction kernels on k[x]/I
+
+
+def reference_multiplication_matrix(I: Ideal, g: Poly) -> tuple[tuple[Mono, ...], list[list]]:
+    """`groebner.multiplication_matrix` as it was before the variable
+    matrices: row i holds the coordinates of the normal form of g * std[i],
+    one normal form per standard monomial."""
+    std = staircase(I).standard_monomials
+    if std is None:
+        raise NotZeroDimensional("no pure power of some variable among the leading terms")
+    column = {m: i for i, m in enumerate(std)}
+    zero = I.domain.zero()
+    rows = []
+    for m in std:
+        shifted = Poly(g.vars, {mono_mul(gm, m): c for gm, c in g.terms.items()}, g.domain)
+        row = [zero] * len(std)
+        for t, c in normal_form(shifted, I.basis, I.order, I.caps).terms.items():
+            row[column[t]] = c
+        rows.append(row)
+    return std, rows
+
+
+def reference_echelon(rows, domain) -> list[list]:
+    """`groebner._echelon` as it was before integer rows: a reduced echelon
+    basis of the row space in the domain's arithmetic, pivots scaled to 1."""
+    zero = domain.zero()
+    basis: list[tuple[int, list]] = []
+    for r in rows:
+        for col, b in basis:
+            c = r[col]
+            if c != zero:
+                r = [domain.sub(x, domain.mul(c, y)) for x, y in zip(r, b)]
+        pivot = next((i for i, x in enumerate(r) if x != zero), None)
+        if pivot is None:
+            continue
+        inv = domain.inv(r[pivot])
+        r = [domain.mul(inv, x) for x in r]
+        for k, (col, b) in enumerate(basis):
+            c = b[pivot]
+            if c != zero:
+                basis[k] = (col, [domain.sub(x, domain.mul(c, y)) for x, y in zip(b, r)])
+        basis.append((pivot, r))
+    return [b for _, b in basis]
+
+
+def reference_stable_image(rows, domain) -> list[list]:
+    """`groebner._stable_image` as it was before integer rows: echelon bases
+    of the images of M, M^2, ... until two have equal dimension."""
+    image = reference_echelon(rows, domain)
+    zero = domain.zero()
+    while True:
+        products = []
+        for v in image:
+            out = [zero] * len(rows)
+            for c, row in zip(v, rows):
+                if c != zero:
+                    out = [domain.add(x, domain.mul(c, y)) for x, y in zip(out, row)]
+            products.append(out)
+        nxt = reference_echelon(products, domain)
+        if len(nxt) == len(image):
+            return image
+        image = nxt
 
 
 # ------------------------------------------------------------ Macaulay oracle

@@ -6,7 +6,9 @@ criterion as a post-hoc test on computed bases.
 """
 
 import ast
+import math
 import pickle
+from fractions import Fraction
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -43,14 +45,18 @@ from polargrad.groebner import (
     zero_dim_degree_projective,
 )
 from polargrad.parser import parse_poly
-from polargrad.poly import DomainMismatch, Poly, mono_divides, mono_mul, to_prime_field
+from polargrad.poly import GF, QQ, DomainMismatch, Poly, mono_divides, mono_mul, to_prime_field
 
 from helpers import (
+    fraction_rank,
     macaulay_quotient_dim,
     polys,
     rabinowitsch_saturate,
     random_zero_dim_ideal,
     reference_divmod,
+    reference_echelon,
+    reference_multiplication_matrix,
+    reference_stable_image,
 )
 
 V2 = ("x", "y")
@@ -683,6 +689,132 @@ class TestMultiplicationMatrix:
             local_component_dim(Ideal([P("x*y", V2)]), [P("x", V2)])
         with pytest.raises(DomainMismatch):
             multiplication_matrix(Ideal([P("x^2", V2), P("y", V2)]), to_prime_field(P("x", V2), 7))
+
+
+# a denominator that 32003 does not divide, so that it survives into GF(32003)
+BIG = 10**12 + 39
+ENTRIES = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 1, 2, 3, 7, BIG, BIG**2]))
+
+
+@st.composite
+def fraction_matrices(draw, square=False):
+    """Rows of Fractions with zero rows and repeated rows mixed in.  About
+    half the square matrices are nilpotent: strictly upper triangular up to
+    one permutation of their rows and columns."""
+    size = draw(st.integers(0, 6))
+    ncols = size if square else draw(st.integers(1, 6))
+    rows = [draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols)) for _ in range(size)]
+    if not square:
+        for _ in range(draw(st.integers(0, 2))):
+            copy = list(rows[draw(st.integers(0, len(rows) - 1))]) if rows else []
+            rows.insert(draw(st.integers(0, len(rows))), copy or [Fraction(0)] * ncols)
+        if draw(st.booleans()):
+            rows.insert(draw(st.integers(0, len(rows))), [Fraction(0)] * ncols)
+        return rows
+    if draw(st.booleans()):  # the nilpotent case
+        perm = draw(st.permutations(range(size)))
+        rows = [[rows[i][j] if perm[j] > perm[i] else Fraction(0) for j in range(size)]
+                for i in range(size)]
+    elif size and draw(st.booleans()):  # a repeated row
+        rows[-1] = list(rows[0])
+    return rows
+
+
+def _integer_rows(rows, p, common=False):
+    """The rows over the integers: each row, or with `common` the whole
+    matrix, times the lcm of its denominators; residues mod p when p is set."""
+    if p is not None:
+        return [[GF(p).coerce(x) for x in r] for r in rows]
+    if common:
+        D = math.lcm(1, *(x.denominator for r in rows for x in r))
+        return [[int(x * D) for x in r] for r in rows]
+    return [[int(x * math.lcm(1, *(y.denominator for y in r))) for x in r] for r in rows]
+
+
+class TestIntegerKernels:
+    """The echelon and stable-image kernels on integer rows, and the
+    multiplication matrices built from the variable matrices, against the
+    Fraction kernels and the normal forms they replaced
+    (`tests/helpers.py::reference_*`) and against `fraction_rank`, over QQ and
+    GF(32003)."""
+
+    @pytest.mark.parametrize("p", [None, 32003])
+    @given(rows=fraction_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_echelon_rank_and_form(self, p, rows):
+        dom = GF(p) if p else QQ
+        in_domain = [[dom.coerce(x) for x in r] for r in rows]
+        echelon = groebner._echelon(_integer_rows(rows, p), p or 0)
+        rank = fraction_rank(in_domain, p)
+        assert len(echelon) == len(reference_echelon(in_domain, dom)) == rank
+        # the echelon rows span the row space
+        assert fraction_rank(in_domain + [[dom.coerce(x) for x in r] for r in echelon], p) == rank
+        # reduced: each pivot is the only nonzero entry of its column
+        pivots = [next(i for i, x in enumerate(r) if x) for r in echelon]
+        assert len(set(pivots)) == len(pivots)
+        for r, col in zip(echelon, pivots):
+            assert all(not other[col] for other in echelon if other is not r)
+            if p:
+                assert r[col] == 1 and all(0 <= x < p for x in r)
+            else:
+                assert math.gcd(*r) == 1
+
+    @pytest.mark.parametrize("p", [None, 32003])
+    @given(rows=fraction_matrices(square=True))
+    @settings(max_examples=60, deadline=None)
+    def test_stable_image_dimension(self, p, rows):
+        dom = GF(p) if p else QQ
+        in_domain = [[dom.coerce(x) for x in r] for r in rows]
+        image = groebner._stable_image(_integer_rows(rows, p, common=True), p or 0)
+        assert len(image) == len(reference_stable_image(in_domain, dom))
+        nilpotent = all(not x for i, r in enumerate(rows) for x in r[: i + 1])
+        if nilpotent or not rows:
+            assert image == []
+        # the image is invariant under the matrix
+        image = [[dom.coerce(x) for x in v] for v in image]
+        moved = [
+            [sum((dom.mul(c, y) for c, y in zip(v, col)), dom.zero()) for col in zip(*in_domain)]
+            for v in image
+        ]
+        stacked = image + moved
+        assert fraction_rank(stacked, p) == len(image)
+
+    @pytest.mark.parametrize("p", [None, 32003])
+    @given(seed=st.integers(0, 10**6), nv=st.integers(2, 3),
+           g_terms=st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * 3), ENTRIES), max_size=4),
+           shift=st.sampled_from([0, 3, BIG]), unit=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_multiplication_matrix_equals_the_normal_forms(self, p, seed, nv, g_terms, shift, unit):
+        gens = random_zero_dim_ideal(seed, nv)
+        names = gens[0].vars
+        if shift:  # move the points by multiples of 1/shift
+            images = [Poly.variable(names, i) + Poly.constant(names, Fraction(i + 1, shift))
+                      for i in range(nv)]
+            gens = [g.subs(images) for g in gens]
+        if unit:
+            gens.append(gens[0] + Poly.constant(names, 1))
+        g = Poly(names, [(m[:nv], c) for m, c in g_terms])
+        if p is not None:
+            gens = [to_prime_field(h, p) for h in gens]
+            g = to_prime_field(g, p)
+        I = Ideal(gens)
+        std, rows = multiplication_matrix(I, g)
+        assert (std, rows) == reference_multiplication_matrix(I, g)
+        assert len(std) == quotient_vs_dim(I) and (std == ()) == unit
+        assert local_component_dim(I, []) == len(std)
+
+    def test_algebra_is_built_once_per_ideal(self, monkeypatch):
+        calls = []
+        real = groebner.staircase
+        monkeypatch.setattr(groebner, "staircase", lambda I: calls.append(I) or real(I))
+        I = Ideal([P("x^2 - y", V2), P("y^2 - y", V2)])
+        point = Ideal([P("x"), P("y")])
+        for _ in range(2):
+            assert quotient_vs_dim(I) == 4 and projective_dim(point) == 0
+            multiplication_matrix(I, P("x*y", V2))
+            local_component_dim(I, [P("x", V2), P("y - 1", V2)])
+        assert len(calls) == 2  # one per ideal
+        assert I.algebra is I.algebra
 
 
 class TestPrimeFieldPipeline:

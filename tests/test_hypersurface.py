@@ -21,10 +21,16 @@ from polargrad.hypersurface import (
     total_mu_on_V,
 )
 from polargrad.parser import parse_poly
-from polargrad.poly import det_fraction, homogeneous_degree, substitute_linear
+from polargrad.poly import (
+    dehomogenize,
+    det_fraction,
+    gradient,
+    homogeneous_degree,
+    substitute_linear,
+)
 from polargrad.rng import SplitMix64
 
-from helpers import tjurina_complete
+from helpers import saturation_local_dim, tjurina_complete
 
 V2 = ("x", "y")
 V3 = ("x", "y", "z")
@@ -241,6 +247,28 @@ class TestMuSummary:
     def test_completeness_agrees_with_the_tjurina_degree(self, text, vars):
         f = parse_poly(text, vars)
         assert mu_summary(f, 1).complete == tjurina_complete(f)
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            # four concurrent lines and a fifth: mu = 9 where they meet
+            (
+                "x*y*(x-y)*(x-2*y)*z",
+                {(0, 0, 1): 9, (0, 1, 0): 1, (1, 0, 0): 1, (1, 1, 0): 1, (2, 1, 0): 1},
+            ),
+            # an irreducible quintic with two unibranch singularities
+            ("y^2*z^3 - x^5", {(0, 0, 1): 4, (0, 1, 0): 8}),
+        ],
+        ids=["four-concurrent-lines-and-a-line", "cusp-quintic"],
+    )
+    def test_high_mu_quintics(self, text, expected):
+        f = parse_poly(text, V3)
+        s = mu_summary(f, 1)
+        assert {pt.coords: mu for pt, mu in s.local_mu.items()} == expected
+        assert s.complete and s.mu_on == sum(expected.values())
+        for pt, mu in s.local_mu.items():
+            chart_h = dehomogenize(f, pt.chart())
+            assert mu == saturation_local_dim(gradient(chart_h), pt.affine_coords()), pt
 
     def test_frame_split_is_the_frame_step_of_the_summary(self):
         for f in (XYZ, CONIC_TANGENT, A1A5_CUBIC):

@@ -147,6 +147,15 @@ class TestTimings:
         timed = analyze_polynomial("x*y*z", V3, AnalysisOptions(timings=True)).data
         assert "total" in timed["timings"]
 
+    def test_timing_lines_are_aligned(self):
+        text = analyze_polynomial("x*y*z", V3, AnalysisOptions(timings=True)).to_text()
+        lines = [line for line in text.splitlines() if line.startswith("time ")]
+        assert [line.split()[1] for line in lines] == [
+            "hypotheses", "frames", "oracle", "singularities", "total"
+        ]
+        # every value starts in the column after the longest stage name
+        assert {line.index(line.split()[2]) for line in lines} == {len("time singularities ")}
+
 
 class TestPipeline:
     def test_local_milnor_numbers_computed_once(self, monkeypatch):
