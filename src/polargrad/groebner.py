@@ -7,20 +7,18 @@ Everything is deterministic: the normal pair-selection strategy, sorted
 generator intake and final inter-reduction make the reduced basis unique for
 a given input and order.  Resource caps fail loudly instead of hanging.
 
-Hot-path layout: each `TermOrder` builds its ascending `key` and descending
-`neg_key` once, when it is constructed.  Buchberger keeps its pairs in a heap
-keyed by (order key of the lcm of the leading terms, pair), pushed once when
-the pair is created, so the pair popped is the least pending pair under the
-normal strategy.  `leading_monomial` remembers its answer on the polynomial
-for the last order asked, so a divisor's lead is found once, not once per
-reduction.  Division runs on packed monomials (`_Packing`; compare Monagan &
-Pearce, "Sparse polynomial division using a heap", JSC 2011): one int per
-exponent vector, whose fields, guard bits, degree and linear order key make
-a product one addition, a divisibility test one subtraction and one mask,
-and the term order integer comparison.  The dividend is packed on entry and
-the remainder unpacked on exit; each divisor's packed lead and tail are
-remembered on it like its lead.  `Poly` keeps tuple monomials everywhere
-else, and only `poly_divmod` collects quotients.
+Hot-path layout: monomials are packed (`_Packing`; compare Monagan & Pearce,
+"Sparse polynomial division using a heap", JSC 2011), one int per exponent
+vector whose fields, guard bits, degree and linear order key make a product
+one addition, a divisibility test one subtraction and one mask, and the term
+order integer comparison.  One heap loop, `_reduce_terms`, does every
+reduction; `normal_form` and `poly_divmod` pack their inputs on entry and
+unpack on exit.  Buchberger is packed from intake to output: monic packed
+leads and tails, pairs in a heap keyed by the packed lcm of their leads (the
+normal strategy), a coprime test `lcm == a + b`, a guard-bit test for the
+chain criterion, and no S-polynomial ever built (`_s_remainder`).  `Poly`
+keeps tuple monomials everywhere else, and `leading_monomial` remembers its
+answer on the polynomial.
 
 Linear algebra on a zero-dimensional k[x]/I takes no Groebner work past the
 algebra itself.  `Ideal.algebra` builds it once per ideal: the standard
@@ -84,15 +82,7 @@ DEFAULT_CAPS = Caps()
 # -------------------------------------------------------------- term orders
 
 
-def _grevlex_neg_key(m: Mono):
-    return (-sum(m), m[::-1])
-
-
-def _lex_neg_key(m: Mono):
-    return tuple([-e for e in m])
-
-
-def _block_keys(k: int):
+def _block_key(k: int):
     # the two grevlex keys of the blocks, flattened into one tuple
     def key(m: Mono):
         a, b = m[:k], m[k:]
@@ -100,11 +90,7 @@ def _block_keys(k: int):
             sum(a), tuple([-e for e in reversed(a)]), sum(b), tuple([-e for e in reversed(b)])
         )
 
-    def neg_key(m: Mono):
-        a, b = m[:k], m[k:]
-        return (-sum(a), a[::-1], -sum(b), b[::-1])
-
-    return key, neg_key
+    return key
 
 
 def _composed(key, pick):
@@ -117,22 +103,21 @@ class TermOrder:
     order (grevlex inside each block).  `perm` lists variable indices from
     most to least significant; None means the natural order.
 
-    `key` sorts monomials ascending in the order and `neg_key` descending.
-    Both are built once, with the order, for its kind and `perm`."""
+    `key` sorts monomials ascending in the order; it is built once, with the
+    order, for its kind and `perm`."""
 
     kind: str
     perm: tuple[int, ...] | None = None
     block_size: int | None = None
     key: Callable[[Mono], tuple] = field(init=False, repr=False, compare=False)
-    neg_key: Callable[[Mono], tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "grevlex":
-            key, neg_key = _grevlex_key, _grevlex_neg_key
+            key = _grevlex_key
         elif self.kind == "lex":
-            key, neg_key = tuple, _lex_neg_key
+            key = tuple
         elif self.kind == "block":
-            key, neg_key = _block_keys(self.block_size or 0)
+            key = _block_key(self.block_size or 0)
         else:
             raise ValueError(f"unknown term order kind {self.kind!r}")
         perm = self.perm
@@ -140,9 +125,7 @@ class TermOrder:
             get = itemgetter(*perm)
             pick = get if len(perm) > 1 else lambda m: (get(m),)
             key = _composed(key, pick)
-            neg_key = _composed(neg_key, pick)
         object.__setattr__(self, "key", key)
-        object.__setattr__(self, "neg_key", neg_key)
 
     def __reduce__(self):
         return TermOrder, (self.kind, self.perm, self.block_size)
@@ -206,8 +189,8 @@ class _Packing:
     compare as their ints.  a | b exactly when (b - a) leaves every guard bit
     clear: a borrow sets the guard bit of the lowest field where a is larger.
 
-    Valid while every total degree stays below 2^bits; `_reduce` picks the
-    width so that it does."""
+    Valid while every total degree stays below 2^bits; `_reduce` and
+    `buchberger` pick the width so that it does."""
 
     __slots__ = ("order", "bits", "shifts", "top", "fmask", "guard", "coefs")
 
@@ -234,68 +217,24 @@ class _Packing:
     def degree(self, e: int) -> int:
         return (e >> self.top) & self.fmask
 
-    def fits(self, order: TermOrder, bits: int) -> bool:
-        return self.bits == bits and (self.order is order or self.order == order)
 
-
-def _packed_divisor(g: Poly, packing: _Packing):
-    """(degree, packed lead, inverse of the leading coefficient, degree of
-    the tail, packed tail as (monomial, coefficient) pairs) of a nonzero g,
-    remembered on g with the packing of the last order and width asked for."""
-    cached = g._packed
-    if cached is not None and (cached[0] is packing or cached[0].fits(packing.order, packing.bits)):
-        return cached[1]
-    terms = sorted(((packing.pack(m), c) for m, c in g.terms.items()), reverse=True)
-    (lead, lc), tail = terms[0], terms[1:]
-    tail_deg = max((packing.degree(t) for t, _ in tail), default=0)
-    entry = (max(packing.degree(lead), tail_deg), lead, g.domain.inv(lc), tail_deg, tail)
-    object.__setattr__(g, "_packed", (packing, entry))
-    return entry
-
-
-def _degree(g: Poly) -> int:
-    cached = g._packed
-    return cached[1][0] if cached is not None else max(map(sum, g.terms))
-
-
-def _reduce(p: Poly, divisors, order: TermOrder, caps: Caps, quotients: bool = False):
-    """(remainder of p under full reduction by the divisors, the quotients'
-    term dicts, one per divisor, when `quotients` is set, else None), on
-    packed monomials.
-
-    The field width covers the degree cap, deg p and every divisor's
-    degree.  Each reduction step checks the cap on the degree of the shift
-    plus that of the divisor's tail before it forms any product, so every
-    term that enters the work set has degree at most max(deg p, cap) and
-    fits."""
-    nonzero = [(i, g) for i, g in enumerate(divisors) if g.terms]
-    need = max([caps.max_degree, max(map(sum, p.terms), default=0)]
-               + [_degree(g) for _, g in nonzero])
-    bits = need.bit_length()
-    # the divisors of one Buchberger run share one packing
-    cached = nonzero[0][1]._packed if nonzero else None
-    if cached is not None and cached[0].fits(order, bits):
-        packing = cached[0]
-    else:
-        packing = _Packing(order, len(p.vars), bits)
-    by_lead: dict[int, tuple] = {}
-    for i, g in nonzero:
-        _, lead, inv_lc, tail_deg, tail = _packed_divisor(g, packing)
-        by_lead.setdefault(lead, (i, inv_lc, tail_deg, tail))
-    leads = list(by_lead)
+def _reduce_terms(work: dict, by_lead: dict, packing: _Packing, caps: Caps, modulus, found=None) -> dict:
+    """The remainder of the packed terms in `work` (consumed), in descending
+    order, under full reduction: each term by the first divisor in `by_lead`
+    (packed lead -> (index, inverse leading coefficient, tail degree, packed
+    tail)) whose lead divides it; found[index] collects that quotient.  A
+    step checks the cap on the shift's degree plus the tail's before any
+    product, so no term exceeds max(degree in `work`, cap)."""
     guard, top, fmask, max_degree = packing.guard, packing.top, packing.fmask, caps.max_degree
-    modulus = p.domain.p
-    work = {packing.pack(m): c for m, c in p.terms.items()}
     heap = [-e for e in work]
     heapify(heap)
     remainder: dict[int, object] = {}
-    found = [{} for _ in divisors] if quotients else None
     while heap:
         e = -heappop(heap)
         c = work.pop(e, None)
         if c is None:
             continue
-        for lead in leads:
+        for lead in by_lead:
             if not (e - lead) & guard:
                 break
         else:
@@ -325,6 +264,24 @@ def _reduce(p: Poly, divisors, order: TermOrder, caps: Caps, quotients: bool = F
                 work[t] = d
             else:
                 del work[t]
+    return remainder
+
+
+def _reduce(p: Poly, divisors, order: TermOrder, caps: Caps, quotients: bool = False):
+    """(remainder of p under full reduction by the divisors, the quotients'
+    term dicts, one per divisor, when `quotients` is set, else None), on a
+    packing wide enough for the degree cap and every degree given."""
+    nonzero = [(i, g) for i, g in enumerate(divisors) if g.terms]
+    need = max([caps.max_degree, *map(sum, p.terms), *(max(map(sum, g.terms)) for _, g in nonzero)])
+    packing = _Packing(order, len(p.vars), need.bit_length())
+    by_lead: dict[int, tuple] = {}
+    for i, g in nonzero:
+        (lead, lc), *tail = sorted(((packing.pack(m), c) for m, c in g.terms.items()), reverse=True)
+        tail_deg = max((packing.degree(t) for t, _ in tail), default=0)
+        by_lead.setdefault(lead, (i, g.domain.inv(lc), tail_deg, tail))
+    found = [{} for _ in divisors] if quotients else None
+    work = {packing.pack(m): c for m, c in p.terms.items()}
+    remainder = _reduce_terms(work, by_lead, packing, caps, p.domain.p, found)
     unpack = packing.unpack
     rem = Poly.from_clean(p.vars, {unpack(e): c for e, c in remainder.items()}, p.domain)
     if found is None:
@@ -382,85 +339,121 @@ def s_polynomial(f: Poly, g: Poly, order: TermOrder) -> Poly:
     return mf * f - mg * g
 
 
+def _s_remainder(lcm: int, f, g, by_lead: dict, packing: _Packing, caps: Caps, modulus) -> dict:
+    """`_reduce_terms` of the S-polynomial of the monic basis elements f and
+    g, each a packed (lead, tail), whose leads have the lcm `lcm`.  The
+    S-polynomial is never built: the leads cancel, and the two tails,
+    shifted up to the lcm, go straight into the work set."""
+    shift = lcm - f[0]
+    work = {t + shift: c for t, c in f[1]}
+    shift = lcm - g[0]
+    for t, c in g[1]:
+        t += shift
+        d = work.pop(t, 0) - c
+        if modulus:
+            d %= modulus
+        if d:
+            work[t] = d
+    return _reduce_terms(work, by_lead, packing, caps, modulus)
+
+
 def buchberger(gens, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_CAPS) -> list[Poly]:
-    """Unique reduced Groebner basis (normal strategy, both skip criteria)."""
+    """Unique reduced Groebner basis (normal strategy, both skip criteria).
+    The run has one packing, holding twice the larger of the degree cap and
+    the largest generator degree: no basis element is larger (a new one
+    above the cap raises), so every S-polynomial and reduction fits.  Polys
+    are built only for the basis returned, and a generator returned
+    unchanged is the (monic) object given."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
-    vars0, dom0 = gens[0].vars, gens[0].domain
+    vars0, dom = gens[0].vars, gens[0].domain
     for g in gens:
-        if g.vars != vars0 or g.domain != dom0:
+        if g.vars != vars0 or g.domain != dom:
             raise DomainMismatch("generators live in different rings")
-
-    G: list[Poly] = []
-    lts: list[Mono] = []
-    pending: set[tuple[int, int]] = set()
-    queue: list = []  # heap of (order key of the lcm, pair), the pair selection
-
-    def add(h: Poly) -> None:
-        h = _monic(h, order)
-        idx = len(G)
-        if idx + 1 > caps.max_basis:
-            raise ResourceLimit(f"basis cap {caps.max_basis} exceeded")
-        lt = leading_monomial(h, order)
-        for i in range(idx):
-            pending.add((i, idx))
-            heappush(queue, (order.key(mono_lcm(lts[i], lt)), (i, idx)))
-        G.append(h)
-        lts.append(lt)
-
     intake = sorted(
         {g for g in (_monic(g, order) for g in gens)},
         key=lambda p: (order.key(leading_monomial(p, order)), sorted(p.terms.items())),
     )
+    need = max(caps.max_degree, max(g.degree() for g in intake))
+    packing = _Packing(order, len(vars0), (2 * need).bit_length())
+    pack, unpack, guard, top, fmask = packing.pack, packing.unpack, packing.guard, packing.top, packing.fmask
+    modulus, one = dom.p, dom.one()
+
+    # element i: packed lead lts[i] (exps[i] unpacked) with coefficient 1,
+    # packed tail tails[i] in descending order, and given[i], the generator
+    # it still is, or None
+    lts, exps, tails, given = [], [], [], []
+    by_lead: dict[int, tuple] = {}  # the divisors, as `_reduce_terms` reads them
+    pending: set[tuple[int, int]] = set()
+    queue: list = []  # heap of (packed lcm of the leads, i, j), the pair selection
+
+    def divisor(i: int) -> tuple:
+        return i, one, max(((t >> top) & fmask for t, _ in tails[i]), default=0), tails[i]
+
+    def add(lead: int, tail: list, poly: Poly | None = None) -> None:
+        idx = len(lts)
+        if idx + 1 > caps.max_basis:
+            raise ResourceLimit(f"basis cap {caps.max_basis} exceeded")
+        lt = unpack(lead)
+        for i, other in enumerate(exps):
+            pending.add((i, idx))
+            heappush(queue, (pack(map(max, other, lt)), i, idx))
+        lts.append(lead)
+        exps.append(lt)
+        tails.append(tail)
+        given.append(poly)
+        by_lead.setdefault(lead, divisor(idx))
+
     for g in intake:
-        add(g)
+        (lead, _), *tail = sorted(((pack(m), c) for m, c in g.terms.items()), reverse=True)
+        add(lead, tail, g)
 
     while queue:
-        _, (i, j) = heappop(queue)
+        lcm, i, j = heappop(queue)
         pending.discard((i, j))
-        lcm = mono_lcm(lts[i], lts[j])
-        if lcm == mono_mul(lts[i], lts[j]):
+        if lcm == lts[i] + lts[j]:
             continue  # coprime leading terms
-        skip = False
-        for k in range(len(G)):
-            if k == i or k == j:
-                continue
-            if mono_divides(lts[k], lcm):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a not in pending and b not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
-        h = normal_form(s_polynomial(G[i], G[j], order), G, order, caps)
-        if not h.is_zero():
-            if h.degree() > caps.max_degree:
+        third = [k for k, lead in enumerate(lts) if not (lcm - lead) & guard and k != i and k != j]
+        if any((min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending for k in third):
+            continue  # the chain criterion
+        rem = _s_remainder(lcm, (lts[i], tails[i]), (lts[j], tails[j]), by_lead, packing, caps, modulus)
+        if rem:
+            if max((t >> top) & fmask for t in rem) > caps.max_degree:
                 raise ResourceLimit(f"degree cap {caps.max_degree} exceeded")
-            add(h)
+            (lead, lc), *tail = rem.items()  # the first term popped is the lead
+            if lc != one:
+                inv = dom.inv(lc)
+                tail = [(t, c * inv % modulus if modulus else c * inv) for t, c in tail]
+            add(lead, tail)
 
-    # minimal generators of the leading-term ideal
-    order_of = sorted(range(len(G)), key=lambda i: order.key(lts[i]))
+    # minimal generators of the leading-term ideal, ascending
     kept: list[int] = []
-    for i in order_of:
-        if not any(mono_divides(lts[k], lts[i]) for k in kept):
+    for i in sorted(range(len(lts)), key=lts.__getitem__):
+        if not any(not (lts[i] - lts[k]) & guard for k in kept):
             kept.append(i)
-    basis = [G[i] for i in kept]
 
-    # inter-reduce tails until stable
+    # inter-reduce tails until stable; no lead divides a term of its own
+    # tail, so every kept element reduces each tail
+    reducers = {lts[i]: by_lead[lts[i]] for i in kept}
     changed = True
     while changed:
         changed = False
-        for i in range(len(basis)):
-            others = basis[:i] + basis[i + 1 :]
-            h = normal_form(basis[i], others, order, caps)
-            if h != basis[i]:
-                basis[i] = _monic(h, order)
-                changed = True
+        for i in kept:
+            before = dict(tails[i])
+            rem = _reduce_terms(dict(before), reducers, packing, caps, modulus)
+            if rem != before:
+                tails[i], given[i], changed = list(rem.items()), None, True
+                reducers[lts[i]] = divisor(i)
 
-    basis.sort(key=lambda p: order.key(leading_monomial(p, order)), reverse=True)
-    return basis
+    def poly(i: int) -> Poly:
+        terms = {exps[i]: one}
+        terms.update((unpack(t), c) for t, c in tails[i])
+        p = Poly.from_clean(vars0, terms, dom)
+        object.__setattr__(p, "_lead", (order, exps[i]))
+        return p
+
+    return [poly(i) if given[i] is None else given[i] for i in reversed(kept)]
 
 
 # -------------------------------------------------------------------- ideal
@@ -503,6 +496,10 @@ class Ideal:
 
     def __setattr__(self, name, value):
         raise AttributeError("Ideal is immutable")
+
+    def __reduce__(self):
+        # pickle rebuilds from the generators; the cached values are recomputed
+        return Ideal, (self.gens, self.order, self.vars, self.domain, self.caps)
 
     @property
     def basis(self) -> tuple[Poly, ...]:

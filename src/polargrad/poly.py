@@ -140,11 +140,10 @@ class Poly:
     """Immutable sparse polynomial: variable list, term map, domain tag.
 
     `_lead` holds (term order, leading monomial) for the last order the
-    leading monomial was asked for (see `groebner.leading_monomial`), and
-    `_packed` the packed form of the polynomial as a divisor (see
-    `groebner._packed_divisor`); neither takes part in equality or hashing."""
+    leading monomial was asked for (see `groebner.leading_monomial`); it
+    takes no part in equality or hashing."""
 
-    __slots__ = ("vars", "terms", "domain", "_lead", "_packed")
+    __slots__ = ("vars", "terms", "domain", "_lead")
 
     def __init__(
         self,
@@ -176,10 +175,13 @@ class Poly:
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "_lead", None)
-        object.__setattr__(self, "_packed", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):
+        # pickle rebuilds through the trusted constructor, without the cache
+        return Poly.from_clean, (self.vars, self.terms, self.domain)
 
     # ---------------------------------------------------------------- basics
 

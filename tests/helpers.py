@@ -7,10 +7,10 @@ multiplication matrices, fiber counts of the gradient map from the
 saturated projective fiber instead of the affine cone, eigenvalue
 multiplicities by enumerating root-of-unity products, the completeness of
 the rational singular points from Tjurina numbers instead of Milnor numbers,
-multivariate division on tuple monomials instead of packed ints, and echelon
-forms, stable images and multiplication matrices in `Fraction` arithmetic and
-by one normal form per standard monomial instead of on integer rows from the
-variable matrices.
+multivariate division and Buchberger's pair loop on tuple monomials instead
+of packed ints, and echelon forms, stable images and multiplication matrices
+in `Fraction` arithmetic and by one normal form per standard monomial instead
+of on integer rows from the variable matrices.
 """
 
 from __future__ import annotations
@@ -29,19 +29,31 @@ from polargrad.groebner import (
     NotZeroDimensional,
     ResourceLimit,
     TermOrder,
+    _monic,
     buchberger,
     elimination_order,
     leading_monomial,
     normal_form,
     projective_dim,
     quotient_vs_dim,
+    s_polynomial,
     saturate,
     saturate_ideal,
     staircase,
     zero_dim_degree_projective,
 )
 from polargrad.hypersurface import jacobian_ideal, rational_singular_points
-from polargrad.poly import Mono, Poly, dehomogenize, mono_degree, mono_div, mono_divides, mono_mul
+from polargrad.poly import (
+    DomainMismatch,
+    Mono,
+    Poly,
+    dehomogenize,
+    mono_degree,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+)
 from polargrad.rng import SplitMix64
 
 VAR_POOL = ("w", "x", "y", "z", "u", "v")
@@ -335,7 +347,7 @@ def reference_divmod(p: Poly, divisors: list[Poly], order: TermOrder, caps: Caps
     """The multivariate division of `groebner.poly_divmod` on tuple
     monomials, as it was before monomials were packed into ints: a linear
     scan of the divisors' leading monomials with `mono_divides` for each
-    term, and a heap keyed by `order.neg_key`.  Returns (quotients,
+    term, and a heap keyed by `order.key` negated.  Returns (quotients,
     remainder) with p = sum(q_i * divisors_i) + remainder and no remainder
     term divisible by any leading term of the divisors."""
     dom = p.domain
@@ -347,7 +359,11 @@ def reference_divmod(p: Poly, divisors: list[Poly], order: TermOrder, caps: Caps
             continue
         lt = leading_monomial(g, order)
         lead.append((lt, g.terms[lt], g.terms))
-    neg_key = order.neg_key
+
+    def neg_key(m: Mono) -> tuple:
+        # order.key with each integer negated: the largest monomial first
+        return tuple(tuple(-e for e in k) if isinstance(k, tuple) else -k for k in order.key(m))
+
     work = dict(p.terms)
     heap = [(neg_key(m), m) for m in work]
     heapq.heapify(heap)
@@ -395,6 +411,100 @@ def reference_divmod(p: Poly, divisors: list[Poly], order: TermOrder, caps: Caps
         object.__setattr__(qp, "terms", q)
         qpolys.append(qp)
     return qpolys, rem
+
+
+# ------------------------------------------- tuple-monomial Buchberger
+
+
+def reference_normal_form(p: Poly, basis, order: TermOrder, caps: Caps = DEFAULT_CAPS) -> Poly:
+    """`groebner.normal_form` on `reference_divmod`."""
+    basis = list(basis)
+    return p if p.is_zero() or not basis else reference_divmod(p, basis, order, caps)[1]
+
+
+def reference_buchberger(gens, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_CAPS) -> list[Poly]:
+    """`groebner.buchberger` as it was before its pair loop ran on packed
+    monomials: tuple leads, `mono_lcm`/`mono_mul`/`mono_divides` for the
+    pair criteria, and each S-polynomial built by `s_polynomial` and reduced
+    by `reference_divmod`.  The same unique reduced basis, term for term in
+    the same dict order, or the same `ResourceLimit`."""
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return []
+    vars0, dom0 = gens[0].vars, gens[0].domain
+    for g in gens:
+        if g.vars != vars0 or g.domain != dom0:
+            raise DomainMismatch("generators live in different rings")
+
+    G: list[Poly] = []
+    lts: list[Mono] = []
+    pending: set[tuple[int, int]] = set()
+    queue: list = []  # heap of (order key of the lcm, pair), the pair selection
+
+    def add(h: Poly) -> None:
+        h = _monic(h, order)
+        idx = len(G)
+        if idx + 1 > caps.max_basis:
+            raise ResourceLimit(f"basis cap {caps.max_basis} exceeded")
+        lt = leading_monomial(h, order)
+        for i in range(idx):
+            pending.add((i, idx))
+            heapq.heappush(queue, (order.key(mono_lcm(lts[i], lt)), (i, idx)))
+        G.append(h)
+        lts.append(lt)
+
+    intake = sorted(
+        {g for g in (_monic(g, order) for g in gens)},
+        key=lambda p: (order.key(leading_monomial(p, order)), sorted(p.terms.items())),
+    )
+    for g in intake:
+        add(g)
+
+    while queue:
+        _, (i, j) = heapq.heappop(queue)
+        pending.discard((i, j))
+        lcm = mono_lcm(lts[i], lts[j])
+        if lcm == mono_mul(lts[i], lts[j]):
+            continue  # coprime leading terms
+        skip = False
+        for k in range(len(G)):
+            if k == i or k == j:
+                continue
+            if mono_divides(lts[k], lcm):
+                a = (min(i, k), max(i, k))
+                b = (min(j, k), max(j, k))
+                if a not in pending and b not in pending:
+                    skip = True
+                    break
+        if skip:
+            continue
+        h = reference_normal_form(s_polynomial(G[i], G[j], order), G, order, caps)
+        if not h.is_zero():
+            if h.degree() > caps.max_degree:
+                raise ResourceLimit(f"degree cap {caps.max_degree} exceeded")
+            add(h)
+
+    # minimal generators of the leading-term ideal
+    order_of = sorted(range(len(G)), key=lambda i: order.key(lts[i]))
+    kept: list[int] = []
+    for i in order_of:
+        if not any(mono_divides(lts[k], lts[i]) for k in kept):
+            kept.append(i)
+    basis = [G[i] for i in kept]
+
+    # inter-reduce tails until stable
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(basis)):
+            others = basis[:i] + basis[i + 1 :]
+            h = reference_normal_form(basis[i], others, order, caps)
+            if h != basis[i]:
+                basis[i] = _monic(h, order)
+                changed = True
+
+    basis.sort(key=lambda p: order.key(leading_monomial(p, order)), reverse=True)
+    return basis
 
 
 # ---------------------------------------------------- double-saturation oracle

@@ -8,6 +8,7 @@ criterion as a post-hoc test on computed bases.
 import ast
 import math
 import pickle
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,12 +48,14 @@ from polargrad.groebner import (
 from polargrad.parser import parse_poly
 from polargrad.poly import GF, QQ, DomainMismatch, Poly, mono_divides, mono_mul, to_prime_field
 
+import helpers
 from helpers import (
     fraction_rank,
     macaulay_quotient_dim,
     polys,
     rabinowitsch_saturate,
     random_zero_dim_ideal,
+    reference_buchberger,
     reference_divmod,
     reference_echelon,
     reference_multiplication_matrix,
@@ -119,7 +122,6 @@ class TestTermOrder:
         order, monos = case
         expected = sorted(monos, key=lambda m: _reference_key(order, m))
         assert sorted(monos, key=order.key) == expected
-        assert sorted(monos, key=order.neg_key) == expected[::-1]
 
     def test_unknown_kind_is_rejected_when_built(self):
         with pytest.raises(ValueError):
@@ -230,25 +232,126 @@ class TestPackedDivision:
 
     @pytest.mark.parametrize("caps", [Caps(max_degree=4), Caps(max_degree=10_000)], ids=["cap4", "cap10000"])
     @pytest.mark.parametrize("order", [GREVLEX, LEX, elimination_order((1,), (0, 2))], ids=["grevlex", "lex", "block-y"])
-    def test_buchberger_with_a_generator_above_the_cap(self, monkeypatch, caps, order):
+    def test_buchberger_with_a_generator_above_the_cap(self, caps, order):
         # buchberger takes generators above the cap; its basis, or the cap it
-        # trips, is the same on the tuple-monomial division
+        # trips, is the same as on tuple monomials
         gens = [P("x^40 - y"), P("x*y - z"), P("y*z^2 - 1")]
+        assert _basis_outcome(buchberger, gens, order, caps) == _basis_outcome(
+            reference_buchberger, gens, order, caps
+        )
 
-        def run():
-            try:
-                return buchberger(gens, order, caps)
-            except ResourceLimit:
-                return "ResourceLimit"
 
-        packed = run()
+def _basis_outcome(run, gens, order, caps=groebner.DEFAULT_CAPS):
+    """The basis as lists of terms in their dict order, each with whether it
+    is one of `gens` itself, or the `ResourceLimit` message."""
+    try:
+        basis = run(gens, order, caps)
+    except ResourceLimit as e:
+        return str(e)
+    return [(list(p.terms.items()), any(p is g for g in gens)) for p in basis]
 
-        def reference_normal_form(p, basis, order, caps=groebner.DEFAULT_CAPS):
-            basis = list(basis)
-            return p if p.is_zero() or not basis else reference_divmod(p, basis, order, caps)[1]
 
-        monkeypatch.setattr(groebner, "normal_form", reference_normal_form)
-        assert run() == packed
+@contextmanager
+def _counting(module, name):
+    """Count the calls of module.name made while the block runs."""
+    counts = {name: 0}
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    setattr(module, name, counted)
+    try:
+        yield counts
+    finally:
+        setattr(module, name, original)
+
+
+@st.composite
+def buchberger_cases(draw):
+    """An order, generators and caps in at most four variables.  Two
+    generators may share a lead, and a degree cap near the generators'
+    degrees lets S-polynomials climb above the cap, under lex even when they
+    then reduce below it."""
+    n = draw(st.integers(1, 4))
+    order = draw(term_orders(n))
+    monos = st.tuples(*[st.integers(0, 3)] * n)
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+
+    def poly(max_terms):
+        return Poly(V4[:n], draw(st.lists(st.tuples(monos, coeffs), min_size=1, max_size=max_terms)))
+
+    # two to n + 1 generators, some with a common factor, so that few ideals
+    # are principal or the unit ideal
+    gens = [poly(3) for _ in range(draw(st.integers(2, n + 1)))]
+    if draw(st.integers(0, 3)) == 0:
+        factor = poly(2)
+        gens = [g * factor for g in gens]
+    if draw(st.booleans()) and not gens[0].is_zero():
+        # another generator with the lead of the first and a lower tail
+        lead = leading_monomial(gens[0], order)
+        below = [(m, c) for m, c in poly(3).terms.items() if order.key(m) < order.key(lead)]
+        gens.append(Poly(V4[:n], [(lead, draw(coeffs))] + below))
+    # a degree cap at or just above the largest generator degree sets the
+    # packing's width, and S-polynomials and reductions climb past it
+    top = max(g.degree() for g in gens)
+    caps = Caps(
+        max_basis=draw(st.sampled_from([6, 25])),
+        max_degree=draw(st.sampled_from([top, top + 1, top + 2, 120])),
+    )
+    return order, gens, caps
+
+
+class TestPackedBuchberger:
+    """`buchberger`, whose pair loop runs on packed monomials, against the
+    tuple-monomial run it replaced (`helpers.reference_buchberger`): the same
+    basis, term for term in the same dict order and with the same generators
+    returned as themselves, or the same `ResourceLimit` message; and the
+    same number of S-polynomials reduced."""
+
+    def _check(self, gens, order, caps):
+        with _counting(groebner, "_s_remainder") as packed:
+            outcome = _basis_outcome(buchberger, gens, order, caps)
+        with _counting(helpers, "s_polynomial") as tuples:
+            assert outcome == _basis_outcome(reference_buchberger, gens, order, caps)
+        assert packed["_s_remainder"] == tuples["s_polynomial"]
+        return outcome
+
+    @pytest.mark.parametrize("prime", [None, 32003])
+    @given(buchberger_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_basis_matches_the_tuple_reference(self, prime, case):
+        order, gens, caps = case
+        if prime is not None:
+            gens = [to_prime_field(g, prime) for g in gens]
+        self._check(gens, order, caps)
+
+    @pytest.mark.parametrize("prime", [None, 32003])
+    def test_s_polynomials_above_the_cap(self, monkeypatch, prime):
+        # under lex these S-polynomials reach degree 9 and 10, above the caps
+        # of 8 and 7, and still reduce to a basis within them
+        cases = [
+            (["2*y^3 + 1", "x*z^3 - y*z^2", "x^3*y^2*z^3 - x^3*y^2 + 2*y^2*z"], 8),
+            (["x^3*y^3 - x^3*y^2 - x*y^2*z", "x^2*y^3*z^2 - y^3"], 7),
+        ]
+        degrees = []
+
+        def spoly(f, g, order):
+            s = s_polynomial(f, g, order)
+            degrees.append(s.degree())
+            return s
+
+        for texts, cap in cases:
+            gens = [P(t) for t in texts]
+            if prime is not None:
+                gens = [to_prime_field(g, prime) for g in gens]
+            degrees.clear()
+            monkeypatch.setattr(helpers, "s_polynomial", spoly)
+            reference_buchberger(gens, LEX, Caps(max_degree=cap))
+            monkeypatch.undo()
+            assert max(degrees) > cap
+            assert not isinstance(self._check(gens, LEX, Caps(max_degree=cap)), str)
 
 
 class TestLeadingMonomial:
@@ -432,12 +535,42 @@ class TestCaps:
         assert found == []
 
 
+class TestPickling:
+    """An `Ideal` pickles through its constructor: the generators, order,
+    ring and caps travel, and the cached basis, staircase and algebra are
+    recomputed on the other side."""
+
+    @pytest.mark.parametrize("prime", [None, 32003])
+    def test_ideal_round_trip(self, prime):
+        gens = [P("x^2 - 1/3*y", V2), P("y^2 - 1", V2)]
+        if prime is not None:
+            gens = [to_prime_field(g, prime) for g in gens]
+        caps = Caps(max_basis=50, max_degree=30)
+        I = Ideal(gens, LEX, caps=caps)
+        assert pickle.loads(pickle.dumps(I)).gens == I.gens
+        assert quotient_vs_dim(I) == 4 and I.algebra is not None
+        J = pickle.loads(pickle.dumps(I))
+        assert (J.gens, J.order, J.vars, J.domain, J.caps) == (I.gens, LEX, V2, I.domain, caps)
+        assert J._basis is None and J._staircase is None and J._algebra is None
+        assert [list(g.terms.items()) for g in J.basis] == [list(g.terms.items()) for g in I.basis]
+        assert J.algebra.rows == I.algebra.rows
+        with pytest.raises(AttributeError):
+            J.order = GREVLEX
+
+    def test_zero_ideal_round_trip(self):
+        zero = Ideal([], vars=V3, domain=GF(32003))
+        back = pickle.loads(pickle.dumps(zero))
+        assert back.is_zero_ideal() and back.vars == V3 and back.domain == GF(32003)
+
+
 class TestPairOrder:
     """The pair selection fixes how many S-polynomials Buchberger forms and
-    reduces; these counts pin it."""
+    reduces; these counts pin it.  `_s_remainder` reduces one S-polynomial,
+    and `_reduce_terms` runs every reduction: those of the S-polynomials and
+    those of the final inter-reduction."""
 
     def _count(self, monkeypatch, run):
-        counts = {"s_polynomial": 0, "normal_form": 0}
+        counts = {"_s_remainder": 0, "_reduce_terms": 0}
         for name in counts:
             original = getattr(groebner, name)
 
@@ -454,7 +587,7 @@ class TestPairOrder:
         gens = [P("x^5 - y*z^4"), P("x*y^4 - z^5"), P("x^4*z - y^5")]
         for order, spolys, reductions, size in ((GREVLEX, 2, 5, 3), (LEX, 10, 17, 7)):
             counts, basis = self._count(monkeypatch, lambda: buchberger(gens, order))
-            assert counts == {"s_polynomial": spolys, "normal_form": reductions}
+            assert counts == {"_s_remainder": spolys, "_reduce_terms": reductions}
             assert len(basis) == size
 
     def test_counts_of_an_intersection_mod_p(self, monkeypatch):
@@ -462,7 +595,7 @@ class TestPairOrder:
         I = Ideal([to_prime_field(P(t), p) for t in ("x^3 - y*z^2", "y^3 - x^2*z", "x*y*z - z^3")])
         J = Ideal([to_prime_field(P(t), p) for t in ("x*y - z^2", "x^2 + y^2 + z^2")])
         counts, K = self._count(monkeypatch, lambda: intersect(I, J))
-        assert counts == {"s_polynomial": 46, "normal_form": 78}
+        assert counts == {"_s_remainder": 46, "_reduce_terms": 78}
         assert len(K.gens) == 9
 
 

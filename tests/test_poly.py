@@ -1,11 +1,13 @@
 """Polynomial kernel: parser, calculus, substitution, reducedness probe."""
 
+import pickle
 from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
 from hypothesis import assume, given, settings
 
+from polargrad.groebner import GREVLEX, leading_monomial
 from polargrad.parser import ParseError, UnknownVariable, parse_poly
 from polargrad.poly import (
     GF,
@@ -84,6 +86,24 @@ class TestConstruction:
         assert from_dict == Poly(V2, list(terms.items()))
         assert from_dict == Poly(V2, iter(terms.items()))
         assert from_dict == parse_poly("3*x^2 - 5*y + 7", V2)
+
+    @pytest.mark.parametrize("prime", [None, 32003])
+    @given(polys(max_vars=3))
+    @settings(max_examples=40, deadline=None)
+    def test_pickle_round_trip(self, prime, p):
+        # the terms come back in their dict order, the cached lead is
+        # dropped, and the copy is as immutable as the original
+        if prime is not None:
+            p = to_prime_field(p, prime)
+        if not p.is_zero():
+            leading_monomial(p, GREVLEX)
+            assert p._lead is not None
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p and list(q.terms.items()) == list(p.terms.items())
+        assert (q.vars, q.domain) == (p.vars, p.domain)
+        assert q._lead is None
+        with pytest.raises(AttributeError):
+            q.terms = {}
 
 
 class TestCalculus:
