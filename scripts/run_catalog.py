@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the built-in catalog and print a three-method comparison table.
 
-Usage: python scripts/run_catalog.py [--seed N] [--trials N] [--modp off|dual]
+Usage: python scripts/run_catalog.py [--seed N] [--trials N]
 """
 
 import argparse
@@ -15,7 +15,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--trials", type=int, default=3)
-    ap.add_argument("--modp", choices=("off", "dual"), default="dual")
     args = ap.parse_args()
 
     header = f"{'entry':<28} {'formula':>8} {'oracle':>8} {'tame':>8} {'mu':>4} {'mu0':>4} {'status':<18} {'sec':>6}"
@@ -24,7 +23,7 @@ def main() -> int:
     failures = 0
     for entry in CATALOG:
         start = time.monotonic()
-        res = run_entry(entry, seed=args.seed, trials=args.trials, modp=args.modp)
+        res = run_entry(entry, seed=args.seed, trials=args.trials)
         elapsed = time.monotonic() - start
         if entry.oracle_only:
             print(

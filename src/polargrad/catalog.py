@@ -208,14 +208,13 @@ BY_NAME = {entry.name: entry for entry in CATALOG}
 
 
 def run_entry(
-    entry: CatalogEntry, seed: int = 1, trials: int = 3, modp: str = "dual",
-    caps: Caps = DEFAULT_CAPS,
+    entry: CatalogEntry, seed: int = 1, trials: int = 3, caps: Caps = DEFAULT_CAPS
 ) -> dict:
     """Analyze one entry and diff the result against its expected fields."""
     mismatches: list[str] = []
     if entry.oracle_only:
         f = parse_poly(entry.text, entry.vars)
-        result = polar_degree_fiber_oracle(f, trials=trials, seed=seed, modp=modp, caps=caps)
+        result = polar_degree_fiber_oracle(f, trials=trials, seed=seed, caps=caps)
         if result.value != entry.d_f:
             mismatches.append(f"d_f oracle: got {result.value}, expected {entry.d_f}")
         return {
@@ -227,7 +226,6 @@ def run_entry(
     options = AnalysisOptions(
         seed=seed,
         trials=trials,
-        modp=modp,
         declarations=[s.declaration() for s in entry.singularities],
         caps=caps,
     )

@@ -35,6 +35,7 @@ from .polar import (
     OracleInconsistent,
     PolarError,
     PositiveDimensionalFiber,
+    check_oracle_options,
     consolidate,
     polar_degree_fiber_oracle,
     polar_degree_formula,
@@ -59,13 +60,6 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     """Flags of the commands that run the Groebner pipeline."""
     p.add_argument("--seed", type=int, default=1, help="deterministic seed (default 1)")
     p.add_argument("--trials", type=int, default=3, help="oracle trials (default 3)")
-    p.add_argument(
-        "--modp",
-        choices=("off", "dual"),
-        default="dual",
-        help="oracle Groebner steps over two large primes with agreement "
-        "required (dual, default) or over the rationals only (off)",
-    )
     p.add_argument("--max-basis", type=int, default=DEFAULT_CAPS.max_basis)
     p.add_argument("--max-degree", type=int, default=DEFAULT_CAPS.max_degree)
 
@@ -111,7 +105,6 @@ def cmd_analyze(args) -> int:
     options = AnalysisOptions(
         seed=args.seed,
         trials=args.trials,
-        modp=args.modp,
         declarations=_load_declarations(args),
         timings=args.timings,
         caps=_caps(args),
@@ -122,13 +115,15 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_polar_degree(args) -> int:
+    if args.method in ("oracle", "all"):
+        check_oracle_options(args.trials)
     names, f = _parse_input(args)
     caps = _caps(args)
     runs = []
     if args.method in ("formula", "all"):
         runs.append(polar_degree_formula(f, args.seed, caps))
     if args.method in ("oracle", "all"):
-        runs.append(polar_degree_fiber_oracle(f, args.trials, args.seed, args.modp, caps))
+        runs.append(polar_degree_fiber_oracle(f, args.trials, args.seed, caps))
     if args.method in ("tame", "all"):
         runs.append(polar_degree_tame(f, args.seed + 1, caps))
     payload = {
@@ -247,7 +242,7 @@ def cmd_catalog(args) -> int:
         if args.target not in BY_NAME:
             raise InputError(f"unknown catalog entry {args.target!r}")
         entries = [BY_NAME[args.target]]
-    run = partial(run_entry, seed=args.seed, trials=args.trials, modp=args.modp, caps=_caps(args))
+    run = partial(run_entry, seed=args.seed, trials=args.trials, caps=_caps(args))
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

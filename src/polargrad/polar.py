@@ -10,11 +10,7 @@
   reducedness or isolatedness hypotheses and is the general fallback; the
   other two need both, which `require_hypotheses` alone decides, exactly.
   It shares no kernel with them: neither a frame nor `local_component_dim`.
-
-The oracle can run its Groebner steps modulo two fixed large primes; a value
-is only reported from the modular path when both primes agree and d - 1
-divides both counts, and any conjecture-counterexample claim is re-verified
-over the rationals.
+  Every count is exact: the cone bases are computed over the rationals.
 """
 
 from __future__ import annotations
@@ -39,18 +35,8 @@ from .monodromy import (
     mult_at_order,
     primitive_betti,
 )
-from .poly import (
-    DomainMismatch,
-    NotHomogeneous,
-    Poly,
-    ZeroPolynomial,
-    gradient,
-    homogeneous_degree,
-    to_prime_field,
-)
+from .poly import NotHomogeneous, Poly, ZeroPolynomial, gradient, homogeneous_degree
 from .rng import SplitMix64
-
-ORACLE_PRIMES = (2147483629, 2147483587)
 
 
 class PolarError(Exception):
@@ -169,35 +155,14 @@ def _fiber_degree(grads: list[Poly], d: int, u: tuple[int, ...], caps: Caps = DE
     return degree
 
 
-def _oracle_value(grads_by_domain: dict, d: int, u: tuple[int, ...], modp: str, caps: Caps):
-    def partials(p: int) -> list[Poly]:
-        if p not in grads_by_domain:
-            grads_by_domain[p] = [to_prime_field(g, p) for g in grads_by_domain["qq"]]
-        return grads_by_domain[p]
-
-    path = "rational"
-    if modp == "dual":
-        path = "rational (prime fallback)"
-        try:
-            first, second = (_fiber_degree(partials(p), d, u, caps) for p in ORACLE_PRIMES)
-            if first == second:
-                return first, {"u": list(u), "path": "dual-prime", "degree": first}
-        except (DomainMismatch, OracleInconsistent):
-            pass
-    value = _fiber_degree(grads_by_domain["qq"], d, u, caps)
-    return value, {"u": list(u), "path": path, "degree": value}
-
-
-def check_oracle_options(trials: int, modp: str) -> None:
+def check_oracle_options(trials: int) -> None:
     """Reject oracle settings before any Groebner work is done."""
-    if modp not in ("dual", "off"):
-        raise ValueError("modp must be 'dual' or 'off'")
     if trials < 1:
         raise ValueError(f"need at least one oracle trial, got {trials}")
 
 
 def polar_degree_fiber_oracle(
-    f: Poly, trials: int = 3, seed: int = 1, modp: str = "dual", caps: Caps = DEFAULT_CAPS
+    f: Poly, trials: int = 3, seed: int = 1, caps: Caps = DEFAULT_CAPS
 ) -> PolarDegreeResult:
     """Count the points of the fiber of the gradient map over random rational
     targets u, each as the quotient dimension of the cone ideal (f_i - u_i)
@@ -208,8 +173,8 @@ def polar_degree_fiber_oracle(
     d = homogeneous_degree(f)
     if d < 1:
         raise HypothesisError("the gradient map needs a non-constant polynomial")
-    check_oracle_options(trials, modp)
-    grads_by_domain: dict = {"qq": gradient(f)}
+    check_oracle_options(trials)
+    grads = gradient(f)
     rng = SplitMix64(seed * 6364136223846793005 + 0xDA3E39CB94B95BDB)
     nv = len(f.vars)
     values: list[int] = []
@@ -227,21 +192,20 @@ def polar_degree_fiber_oracle(
             raise OracleInconsistent(
                 f"no stable fiber count within {budget} targets: {values}"
             )
-        result = None
         for _ in range(2):  # one internal retry per trial on a degenerate target
             u = rng.nonzero_vector(nv, -100, 100)
             drawn += 1
             try:
-                result = _oracle_value(grads_by_domain, d, u, modp, caps)
+                degree = _fiber_degree(grads, d, u, caps)
                 break
             except PositiveDimensionalFiber:
                 continue
-        if result is None:
+        else:
             raise PositiveDimensionalFiber(
                 "two consecutive degenerate targets; rerun with a new seed"
             )
-        values.append(result[0])
-        infos.append(result[1])
+        values.append(degree)
+        infos.append({"u": list(u), "path": "rational", "degree": degree})
     if len(set(values)) == 1:
         value = values[0]
         discrepancy = False
@@ -254,7 +218,7 @@ def polar_degree_fiber_oracle(
         "fiber_oracle",
         value,
         seed,
-        {"values": values, "trials": infos, "discrepancy": discrepancy, "modp": modp},
+        {"values": values, "trials": infos, "discrepancy": discrepancy},
     )
 
 
@@ -274,12 +238,12 @@ def consolidate(values: list[int]) -> tuple[int | None, bool]:
 
 
 def is_homaloidal(
-    f: Poly, seed: int = 1, trials: int = 3, modp: str = "dual", caps: Caps = DEFAULT_CAPS
+    f: Poly, seed: int = 1, trials: int = 3, caps: Caps = DEFAULT_CAPS
 ) -> tuple[bool, list[PolarDegreeResult]]:
     """Whether the gradient map is birational, with the agreeing evidence."""
     results = [
         polar_degree_formula(f, seed, caps),
-        polar_degree_fiber_oracle(f, trials, seed, modp, caps),
+        polar_degree_fiber_oracle(f, trials, seed, caps),
         polar_degree_tame(f, seed + 1, caps),
     ]
     value, unanimous = consolidate([r.value for r in results])

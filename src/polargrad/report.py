@@ -48,7 +48,6 @@ class InconsistencyError(Exception):
 class AnalysisOptions:
     seed: int = 1
     trials: int = 3
-    modp: str = "dual"
     declarations: list[dict] = field(default_factory=list)
     timings: bool = False
     caps: Caps = DEFAULT_CAPS
@@ -190,7 +189,7 @@ def _build_records(points, local_mu, declarations) -> list[SingularityRecord]:
 def analyze_polynomial(text: str, vars, options: AnalysisOptions | None = None) -> AnalysisReport:
     """Full verdict bundle for one input polynomial."""
     options = options or AnalysisOptions()
-    check_oracle_options(options.trials, options.modp)
+    check_oracle_options(options.trials)
     timings: dict[str, float] = {}
     t0 = time.monotonic()
     try:
@@ -214,7 +213,7 @@ def analyze_polynomial(text: str, vars, options: AnalysisOptions | None = None) 
     timings["frames"] = time.monotonic() - t1
 
     t2 = time.monotonic()
-    oracle = polar_degree_fiber_oracle(f, options.trials, options.seed, options.modp, options.caps)
+    oracle = polar_degree_fiber_oracle(f, options.trials, options.seed, options.caps)
     if oracle.details.get("discrepancy"):
         notes.append(f"oracle trials disagreed: {oracle.details['values']}")
     timings["oracle"] = time.monotonic() - t2
@@ -272,13 +271,7 @@ def analyze_polynomial(text: str, vars, options: AnalysisOptions | None = None) 
         # a counterexample claim needs all three methods, not a majority
         status = "undetermined"
         notes.append("d(f) = 1 by majority only; counterexample claim withheld")
-    if status == "COUNTEREXAMPLE" and options.modp != "off":
-        # a counterexample claim must not rest on modular luck
-        rational = polar_degree_fiber_oracle(f, options.trials, options.seed, "off", options.caps)
-        if rational.value != 1:
-            raise InconsistencyError(
-                f"modular oracle said 1 but the rational oracle says {rational.value}"
-            )
+    if status == "COUNTEREXAMPLE":
         notes.append("COUNTEREXAMPLE verified with rational arithmetic; review manually")
 
     data = {

@@ -53,7 +53,7 @@ def catalog_runs():
     runs = {}
     for name in FULL_ENTRIES:
         start = time.monotonic()
-        runs[name] = run_entry(BY_NAME[name], seed=1, trials=3, modp="dual")
+        runs[name] = run_entry(BY_NAME[name], seed=1, trials=3)
         runs[name]["elapsed"] = time.monotonic() - start
     return runs
 

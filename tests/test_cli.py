@@ -6,10 +6,11 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import polargrad.cli
 import polargrad.report
 from polargrad.catalog import CATALOG
 from polargrad.cli import main
-from polargrad.report import AnalysisOptions, analyze_polynomial
+from polargrad.report import analyze_polynomial
 
 # a smooth cubic whose Groebner bases need more than two elements
 CAPPED_RUN = ["analyze", "x^3+y^3+z^3+x*y*z", "--vars", "x,y,z", "--max-basis", "2"]
@@ -123,16 +124,23 @@ class TestAnalyze:
 
     def test_oracle_options_checked_before_groebner_work(self, monkeypatch):
         def forbidden(*args):
-            raise AssertionError("mu_summary ran before the options were checked")
+            raise AssertionError("Groebner work ran before the options were checked")
 
         monkeypatch.setattr(polargrad.report, "mu_summary", forbidden)
-        err = io.StringIO()
-        with redirect_stderr(err):
-            code, _ = run_cli(["analyze", "x^3+y^3+z^3+x*y*z", "--vars", "x,y,z", "--trials", "0"])
-        assert code == 1
-        assert err.getvalue().startswith("input error:")
-        with pytest.raises(ValueError, match="modp"):
-            analyze_polynomial("x*y*z", ("x", "y", "z"), AnalysisOptions(modp="maybe"))
+        monkeypatch.setattr(polargrad.cli, "polar_degree_formula", forbidden)
+        for argv in (
+            ["analyze", "x^3+y^3+z^3+x*y*z", "--vars", "x,y,z", "--trials", "0"],
+            ["polar-degree", "x^3+y^3+z^3+x*y*z", "--vars", "x,y,z", "--method", "all", "--trials", "0"],
+        ):
+            err = io.StringIO()
+            with redirect_stderr(err):
+                code, _ = run_cli(argv)
+            assert code == 1
+            assert err.getvalue().startswith("input error:")
+        # the tame method alone runs no oracle trials
+        code, out = run_cli(["polar-degree", "x*y*z", "--vars", "x,y,z", "--method", "tame", "--trials", "0"])
+        assert code == 0
+        assert "tame_split" in out
 
 
     @pytest.mark.parametrize(
@@ -184,6 +192,9 @@ class TestUsage:
             ["catalog", "run", "line-pair", "--format", "json"],
             ["catalog", "run", "line-pair", "--max-vars", "3"],
             ["catalog", "run", "line-pair", "--max-input-degree", "3"],
+            ["analyze", "x*y*z", "--vars", "x,y,z", "--modp", "off"],
+            ["polar-degree", "x*y*z", "--vars", "x,y,z", "--modp", "off"],
+            ["catalog", "run", "line-pair", "--modp", "off"],
         ):
             with redirect_stderr(io.StringIO()):
                 assert run_cli(argv)[0] == 1

@@ -41,6 +41,7 @@ from polargrad.polar import (
     require_hypotheses,
 )
 from polargrad.poly import (
+    QQ,
     Poly,
     Reducedness,
     dehomogenize,
@@ -76,7 +77,7 @@ class TestFiberOracle:
         assert polar_degree_fiber_oracle(FERMAT2, seed=1).value == 4
 
     def test_rational_path_matches(self):
-        r = polar_degree_fiber_oracle(XYZ, seed=5, modp="off")
+        r = polar_degree_fiber_oracle(XYZ, seed=5)
         assert r.value == 1
         assert r.details["trials"][0]["path"] == "rational"
 
@@ -256,14 +257,10 @@ class TestOnePartialSaturation:
             assert saturation_fiber_count(grads, u) == degree
 
     @pytest.mark.parametrize(
-        "text, vars, modp, domains, value",
-        [
-            ("x^2*y*z", V3, "off", 1, 1),
-            ("x^2*y*z", V3, "dual", 2, 1),
-            ("w*x*y + w*x*z + w*y*z + x*y*z", V4, "dual", 2, 4),
-        ],
+        "text, vars, value",
+        [("x^2*y*z", V3, 1), ("w*x*y + w*x*z + w*y*z + x*y*z", V4, 4)],
     )
-    def test_one_basis_per_trial_and_domain(self, monkeypatch, text, vars, modp, domains, value):
+    def test_one_basis_per_trial_and_domain(self, monkeypatch, text, vars, value):
         # both inputs have a nonempty base locus, which the oracle never saturates away
         buchberger = groebner.buchberger
         calls = []
@@ -278,11 +275,11 @@ class TestOnePartialSaturation:
         monkeypatch.setattr(groebner, "buchberger", counted)
         for module, name in ((groebner, "saturate"), (groebner, "intersect"), (polar, "intersect")):
             monkeypatch.setattr(module, name, forbidden)
-        r = polar_degree_fiber_oracle(parse_poly(text, vars), seed=1, modp=modp)
+        r = polar_degree_fiber_oracle(parse_poly(text, vars), seed=1)
         assert r.value == value
-        path = "rational" if modp == "off" else "dual-prime"
-        assert {t["path"] for t in r.details["trials"]} == {path}
-        assert len(calls) == domains * len(r.details["trials"])
+        assert {t["path"] for t in r.details["trials"]} == {"rational"}
+        assert {g.domain for gens in calls for g in gens} == {QQ}
+        assert len(calls) == len(r.details["trials"])
 
     def test_no_admissible_partial_gives_an_empty_fiber(self):
         # u = (0, 0, 1) and f_z = 0: the cone ideal holds f_z - 1 = -1, a unit
@@ -330,7 +327,6 @@ class TestConeOracle:
         assert quotient_vs_dim(cone) == (d - 1) * expected
         assert polar._fiber_degree(grads, d, u) == expected
 
-    @pytest.mark.parametrize("modp", ["dual", "off"])
     @pytest.mark.parametrize(
         "text, vars",
         [
@@ -339,32 +335,22 @@ class TestConeOracle:
             ("x^3 + y^3", V3),
         ],
     )
-    def test_empty_generic_fiber(self, text, vars, modp):
-        r = polar_degree_fiber_oracle(parse_poly(text, vars), seed=1, modp=modp)
+    def test_empty_generic_fiber(self, text, vars):
+        r = polar_degree_fiber_oracle(parse_poly(text, vars), seed=1)
         assert r.value == 0 and set(r.details["values"]) == {0}
 
-    @pytest.mark.parametrize("modp", ["dual", "off"])
-    def test_linear_form_builds_no_basis(self, monkeypatch, modp):
+    def test_linear_form_builds_no_basis(self, monkeypatch):
         def forbidden(*args):
             raise AssertionError("a basis was built")
 
         monkeypatch.setattr(groebner, "buchberger", forbidden)
-        r = polar_degree_fiber_oracle(parse_poly("x", V2), seed=1, modp=modp)
+        r = polar_degree_fiber_oracle(parse_poly("x", V2), seed=1)
         assert r.value == 0
 
     def test_indivisible_count_is_inconsistent_over_qq(self, monkeypatch):
         monkeypatch.setattr(polar, "quotient_vs_dim", lambda I: quotient_vs_dim(I) + 1)
         with pytest.raises(OracleInconsistent, match="not a multiple of d - 1 = 2"):
-            polar_degree_fiber_oracle(FERMAT2, seed=1, modp="off")
-
-    def test_indivisible_modular_count_falls_back_to_qq(self, monkeypatch):
-        def off_by_one_mod_p(I):
-            return quotient_vs_dim(I) + (I.domain != FERMAT2.domain)
-
-        monkeypatch.setattr(polar, "quotient_vs_dim", off_by_one_mod_p)
-        r = polar_degree_fiber_oracle(FERMAT2, seed=1, modp="dual")
-        assert r.value == 4
-        assert {t["path"] for t in r.details["trials"]} == {"rational (prime fallback)"}
+            polar_degree_fiber_oracle(FERMAT2, seed=1)
 
 
 def _check_milnor_numbers(f):

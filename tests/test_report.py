@@ -3,6 +3,7 @@
 import io
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 import pytest
 
@@ -214,9 +215,11 @@ class TestPipeline:
 
 class TestConsolidation:
     @staticmethod
-    def fixed_oracle(value):
-        def oracle(f, trials=3, seed=1, modp="dual", caps=None):
-            details = {"values": [value], "trials": [], "discrepancy": False, "modp": modp}
+    def fixed_oracle(value, calls=None):
+        def oracle(f, trials=3, seed=1, caps=None):
+            if calls is not None:
+                calls.append(f)
+            details = {"values": [value], "trials": [], "discrepancy": False}
             return PolarDegreeResult("fiber_oracle", value, seed, details)
 
         return oracle
@@ -244,3 +247,29 @@ class TestConsolidation:
         monkeypatch.setattr(report_module, "frame_split", shifted_split)
         with pytest.raises(InconsistencyError, match="all three methods disagree"):
             analyze_polynomial("x*y*z", V3)
+
+    def test_unanimous_counterexample_runs_the_oracle_once(self, monkeypatch):
+        # the Fermat cubic surface has d(f) = 8; all three methods are made to say 1
+        real_summary = report_module.mu_summary
+        calls = []
+
+        def summary_with_mu_7(f, seed, caps):
+            return replace(real_summary(f, seed, caps), mu_on=7)
+
+        def split_with_mu_7(f, seed, caps):
+            return real_summary(f, seed, caps).model, 7, 1
+
+        monkeypatch.setattr(report_module, "mu_summary", summary_with_mu_7)
+        monkeypatch.setattr(report_module, "frame_split", split_with_mu_7)
+        monkeypatch.setattr(report_module, "polar_degree_fiber_oracle", self.fixed_oracle(1, calls))
+        report = analyze_polynomial("w^3 + x^3 + y^3 + z^3", V4).data
+        assert report["d_f"] == {
+            "formula": 1,
+            "fiber_oracle": 1,
+            "tame_split": 1,
+            "consolidated": 1,
+            "unanimous": True,
+        }
+        assert report["conjecture_status"] == "COUNTEREXAMPLE"
+        assert "COUNTEREXAMPLE verified with rational arithmetic; review manually" in report["notes"]
+        assert len(calls) == 1
