@@ -25,7 +25,6 @@ from .hypersurface import (
     HypersurfaceError,
     InconsistentMu,
     NotIsolated,
-    NotTame,
     TransversalityNotFound,
 )
 from .parser import ParseError, parse_poly
@@ -195,6 +194,8 @@ def cmd_bounds(args) -> int:
     d, n = args.degree, args.dim
     if d < 2 or n < 2:
         raise InputError("need --degree >= 2 and --dim >= 2")
+    if args.mu0 is not None and args.mu0 < 0:
+        raise InputError(f"need --mu0 >= 0, got {args.mu0}")
     payload: dict = {
         "degree": d,
         "dim": n,
@@ -332,7 +333,6 @@ def main(argv=None) -> int:
         NotHomogeneous,
         ZeroPolynomial,
         NotIsolated,
-        NotTame,
         TransversalityNotFound,
     ) as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)

@@ -1,14 +1,15 @@
 """Hypersurface-level analysis: Jacobian ideals, singular points, local
 Milnor numbers, generic affine frames and the critical-multiplicity split.
 
-`frame_split` draws a certified affine frame and splits its critical
-multiplicity into mu_on = mu(V) and mu_off; `mu_summary` adds the points step:
-rational singular points and their local Milnor numbers.  Every singular point
-has mu_p >= 1, so the rational points are all of them exactly when their mu_p
-sum to mu_on, and a larger sum is an inconsistency.
+`frame_split` draws an affine frame, certified by one count: the critical
+multiplicity dim k[y]/(grad h) of its affine model h is (d-1)^n.  It splits
+that multiplicity into mu_on = mu(V) and mu_off; `mu_summary` adds the points
+step: rational singular points and their local Milnor numbers.  Every singular
+point has mu_p >= 1, so the rational points are all of them exactly when their
+mu_p sum to mu_on, and a larger sum is an inconsistency.
 
 Each of these numbers is one `local_component_dim` on the frame's algebra
-A = k[x]/(grad h), the local algebras of h at its critical points
+A = k[y]/(grad h), the local algebras of h at its critical points
 (Stickelberger's theorem).  mu_on is the part of A on which h vanishes, mu_off
 the rest, and mu_p the part on which the linear forms cutting out the point p
 vanish: no other critical point of h lies on them.
@@ -48,7 +49,6 @@ from .poly import (
 from .rng import SplitMix64
 
 MAX_FRAME_DRAWS = 32  # coordinate changes drawn per frame seed
-FRAME_ATTEMPTS = 8  # frame seeds tried before the tame split gives up
 
 
 class HypersurfaceError(Exception):
@@ -60,10 +60,6 @@ class NotACriticalPoint(HypersurfaceError):
 
 
 class NotIsolated(HypersurfaceError):
-    pass
-
-
-class NotTame(HypersurfaceError):
     pass
 
 
@@ -260,10 +256,10 @@ def rational_singular_points(f: Poly, caps: Caps = DEFAULT_CAPS) -> list[Project
 
 @dataclass(frozen=True)
 class AffineModel:
-    """A certified affine chart for f: a coordinate change M with smooth
-    section at infinity and no singular points on the hyperplane x_0 = 0,
-    together with the dehomogenized polynomial h and its critical ideal
-    (grad h), whose one Groebner basis serves the split and every point."""
+    """A certified affine chart for f: a coordinate change M under which the
+    hyperplane y_0 = 0 cuts V(f) transversally, the dehomogenized polynomial
+    h = f(My)|_{y_0=1} and its critical ideal (grad h), whose one Groebner
+    basis certifies the frame and serves the split and every point."""
 
     f: Poly
     matrix: tuple[tuple[int, ...], ...]
@@ -273,36 +269,29 @@ class AffineModel:
     critical_ideal: Ideal = field(compare=False)
 
 
-def _frame_certificates(fM: Poly, caps: Caps = DEFAULT_CAPS) -> bool:
-    restriction = dehomogenize(set_variable_zero(fM, 0), 0)
-    if restriction.is_zero():
-        return False
-    Jw = Ideal(gradient(restriction), GREVLEX, vars=restriction.vars, domain=fM.domain, caps=caps)
-    if Jw.is_zero_ideal() or projective_dim(Jw) != -1:
-        return False
-    at_infinity = Ideal(
-        list(gradient(fM)) + [Poly.variable(fM.vars, 0, fM.domain)], GREVLEX, caps=caps
-    )
-    return projective_dim(at_infinity) == -1
-
-
 def generic_frame(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS) -> AffineModel:
-    """Seeded random small-integer coordinate change certified to be generic
-    enough for the affine critical-point analysis.  A certified frame has no
-    singular point on x_0 = 0, which every positive-dimensional singular
-    locus meets, so it also proves the singularities isolated."""
-    homogeneous_degree(f)
+    """Seeded random small-integer coordinate change M, accepted exactly when
+    dim k[y]/(grad h) = (d-1)^n.  The partials of h homogenize to the partials
+    of f_M = f(My) in y_1..y_n, whose common zeros on y_0 = 0 are the singular
+    points of that hyperplane section; by Bezout the count reaches (d-1)^n
+    exactly when there are none, so no critical multiplicity escapes to
+    infinity.  A singular point of V(f) on y_0 = 0 would be one of them, and
+    every positive-dimensional singular locus meets that hyperplane, so a
+    certified frame also proves the singularities isolated."""
+    d = homogeneous_degree(f)
     nv = len(f.vars)
     rng = SplitMix64(seed * 0x9E3779B9 + 17)
     for draw in range(1, MAX_FRAME_DRAWS + 1):
         M = tuple(rng.int_vector(nv, -5, 5) for _ in range(nv))
         if det_fraction(M) == 0:
             continue
-        fM = substitute_linear(f, M)
-        if not _frame_certificates(fM, caps):
-            continue
-        h = dehomogenize(fM, 0)
+        h = dehomogenize(substitute_linear(f, M), 0)
         Jh = Ideal(gradient(h), GREVLEX, vars=h.vars, domain=h.domain, caps=caps)
+        try:
+            if quotient_vs_dim(Jh) != (d - 1) ** (nv - 1):
+                continue
+        except NotZeroDimensional:
+            continue
         return AffineModel(f=f, matrix=M, h=h, seed=seed, draws=draw, critical_ideal=Jh)
     if not has_isolated_singularities(f, caps):
         raise NotIsolated("singular locus is positive-dimensional")
@@ -312,24 +301,12 @@ def generic_frame(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS) -> AffineModel:
 
 
 def tame_split(model: AffineModel) -> tuple[int, int]:
-    """Split the total critical multiplicity of h into the part supported on
-    the zero fiber and the part off it.  The total, dim k[x]/(grad h), must
-    equal (d-1)^n, which certifies that no critical multiplicity escaped to
-    infinity.  mu_on is the part of k[x]/(grad h) on which h vanishes."""
-    h = model.h
+    """Split the total critical multiplicity (d-1)^n of h, certified by
+    `generic_frame`, into the part supported on the zero fiber and the part
+    off it.  mu_on is the part of k[y]/(grad h) on which h vanishes."""
     d = homogeneous_degree(model.f)
-    n = len(h.vars)
-    Jh = model.critical_ideal
-    try:
-        total = quotient_vs_dim(Jh)
-    except NotZeroDimensional as exc:
-        raise NotTame("affine critical scheme is not finite") from exc
-    if total != (d - 1) ** n:
-        raise NotTame(
-            f"total critical multiplicity {total} differs from (d-1)^n = {(d-1)**n}"
-        )
-    mu_on = local_component_dim(Jh, [h])
-    return mu_on, total - mu_on
+    mu_on = local_component_dim(model.critical_ideal, [model.h])
+    return mu_on, (d - 1) ** len(model.h.vars) - mu_on
 
 
 # -------------------------------------------------------- the analysis steps
@@ -349,23 +326,15 @@ class MuSummary:
 
 
 def frame_split(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS) -> tuple[AffineModel, int, int]:
-    """Certified frame with its critical-multiplicity split (model, mu_on,
-    mu_off); a frame whose split fails the tame certificate is redrawn from
-    the next seed in the sequence."""
-    last_error: Exception | None = None
-    for k in range(FRAME_ATTEMPTS):
-        try:
-            model = generic_frame(f, seed + 7919 * k, caps)
-            mu_on, mu_off = tame_split(model)
-            return model, mu_on, mu_off
-        except NotTame as exc:
-            last_error = exc
-    raise NotTame(f"all frames rejected: {last_error}")
+    """`generic_frame` with its critical-multiplicity split: (model, mu_on,
+    mu_off)."""
+    model = generic_frame(f, seed, caps)
+    return (model, *tame_split(model))
 
 
 def mu_summary(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS) -> MuSummary:
     """`frame_split` plus the points step: the rational singular points and
-    their local Milnor numbers, each the part of the frame's k[x]/(grad h) on
+    their local Milnor numbers, each the part of the frame's k[y]/(grad h) on
     which the forms x_i - p_i x_c (c = p.chart()) vanish.  The enumeration is
     complete when these sum to mu_on; a sum above mu_on raises InconsistentMu."""
     model, mu_on, mu_off = frame_split(f, seed, caps)

@@ -204,6 +204,8 @@ def analyze_polynomial(text: str, vars, options: AnalysisOptions | None = None) 
     notes: list[str] = []
     t1 = time.monotonic()
     summary = mu_summary(f, options.seed, options.caps)
+    # the declarations are checked against the points before any further work
+    records = _build_records(summary.points, summary.local_mu, declarations)
     _, mu_on_alt, tame_value = frame_split(f, options.seed + 1, options.caps)
     if summary.mu_on != mu_on_alt:
         raise InconsistencyError(
@@ -230,7 +232,6 @@ def analyze_polynomial(text: str, vars, options: AnalysisOptions | None = None) 
         notes.append(f"methods disagree: {values}")
 
     t3 = time.monotonic()
-    records = _build_records(summary.points, summary.local_mu, declarations)
     if not summary.complete:
         notes.append(
             "rational enumeration incomplete: irrational singular points exist; "

@@ -7,19 +7,22 @@ multiplication matrices, fiber counts of the gradient map from the
 saturated projective fiber instead of the affine cone, eigenvalue
 multiplicities by enumerating root-of-unity products, the completeness of
 the rational singular points from Tjurina numbers instead of Milnor numbers,
-multivariate division and Buchberger's pair loop on tuple monomials instead
-of packed ints, and echelon forms, stable images and multiplication matrices
-in `Fraction` arithmetic and by one normal form per standard monomial instead
-of on integer rows from the variable matrices.
+the genericity of an affine frame from two projective certificates instead of
+one critical count, multivariate division and Buchberger's pair loop on tuple
+monomials instead of packed ints, and echelon forms, stable images and
+multiplication matrices in `Fraction` arithmetic and by one normal form per
+standard monomial instead of on integer rows from the variable matrices.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from itertools import product as iproduct
 
 import hypothesis.strategies as st
+from hypothesis import assume
 
 from polargrad.groebner import (
     DEFAULT_CAPS,
@@ -48,11 +51,13 @@ from polargrad.poly import (
     Mono,
     Poly,
     dehomogenize,
+    gradient,
     mono_degree,
     mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
+    set_variable_zero,
 )
 from polargrad.rng import SplitMix64
 
@@ -115,6 +120,35 @@ def homogeneous_polys(draw, max_vars=4, max_degree=6, max_terms=5):
         coeff = draw(st.integers(-6, 6))
         terms[mono] = terms.get(mono, 0) + coeff
     return Poly(names, terms)
+
+
+def _monomials(nv, degree):
+    return [
+        tuple(combo.count(i) for i in range(nv))
+        for combo in combinations_with_replacement(range(nv), degree)
+    ]
+
+
+@st.composite
+def form_products(draw, nvs=(2, 3), count=(1, 2)):
+    """(f, whether f was built with a square factor): a product of between
+    count[0] and count[1] linear or quadratic forms in a number of variables
+    drawn from `nvs`, the first factor possibly taken twice."""
+    nv = draw(st.sampled_from(nvs))
+    names = (("x", "y"), ("x", "y", "z"), ("w", "x", "y", "z"))[nv - 2]
+    factors = []
+    for _ in range(draw(st.integers(*count))):
+        monos = _monomials(nv, draw(st.sampled_from((1, 2))))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos)))
+        factors.append(Poly(names, zip(monos, coeffs)))
+    assume(all(not g.is_zero() for g in factors))
+    square = draw(st.booleans())
+    if square:
+        factors.append(factors[0])
+    f = factors[0]
+    for g in factors[1:]:
+        f = f * g
+    return f, square
 
 
 # ------------------------------------------------------------- linear algebra
@@ -549,6 +583,25 @@ def tjurina_complete(f: Poly) -> bool:
         for pt in rational_singular_points(f)
     )
     return found == zero_dim_degree_projective(J)
+
+
+# ------------------------------------------------- frame certificate pair
+
+
+def frame_certificates(fM: Poly, caps: Caps = DEFAULT_CAPS) -> bool:
+    """The two-certificate frame rule: the section of V(fM) by x_0 = 0 is
+    smooth, and V(fM) has no singular point on x_0 = 0.  `generic_frame`
+    accepts exactly these frames by the one count dim k[y]/(grad h) = (d-1)^n."""
+    restriction = dehomogenize(set_variable_zero(fM, 0), 0)
+    if restriction.is_zero():
+        return False
+    Jw = Ideal(gradient(restriction), GREVLEX, vars=restriction.vars, domain=fM.domain, caps=caps)
+    if Jw.is_zero_ideal() or projective_dim(Jw) != -1:
+        return False
+    at_infinity = Ideal(
+        list(gradient(fM)) + [Poly.variable(fM.vars, 0, fM.domain)], GREVLEX, caps=caps
+    )
+    return projective_dim(at_infinity) == -1
 
 
 # ------------------------------------------- eigenvalue product enumeration

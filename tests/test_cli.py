@@ -2,7 +2,9 @@
 
 import io
 import json
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,11 @@ import polargrad.report
 from polargrad.catalog import CATALOG
 from polargrad.cli import main
 from polargrad.report import analyze_polynomial
+
+ROOT = Path(__file__).resolve().parents[1]
+# `polar-degree --method all --format json` at seeds 1 and 2 for five inputs,
+# as a list of {"argv", "stdout"}
+GOLDEN_POLAR_DEGREE = ROOT / "tests" / "data" / "polar_degree_seeds12.json"
 
 # a smooth cubic whose Groebner bases need more than two elements
 CAPPED_RUN = ["analyze", "x^3+y^3+z^3+x*y*z", "--vars", "x,y,z", "--max-basis", "2"]
@@ -269,6 +276,15 @@ class TestPolarDegree:
         assert code == 0
         assert "d(f) = 1" in out
 
+    def test_json_is_byte_identical_to_the_golden_file(self):
+        # pins every method's details, frame_draws included
+        cases = json.loads(GOLDEN_POLAR_DEGREE.read_text(encoding="utf-8"))
+        assert len(cases) == 10
+        for case in cases:
+            code, out = run_cli(case["argv"])
+            assert code == 0
+            assert out == case["stdout"], case["argv"]
+
 
 class TestMonodromy:
     def test_fermat(self):
@@ -327,6 +343,14 @@ class TestBounds:
         code, out = run_cli(["bounds", "--degree", "3", "--dim", "4", "--format", "json"])
         data = json.loads(out)
         assert code == 0 and data["primitive_betti"] == 6
+
+    def test_negative_mu0_rejected(self):
+        # a Milnor count is never negative
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["bounds", "--degree", "3", "--dim", "3", "--mu0", "-5"])
+        assert code == 1 and out == ""
+        assert err.getvalue().startswith("input error:")
 
 
 class TestCatalog:
@@ -397,3 +421,19 @@ class TestCatalog:
     def test_unknown_entry(self):
         code, _ = run_cli(["catalog", "run", "no-such-entry"])
         assert code == 1
+
+
+def test_readme_commands_exit_0():
+    # every `polargrad` line of the sh block under "## Command line", without
+    # its trailing comment
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [
+        line.split("#", 1)[0] for line in block.splitlines() if line.startswith("polargrad ")
+    ]
+    assert len(commands) == 11
+    for line in commands:
+        with redirect_stderr(io.StringIO()):
+            code, _ = run_cli(shlex.split(line)[1:])
+        assert code == 0, line

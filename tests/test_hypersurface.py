@@ -2,14 +2,20 @@
 numbers, certified frames and the critical-multiplicity split."""
 
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from polargrad.catalog import CATALOG
-from polargrad.groebner import projective_dim
+import polargrad.groebner as groebner
+import polargrad.hypersurface as hypersurface
+from polargrad.catalog import BY_NAME, CATALOG
+from polargrad.groebner import NotZeroDimensional, projective_dim, quotient_vs_dim
 from polargrad.hypersurface import (
     NotACriticalPoint,
     NotIsolated,
+    TransversalityNotFound,
     frame_split,
     generic_frame,
     has_isolated_singularities,
@@ -30,7 +36,7 @@ from polargrad.poly import (
 )
 from polargrad.rng import SplitMix64
 
-from helpers import saturation_local_dim, tjurina_complete
+from helpers import form_products, frame_certificates, saturation_local_dim, tjurina_complete
 
 V2 = ("x", "y")
 V3 = ("x", "y", "z")
@@ -168,6 +174,27 @@ class TestLocalMilnor:
             assert local_milnor_number(g, (Fraction(0), Fraction(0))) == 3
 
 
+class _FirstDraw:
+    """Stand-in for the frame rng: its first draw is the matrix M, and every
+    later draw is the zero matrix, which `generic_frame` skips."""
+
+    def __init__(self, M):
+        self.rows = list(M)
+
+    def int_vector(self, n, lo, hi):
+        return tuple(self.rows.pop(0)) if self.rows else (0,) * n
+
+
+IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def frame_from_first_draw(f, M):
+    """`generic_frame` with M as its first draw; M is accepted exactly when
+    the model comes back with draws == 1."""
+    with patch.object(hypersurface, "SplitMix64", lambda seed: _FirstDraw(M)):
+        return generic_frame(f, seed=1)
+
+
 class TestGenericFrame:
     def test_fermat_accepts_quickly(self):
         model = generic_frame(FERMAT, seed=1)
@@ -176,9 +203,65 @@ class TestGenericFrame:
         assert len(model.h.vars) == 2
 
     def test_identity_would_be_acceptable_for_fermat(self):
-        from polargrad.hypersurface import _frame_certificates
+        # h = 1 + y^3 + z^3 has (3-1)^2 critical points counted with multiplicity
+        assert quotient_vs_dim(jacobian_ideal(dehomogenize(FERMAT, 0))) == 4
+        model = frame_from_first_draw(FERMAT, IDENTITY)
+        assert model.draws == 1 and model.matrix == IDENTITY
+        assert tame_split(model) == (0, 4)
 
-        assert _frame_certificates(FERMAT)
+    def test_a_count_below_the_bound_is_rejected(self):
+        # the identity keeps the side x = 0 of the triangle at infinity:
+        # h = y*z has one critical point, not (3-1)^2 = 4
+        assert quotient_vs_dim(jacobian_ideal(dehomogenize(XYZ, 0))) == 1
+        with pytest.raises(TransversalityNotFound):
+            frame_from_first_draw(XYZ, IDENTITY)
+
+    def test_a_positive_dimensional_critical_scheme_is_rejected(self):
+        # under the identity h = y^2*z vanishes with its gradient on the
+        # double line y = 0; the draw is rejected, not an error, and the
+        # frame search ends in NotIsolated
+        f = parse_poly("y^2*z", V3)
+        with pytest.raises(NotZeroDimensional):
+            quotient_vs_dim(jacobian_ideal(dehomogenize(f, 0)))
+        with pytest.raises(NotIsolated):
+            frame_from_first_draw(f, IDENTITY)
+
+    @given(form_products(nvs=(2, 3, 4)), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_the_count_accepts_exactly_the_certified_draws(self, case, data):
+        f, _ = case
+        nv = len(f.vars)
+        M = data.draw(
+            st.tuples(*[st.tuples(*[st.integers(-1, 1)] * nv)] * nv), label="M"
+        )
+        assume(det_fraction(M) != 0)
+        try:
+            accepted = frame_from_first_draw(f, M).draws == 1
+        except (NotIsolated, TransversalityNotFound):
+            accepted = False
+        assert accepted == frame_certificates(substitute_linear(f, M))
+
+    def test_each_draw_builds_one_basis(self, monkeypatch):
+        calls = []
+        real = groebner.buchberger
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(groebner, "buchberger", counting)
+        draws = []
+        # seed 6 rejects its first draw for the five-node quartic
+        for name in ("five-node-quartic", "e6-cubic", "cremona-triangle"):
+            entry = BY_NAME[name]
+            f = parse_poly(entry.text, entry.vars)
+            for seed in (1, 6):
+                calls.clear()
+                model = generic_frame(f, seed)
+                tame_split(model)
+                assert len(calls) == model.draws, (name, seed)
+                draws.append(model.draws)
+        assert max(draws) == 2
 
     def test_triangle_frame_moves_points_off_infinity(self):
         model = generic_frame(XYZ, seed=1)

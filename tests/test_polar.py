@@ -1,7 +1,5 @@
 """Polar degree by three methods, consistency, and the bound checkers."""
 
-from itertools import combinations_with_replacement
-
 import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +8,7 @@ import polargrad.groebner as groebner
 import polargrad.polar as polar
 from helpers import (
     fiber_minors,
+    form_products,
     rabinowitsch_saturate,
     saturation_fiber_count,
     saturation_local_dim,
@@ -165,34 +164,6 @@ class TestFormulaAndTame:
         for method in (polar_degree_formula, polar_degree_tame):
             with pytest.raises(HypothesisError, match="at least two variables"):
                 method(f, 1)
-
-
-def _monomials(nv, degree):
-    return [
-        tuple(combo.count(i) for i in range(nv))
-        for combo in combinations_with_replacement(range(nv), degree)
-    ]
-
-
-@st.composite
-def form_products(draw, nvs=(2, 3), count=(1, 2)):
-    """(f, whether f was built with a square factor): a product of between
-    count[0] and count[1] linear or quadratic forms in a number of variables
-    drawn from `nvs`, the first factor possibly taken twice."""
-    nv = draw(st.sampled_from(nvs))
-    factors = []
-    for _ in range(draw(st.integers(*count))):
-        monos = _monomials(nv, draw(st.sampled_from((1, 2))))
-        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos)))
-        factors.append(Poly((V2, V3, V4)[nv - 2], zip(monos, coeffs)))
-    assume(all(not g.is_zero() for g in factors))
-    square = draw(st.booleans())
-    if square:
-        factors.append(factors[0])
-    f = factors[0]
-    for g in factors[1:]:
-        f = f * g
-    return f, square
 
 
 class TestHypothesisGate:

@@ -76,19 +76,31 @@ class TestDeclarations:
         assert report["singular_points"][0]["label"] == "A3"
         assert report["singular_points"][0]["charpoly"] == "(t^4-1)^1*(t^2-1)^-1*(t-1)^1"
 
-    def test_declaration_for_nonsingular_point_rejected(self):
+    @staticmethod
+    def forbid_later_stages(monkeypatch):
+        # a declaration is checked against the points of the first frame,
+        # before the second frame and the oracle run
+        def forbidden(*args):
+            raise AssertionError("a later stage ran before the declarations were checked")
+
+        monkeypatch.setattr(report_module, "frame_split", forbidden)
+        monkeypatch.setattr(report_module, "polar_degree_fiber_oracle", forbidden)
+
+    def test_declaration_for_nonsingular_point_rejected(self, monkeypatch):
+        self.forbid_later_stages(monkeypatch)
         options = AnalysisOptions(
             declarations=[{"point": ["1", "1", "1"], "bp_exponents": [2, 2]}]
         )
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="not rational singular points"):
             analyze_polynomial("x*y*z", V3, options)
 
-    def test_divisor_degree_must_match_mu(self):
+    def test_divisor_degree_must_match_mu(self, monkeypatch):
+        self.forbid_later_stages(monkeypatch)
         # A3 point has mu = 3; declaring a node divisor (degree 1) must fail
         options = AnalysisOptions(
             declarations=[{"point": ["0", "0", "1"], "bp_exponents": [2, 2]}]
         )
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="does not match the Milnor number 3"):
             analyze_polynomial("x*(x*z - y^2)", V3, options)
 
     def test_weights_and_exponents_exclusive(self):
