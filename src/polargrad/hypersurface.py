@@ -2,11 +2,12 @@
 Milnor numbers, generic affine frames and the critical-multiplicity split.
 
 `frame_split` draws an affine frame, certified by one count: the critical
-multiplicity dim k[y]/(grad h) of its affine model h is (d-1)^n.  It splits
-that multiplicity into mu_on = mu(V) and mu_off; `mu_summary` adds the points
-step: rational singular points and their local Milnor numbers.  Every singular
-point has mu_p >= 1, so the rational points are all of them exactly when their
-mu_p sum to mu_on, and a larger sum is an inconsistency.
+multiplicity dim k[y]/(grad h) of its affine model h is (d-1)^n; the frame
+moves only the hyperplane at infinity, so h keeps small coefficients.  It
+splits that multiplicity into mu_on = mu(V) and mu_off; `mu_summary` adds the
+points step: rational singular points and their local Milnor numbers.  Every
+singular point has mu_p >= 1, so the rational points are all of them exactly
+when their mu_p sum to mu_on, and a larger sum is an inconsistency.
 
 Each of these numbers is one `local_component_dim` on the frame's algebra
 A = k[y]/(grad h), the local algebras of h at its critical points
@@ -40,11 +41,9 @@ from .poly import (
     Poly,
     ProjectivePoint,
     dehomogenize,
-    det_fraction,
     gradient,
     homogeneous_degree,
     set_variable_zero,
-    substitute_linear,
 )
 from .rng import SplitMix64
 
@@ -256,9 +255,9 @@ def rational_singular_points(f: Poly, caps: Caps = DEFAULT_CAPS) -> list[Project
 
 @dataclass(frozen=True)
 class AffineModel:
-    """A certified affine chart for f: a coordinate change M under which the
-    hyperplane y_0 = 0 cuts V(f) transversally, the dehomogenized polynomial
-    h = f(My)|_{y_0=1} and its critical ideal (grad h), whose one Groebner
+    """A certified affine chart for f: the frame M (a random first row a over
+    the identity rows), the model h = f(My)|_{y_0=1} = f(a_0 + a_1 y_1 + ... +
+    a_n y_n, y_1, ..., y_n) and its critical ideal (grad h), whose one Groebner
     basis certifies the frame and serves the split and every point."""
 
     f: Poly
@@ -269,30 +268,58 @@ class AffineModel:
     critical_ideal: Ideal = field(compare=False)
 
 
+def _frame_coordinates(f: Poly, row) -> list[Poly]:
+    """x_0 = a_0 + a_1 y_1 + ... + a_n y_n and x_i = y_i: the coordinates of
+    the frame with first row a, in the affine ring of y_1..y_n."""
+    ys = [Poly.variable(f.vars[1:], i, f.domain) for i in range(len(f.vars) - 1)]
+    ell = Poly.constant(f.vars[1:], row[0], f.domain)
+    return [sum((y.scale(a) for y, a in zip(ys, row[1:])), ell)] + ys
+
+
+def _affine_model(f: Poly, row) -> Poly:
+    """h = f(ell, y_1, ..., y_n) for the frame with first row a: f grouped by
+    the exponent of x_0 as sum_e x_0^e g_e, then h = sum_e ell^e g_e(y)."""
+    ell = _frame_coordinates(f, row)[0]
+    groups: dict[int, dict] = {}
+    for m, c in f.terms.items():
+        groups.setdefault(m[0], {})[m[1:]] = c
+    powers = [Poly.constant(ell.vars, 1, f.domain)]
+    while len(powers) <= max(groups, default=0):
+        powers.append(powers[-1] * ell)
+    parts = (powers[e] * Poly.from_clean(ell.vars, g, f.domain) for e, g in groups.items())
+    return sum(parts, Poly.zero(ell.vars, f.domain))
+
+
 def generic_frame(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS) -> AffineModel:
-    """Seeded random small-integer coordinate change M, accepted exactly when
-    dim k[y]/(grad h) = (d-1)^n.  The partials of h homogenize to the partials
-    of f_M = f(My) in y_1..y_n, whose common zeros on y_0 = 0 are the singular
-    points of that hyperplane section; by Bezout the count reaches (d-1)^n
-    exactly when there are none, so no critical multiplicity escapes to
-    infinity.  A singular point of V(f) on y_0 = 0 would be one of them, and
-    every positive-dimensional singular locus meets that hyperplane, so a
-    certified frame also proves the singularities isolated."""
+    """Seeded random frame: a first row a in [-5, 5]^(n+1) with a_0 != 0 (det M
+    = a_0) over the identity rows, so only the hyperplane at infinity moves,
+    to x_0 = a_1 x_1 + ... + a_n x_n, and h keeps small coefficients.  A draw
+    is accepted exactly when dim k[y]/(grad h) = (d-1)^n.  The partials of h
+    homogenize to the partials of f_M = f(My) in y_1..y_n, whose common zeros
+    on y_0 = 0 are the singular points of that hyperplane section; by Bezout
+    the count reaches (d-1)^n exactly when there are none, so no critical
+    multiplicity escapes to infinity.  A singular point of V(f) on y_0 = 0
+    would be one of them, and every positive-dimensional singular locus meets
+    that hyperplane, so a certified frame also proves the singularities
+    isolated."""
     d = homogeneous_degree(f)
     nv = len(f.vars)
+    identity = tuple(tuple(int(k == i) for k in range(nv)) for i in range(1, nv))
     rng = SplitMix64(seed * 0x9E3779B9 + 17)
     for draw in range(1, MAX_FRAME_DRAWS + 1):
-        M = tuple(rng.int_vector(nv, -5, 5) for _ in range(nv))
-        if det_fraction(M) == 0:
+        row = rng.int_vector(nv, -5, 5)
+        if row[0] == 0:
             continue
-        h = dehomogenize(substitute_linear(f, M), 0)
+        h = _affine_model(f, row)
         Jh = Ideal(gradient(h), GREVLEX, vars=h.vars, domain=h.domain, caps=caps)
         try:
             if quotient_vs_dim(Jh) != (d - 1) ** (nv - 1):
                 continue
         except NotZeroDimensional:
             continue
-        return AffineModel(f=f, matrix=M, h=h, seed=seed, draws=draw, critical_ideal=Jh)
+        return AffineModel(
+            f=f, matrix=(row,) + identity, h=h, seed=seed, draws=draw, critical_ideal=Jh
+        )
     if not has_isolated_singularities(f, caps):
         raise NotIsolated("singular locus is positive-dimensional")
     raise TransversalityNotFound(
@@ -339,10 +366,7 @@ def mu_summary(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS) -> MuSummary:
     complete when these sum to mu_on; a sum above mu_on raises InconsistentMu."""
     model, mu_on, mu_off = frame_split(f, seed, caps)
     points = rational_singular_points(f, caps)
-    # the coordinates x_i = sum_j M[i][j] y_j that substitute_linear
-    # substitutes, dehomogenized at y_0 = 1 like h
-    units = [tuple(int(k == j) for k in range(len(f.vars))) for j in range(len(f.vars))]
-    x = [dehomogenize(Poly(f.vars, zip(units, row), f.domain), 0) for row in model.matrix]
+    x = _frame_coordinates(f, model.matrix[0])
     local_mu: dict[ProjectivePoint, int] = {}
     for pt in points:
         c = pt.chart()

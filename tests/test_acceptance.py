@@ -232,3 +232,36 @@ def test_criterion_11_scale_tier():
         ok &= report["mu_V"] == 0
         ok &= elapsed < 60.0
     _report("11 scale tier: Fermat quartic surface 27, cubic threefold 16, <60s each", ok)
+
+
+def test_criterion_12_scale_tier_2():
+    # each bound is about 15x the median of 3 `analyze` times with one-row
+    # frames (0.84, 2.07, 2.36, 5.01 s); with dense frames these inputs took
+    # 8-46 s, most of it spent on the frame basis's large coefficients
+    ok = True
+    for text, vars, d_f, points, bound in (
+        ("u^3+v^3+w^3+x^3+y^3+z^3", tuple("uvwxyz"), 32, {}, 15.0),
+        (
+            "u*(v^2+w^2+x^2+y^2+z^2)+v^3+w^3+x^3+y^3+z^3",
+            tuple("uvwxyz"),
+            31,
+            {("1", "0", "0", "0", "0", "0"): 1},
+            30.0,
+        ),
+        ("w^5+x^5+y^5+z^5", tuple("wxyz"), 64, {}, 35.0),
+        ("w^3*x*y+x^5+y^5+z^5", tuple("wxyz"), 60, {("1", "0", "0", "0"): 4}, 75.0),
+    ):
+        start = time.monotonic()
+        report = analyze_polynomial(text, vars).data
+        elapsed = time.monotonic() - start
+        df = report["d_f"]
+        ok &= df["formula"] == df["fiber_oracle"] == df["tame_split"] == d_f
+        ok &= df["consolidated"] == d_f and df["unanimous"]
+        ok &= {tuple(p["point"]): p["mu"] for p in report["singular_points"]} == points
+        ok &= report["mu_V"] == sum(points.values()) and report["enumeration_complete"]
+        ok &= elapsed < bound
+    _report(
+        "12 scale tier 2: cubic fourfold 32, nodal cubic fourfold 31, quintic surface 64, "
+        "A4 quintic 60, each within about 15x its time",
+        ok,
+    )

@@ -36,7 +36,13 @@ from polargrad.poly import (
 )
 from polargrad.rng import SplitMix64
 
-from helpers import form_products, frame_certificates, saturation_local_dim, tjurina_complete
+from helpers import (
+    form_products,
+    frame_certificates,
+    homogeneous_polys,
+    saturation_local_dim,
+    tjurina_complete,
+)
 
 V2 = ("x", "y")
 V3 = ("x", "y", "z")
@@ -175,37 +181,47 @@ class TestLocalMilnor:
 
 
 class _FirstDraw:
-    """Stand-in for the frame rng: its first draw is the matrix M, and every
-    later draw is the zero matrix, which `generic_frame` skips."""
+    """Stand-in for the frame rng: its first draw is the row, and every later
+    draw is the zero row, which `generic_frame` skips (its a_0 is 0)."""
 
-    def __init__(self, M):
-        self.rows = list(M)
+    def __init__(self, row):
+        self.row = tuple(row)
 
     def int_vector(self, n, lo, hi):
-        return tuple(self.rows.pop(0)) if self.rows else (0,) * n
+        row, self.row = self.row, (0,) * n
+        return row
 
 
 IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def frame_from_first_draw(f, M):
-    """`generic_frame` with M as its first draw; M is accepted exactly when
-    the model comes back with draws == 1."""
-    with patch.object(hypersurface, "SplitMix64", lambda seed: _FirstDraw(M)):
+def frame_from_first_draw(f, row):
+    """`generic_frame` with the row as its first draw; the frame of that row
+    is accepted exactly when the model comes back with draws == 1."""
+    with patch.object(hypersurface, "SplitMix64", lambda seed: _FirstDraw(row)):
         return generic_frame(f, seed=1)
+
+
+def row_matrix(row):
+    """The frame matrix of a first row: the row over the identity rows."""
+    n = len(row)
+    return (tuple(row),) + tuple(tuple(int(k == i) for k in range(n)) for i in range(1, n))
 
 
 class TestGenericFrame:
     def test_fermat_accepts_quickly(self):
         model = generic_frame(FERMAT, seed=1)
         assert model.draws >= 1
+        # one random row over the identity rows: det M = a_0
+        assert model.matrix == row_matrix(model.matrix[0])
+        assert det_fraction(model.matrix) == model.matrix[0][0] != 0
         assert homogeneous_degree(model.f) == 3
         assert len(model.h.vars) == 2
 
     def test_identity_would_be_acceptable_for_fermat(self):
         # h = 1 + y^3 + z^3 has (3-1)^2 critical points counted with multiplicity
         assert quotient_vs_dim(jacobian_ideal(dehomogenize(FERMAT, 0))) == 4
-        model = frame_from_first_draw(FERMAT, IDENTITY)
+        model = frame_from_first_draw(FERMAT, IDENTITY[0])
         assert model.draws == 1 and model.matrix == IDENTITY
         assert tame_split(model) == (0, 4)
 
@@ -214,7 +230,7 @@ class TestGenericFrame:
         # h = y*z has one critical point, not (3-1)^2 = 4
         assert quotient_vs_dim(jacobian_ideal(dehomogenize(XYZ, 0))) == 1
         with pytest.raises(TransversalityNotFound):
-            frame_from_first_draw(XYZ, IDENTITY)
+            frame_from_first_draw(XYZ, IDENTITY[0])
 
     def test_a_positive_dimensional_critical_scheme_is_rejected(self):
         # under the identity h = y^2*z vanishes with its gradient on the
@@ -224,22 +240,37 @@ class TestGenericFrame:
         with pytest.raises(NotZeroDimensional):
             quotient_vs_dim(jacobian_ideal(dehomogenize(f, 0)))
         with pytest.raises(NotIsolated):
-            frame_from_first_draw(f, IDENTITY)
+            frame_from_first_draw(f, IDENTITY[0])
+
+    def test_a_row_with_a_0_zero_is_rejected(self):
+        # the row (0, 1, 1) gives det M = 0, yet its h = (y+z)^3 + y^3 + z^3
+        # has the full count (3-1)^2 = 4
+        h = parse_poly("(y+z)^3 + y^3 + z^3", V3[1:])
+        assert quotient_vs_dim(jacobian_ideal(h)) == 4
+        with pytest.raises(TransversalityNotFound):
+            frame_from_first_draw(FERMAT, (0, 1, 1))
 
     @given(form_products(nvs=(2, 3, 4)), st.data())
     @settings(max_examples=80, deadline=None)
     def test_the_count_accepts_exactly_the_certified_draws(self, case, data):
         f, _ = case
         nv = len(f.vars)
-        M = data.draw(
-            st.tuples(*[st.tuples(*[st.integers(-1, 1)] * nv)] * nv), label="M"
-        )
-        assume(det_fraction(M) != 0)
+        row = data.draw(st.tuples(*[st.integers(-1, 1)] * nv), label="row")
+        assume(row[0] != 0)
         try:
-            accepted = frame_from_first_draw(f, M).draws == 1
+            accepted = frame_from_first_draw(f, row).draws == 1
         except (NotIsolated, TransversalityNotFound):
             accepted = False
-        assert accepted == frame_certificates(substitute_linear(f, M))
+        assert accepted == frame_certificates(substitute_linear(f, row_matrix(row)))
+
+    @given(homogeneous_polys(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_the_affine_model_is_f_in_the_frame_at_y0_1(self, f, data):
+        nv = len(f.vars)
+        row = data.draw(st.tuples(*[st.integers(-5, 5)] * nv), label="row")
+        assume(row[0] != 0)
+        h = hypersurface._affine_model(f, row)
+        assert h == dehomogenize(substitute_linear(f, row_matrix(row)), 0)
 
     def test_each_draw_builds_one_basis(self, monkeypatch):
         calls = []
@@ -352,6 +383,22 @@ class TestMuSummary:
         for pt, mu in s.local_mu.items():
             chart_h = dehomogenize(f, pt.chart())
             assert mu == saturation_local_dim(gradient(chart_h), pt.affine_coords()), pt
+
+    @given(form_products(nvs=(2, 3), count=(1, 3)), st.integers(1, 100))
+    @settings(max_examples=30, deadline=None)
+    def test_one_row_frames_against_saturation(self, case, seed):
+        # each mu_p read off the frame equals the double saturation of the
+        # gradient in the point's own chart; the split covers (d-1)^n, and
+        # mu_on does not depend on the frame
+        f, _ = case
+        assume(has_isolated_singularities(f))
+        s = mu_summary(f, seed)
+        n = len(f.vars) - 1
+        assert s.mu_on + s.mu_off == (homogeneous_degree(f) - 1) ** n
+        for pt, mu in s.local_mu.items():
+            chart_h = dehomogenize(f, pt.chart())
+            assert mu == saturation_local_dim(gradient(chart_h), pt.affine_coords()), pt
+        assert total_mu_on_V(f, seed + 1) == s.mu_on
 
     def test_frame_split_is_the_frame_step_of_the_summary(self):
         for f in (XYZ, CONIC_TANGENT, A1A5_CUBIC):
