@@ -9,26 +9,33 @@ points step: rational singular points and their local Milnor numbers.  Every
 singular point has mu_p >= 1, so the rational points are all of them exactly
 when their mu_p sum to mu_on, and a larger sum is an inconsistency.
 
-Each of these numbers is one `local_component_dim` on the frame's algebra
-A = k[y]/(grad h), the local algebras of h at its critical points
-(Stickelberger's theorem).  mu_on is the part of A on which h vanishes, mu_off
-the rest, and mu_p the part on which the linear forms cutting out the point p
-vanish: no other critical point of h lies on them.
+Each of these numbers is read off the frame's algebra A = k[y]/(grad h), the
+sum of the local algebras of h at its critical points (Stickelberger's
+theorem).  The stable image S of multiplication by h is the part off the zero
+fiber, of dimension mu_off; A/S, of dimension mu_on, is the part at the
+singular points of V, and the rational ones with their mu_p are the common
+generalized eigenspaces of the coordinates on A/S with rational eigenvalues.
+grad f is evaluated at each point found, an independent check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
 
 from .arith import divisors as _divisors
 from .groebner import (
     DEFAULT_CAPS,
     GREVLEX,
-    LEX,
     Caps,
     Ideal,
     NotZeroDimensional,
+    _echelon,
+    _scaled_matrix,
+    _stable_image,
     local_component_dim,
     projective_dim,
     quotient_vs_dim,
@@ -37,14 +44,7 @@ from .groebner import (
     saturate,
 )
 from .monodromy import CycDivisor, divisor_degree, mu0_from_charpoly
-from .poly import (
-    Poly,
-    ProjectivePoint,
-    dehomogenize,
-    gradient,
-    homogeneous_degree,
-    set_variable_zero,
-)
+from .poly import Poly, ProjectivePoint, gradient, homogeneous_degree
 from .rng import SplitMix64
 
 MAX_FRAME_DRAWS = 32  # coordinate changes drawn per frame seed
@@ -104,7 +104,7 @@ def local_milnor_number(h: Poly, point, caps: Caps = DEFAULT_CAPS) -> int:
         raise NotIsolated("h has infinitely many critical points") from exc
 
 
-# ------------------------------------------------------- rational point solve
+# ------------------------------------------------------ univariate polynomials
 
 
 def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
@@ -147,107 +147,21 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     return sorted(roots)
 
 
-def _substitute_last(p: Poly, value: Fraction) -> Poly:
-    """Evaluate the last variable at `value` and drop it from the ring."""
-    new_vars = p.vars[:-1]
-    out: dict = {}
-    dom = p.domain
-    zero = dom.zero()
-    for m, c in p.terms.items():
-        coeff = dom.mul(c, dom.coerce(Fraction(value) ** m[-1]))
-        nm = m[:-1]
-        s = dom.add(out.get(nm, zero), coeff)
-        if s == zero:
-            out.pop(nm, None)
-        else:
-            out[nm] = s
-    return Poly(new_vars, out, dom)
-
-
-def rational_points_affine(
-    gens: list[Poly], caps: Caps = DEFAULT_CAPS
-) -> list[tuple[Fraction, ...]]:
-    """All rational points of a zero-dimensional affine system, by lex
-    triangularization, rational root extraction and back-substitution."""
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        raise NotZeroDimensional("zero ideal")
-    vars = gens[0].vars
-    k = len(vars)
-    if k == 0:
-        return [()]
-    basis = Ideal(gens, LEX, caps=caps).basis
-    if any(b.degree() == 0 for b in basis):
-        return []
-    pure_last = [
-        b for b in basis if all(all(e == 0 for e in m[:-1]) for m in b.terms)
-    ]
-    if not pure_last:
-        raise NotZeroDimensional("no univariate eliminant in the last variable")
-    coeffs_len = max(m[-1] for m in pure_last[0].terms) + 1
-    coeffs = [Fraction(0)] * coeffs_len
-    for m, c in pure_last[0].terms.items():
-        coeffs[m[-1]] = Fraction(c)
-    candidates = _rational_roots(coeffs)
-    points: list[tuple[Fraction, ...]] = []
-    for r in candidates:
-        if any(g.evaluate([Fraction(0)] * (k - 1) + [r]) != 0 for g in pure_last):
-            continue
-        if k == 1:
-            if all(g.evaluate([r]) == 0 for g in gens):
-                points.append((r,))
-            continue
-        reduced = [_substitute_last(b, r) for b in basis]
-        reduced = [g for g in reduced if not g.is_zero()]
-        if not reduced:
-            raise NotZeroDimensional("fiber slice is not zero-dimensional")
-        for sub in rational_points_affine(reduced, caps):
-            points.append(sub + (r,))
-    return sorted(points)
-
-
-def _chart_restriction(gens, chart: int) -> list[Poly]:
-    """Restrict homogeneous generators to the locally closed cell where
-    x_chart = 1 and all later coordinates vanish; the result lives in the
-    ring of the first `chart` variables."""
-    out = []
-    nv = len(gens[0].vars)
-    for g in gens:
-        h = g
-        for j in range(chart + 1, nv):
-            h = set_variable_zero(h, j)
-        for j in range(nv - 1, chart - 1, -1):
-            h = dehomogenize(h, j)
-        out.append(h)
-    return [h for h in out if not h.is_zero()]
-
-
-def rational_singular_points(f: Poly, caps: Caps = DEFAULT_CAPS) -> list[ProjectivePoint]:
-    """All rational singular points of V(f), sorted by coordinates.  Whether
-    they are all of its singular points is decided by `mu_summary`."""
-    J = jacobian_ideal(f, caps)
-    pd = projective_dim(J)
-    if pd == -1:
-        return []
-    if pd > 0:
-        raise NotIsolated(f"singular locus has dimension {pd}")
-    nv = len(f.vars)
-    points: list[ProjectivePoint] = []
-    for chart in range(nv - 1, -1, -1):
-        cell_gens = _chart_restriction(J.gens, chart)
-        if chart == 0:
-            if not cell_gens:
-                points.append(ProjectivePoint((1,) + (0,) * (nv - 1)))
-            continue
-        if not cell_gens:
-            raise NotIsolated("singular scheme meets a coordinate cell in a curve")
-        if any(g.degree() == 0 for g in cell_gens):
-            continue
-        for sol in rational_points_affine(cell_gens, caps):
-            coords = sol + (Fraction(1),) + (Fraction(0),) * (nv - 1 - chart)
-            points.append(ProjectivePoint(coords))
-    points.sort(key=lambda p: p.coords)
-    return points
+def _annihilator(v: list[int], rows: list[list[int]]) -> list[int]:
+    """The minimal polynomial of the integer row vector v under the integer
+    matrix R, the lowest-degree p with v p(R) = 0, its coefficients from the
+    constant term up.  The Krylov rows v R^k (k = 0..len(v)) each carry a
+    unit vector marking k, the highest power first; in their reduced echelon
+    form (`_echelon`) the rows with a pivot in that tail span the linear
+    relations, and the one with the last pivot has the lowest degree."""
+    k = len(v)
+    cols = list(zip(*rows))
+    krylov = [list(v)]
+    while len(krylov) <= k:
+        krylov.append([sum(map(mul, krylov[-1], col)) for col in cols])
+    tagged = [w + [int(i == k - e) for i in range(k + 1)] for e, w in enumerate(krylov)]
+    relation = max(_echelon(tagged, 0), key=lambda r: next(i for i, x in enumerate(r) if x))
+    return relation[k:][::-1]
 
 
 # ------------------------------------------------------------- generic frame
@@ -267,27 +181,31 @@ class AffineModel:
     draws: int
     critical_ideal: Ideal = field(compare=False)
 
-
-def _frame_coordinates(f: Poly, row) -> list[Poly]:
-    """x_0 = a_0 + a_1 y_1 + ... + a_n y_n and x_i = y_i: the coordinates of
-    the frame with first row a, in the affine ring of y_1..y_n."""
-    ys = [Poly.variable(f.vars[1:], i, f.domain) for i in range(len(f.vars) - 1)]
-    ell = Poly.constant(f.vars[1:], row[0], f.domain)
-    return [sum((y.scale(a) for y, a in zip(ys, row[1:])), ell)] + ys
+    @cached_property
+    def off_fiber(self) -> list[list[int]]:
+        """S, an echelon basis (`_echelon`) of the stable image of M_h on
+        A = k[y]/(grad h): the local algebras at the critical points off the
+        zero fiber.  Built once per frame for the split and the points step."""
+        I = self.critical_ideal
+        return _stable_image(_scaled_matrix(I, self.h)[1], I.domain.p or 0)
 
 
 def _affine_model(f: Poly, row) -> Poly:
-    """h = f(ell, y_1, ..., y_n) for the frame with first row a: f grouped by
-    the exponent of x_0 as sum_e x_0^e g_e, then h = sum_e ell^e g_e(y)."""
-    ell = _frame_coordinates(f, row)[0]
+    """h = f(ell, y_1, ..., y_n) with ell = a_0 + a_1 y_1 + ... + a_n y_n for
+    the frame with first row a: f grouped by the exponent of x_0 as
+    sum_e x_0^e g_e, then h = sum_e ell^e g_e(y)."""
+    ys = f.vars[1:]
+    ell = Poly.constant(ys, row[0], f.domain)
+    for i, a in enumerate(row[1:]):
+        ell = ell + Poly.variable(ys, i, f.domain).scale(a)
     groups: dict[int, dict] = {}
     for m, c in f.terms.items():
         groups.setdefault(m[0], {})[m[1:]] = c
-    powers = [Poly.constant(ell.vars, 1, f.domain)]
+    powers = [Poly.constant(ys, 1, f.domain)]
     while len(powers) <= max(groups, default=0):
         powers.append(powers[-1] * ell)
-    parts = (powers[e] * Poly.from_clean(ell.vars, g, f.domain) for e, g in groups.items())
-    return sum(parts, Poly.zero(ell.vars, f.domain))
+    parts = (powers[e] * Poly.from_clean(ys, g, f.domain) for e, g in groups.items())
+    return sum(parts, Poly.zero(ys, f.domain))
 
 
 def generic_frame(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS) -> AffineModel:
@@ -330,10 +248,68 @@ def generic_frame(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS) -> AffineModel:
 def tame_split(model: AffineModel) -> tuple[int, int]:
     """Split the total critical multiplicity (d-1)^n of h, certified by
     `generic_frame`, into the part supported on the zero fiber and the part
-    off it.  mu_on is the part of k[y]/(grad h) on which h vanishes."""
-    d = homogeneous_degree(model.f)
-    mu_on = local_component_dim(model.critical_ideal, [model.h])
-    return mu_on, (d - 1) ** len(model.h.vars) - mu_on
+    off it: mu_off is the dimension of S = `model.off_fiber`."""
+    mu_off = len(model.off_fiber)
+    return quotient_vs_dim(model.critical_ideal) - mu_off, mu_off
+
+
+def rational_singular_points(model: AffineModel) -> dict[ProjectivePoint, int]:
+    """The rational singular points of V(f) with their local Milnor numbers,
+    sorted by coordinates, read off the frame's A = k[y]/(grad h) alone.
+    A/S, with S = `model.off_fiber`, is the sum of the local algebras of h at
+    its critical points on the zero fiber, which are the singular points of V
+    (Stickelberger); y_j acts on it as R_j, which is y_j(p) plus a nilpotent
+    on the part at p.  So the rational roots of the minimal polynomial of R_j
+    hold the j-th coordinates of the rational points.  The walk keeps a
+    prefix (r_1, ..., r_j) while a part of A/S is left on which every
+    y_i - r_i is nilpotent: mu_on minus the rank of the stacked stable images
+    of R_i - r_i.  At a full point that part is the local algebra, of
+    dimension mu_p.  A certified frame has no singular point at infinity, so
+    x = (a_0 + a_1 r_1 + ... + a_n r_n, r_1, ..., r_n) gives them all.
+    Whether they are all of the singular points is decided by `mu_summary`."""
+    A, S = model.critical_ideal.algebra, model.off_fiber
+    pivots = {next(i for i, x in enumerate(b) if x): b for b in S}
+    free = [i for i in range(len(A.std)) if i not in pivots]
+    mu_on = len(free)
+    if not mu_on:
+        return {}
+    # P times the class of v in A/S, on the free columns; S is reduced, so
+    # each pivot entry of v is cleared by its own row
+    P = lcm(*(b[c] for c, b in pivots.items()))
+    scaled = [(c, P // b[c], b) for c, b in pivots.items()]
+
+    def quotient(v: list[int]) -> list[int]:
+        return [P * v[i] - sum(v[c] * t * b[i] for c, t, b in scaled) for i in free]
+
+    # R_j = Q[j] / s on the basis of the classes of the free columns
+    Q = [[quotient(rows[i]) for i in free] for rows in A.rows]
+    s = P * A.denominator
+    one = quotient([int(not any(m)) for m in A.std])  # the class of 1
+    roots = []
+    for R in Q:
+        coeffs = _annihilator(one, R)
+        roots.append(_rational_roots([c * s**e for e, c in enumerate(coeffs)]))
+    images: dict[tuple[int, Fraction], list[list[int]]] = {}
+    walk: list[tuple[tuple[Fraction, ...], list[list[int]]]] = [((), [])]
+    for j, R in enumerate(Q):
+        grown = []
+        for prefix, stacked in walk:
+            for r in roots[j]:
+                if (j, r) not in images:  # the stable image of s * den(r) * (R_j - r)
+                    shifted = [[x * r.denominator for x in row] for row in R]
+                    for i, row in enumerate(shifted):
+                        row[i] -= r.numerator * s
+                    images[j, r] = _stable_image(shifted, 0)
+                nxt = _echelon(stacked + images[j, r], 0)
+                if len(nxt) < mu_on:
+                    grown.append((prefix + (r,), nxt))
+        walk = grown
+    a = model.matrix[0]
+    found = {
+        ProjectivePoint((a[0] + sum(map(mul, a[1:], prefix)),) + prefix): mu_on - len(stacked)
+        for prefix, stacked in walk
+    }
+    return dict(sorted(found.items(), key=lambda item: item[0].coords))
 
 
 # -------------------------------------------------------- the analysis steps
@@ -360,18 +336,17 @@ def frame_split(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS) -> tuple[AffineMo
 
 
 def mu_summary(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS) -> MuSummary:
-    """`frame_split` plus the points step: the rational singular points and
-    their local Milnor numbers, each the part of the frame's k[y]/(grad h) on
-    which the forms x_i - p_i x_c (c = p.chart()) vanish.  The enumeration is
-    complete when these sum to mu_on; a sum above mu_on raises InconsistentMu."""
+    """`frame_split` plus the points step, `rational_singular_points` on the
+    same frame.  grad f must vanish at each point it returns, an independent
+    check; the enumeration is complete when their local Milnor numbers sum to
+    mu_on.  A point where grad f does not vanish, or a sum above mu_on,
+    raises InconsistentMu."""
     model, mu_on, mu_off = frame_split(f, seed, caps)
-    points = rational_singular_points(f, caps)
-    x = _frame_coordinates(f, model.matrix[0])
-    local_mu: dict[ProjectivePoint, int] = {}
-    for pt in points:
-        c = pt.chart()
-        forms = [x[i] - x[c].scale(a) for i, a in enumerate(pt.coords) if i != c]
-        local_mu[pt] = local_component_dim(model.critical_ideal, forms)
+    local_mu = rational_singular_points(model)
+    partials = gradient(f)
+    for pt in local_mu:
+        if any(g.evaluate(pt.coords) != 0 for g in partials):
+            raise InconsistentMu(f"the frame gives {pt}, where grad f does not vanish")
     found = sum(local_mu.values())
     if found > mu_on:
         raise InconsistentMu(
@@ -381,7 +356,7 @@ def mu_summary(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS) -> MuSummary:
         model=model,
         mu_on=mu_on,
         mu_off=mu_off,
-        points=points,
+        points=list(local_mu),
         complete=found == mu_on,
         local_mu=local_mu,
     )

@@ -7,8 +7,9 @@ multiplication matrices, fiber counts of the gradient map from the
 saturated projective fiber instead of the affine cone, eigenvalue
 multiplicities by enumerating root-of-unity products, the completeness of
 the rational singular points from Tjurina numbers instead of Milnor numbers,
-the genericity of an affine frame from two projective certificates instead of
-one critical count, multivariate division and Buchberger's pair loop on tuple
+the points themselves by lex bases on the coordinate cells instead of
+eigenvalues on the frame's algebra, the genericity of an affine frame from
+two projective certificates instead of one critical count, multivariate division and Buchberger's pair loop on tuple
 monomials instead of packed ints, and echelon forms, stable images and
 multiplication matrices in `Fraction` arithmetic and by one normal form per
 standard monomial instead of on integer rows from the variable matrices.
@@ -27,6 +28,7 @@ from hypothesis import assume
 from polargrad.groebner import (
     DEFAULT_CAPS,
     GREVLEX,
+    LEX,
     Caps,
     Ideal,
     NotZeroDimensional,
@@ -45,7 +47,7 @@ from polargrad.groebner import (
     staircase,
     zero_dim_degree_projective,
 )
-from polargrad.hypersurface import jacobian_ideal, rational_singular_points
+from polargrad.hypersurface import NotIsolated, _rational_roots, jacobian_ideal
 from polargrad.poly import (
     DomainMismatch,
     Mono,
@@ -57,6 +59,7 @@ from polargrad.poly import (
     mono_divides,
     mono_lcm,
     mono_mul,
+    ProjectivePoint,
     set_variable_zero,
 )
 from polargrad.rng import SplitMix64
@@ -568,6 +571,84 @@ def saturation_local_dim(gens, point) -> int:
     return quotient_vs_dim(primary)
 
 
+# ------------------------------------------------------ lex singular points
+
+
+def _substitute_last(p: Poly, value: Fraction) -> Poly:
+    """Evaluate the last variable at `value` and drop it from the ring."""
+    out: dict = {}
+    for m, c in p.terms.items():
+        out[m[:-1]] = out.get(m[:-1], 0) + c * value ** m[-1]
+    return Poly(p.vars[:-1], {m: c for m, c in out.items() if c}, p.domain)
+
+
+def lex_points_affine(gens: list[Poly]) -> list[tuple[Fraction, ...]]:
+    """All rational points of a zero-dimensional affine system, by a lex
+    basis, the rational roots of its eliminant in the last variable and
+    back-substitution."""
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        raise NotZeroDimensional("zero ideal")
+    k = len(gens[0].vars)
+    if k == 0:
+        return [()]
+    basis = Ideal(gens, LEX).basis
+    if any(b.degree() == 0 for b in basis):
+        return []
+    pure_last = [b for b in basis if all(not any(m[:-1]) for m in b.terms)]
+    if not pure_last:
+        raise NotZeroDimensional("no univariate eliminant in the last variable")
+    coeffs = [Fraction(0)] * (max(m[-1] for m in pure_last[0].terms) + 1)
+    for m, c in pure_last[0].terms.items():
+        coeffs[m[-1]] = Fraction(c)
+    points: list[tuple[Fraction, ...]] = []
+    for r in _rational_roots(coeffs):
+        if any(g.evaluate([Fraction(0)] * (k - 1) + [r]) != 0 for g in pure_last):
+            continue
+        if k == 1:
+            points += [(r,)] if all(g.evaluate([r]) == 0 for g in gens) else []
+            continue
+        reduced = [g for g in (_substitute_last(b, r) for b in basis) if not g.is_zero()]
+        if not reduced:
+            raise NotZeroDimensional("fiber slice is not zero-dimensional")
+        points += [sub + (r,) for sub in lex_points_affine(reduced)]
+    return sorted(points)
+
+
+def lex_singular_points(f: Poly) -> list[ProjectivePoint]:
+    """All rational singular points of V(f), sorted by coordinates, without a
+    frame: the Jacobian ideal restricted to each coordinate cell (x_c = 1 and
+    every later coordinate 0), solved by `lex_points_affine`."""
+    J = jacobian_ideal(f)
+    pd = projective_dim(J)
+    if pd == -1:
+        return []
+    if pd > 0:
+        raise NotIsolated(f"singular locus has dimension {pd}")
+    nv = len(f.vars)
+    points: list[ProjectivePoint] = []
+    for chart in range(nv - 1, -1, -1):
+        cell = []
+        for g in J.gens:
+            for j in range(chart + 1, nv):
+                g = set_variable_zero(g, j)
+            for j in range(nv - 1, chart - 1, -1):
+                g = dehomogenize(g, j)
+            if not g.is_zero():
+                cell.append(g)
+        if chart == 0:
+            if not cell:
+                points.append(ProjectivePoint((1,) + (0,) * (nv - 1)))
+            continue
+        if not cell:
+            raise NotIsolated("singular scheme meets a coordinate cell in a curve")
+        if any(g.degree() == 0 for g in cell):
+            continue
+        for sol in lex_points_affine(cell):
+            points.append(ProjectivePoint(sol + (Fraction(1),) + (Fraction(0),) * (nv - 1 - chart)))
+    return sorted(points, key=lambda p: p.coords)
+
+
 # ------------------------------------------------ Tjurina-degree certificate
 
 
@@ -580,7 +661,7 @@ def tjurina_complete(f: Poly) -> bool:
         return True
     found = sum(
         saturation_local_dim([dehomogenize(g, pt.chart()) for g in J.gens], pt.affine_coords())
-        for pt in rational_singular_points(f)
+        for pt in lex_singular_points(f)
     )
     return found == zero_dim_degree_projective(J)
 

@@ -38,8 +38,10 @@ from polargrad.rng import SplitMix64
 
 from helpers import (
     form_products,
+    fraction_rank,
     frame_certificates,
     homogeneous_polys,
+    lex_singular_points,
     saturation_local_dim,
     tjurina_complete,
 )
@@ -95,18 +97,28 @@ class TestIsolatedness:
         assert not has_isolated_singularities(f)
 
 
+def frame_points(f, seed=1):
+    """The rational singular points and their Milnor numbers read off the
+    algebra of the frame of `seed`."""
+    return rational_singular_points(generic_frame(f, seed))
+
+
 class TestRationalSingularPoints:
     def test_triangle(self):
-        pts = rational_singular_points(XYZ)
-        assert {str(p) for p in pts} == {"(1 : 0 : 0)", "(0 : 1 : 0)", "(0 : 0 : 1)"}
+        pts = frame_points(XYZ)
+        assert {str(p): mu for p, mu in pts.items()} == {
+            "(1 : 0 : 0)": 1, "(0 : 1 : 0)": 1, "(0 : 0 : 1)": 1
+        }
+        assert list(pts) == lex_singular_points(XYZ)
         assert mu_summary(XYZ, 1).complete
 
     def test_smooth_is_empty(self):
-        assert rational_singular_points(FERMAT) == []
+        assert frame_points(FERMAT) == {} and lex_singular_points(FERMAT) == []
         assert mu_summary(FERMAT, 1).complete
 
     def test_conic_tangent(self):
-        assert [str(p) for p in rational_singular_points(CONIC_TANGENT)] == ["(0 : 0 : 1)"]
+        assert {str(p): mu for p, mu in frame_points(CONIC_TANGENT).items()} == {"(0 : 0 : 1)": 3}
+        assert [str(p) for p in lex_singular_points(CONIC_TANGENT)] == ["(0 : 0 : 1)"]
         assert mu_summary(CONIC_TANGENT, 1).complete
 
     def test_irrational_points_flagged(self):
@@ -114,13 +126,63 @@ class TestRationalSingularPoints:
         # pair (1 : ±1/sqrt(2) : 1); the enumeration finds no rational point
         # and the summary must declare itself incomplete
         f = parse_poly("(x*z - 2*y^2)*(x - z)", V3)
-        assert rational_singular_points(f) == []
+        assert frame_points(f) == {} and lex_singular_points(f) == []
         s = mu_summary(f, 1)
         assert s.mu_on == 2 and not s.complete
 
     def test_non_isolated_rejected(self):
+        f = parse_poly("x^2*y", V3)
         with pytest.raises(NotIsolated):
-            rational_singular_points(parse_poly("x^2*y", V3))
+            lex_singular_points(f)
+        with pytest.raises(NotIsolated):
+            mu_summary(f, 1)
+
+    @given(form_products(nvs=(2, 3), count=(1, 3)), st.integers(1, 100))
+    @settings(max_examples=30, deadline=None)
+    def test_the_frame_finds_the_lex_points(self, case, seed):
+        # the same points and Milnor numbers under the frames of s and s + 1
+        f, _ = case
+        assume(has_isolated_singularities(f))
+        pts = frame_points(f, seed)
+        assert list(pts) == lex_singular_points(f)
+        assert frame_points(f, seed + 1) == pts
+
+
+class TestUnivariate:
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda k: st.tuples(
+                st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=k, max_size=k),
+                st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_annihilator_is_the_minimal_polynomial_of_the_vector(self, case):
+        R, v = case
+        coeffs = hypersurface._annihilator(v, R)
+        while coeffs[-1] == 0:
+            coeffs.pop()
+        k = len(v)
+        powers = [[Fraction(x) for x in v]]
+        for _ in range(k):
+            powers.append([sum(powers[-1][i] * R[i][j] for i in range(k)) for j in range(k)])
+        # p(R) annihilates v, and v, vR, ..., vR^(deg p - 1) are independent,
+        # so no polynomial of lower degree does
+        assert all(sum(c * w[j] for c, w in zip(coeffs, powers)) == 0 for j in range(k))
+        assert fraction_rank(powers[: len(coeffs) - 1]) == len(coeffs) - 1 == fraction_rank(powers)
+
+    @given(
+        st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=4), max_size=4),
+        st.sampled_from(([1], [2, 0, -1], [1, 1, 1])),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rational_roots_of_a_product(self, roots, rest):
+        # prod (t - r) times a factor with no rational root
+        coeffs = [Fraction(c) for c in rest]
+        for r in roots:
+            coeffs = [a - r * b for a, b in zip([Fraction(0)] + coeffs, coeffs + [Fraction(0)])]
+        assert hypersurface._rational_roots(coeffs) == sorted(set(roots))
 
 
 class TestLocalMilnor:
@@ -297,7 +359,7 @@ class TestGenericFrame:
     def test_triangle_frame_moves_points_off_infinity(self):
         model = generic_frame(XYZ, seed=1)
         fM = substitute_linear(XYZ, model.matrix)
-        pts = rational_singular_points(fM)
+        pts = lex_singular_points(fM)
         assert len(pts) == 3 and tjurina_complete(fM)
         # no singular point on the hyperplane x_0 = 0
         assert all(p.coords[0] != 0 for p in pts)
@@ -305,7 +367,7 @@ class TestGenericFrame:
     def test_e6_frame(self):
         model = generic_frame(E6_CUBIC, seed=1)
         fM = substitute_linear(E6_CUBIC, model.matrix)
-        pts = rational_singular_points(fM)
+        pts = lex_singular_points(fM)
         assert len(pts) == 1 and tjurina_complete(fM)
         assert pts[0].coords[0] != 0
 
@@ -326,6 +388,23 @@ class TestTameSplit:
     def test_e6_surface(self):
         model = generic_frame(E6_CUBIC, seed=1)
         assert tame_split(model) == (6, 2)
+
+    def test_one_stable_image_of_h_per_frame(self, monkeypatch):
+        # the split and the points step share S, built once per frame on the
+        # whole algebra (dimension 4); the points step works on A/S (3)
+        sizes = []
+        real = hypersurface._stable_image
+
+        def imaging(rows, modulus):
+            sizes.append(len(rows))
+            return real(rows, modulus)
+
+        monkeypatch.setattr(hypersurface, "_stable_image", imaging)
+        model = generic_frame(XYZ, seed=1)
+        assert tame_split(model) == (3, 1)
+        assert sum(rational_singular_points(model).values()) == 3
+        assert tame_split(model) == (3, 1)
+        assert sizes.count(4) == 1 and set(sizes) == {3, 4}
 
     def test_split_sums_to_expected_total(self):
         for f, n in [(XYZ, 2), (CONIC_TANGENT, 2), (A1A5_CUBIC, 3)]:

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+import polargrad.groebner as groebner
 import polargrad.hypersurface as hypersurface
 import polargrad.report as report_module
 from polargrad.catalog import BY_NAME
@@ -14,6 +15,7 @@ from polargrad.cli import main
 from polargrad.groebner import Caps, ResourceLimit
 from polargrad.parser import parse_poly
 from polargrad.polar import HypothesisError, PolarDegreeResult
+from polargrad.poly import ProjectivePoint
 from polargrad.report import (
     AnalysisOptions,
     InconsistencyError,
@@ -172,41 +174,83 @@ class TestTimings:
 
 class TestPipeline:
     def test_local_milnor_numbers_computed_once(self, monkeypatch):
-        # five nodes: one kernel call each, not one per frame, plus the split
-        # of each certified frame (the one form h; a point of P^2 takes two)
-        calls = []
-        real = hypersurface.local_component_dim
-
-        def counting(I, forms):
-            calls.append(len(forms))
-            return real(I, forms)
-
-        frames = []
+        # five nodes: the points step runs once, on the formula's frame; each
+        # certified frame builds one stable image of M_h on its whole algebra
+        # (dimension (4-1)^2 = 9), and every other stable image is on A/S
+        # (dimension mu_on = 5); no per-point kernel call is left
+        sizes, frames, points, kernel = [], [], [], []
+        real_image = hypersurface._stable_image
         real_split = hypersurface.tame_split
+        real_points = hypersurface.rational_singular_points
+
+        def imaging(rows, modulus):
+            sizes.append(len(rows))
+            return real_image(rows, modulus)
 
         def splitting(model):
             frames.append(model.seed)
             return real_split(model)
 
-        monkeypatch.setattr(hypersurface, "local_component_dim", counting)
+        def pointing(model):
+            points.append(model.seed)
+            return real_points(model)
+
+        monkeypatch.setattr(hypersurface, "_stable_image", imaging)
         monkeypatch.setattr(hypersurface, "tame_split", splitting)
+        monkeypatch.setattr(hypersurface, "rational_singular_points", pointing)
+        monkeypatch.setattr(hypersurface, "local_component_dim", lambda I, forms: kernel.append(1))
         entry = BY_NAME["five-node-quartic"]
         report = analyze_polynomial(entry.text, entry.vars).data
         assert report["mu_V"] == 5
-        assert calls.count(2) == 5
-        assert calls.count(1) == len(frames) == 2
-        assert len(calls) == 5 + len(frames)
+        assert [p["mu"] for p in report["singular_points"]] == [1] * 5
+        assert frames == [1, 2] and points == [1] and kernel == []
+        assert sizes.count(9) == len(frames)
+        assert set(sizes) == {9, 5}
+
+    def test_one_jacobian_basis_per_analysis(self, monkeypatch):
+        # the hypotheses' Jacobian basis, one basis per frame (each certified
+        # at its first draw) and one per oracle target; the points step adds
+        # none
+        orders = []
+        real = groebner.buchberger
+
+        def counting(gens, order=groebner.GREVLEX, caps=groebner.DEFAULT_CAPS):
+            orders.append(order)
+            return real(gens, order, caps)
+
+        monkeypatch.setattr(groebner, "buchberger", counting)
+        report = analyze_polynomial("x^3+y^3+z^3+x*y*z", V3).data
+        assert report["d_f"]["consolidated"] == 4
+        assert orders == [groebner.GREVLEX] * 6
 
     def test_milnor_sum_above_mu_on_raises(self, monkeypatch):
-        real = hypersurface.local_component_dim
+        real = hypersurface.rational_singular_points
 
-        def inflated(I, forms):
-            # the per-point calls only: a point of P^2 is cut out by two forms
-            return real(I, forms) + (len(forms) == 2)
+        def inflated(model):
+            return {pt: mu + 1 for pt, mu in real(model).items()}
 
-        monkeypatch.setattr(hypersurface, "local_component_dim", inflated)
+        monkeypatch.setattr(hypersurface, "rational_singular_points", inflated)
         # three nodes now sum to 6 against mu_on = 3
-        with pytest.raises(hypersurface.InconsistentMu):
+        with pytest.raises(hypersurface.InconsistentMu, match="sum to 6"):
+            hypersurface.mu_summary(parse_poly("x*y*z", V3), 1)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            assert main(["analyze", "x*y*z", "--vars", "x,y,z"]) == 3
+        assert err.getvalue().startswith("inconsistency:")
+
+    def test_a_point_where_grad_f_does_not_vanish_raises(self, monkeypatch):
+        real = hypersurface.rational_singular_points
+
+        def moved(model):
+            # (1 : 0 : 0) replaced by (1 : 1 : 0), a smooth point of x*y*z,
+            # with the same Milnor number, so the sum still equals mu_on
+            return {
+                ProjectivePoint((1, 1, 0)) if pt.coords == (1, 0, 0) else pt: mu
+                for pt, mu in real(model).items()
+            }
+
+        monkeypatch.setattr(hypersurface, "rational_singular_points", moved)
+        with pytest.raises(hypersurface.InconsistentMu, match=r"\(1 : 1 : 0\), where grad f"):
             hypersurface.mu_summary(parse_poly("x*y*z", V3), 1)
         err = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
