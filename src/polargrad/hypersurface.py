@@ -185,9 +185,13 @@ class AffineModel:
     def off_fiber(self) -> list[list[int]]:
         """S, an echelon basis (`_echelon`) of the stable image of M_h on
         A = k[y]/(grad h): the local algebras at the critical points off the
-        zero fiber.  Built once per frame for the split and the points step."""
+        zero fiber.  Built once per frame for the split and the points step,
+        from M_g with g = f_0(a_0 + a_1 y_1 + ... + a_n y_n, y): by Euler's
+        identity d*h = a_0*g + sum_i y_i dh/dy_i, so M_h = (a_0/d) M_g on A,
+        with the same stable image, and g has degree d - 1."""
         I = self.critical_ideal
-        return _stable_image(_scaled_matrix(I, self.h)[1], I.domain.p or 0)
+        g = _affine_model(self.f.partial(0), self.matrix[0])
+        return _stable_image(_scaled_matrix(I, g)[1], I.domain.p or 0)
 
 
 def _affine_model(f: Poly, row) -> Poly:

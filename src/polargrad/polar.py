@@ -9,7 +9,9 @@
   locus grad f = 0 has none, so nothing is saturated.  This route needs no
   reducedness or isolatedness hypotheses and is the general fallback; the
   other two need both, which `require_hypotheses` alone decides, exactly.
-  It shares no kernel with them: neither a frame nor `local_component_dim`.
+  It shares no kernel with them (no frame, no stable image); `analyze`
+  reads the formula and tame values off one certified frame, so the oracle
+  is its independent vote.
   Every count is exact: the cone bases are computed over the rationals.
 """
 

@@ -170,7 +170,7 @@ def fraction_rank(rows: list[list], p: int | None = None) -> int:
         if pivot is None:
             continue
         rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        inv = 1 / rows[pivot_row][col] if p is None else pow(rows[pivot_row][col], -1, p)
+        inv = Fraction(1, rows[pivot_row][col]) if p is None else pow(rows[pivot_row][col], -1, p)
         for r in range(len(rows)):
             if r != pivot_row and rows[r][col] != 0:
                 factor = rows[r][col] * inv

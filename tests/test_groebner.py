@@ -892,6 +892,12 @@ class TestIntegerKernels:
             else:
                 assert math.gcd(*r) == 1
 
+    def test_fraction_rank_is_exact_on_integer_rows(self):
+        # Krylov rows of rank 3: the fourth is -(second) - 2*(third); in
+        # floating point the elimination leaves a residue and counts 4
+        rows = [[1, -1, -1, -1], [4, 1, 0, 1], [-3, -1, 1, -1], [2, 1, -2, 1], [-1, -1, 3, -1]]
+        assert fraction_rank(rows) == 3 == len(groebner._echelon(rows, 0))
+
     @pytest.mark.parametrize("p", [None, 32003])
     @given(rows=fraction_matrices(square=True))
     @settings(max_examples=60, deadline=None)

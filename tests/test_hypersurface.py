@@ -5,13 +5,20 @@ from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import polargrad.groebner as groebner
 import polargrad.hypersurface as hypersurface
 from polargrad.catalog import BY_NAME, CATALOG
-from polargrad.groebner import NotZeroDimensional, projective_dim, quotient_vs_dim
+from polargrad.groebner import (
+    GREVLEX,
+    Ideal,
+    NotZeroDimensional,
+    normal_form,
+    projective_dim,
+    quotient_vs_dim,
+)
 from polargrad.hypersurface import (
     NotACriticalPoint,
     NotIsolated,
@@ -405,6 +412,50 @@ class TestTameSplit:
         assert sum(rational_singular_points(model).values()) == 3
         assert tame_split(model) == (3, 1)
         assert sizes.count(4) == 1 and set(sizes) == {3, 4}
+
+    @given(
+        st.one_of(
+            homogeneous_polys(max_vars=3, max_degree=5),
+            form_products(nvs=(2, 3, 4)).map(lambda case: case[0]),
+        ),
+        st.lists(st.integers(-5, 5), min_size=4, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_euler_identity_modulo_grad_h(self, f, row):
+        # d*h = a_0*g + sum_i y_i dh/dy_i for g the affine model of f_0, on
+        # any row with a_0 != 0, certified or not
+        row = row[: len(f.vars)]
+        assume(f.degree() >= 1 and row[0] != 0)
+        h = hypersurface._affine_model(f, row)
+        g = hypersurface._affine_model(f.partial(0), row)
+        rest = h.scale(f.degree()) - g.scale(row[0])
+        partials = [p for p in gradient(h) if not p.is_zero()]
+        if partials:
+            rest = normal_form(rest, Ideal(partials, GREVLEX).basis, GREVLEX)
+        assert rest.is_zero()
+
+    @given(form_products(nvs=(2, 3, 4)), st.lists(st.integers(-5, 5), min_size=4, max_size=4))
+    @example((FERMAT, False), [1, 0, 0, 0])  # a_1 = 0: f_1 is in (grad h)
+    @example((CONIC_TANGENT, False), [2, 1, -3, 0])  # f_0(1, y) is not zero at the A3 point
+    @settings(max_examples=40, deadline=None)
+    def test_off_fiber_is_the_stable_image_of_h(self, case, row):
+        # S is built from M_g, which is (d/a_0) M_h on the algebra; the
+        # reduced echelon rows of one subspace agree up to sign
+        f, _ = case
+        row = row[: len(f.vars)]
+        assume(row[0] != 0)
+        try:
+            model = frame_from_first_draw(f, row)
+        except (NotIsolated, TransversalityNotFound):
+            assume(False)
+        assume(model.draws == 1)
+        I = model.critical_ideal
+        of_h = groebner._stable_image(groebner._scaled_matrix(I, model.h)[1], 0)
+
+        def signed(rows):
+            return sorted(r if next(x for x in r if x) > 0 else [-x for x in r] for r in rows)
+
+        assert signed(model.off_fiber) == signed(of_h)
 
     def test_split_sums_to_expected_total(self):
         for f, n in [(XYZ, 2), (CONIC_TANGENT, 2), (A1A5_CUBIC, 3)]:

@@ -174,10 +174,11 @@ class TestTimings:
 
 class TestPipeline:
     def test_local_milnor_numbers_computed_once(self, monkeypatch):
-        # five nodes: the points step runs once, on the formula's frame; each
-        # certified frame builds one stable image of M_h on its whole algebra
-        # (dimension (4-1)^2 = 9), and every other stable image is on A/S
-        # (dimension mu_on = 5); no per-point kernel call is left
+        # five nodes: one frame, the formula's, which the oracle agrees with;
+        # the points step runs once on it, the frame builds one stable image
+        # on its whole algebra (dimension (4-1)^2 = 9), and every other
+        # stable image is on A/S (dimension mu_on = 5); no per-point kernel
+        # call is left
         sizes, frames, points, kernel = [], [], [], []
         real_image = hypersurface._stable_image
         real_split = hypersurface.tame_split
@@ -203,14 +204,14 @@ class TestPipeline:
         report = analyze_polynomial(entry.text, entry.vars).data
         assert report["mu_V"] == 5
         assert [p["mu"] for p in report["singular_points"]] == [1] * 5
-        assert frames == [1, 2] and points == [1] and kernel == []
-        assert sizes.count(9) == len(frames)
+        assert frames == [1] and points == [1] and kernel == []
+        assert sizes.count(9) == 1
         assert set(sizes) == {9, 5}
 
     def test_one_jacobian_basis_per_analysis(self, monkeypatch):
-        # the hypotheses' Jacobian basis, one basis per frame (each certified
-        # at its first draw) and one per oracle target; the points step adds
-        # none
+        # the hypotheses' Jacobian basis, one frame basis (certified at its
+        # first draw) and one per oracle target; the oracle agrees, so no
+        # second frame is drawn, and the points step adds no basis
         orders = []
         real = groebner.buchberger
 
@@ -221,7 +222,7 @@ class TestPipeline:
         monkeypatch.setattr(groebner, "buchberger", counting)
         report = analyze_polynomial("x^3+y^3+z^3+x*y*z", V3).data
         assert report["d_f"]["consolidated"] == 4
-        assert orders == [groebner.GREVLEX] * 6
+        assert orders == [groebner.GREVLEX] * 5
 
     def test_milnor_sum_above_mu_on_raises(self, monkeypatch):
         real = hypersurface.rational_singular_points
@@ -329,3 +330,70 @@ class TestConsolidation:
         assert report["conjecture_status"] == "COUNTEREXAMPLE"
         assert "COUNTEREXAMPLE verified with rational arithmetic; review manually" in report["notes"]
         assert len(calls) == 1
+
+
+class TestSecondFrame:
+    """The formula and tame values share one frame; a second frame (seed + 1)
+    is drawn only to break a tie with the oracle or to back a
+    COUNTEREXAMPLE."""
+
+    @staticmethod
+    def spy(monkeypatch, shift=0):
+        # the seeds of the frames drawn after the formula's; `shift` moves
+        # their mu(V) into mu_off
+        seeds = []
+        real = report_module.frame_split
+
+        def spying(f, seed, caps):
+            seeds.append(seed)
+            model, mu_on, mu_off = real(f, seed, caps)
+            return model, mu_on + shift, mu_off - shift
+
+        monkeypatch.setattr(report_module, "frame_split", spying)
+        return seeds
+
+    def test_an_agreeing_oracle_draws_no_second_frame(self, monkeypatch):
+        seeds = self.spy(monkeypatch)
+        report = analyze_polynomial("w^3 + x^3 + y^3 + z^3", V4, AnalysisOptions(seed=5)).data
+        assert report["d_f"]["tame_split"] == 8 and report["d_f"]["unanimous"]
+        assert report["conjecture_status"] == "consistent"
+        assert seeds == []
+
+    def test_a_disagreeing_oracle_draws_frame_seed_plus_one(self, monkeypatch):
+        seeds = self.spy(monkeypatch)
+        monkeypatch.setattr(
+            report_module, "polar_degree_fiber_oracle", TestConsolidation.fixed_oracle(7)
+        )
+        options = AnalysisOptions(seed=5, timings=True)
+        report = analyze_polynomial("x*y*z", V3, options).data
+        assert report["d_f"]["tame_split"] == 1 and not report["d_f"]["unanimous"]
+        assert seeds == [6]
+        # the second frame's time counts in the frames stage
+        assert list(report["timings"]) == ["hypotheses", "frames", "oracle", "singularities", "total"]
+
+    def test_the_second_frame_must_give_the_same_mu(self, monkeypatch):
+        seeds = self.spy(monkeypatch, shift=1)
+        monkeypatch.setattr(
+            report_module, "polar_degree_fiber_oracle", TestConsolidation.fixed_oracle(7)
+        )
+        with pytest.raises(InconsistencyError, match=r"mu\(V\) differs between frames: 3 vs 4"):
+            analyze_polynomial("x*y*z", V3, AnalysisOptions(seed=5))
+        assert seeds == [6]
+
+    def test_a_counterexample_draws_frame_seed_plus_one(self, monkeypatch):
+        # the formula and the oracle are made to say d(f) = 1 for the Fermat
+        # cubic surface (d(f) = 8); the second frame, drawn for the claim,
+        # finds mu(V) = 0 against the 7 of the first
+        real_summary = report_module.mu_summary
+        monkeypatch.setattr(
+            report_module,
+            "mu_summary",
+            lambda f, seed, caps: replace(real_summary(f, seed, caps), mu_on=7),
+        )
+        monkeypatch.setattr(
+            report_module, "polar_degree_fiber_oracle", TestConsolidation.fixed_oracle(1)
+        )
+        seeds = self.spy(monkeypatch)
+        with pytest.raises(InconsistencyError, match="differs between frames: 7 vs 0"):
+            analyze_polynomial("w^3 + x^3 + y^3 + z^3", V4)
+        assert seeds == [2]
