@@ -12,13 +12,20 @@ Hot-path layout: monomials are packed (`_Packing`; compare Monagan & Pearce,
 vector whose fields, guard bits, degree and linear order key make a product
 one addition, a divisibility test one subtraction and one mask, and the term
 order integer comparison.  One heap loop, `_reduce_terms`, does every
-reduction; `normal_form` and `poly_divmod` pack their inputs on entry and
-unpack on exit.  Buchberger is packed from intake to output: monic packed
-leads and tails, pairs in a heap keyed by the packed lcm of their leads (the
-normal strategy), a coprime test `lcm == a + b`, a guard-bit test for the
-chain criterion, and no S-polynomial ever built (`_s_remainder`).  `Poly`
-keeps tuple monomials everywhere else, and `leading_monomial` remembers its
-answer on the polynomial.
+reduction, on Python int coefficients in both domains: a divisor is an
+integer lc*lead + tail, and a term c*e is pseudo-reduced by scaling the work
+by lc/gcd(lc, c) instead of dividing by lc (over GF(p) every lc is 1 and
+nothing is scaled).  `Fraction`s live only at the `Poly` boundary:
+`normal_form` and `poly_divmod` clear the denominators and pack on entry, and
+divide by the kernel's scale and unpack on exit.  Buchberger is packed from
+intake to output: primitive integer elements (content removed once per new
+or changed element, lc > 0; monic over GF(p)), pairs in a heap keyed by the
+packed lcm of their leads (the normal strategy), a coprime test
+`lcm == a + b`, a guard-bit test for the chain criterion, and no
+S-polynomial ever built (`_s_remainder`).  Every integer work set is a
+positive multiple of the one over QQ, so the same terms cancel and the same
+divisors act in the same sequence.  `Poly` keeps tuple monomials everywhere
+else, and `leading_monomial` remembers its answer on the polynomial.
 
 Linear algebra on a zero-dimensional k[x]/I takes no Groebner work past the
 algebra itself.  `Ideal.algebra` builds it once per ideal: the standard
@@ -218,17 +225,53 @@ class _Packing:
         return (e >> self.top) & self.fmask
 
 
-def _reduce_terms(work: dict, by_lead: dict, packing: _Packing, caps: Caps, modulus, found=None) -> dict:
-    """The remainder of the packed terms in `work` (consumed), in descending
-    order, under full reduction: each term by the first divisor in `by_lead`
-    (packed lead -> (index, inverse leading coefficient, tail degree, packed
-    tail)) whose lead divides it; found[index] collects that quotient.  A
-    step checks the cap on the shift's degree plus the tail's before any
-    product, so no term exceeds max(degree in `work`, cap)."""
+def _cleared(p: Poly) -> tuple[int, dict]:
+    """(L, the integer coefficients of L * p), for L the lcm of p's
+    denominators; over GF(p), (1, p.terms)."""
+    if p.domain.p:
+        return 1, p.terms
+    L = lcm(*(c.denominator for c in p.terms.values()))
+    return L, {m: c.numerator * (L // c.denominator) for m, c in p.terms.items()}
+
+
+def _primitive(lc: int, tail: list, modulus) -> tuple[int, list, int]:
+    """(lc / k, tail / k, k) for the content k of lc*lead + tail: over QQ
+    the gcd of its integer coefficients, signed so that lc / k > 0; over
+    GF(p) lc itself, so that the element becomes monic."""
+    if modulus:
+        if lc == 1:
+            return 1, tail, 1
+        inv = pow(lc, -1, modulus)
+        return 1, [(t, c * inv % modulus) for t, c in tail], lc
+    k = gcd(lc, *(c for _, c in tail))
+    if lc < 0:
+        k = -k
+    if k == 1:
+        return lc, tail, 1
+    return lc // k, [(t, c // k) for t, c in tail], k
+
+
+def _reduce_terms(
+    work: dict, by_lead: dict, packing: _Packing, caps: Caps, modulus, found=None
+) -> tuple[dict, int]:
+    """(remainder, s): the remainder of s times the packed integer terms in
+    `work` (consumed), in descending order, under full reduction, and the
+    positive integer s it had to scale them by (1 when it scaled nothing).
+    Each term is reduced by the first divisor in `by_lead` (packed lead ->
+    (index, lc, tail degree, packed tail), the divisor lc*lead + tail, lc > 0)
+    whose lead divides it, and found[index] collects that quotient, so that
+    s * work = sum of found[i] * divisor i + remainder.  A step on a term
+    c*e takes g = gcd(lc, c), scales everything held so far (the work set,
+    the remainder and the quotients) by lc/g and subtracts (c/g)*shift*tail:
+    a pseudo-reduction, with no division.  Over GF(p) every lc is 1, so
+    nothing is scaled and s = 1.  A step checks the cap on the shift's
+    degree plus the tail's before any product, so no term exceeds
+    max(degree in `work`, cap)."""
     guard, top, fmask, max_degree = packing.guard, packing.top, packing.fmask, caps.max_degree
     heap = [-e for e in work]
     heapify(heap)
-    remainder: dict[int, object] = {}
+    remainder: dict[int, int] = {}
+    scale = 1
     while heap:
         e = -heappop(heap)
         c = work.pop(e, None)
@@ -240,53 +283,83 @@ def _reduce_terms(work: dict, by_lead: dict, packing: _Packing, caps: Caps, modu
         else:
             remainder[e] = c
             continue
-        i, inv_lc, tail_deg, tail = by_lead[lead]
+        i, lc, tail_deg, tail = by_lead[lead]
         shift = e - lead
         if tail and ((shift >> top) & fmask) + tail_deg > max_degree:
             raise ResourceLimit(f"degree cap {caps.max_degree} exceeded during reduction")
-        factor = c * inv_lc
-        if modulus:
-            factor %= modulus
+        if lc != 1:
+            g = gcd(lc, c)
+            s = lc // g
+            c //= g
+            if s != 1:
+                scale *= s
+                work = {t: s * x for t, x in work.items()}
+                remainder = {t: s * x for t, x in remainder.items()}
+                if found is not None:
+                    found[:] = [{t: s * x for t, x in q.items()} for q in found]
         if found is not None:
-            found[i][shift] = factor
-        factor = -factor
+            found[i][shift] = c
+        c = -c
         for t, tc in tail:
             t += shift
             old = work.get(t)
             if old is None:
-                d = factor * tc
+                d = c * tc
                 heappush(heap, -t)
             else:
-                d = old + factor * tc
+                d = old + c * tc
             if modulus:
                 d %= modulus
             if d:
                 work[t] = d
             else:
                 del work[t]
-    return remainder
+    return remainder, scale
+
+
+def _coefficients(terms, unpack, num: int, den: int, modulus) -> dict:
+    """The packed integer terms, (packed monomial, c) pairs, times num / den
+    as a `Poly` term dict."""
+    if modulus:
+        r = num * pow(den, -1, modulus) % modulus
+        return {unpack(e): c * r % modulus for e, c in terms}
+    return {unpack(e): Fraction(num * c, den) for e, c in terms}
 
 
 def _reduce(p: Poly, divisors, order: TermOrder, caps: Caps, quotients: bool = False):
     """(remainder of p under full reduction by the divisors, the quotients'
     term dicts, one per divisor, when `quotients` is set, else None), on a
-    packing wide enough for the degree cap and every degree given."""
+    packing wide enough for the degree cap and every degree given.  The
+    kernel reduces L*p, with L the lcm of p's denominators, by the integer
+    divisors (L_i / k_i) * g_i (`_cleared`, then `_primitive`) and scales
+    by s; so the remainder is R / (s*L) and the i-th quotient is
+    Q_i * L_i / (k_i*s*L)."""
     nonzero = [(i, g) for i, g in enumerate(divisors) if g.terms]
     need = max([caps.max_degree, *map(sum, p.terms), *(max(map(sum, g.terms)) for _, g in nonzero)])
     packing = _Packing(order, len(p.vars), need.bit_length())
+    pack, unpack, modulus = packing.pack, packing.unpack, p.domain.p
     by_lead: dict[int, tuple] = {}
+    ratios: dict[int, tuple[int, int]] = {}  # divisor index -> (L_i, k_i)
     for i, g in nonzero:
-        (lead, lc), *tail = sorted(((packing.pack(m), c) for m, c in g.terms.items()), reverse=True)
+        L, terms = _cleared(g)
+        (lead, lc), *tail = sorted(((pack(m), c) for m, c in terms.items()), reverse=True)
+        if lead in by_lead:
+            continue
+        lc, tail, k = _primitive(lc, tail, modulus)
         tail_deg = max((packing.degree(t) for t, _ in tail), default=0)
-        by_lead.setdefault(lead, (i, g.domain.inv(lc), tail_deg, tail))
+        by_lead[lead] = (i, lc, tail_deg, tail)
+        ratios[i] = (L, k)
     found = [{} for _ in divisors] if quotients else None
-    work = {packing.pack(m): c for m, c in p.terms.items()}
-    remainder = _reduce_terms(work, by_lead, packing, caps, p.domain.p, found)
-    unpack = packing.unpack
-    rem = Poly.from_clean(p.vars, {unpack(e): c for e, c in remainder.items()}, p.domain)
+    L, terms = _cleared(p)
+    work = {pack(m): c for m, c in terms.items()}
+    remainder, s = _reduce_terms(work, by_lead, packing, caps, modulus, found)
+    rem = Poly.from_clean(p.vars, _coefficients(remainder.items(), unpack, 1, s * L, modulus), p.domain)
     if found is None:
         return rem, None
-    return rem, [{unpack(s): c for s, c in f.items()} for f in found]
+    return rem, [
+        _coefficients(q.items(), unpack, ratios[i][0], ratios[i][1] * s * L, modulus) if q else {}
+        for i, q in enumerate(found)
+    ]
 
 
 # ----------------------------------------------------------------- division
@@ -340,30 +413,43 @@ def s_polynomial(f: Poly, g: Poly, order: TermOrder) -> Poly:
 
 
 def _s_remainder(lcm: int, f, g, by_lead: dict, packing: _Packing, caps: Caps, modulus) -> dict:
-    """`_reduce_terms` of the S-polynomial of the monic basis elements f and
-    g, each a packed (lead, tail), whose leads have the lcm `lcm`.  The
-    S-polynomial is never built: the leads cancel, and the two tails,
-    shifted up to the lcm, go straight into the work set."""
-    shift = lcm - f[0]
-    work = {t + shift: c for t, c in f[1]}
-    shift = lcm - g[0]
-    for t, c in g[1]:
+    """The remainder (`_reduce_terms`) of the S-polynomial of the basis
+    elements f and g, each a packed (lead, lc, tail) for lc*lead + tail,
+    whose leads have the lcm `lcm`.  The S-polynomial is never built: with
+    k = gcd(lc_f, lc_g) the leads of (lc_g/k)*shift_f*f and
+    (lc_f/k)*shift_g*g cancel, and the two tails, shifted up to the lcm and
+    scaled, go straight into the work set.  The remainder is an integer
+    multiple of the one over QQ; the caller removes its content."""
+    (lead_f, lc_f, tail_f), (lead_g, lc_g, tail_g) = f, g
+    k = gcd(lc_f, lc_g)
+    a, b = lc_g // k, lc_f // k
+    shift = lcm - lead_f
+    work = {t + shift: a * c for t, c in tail_f}
+    shift = lcm - lead_g
+    for t, c in tail_g:
         t += shift
-        d = work.pop(t, 0) - c
+        d = work.pop(t, 0) - b * c
         if modulus:
             d %= modulus
         if d:
             work[t] = d
-    return _reduce_terms(work, by_lead, packing, caps, modulus)
+    return _reduce_terms(work, by_lead, packing, caps, modulus)[0]
 
 
 def buchberger(gens, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_CAPS) -> list[Poly]:
     """Unique reduced Groebner basis (normal strategy, both skip criteria).
     The run has one packing, holding twice the larger of the degree cap and
     the largest generator degree: no basis element is larger (a new one
-    above the cap raises), so every S-polynomial and reduction fits.  Polys
-    are built only for the basis returned, and a generator returned
-    unchanged is the (monic) object given."""
+    above the cap raises), so every S-polynomial and reduction fits.
+
+    The run is fraction-free.  Each basis element is a primitive integer
+    polynomial lc*lead + tail (`_primitive`: over QQ its content removed and
+    lc > 0; over GF(p) monic), entered at intake as the monic generator with
+    its denominators cleared (`_cleared`), and made primitive again whenever
+    a reduction makes or changes it.  Fractions come back only in the
+    output, whose terms are c / lc.  Polys are built only for the basis
+    returned, and a generator returned unchanged is the (monic) object
+    given."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
@@ -378,20 +464,20 @@ def buchberger(gens, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_CAPS) -> l
     need = max(caps.max_degree, max(g.degree() for g in intake))
     packing = _Packing(order, len(vars0), (2 * need).bit_length())
     pack, unpack, guard, top, fmask = packing.pack, packing.unpack, packing.guard, packing.top, packing.fmask
-    modulus, one = dom.p, dom.one()
+    modulus = dom.p
 
-    # element i: packed lead lts[i] (exps[i] unpacked) with coefficient 1,
-    # packed tail tails[i] in descending order, and given[i], the generator
-    # it still is, or None
-    lts, exps, tails, given = [], [], [], []
+    # element i: packed lead lts[i] (exps[i] unpacked) with the integer
+    # coefficient lcs[i], packed tail tails[i] in descending order, and
+    # given[i], the generator it still is, or None
+    lts, exps, lcs, tails, given = [], [], [], [], []
     by_lead: dict[int, tuple] = {}  # the divisors, as `_reduce_terms` reads them
     pending: set[tuple[int, int]] = set()
     queue: list = []  # heap of (packed lcm of the leads, i, j), the pair selection
 
     def divisor(i: int) -> tuple:
-        return i, one, max(((t >> top) & fmask for t, _ in tails[i]), default=0), tails[i]
+        return i, lcs[i], max(((t >> top) & fmask for t, _ in tails[i]), default=0), tails[i]
 
-    def add(lead: int, tail: list, poly: Poly | None = None) -> None:
+    def add(lead: int, lc: int, tail: list, poly: Poly | None = None) -> None:
         idx = len(lts)
         if idx + 1 > caps.max_basis:
             raise ResourceLimit(f"basis cap {caps.max_basis} exceeded")
@@ -401,13 +487,15 @@ def buchberger(gens, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_CAPS) -> l
             heappush(queue, (pack(map(max, other, lt)), i, idx))
         lts.append(lead)
         exps.append(lt)
+        lcs.append(lc)
         tails.append(tail)
         given.append(poly)
         by_lead.setdefault(lead, divisor(idx))
 
     for g in intake:
-        (lead, _), *tail = sorted(((pack(m), c) for m, c in g.terms.items()), reverse=True)
-        add(lead, tail, g)
+        # g is monic, so L*g is already primitive with lc = L > 0
+        (lead, lc), *tail = sorted(((pack(m), c) for m, c in _cleared(g)[1].items()), reverse=True)
+        add(lead, lc, tail, g)
 
     while queue:
         lcm, i, j = heappop(queue)
@@ -417,15 +505,14 @@ def buchberger(gens, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_CAPS) -> l
         third = [k for k, lead in enumerate(lts) if not (lcm - lead) & guard and k != i and k != j]
         if any((min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending for k in third):
             continue  # the chain criterion
-        rem = _s_remainder(lcm, (lts[i], tails[i]), (lts[j], tails[j]), by_lead, packing, caps, modulus)
+        rem = _s_remainder(
+            lcm, (lts[i], lcs[i], tails[i]), (lts[j], lcs[j], tails[j]), by_lead, packing, caps, modulus
+        )
         if rem:
             if max((t >> top) & fmask for t in rem) > caps.max_degree:
                 raise ResourceLimit(f"degree cap {caps.max_degree} exceeded")
             (lead, lc), *tail = rem.items()  # the first term popped is the lead
-            if lc != one:
-                inv = dom.inv(lc)
-                tail = [(t, c * inv % modulus if modulus else c * inv) for t, c in tail]
-            add(lead, tail)
+            add(lead, *_primitive(lc, tail, modulus)[:2])
 
     # minimal generators of the leading-term ideal, ascending
     kept: list[int] = []
@@ -434,21 +521,23 @@ def buchberger(gens, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_CAPS) -> l
             kept.append(i)
 
     # inter-reduce tails until stable; no lead divides a term of its own
-    # tail, so every kept element reduces each tail
+    # tail, so every kept element reduces each tail, and a tail scaled by s
+    # scales its lc by s
     reducers = {lts[i]: by_lead[lts[i]] for i in kept}
     changed = True
     while changed:
         changed = False
         for i in kept:
             before = dict(tails[i])
-            rem = _reduce_terms(dict(before), reducers, packing, caps, modulus)
+            rem, s = _reduce_terms(dict(before), reducers, packing, caps, modulus)
             if rem != before:
-                tails[i], given[i], changed = list(rem.items()), None, True
+                lcs[i], tails[i], _ = _primitive(lcs[i] * s, list(rem.items()), modulus)
+                given[i], changed = None, True
                 reducers[lts[i]] = divisor(i)
 
     def poly(i: int) -> Poly:
-        terms = {exps[i]: one}
-        terms.update((unpack(t), c) for t, c in tails[i])
+        terms = {exps[i]: dom.one()}
+        terms.update(_coefficients(tails[i], unpack, 1, lcs[i], modulus))
         p = Poly.from_clean(vars0, terms, dom)
         object.__setattr__(p, "_lead", (order, exps[i]))
         return p
@@ -825,12 +914,8 @@ class QuotientAlgebra:
             memo[u] = hit
             return hit
 
-        if modulus:
-            L, terms = 1, g.terms.items()
-        else:  # the integer coefficients of L * g
-            L = lcm(*(c.denominator for c in g.terms.values()))
-            terms = [(t, c.numerator * (L // c.denominator)) for t, c in g.terms.items()]
-        shifted = [[(mono_mul(t, m), c) for t, c in terms] for m in std]
+        L, terms = _cleared(g)
+        shifted = [[(mono_mul(t, m), c) for t, c in terms.items()] for m in std]
         k = max((vector(u)[1] for row in shifted for u, _ in row if u not in column), default=0)
         Dk = D**k
         rows = []

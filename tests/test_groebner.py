@@ -165,8 +165,15 @@ class TestPackedMonomials:
                     assert not (packed[a] + packed[b] - packed[a]) & packing.guard
 
 
+SMALL_COEFFICIENTS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+# numerators up to 2^70 and denominators up to 2^40, of either sign: cleared
+# of their denominators, leads are far from 1 and the reduction kernel scales
+WIDE_COEFFICIENTS = st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**40))
+
+
 @st.composite
-def division_cases(draw):
+def division_cases(draw, coeffs=SMALL_COEFFICIENTS):
     """An order, divisors (some may be zero) and a dividend that is a sum of
     multiples of them plus a remainder, in at most four variables."""
     n = draw(st.integers(1, 4))
@@ -174,7 +181,6 @@ def division_cases(draw):
 
     def poly(max_terms):
         monos = st.tuples(*[st.integers(0, 4)] * n)
-        coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
         return Poly(V4[:n], draw(st.lists(st.tuples(monos, coeffs), max_size=max_terms)))
 
     divisors = [poly(4) for _ in range(draw(st.integers(1, 4)))]
@@ -207,6 +213,16 @@ class TestPackedDivision:
         order, p, divisors = case
         if prime is not None:
             p, divisors = to_prime_field(p, prime), [to_prime_field(g, prime) for g in divisors]
+        expected = _outcome(reference_divmod, p, divisors, order)
+        assert _outcome(poly_divmod, p, divisors, order) == expected
+        assert list(normal_form(p, divisors, order).terms.items()) == expected[1]
+
+    @given(division_cases(WIDE_COEFFICIENTS))
+    @settings(max_examples=100, deadline=None)
+    def test_wide_coefficients_match_the_tuple_reference(self, case):
+        # the integer kernel scales the remainder and the quotients by the
+        # divisors' leads; the division over QQ must not see it
+        order, p, divisors = case
         expected = _outcome(reference_divmod, p, divisors, order)
         assert _outcome(poly_divmod, p, divisors, order) == expected
         assert list(normal_form(p, divisors, order).terms.items()) == expected[1]
@@ -269,7 +285,7 @@ def _counting(module, name):
 
 
 @st.composite
-def buchberger_cases(draw):
+def buchberger_cases(draw, coeffs=SMALL_COEFFICIENTS):
     """An order, generators and caps in at most four variables.  Two
     generators may share a lead, and a degree cap near the generators'
     degrees lets S-polynomials climb above the cap, under lex even when they
@@ -277,7 +293,7 @@ def buchberger_cases(draw):
     n = draw(st.integers(1, 4))
     order = draw(term_orders(n))
     monos = st.tuples(*[st.integers(0, 3)] * n)
-    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+    coeffs = coeffs.filter(bool)
 
     def poly(max_terms):
         return Poly(V4[:n], draw(st.lists(st.tuples(monos, coeffs), min_size=1, max_size=max_terms)))
@@ -327,6 +343,12 @@ class TestPackedBuchberger:
             gens = [to_prime_field(g, prime) for g in gens]
         self._check(gens, order, caps)
 
+    @given(buchberger_cases(WIDE_COEFFICIENTS))
+    @settings(max_examples=60, deadline=None)
+    def test_wide_coefficients_match_the_tuple_reference(self, case):
+        order, gens, caps = case
+        self._check(gens, order, caps)
+
     @pytest.mark.parametrize("prime", [None, 32003])
     def test_s_polynomials_above_the_cap(self, monkeypatch, prime):
         # under lex these S-polynomials reach degree 9 and 10, above the caps
@@ -352,6 +374,61 @@ class TestPackedBuchberger:
             monkeypatch.undo()
             assert max(degrees) > cap
             assert not isinstance(self._check(gens, LEX, Caps(max_degree=cap)), str)
+
+
+class TestFractionFreeKernel:
+    """`_reduce_terms` runs on Python ints in both domains: over QQ every
+    `Fraction` is cleared on the way in and rebuilt on the way out, and over
+    GF(p) every divisor is monic, so the kernel never scales."""
+
+    GENS = ("3/2*x^3 - 5*y*z^2", "7*y^3 - 2/3*x^2*z", "x*y*z - 4/5*z^3")
+    DIVIDEND = "1/7*x^4*y - 3*z^5 + 2/9*x*y + 5/4"
+
+    def _run(self, monkeypatch, prime=None):
+        """(coefficients received, coefficients returned, factor) of every
+        kernel call of a `buchberger`, a `normal_form` and a `poly_divmod`."""
+        seen = []
+        original = groebner._reduce_terms
+
+        def spy(work, by_lead, packing, caps, modulus, found=None):
+            received = list(work.values())
+            for _, lc, _, tail in by_lead.values():
+                received += [lc, *(c for _, c in tail)]
+            remainder, factor = original(work, by_lead, packing, caps, modulus, found)
+            returned = list(remainder.values())
+            for q in found or ():
+                returned += q.values()
+            seen.append((received, returned, factor))
+            return remainder, factor
+
+        gens, p = [P(t) for t in self.GENS], P(self.DIVIDEND)
+        if prime is not None:
+            gens, p = [to_prime_field(g, prime) for g in gens], to_prime_field(p, prime)
+        monkeypatch.setattr(groebner, "_reduce_terms", spy)
+        basis = buchberger(gens)
+        remainder = normal_form(p, basis, GREVLEX)
+        outcome = _outcome(poly_divmod, p, gens, GREVLEX)
+        monkeypatch.undo()
+        expected = _basis_outcome(reference_buchberger, gens, GREVLEX)
+        assert _basis_outcome(buchberger, gens, GREVLEX) == expected
+        assert remainder == reference_divmod(p, basis, GREVLEX)[1]
+        assert outcome == _outcome(reference_divmod, p, gens, GREVLEX)
+        return seen
+
+    def test_only_ints_over_the_rationals(self, monkeypatch):
+        seen = self._run(monkeypatch)
+        assert len(seen) > 3
+        for received, returned, factor in seen:
+            assert all(type(c) is int for c in received + returned)
+            assert type(factor) is int and factor > 0
+        assert any(factor > 1 for *_, factor in seen)  # the kernel did scale
+
+    def test_factor_is_one_over_a_prime_field(self, monkeypatch):
+        seen = self._run(monkeypatch, 32003)
+        assert len(seen) > 3
+        for received, returned, factor in seen:
+            assert all(type(c) is int for c in received + returned)
+            assert factor == 1
 
 
 class TestLeadingMonomial:
