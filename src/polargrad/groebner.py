@@ -15,32 +15,43 @@ order integer comparison.  One heap loop, `_reduce_terms`, does every
 reduction, on Python int coefficients in both domains: a divisor is an
 integer lc*lead + tail, and a term c*e is pseudo-reduced by scaling the work
 by lc/gcd(lc, c) instead of dividing by lc (over GF(p) every lc is 1 and
-nothing is scaled).  `Fraction`s live only at the `Poly` boundary:
-`normal_form` and `poly_divmod` clear the denominators and pack on entry, and
-divide by the kernel's scale and unpack on exit.  Buchberger is packed from
-intake to output: primitive integer elements (content removed once per new
-or changed element, lc > 0; monic over GF(p)), pairs in a heap keyed by the
-packed lcm of their leads (the normal strategy), a coprime test
-`lcm == a + b`, a guard-bit test for the chain criterion, and no
-S-polynomial ever built (`_s_remainder`).  Every integer work set is a
-positive multiple of the one over QQ, so the same terms cancel and the same
-divisors act in the same sequence.  `Poly` keeps tuple monomials everywhere
-else, and `leading_monomial` remembers its answer on the polynomial.
+nothing is scaled).  `normal_form` and `poly_divmod` clear the denominators
+and pack on entry, and divide by the kernel's scale and unpack on exit.
+
+Buchberger is split in two, a packed run and a finish.  The run,
+`buchberger_run`, takes integer generators (`_cleared`, then `_primitive`)
+and keeps primitive integer elements (content removed once per new element,
+lc > 0; monic over GF(p)), pairs in a heap keyed by the packed lcm of their
+leads (the normal strategy), a coprime test `lcm == a + b`, a guard-bit test
+for the chain criterion, and no S-polynomial ever built (`_s_remainder`); it
+returns the kept elements over the minimal leads as a `_Run`.  Every integer
+work set is a positive multiple of the one over QQ, so the same terms cancel
+and the same divisors act in the same sequence.  The finish inter-reduces a
+run (`_inter_reduce`) and builds its `Poly`s (`_Run.polys`); `buchberger` is
+run + finish.  An `Ideal` keeps its run and, on demand, the reduced run.
+Counts need only the run: the staircase is read off its packed minimal
+leads, so `quotient_vs_dim` and `projective_dim` never inter-reduce and
+never build a `Fraction`.  `Fraction`s appear only at the `Poly` boundary:
+generators and dividends on entry, `Ideal.basis`, remainders and quotients
+on exit.  `Poly` keeps tuple monomials everywhere else, and
+`leading_monomial` remembers its answer on the polynomial.
 
 Linear algebra on a zero-dimensional k[x]/I takes no Groebner work past the
-algebra itself.  `Ideal.algebra` builds it once per ideal: the standard
-monomials and the variable matrices M_{x_j} on integer rows over one common
-denominator, read off the border of the staircase, one normal form per
-border monomial (compare Faugere, Gianni, Lazard & Mora, JSC 1993).  A
-multiplication matrix is then one vector-matrix product per new monomial,
-and `_echelon` and `_stable_image` work on integer rows: fraction-free with
-primitive rows over QQ, residues over GF(p).
+algebra itself.  `Ideal.algebra` builds it once per ideal from the reduced
+run: the standard monomials and the variable matrices M_{x_j} on integer
+rows over one common denominator, read off the border of the staircase, one
+`_reduce_terms` per border monomial that leads no element (compare Faugere,
+Gianni, Lazard & Mora, JSC 1993).  A multiplication matrix is then one
+vector-matrix product per new monomial, and `_echelon` and `_stable_image`
+work on integer rows: fraction-free with primitive rows over QQ, residues
+over GF(p).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import itemgetter, mul
@@ -197,7 +208,9 @@ class _Packing:
     clear: a borrow sets the guard bit of the lowest field where a is larger.
 
     Valid while every total degree stays below 2^bits; `_reduce` and
-    `buchberger` pick the width so that it does."""
+    `buchberger_run` pick the width so that it does.  The divisibility test
+    needs only every exponent below 2^bits, which is all the staircase walk
+    (`_standard_monomials`) relies on."""
 
     __slots__ = ("order", "bits", "shifts", "top", "fmask", "guard", "coefs")
 
@@ -223,6 +236,11 @@ class _Packing:
 
     def degree(self, e: int) -> int:
         return (e >> self.top) & self.fmask
+
+    def top_degree(self, terms) -> int:
+        """The largest degree among packed (monomial, c) terms; 0 for none."""
+        top, fmask = self.top, self.fmask
+        return max(((e >> top) & fmask for e, _ in terms), default=0)
 
 
 def _cleared(p: Poly) -> tuple[int, dict]:
@@ -346,8 +364,7 @@ def _reduce(p: Poly, divisors, order: TermOrder, caps: Caps, quotients: bool = F
         if lead in by_lead:
             continue
         lc, tail, k = _primitive(lc, tail, modulus)
-        tail_deg = max((packing.degree(t) for t, _ in tail), default=0)
-        by_lead[lead] = (i, lc, tail_deg, tail)
+        by_lead[lead] = (i, lc, packing.top_degree(tail), tail)
         ratios[i] = (L, k)
     found = [{} for _ in divisors] if quotients else None
     L, terms = _cleared(p)
@@ -436,35 +453,109 @@ def _s_remainder(lcm: int, f, g, by_lead: dict, packing: _Packing, caps: Caps, m
     return _reduce_terms(work, by_lead, packing, caps, modulus)[0]
 
 
-def buchberger(gens, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_CAPS) -> list[Poly]:
-    """Unique reduced Groebner basis (normal strategy, both skip criteria).
-    The run has one packing, holding twice the larger of the degree cap and
-    the largest generator degree: no basis element is larger (a new one
-    above the cap raises), so every S-polynomial and reduction fits.
+class _Run:
+    """Packed Groebner elements of one ring, order and caps: element i is the
+    primitive integer polynomial lcs[i]*leads[i] + tails[i] (`_primitive`),
+    its packed tail in descending order, and `given[i]` the generator it
+    still equals up to a scalar, or None.  The leads ascend and generate the
+    leading-term ideal minimally.  `buchberger_run` makes one and
+    `_inter_reduce` a reduced copy; neither changes a run once made.  The
+    polynomials (`polys`) are built only when asked for."""
 
-    The run is fraction-free.  Each basis element is a primitive integer
-    polynomial lc*lead + tail (`_primitive`: over QQ its content removed and
-    lc > 0; over GF(p) monic), entered at intake as the monic generator with
-    its denominators cleared (`_cleared`), and made primitive again whenever
-    a reduction makes or changes it.  Fractions come back only in the
-    output, whose terms are c / lc.  Polys are built only for the basis
-    returned, and a generator returned unchanged is the (monic) object
-    given."""
+    __slots__ = ("vars", "domain", "order", "caps", "packing", "leads", "lcs", "tails", "given", "_polys")
+
+    def __init__(self, vars, domain, order, caps, packing, leads, lcs, tails, given):
+        self.vars, self.domain, self.order, self.caps, self.packing = vars, domain, order, caps, packing
+        self.leads, self.lcs, self.tails, self.given = leads, lcs, tails, given
+        self._polys = None
+
+    def divisors(self) -> dict:
+        """The elements as `_reduce_terms` reads its divisors, in the order
+        of their leads."""
+        degree = self.packing.top_degree
+        return {
+            lead: (i, lc, degree(tail), tail)
+            for i, (lead, lc, tail) in enumerate(zip(self.leads, self.lcs, self.tails))
+        }
+
+    def polys(self) -> tuple[Poly, ...]:
+        """The elements as monic `Poly`s, leads descending: the terms of a
+        changed element are c / lc, and an element still equal to a
+        generator is that generator made monic (`_monic`), the very object
+        given when it already was.  Built once."""
+        if self._polys is None:
+            order, dom, unpack, modulus = self.order, self.domain, self.packing.unpack, self.domain.p
+            out = []
+            for lead, lc, tail, g in zip(self.leads, self.lcs, self.tails, self.given):
+                if g is None:
+                    lt = unpack(lead)
+                    terms = {lt: dom.one()}
+                    terms.update(_coefficients(tail, unpack, 1, lc, modulus))
+                    g = Poly.from_clean(self.vars, terms, dom)
+                    object.__setattr__(g, "_lead", (order, lt))
+                out.append(_monic(g, order))
+            self._polys = tuple(reversed(out))
+        return self._polys
+
+
+def _intake_cmp(unpack):
+    """Comparison of intake elements (lead, lc, tail, generator): by packed
+    lead, then, on equal leads, by the sorted (monomial, coefficient) items
+    of the monic polynomials, the coefficients c / lc compared by cross
+    multiplication (lc > 0)."""
+
+    def items(x):
+        lead, lc, tail, _ = x
+        return lc, sorted((unpack(e), c) for e, c in [(lead, lc), *tail])
+
+    def cmp(x, y) -> int:
+        if x[0] != y[0]:
+            return -1 if x[0] < y[0] else 1
+        (lx, tx), (ly, ty) = items(x), items(y)
+        for (mx, cx), (my, cy) in zip(tx, ty):
+            if mx != my:
+                return -1 if mx < my else 1
+            if cx * ly != cy * lx:
+                return -1 if cx * ly < cy * lx else 1
+        return len(tx) - len(ty)
+
+    return cmp
+
+
+def buchberger_run(gens, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_CAPS) -> _Run | None:
+    """Buchberger's pair loop (normal strategy, both skip criteria) and the
+    minimal leading terms: a `_Run` of the kept elements, not inter-reduced,
+    or None when every generator is zero.  The run has one packing, holding
+    twice the larger of the degree cap and the largest generator degree: no
+    basis element is larger (a new one above the cap raises), so every
+    S-polynomial and reduction fits.
+
+    The run is fraction-free.  Each element is a primitive integer
+    polynomial (`_primitive`: over QQ its content removed and lc > 0; over
+    GF(p) monic): at intake a generator with its denominators cleared
+    (`_cleared`) and made primitive, which is its monic form times its lc.
+    Equal forms are taken once, the first generator giving one kept as
+    `given`, and they enter by packed lead ascending, ties broken by the
+    sorted terms of the monic forms (`_intake_cmp`).  An element is made
+    primitive again whenever a reduction makes it.  No `Fraction` and no
+    `Poly` is built."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
-        return []
+        return None
     vars0, dom = gens[0].vars, gens[0].domain
     for g in gens:
         if g.vars != vars0 or g.domain != dom:
             raise DomainMismatch("generators live in different rings")
-    intake = sorted(
-        {g for g in (_monic(g, order) for g in gens)},
-        key=lambda p: (order.key(leading_monomial(p, order)), sorted(p.terms.items())),
-    )
-    need = max(caps.max_degree, max(g.degree() for g in intake))
+    need = max(caps.max_degree, max(g.degree() for g in gens))
     packing = _Packing(order, len(vars0), (2 * need).bit_length())
     pack, unpack, guard, top, fmask = packing.pack, packing.unpack, packing.guard, packing.top, packing.fmask
     modulus = dom.p
+    forms: dict[tuple, Poly] = {}
+    for g in gens:
+        (lead, lc), *tail = sorted(((pack(m), c) for m, c in _cleared(g)[1].items()), reverse=True)
+        lc, tail, _ = _primitive(lc, tail, modulus)
+        forms.setdefault((lead, lc, tuple(tail)), g)
+    intake = sorted(((*form, g) for form, g in forms.items()), key=cmp_to_key(_intake_cmp(unpack)))
 
     # element i: packed lead lts[i] (exps[i] unpacked) with the integer
     # coefficient lcs[i], packed tail tails[i] in descending order, and
@@ -474,10 +565,7 @@ def buchberger(gens, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_CAPS) -> l
     pending: set[tuple[int, int]] = set()
     queue: list = []  # heap of (packed lcm of the leads, i, j), the pair selection
 
-    def divisor(i: int) -> tuple:
-        return i, lcs[i], max(((t >> top) & fmask for t, _ in tails[i]), default=0), tails[i]
-
-    def add(lead: int, lc: int, tail: list, poly: Poly | None = None) -> None:
+    def add(lead: int, lc: int, tail, poly: Poly | None = None) -> None:
         idx = len(lts)
         if idx + 1 > caps.max_basis:
             raise ResourceLimit(f"basis cap {caps.max_basis} exceeded")
@@ -490,12 +578,11 @@ def buchberger(gens, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_CAPS) -> l
         lcs.append(lc)
         tails.append(tail)
         given.append(poly)
-        by_lead.setdefault(lead, divisor(idx))
+        if lead not in by_lead:
+            by_lead[lead] = idx, lc, packing.top_degree(tail), tail
 
-    for g in intake:
-        # g is monic, so L*g is already primitive with lc = L > 0
-        (lead, lc), *tail = sorted(((pack(m), c) for m, c in _cleared(g)[1].items()), reverse=True)
-        add(lead, lc, tail, g)
+    for form in intake:
+        add(*form)
 
     while queue:
         lcm, i, j = heappop(queue)
@@ -519,48 +606,61 @@ def buchberger(gens, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_CAPS) -> l
     for i in sorted(range(len(lts)), key=lts.__getitem__):
         if not any(not (lts[i] - lts[k]) & guard for k in kept):
             kept.append(i)
+    return _Run(
+        vars0, dom, order, caps, packing,
+        *([seq[i] for i in kept] for seq in (lts, lcs, tails, given)),
+    )
 
-    # inter-reduce tails until stable; no lead divides a term of its own
-    # tail, so every kept element reduces each tail, and a tail scaled by s
-    # scales its lc by s
-    reducers = {lts[i]: by_lead[lts[i]] for i in kept}
+
+def _inter_reduce(run: _Run) -> _Run:
+    """The reduced basis of a run, as a new `_Run`: tails inter-reduced until
+    stable.  No lead divides a term of its own tail, so every element
+    reduces each tail, and a tail scaled by s scales its lc by s."""
+    packing, caps, modulus = run.packing, run.caps, run.domain.p
+    lcs, tails, given = list(run.lcs), list(run.tails), list(run.given)
+    reducers = run.divisors()
     changed = True
     while changed:
         changed = False
-        for i in kept:
+        for i, lead in enumerate(run.leads):
             before = dict(tails[i])
             rem, s = _reduce_terms(dict(before), reducers, packing, caps, modulus)
             if rem != before:
                 lcs[i], tails[i], _ = _primitive(lcs[i] * s, list(rem.items()), modulus)
                 given[i], changed = None, True
-                reducers[lts[i]] = divisor(i)
+                reducers[lead] = (i, lcs[i], packing.top_degree(tails[i]), tails[i])
+    return _Run(run.vars, run.domain, run.order, caps, packing, run.leads, lcs, tails, given)
 
-    def poly(i: int) -> Poly:
-        terms = {exps[i]: dom.one()}
-        terms.update(_coefficients(tails[i], unpack, 1, lcs[i], modulus))
-        p = Poly.from_clean(vars0, terms, dom)
-        object.__setattr__(p, "_lead", (order, exps[i]))
-        return p
 
-    return [poly(i) if given[i] is None else given[i] for i in reversed(kept)]
+def buchberger(gens, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_CAPS) -> list[Poly]:
+    """Unique reduced Groebner basis, leads descending: the pair loop
+    (`buchberger_run`), then the finish, inter-reduction (`_inter_reduce`)
+    and the `Poly`s (`_Run.polys`).  Fractions come back only in the output,
+    whose terms are c / lc, and a generator returned unchanged is the
+    (monic) object given."""
+    run = buchberger_run(gens, order, caps)
+    return [] if run is None else list(_inter_reduce(run).polys())
 
 
 # -------------------------------------------------------------------- ideal
 
 
 class Ideal:
-    """Generator list with a term order, resource caps and three lazily
-    cached values: the reduced basis, its `StaircaseReport` and, for a
-    zero-dimensional ideal, the `QuotientAlgebra` k[x]/I.  Every ideal
-    derived from this one (intersection, elimination, quotient, saturation)
-    keeps its order and caps.
+    """Generator list with a term order, resource caps and four lazily
+    cached values: the pair loop's packed `run`, the `reduced` run finished
+    from it (whose `Poly`s are the `basis`), its `StaircaseReport` and, for
+    a zero-dimensional ideal, the `QuotientAlgebra` k[x]/I.  Counts read the
+    run alone: the staircase takes its leads, so `quotient_vs_dim` and
+    `projective_dim` neither inter-reduce nor build a `Fraction`.  Every
+    ideal derived from this one (intersection, elimination, quotient,
+    saturation) keeps its order and caps.
 
     Instances are immutable; each cached value is computed at most once and
     then shared read-only, so concurrent readers are safe, and it is freed
     with the ideal.
     """
 
-    __slots__ = ("gens", "order", "vars", "domain", "caps", "_basis", "_staircase", "_algebra")
+    __slots__ = ("gens", "order", "vars", "domain", "caps", "_run", "_basis", "_staircase", "_algebra")
 
     def __init__(
         self, gens, order: TermOrder = GREVLEX, vars=None, domain=None, caps: Caps = DEFAULT_CAPS
@@ -579,6 +679,7 @@ class Ideal:
         object.__setattr__(self, "vars", tuple(vars))
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "caps", caps)
+        object.__setattr__(self, "_run", None)
         object.__setattr__(self, "_basis", None)
         object.__setattr__(self, "_staircase", None)
         object.__setattr__(self, "_algebra", None)
@@ -591,10 +692,25 @@ class Ideal:
         return Ideal, (self.gens, self.order, self.vars, self.domain, self.caps)
 
     @property
-    def basis(self) -> tuple[Poly, ...]:
-        if self._basis is None:
-            object.__setattr__(self, "_basis", tuple(buchberger(self.gens, self.order, self.caps)))
+    def run(self) -> _Run | None:
+        """The pair loop's output (`buchberger_run`); None for the zero ideal."""
+        if self._run is None and self.gens:
+            object.__setattr__(self, "_run", buchberger_run(self.gens, self.order, self.caps))
+        return self._run
+
+    @property
+    def reduced(self) -> _Run | None:
+        """The reduced basis as packed integer elements (`_inter_reduce` of
+        the run); None for the zero ideal."""
+        if self._basis is None and self.gens:
+            object.__setattr__(self, "_basis", _inter_reduce(self.run))
         return self._basis
+
+    @property
+    def basis(self) -> tuple[Poly, ...]:
+        """The reduced Groebner basis, leads descending."""
+        reduced = self.reduced
+        return () if reduced is None else reduced.polys()
 
     @property
     def staircase_report(self) -> "StaircaseReport":
@@ -613,7 +729,7 @@ class Ideal:
         return not self.gens
 
     def is_unit(self) -> bool:
-        return any(p.degree() == 0 for p in self.basis)
+        return self.run is not None and self.run.leads[0] == 0  # 1 packs to 0
 
     def contains(self, p: Poly) -> bool:
         if self.is_zero_ideal():
@@ -750,71 +866,71 @@ class StaircaseReport:
     krull_dim: int
 
 
-def _support(m: Mono) -> frozenset[int]:
-    return frozenset(i for i, e in enumerate(m) if e)
+def _by_degree(m: Mono) -> tuple:
+    return mono_degree(m), m
 
 
 def _minimalize(monos) -> list[Mono]:
     out: list[Mono] = []
-    for m in sorted(set(monos), key=lambda m: (mono_degree(m), m)):
+    for m in sorted(set(monos), key=_by_degree):
         if not any(mono_divides(k, m) for k in out):
             out.append(m)
     return out
 
 
-def _krull_dim(leads: list[Mono], nvars: int) -> int:
-    """Affine Krull dimension of k[x]/(leads): size of the largest variable
-    subset meeting the support of no leading monomial."""
-    if any(mono_degree(m) == 0 for m in leads):
-        return -1
-    supports = [_support(m) for m in leads]
+def _krull_dim(supports: list[int], nvars: int) -> int:
+    """Affine Krull dimension of k[x]/(leads), from the variable sets of the
+    leads (bit i for x_i), none of them empty: the size of the largest
+    variable subset containing none of them; 0 when every variable has a
+    pure power."""
+    if all(1 << i in supports for i in range(nvars)):
+        return 0
     best = 0
-    for mask in range(1 << nvars):
-        subset = frozenset(i for i in range(nvars) if mask >> i & 1)
-        if len(subset) <= best:
-            continue
-        if all(not s <= subset for s in supports):
-            best = len(subset)
+    for subset in range(1 << nvars):
+        size = subset.bit_count()
+        if size > best and all(s & ~subset for s in supports):
+            best = size
     return best
 
 
-def _standard_monomials(leads: list[Mono], nvars: int) -> tuple[Mono, ...] | None:
-    """All monomials outside (leads), or None when infinitely many."""
-    if any(mono_degree(m) == 0 for m in leads):
-        return ()
-    bounds = []
-    for i in range(nvars):
-        pures = [m[i] for m in leads if _support(m) == frozenset({i})]
-        if not pures:
-            return None
-        bounds.append(min(pures))
-    std: list[Mono] = []
-
-    def walk(prefix: list[int], i: int) -> None:
-        if i == nvars:
-            m = tuple(prefix)
-            if not any(mono_divides(l, m) for l in leads):
-                std.append(m)
-            return
-        for e in range(bounds[i]):
-            walk(prefix + [e], i + 1)
-
-    walk([], 0)
-    return tuple(sorted(std, key=lambda m: (mono_degree(m), m)))
+def _standard_monomials(leads: list[int], packing: _Packing) -> list[int]:
+    """The packed monomials outside the monomial ideal of the packed `leads`,
+    which holds a pure power of every variable.  A pruned walk: from 1,
+    multiply by x_j for j at least the last variable used, and stop at any
+    multiple of a lead, so each standard monomial is reached once, from
+    itself divided by its last variable."""
+    guard, step = packing.guard, packing.coefs  # step[j] is x_j packed
+    std = [0]
+    stack = [(0, 0)]  # (monomial, the last variable used)
+    while stack:
+        e, last = stack.pop()
+        for j in range(last, len(step)):
+            u = e + step[j]
+            if all((u - lead) & guard for lead in leads):
+                std.append(u)
+                stack.append((u, j))
+    return std
 
 
 _INFINITE = "no pure power of some variable among the leading terms"
 
 
 def staircase(I: Ideal) -> StaircaseReport:
-    """The staircase of I's reduced basis; `Ideal.staircase_report` keeps it."""
-    leads = _minimalize(leading_monomial(g, I.order) for g in I.basis)
-    nv = len(I.vars)
-    return StaircaseReport(
-        lead_monomials=tuple(leads),
-        standard_monomials=_standard_monomials(leads, nv),
-        krull_dim=_krull_dim(leads, nv),
-    )
+    """The staircase of I, read off the packed minimal leads of `I.run`;
+    `Ideal.staircase_report` keeps it."""
+    run, nv = I.run, len(I.vars)
+    if run is None:  # the zero ideal: every monomial is standard
+        return StaircaseReport((), None if nv else ((),), nv)
+    unpack = run.packing.unpack
+    leads = sorted(map(unpack, run.leads), key=_by_degree)
+    if run.leads[0] == 0:  # the unit ideal
+        return StaircaseReport(tuple(leads), (), -1)
+    supports = [sum(1 << i for i, x in enumerate(m) if x) for m in leads]
+    dim = _krull_dim(supports, nv)
+    std = None
+    if dim == 0:
+        std = tuple(sorted(map(unpack, _standard_monomials(run.leads, run.packing)), key=_by_degree))
+    return StaircaseReport(lead_monomials=tuple(leads), standard_monomials=std, krull_dim=dim)
 
 
 def projective_dim(I: Ideal) -> int:
@@ -843,11 +959,14 @@ class QuotientAlgebra:
     """k[x]/I for a zero-dimensional I, in the basis of its standard
     monomials `std` (`column` maps each to its index), with the variable
     matrices on integer rows: `rows[j][i]` is D times the coordinates of the
-    normal form of x_j * std[i], for one common denominator D of them all
-    (residues and D = 1 over GF(p)), and `cols[j]` the same matrix by
-    columns.  When x_j * std[i] is itself standard its row is D at that
-    column, so only the border monomials that lead no basis element take a
-    normal form.  Built once per ideal and read-only; see `Ideal.algebra`."""
+    normal form of x_j * std[i], for D the lcm of the denominators of those
+    coordinates in lowest terms (residues and D = 1 over GF(p)), and
+    `cols[j]` the same matrix by columns.  Built from `I.reduced` on its
+    packing, with no `Fraction`: a standard x_j * std[i] has the row D at its
+    column, a lead's normal form is minus the rest of its reduced element,
+    and each other border monomial takes one `_reduce_terms` by the reduced
+    elements, packed once per algebra.  Built once per ideal and read-only;
+    see `Ideal.algebra`."""
 
     __slots__ = ("std", "column", "modulus", "denominator", "rows", "cols")
 
@@ -856,34 +975,36 @@ class QuotientAlgebra:
         if std is None:
             raise NotZeroDimensional(_INFINITE)
         column = {m: i for i, m in enumerate(std)}
-        n, one = len(I.vars), I.domain.one()
-        # the normal form of each border monomial; the basis is reduced, so
-        # a leading monomial's is minus the rest of its basis element
-        border: dict[Mono, dict] = {}
-        for g in I.basis:
-            lead = leading_monomial(g, I.order)
-            border[lead] = {t: I.domain.neg(c) for t, c in g.terms.items() if t != lead}
-        products = []
-        for j in range(n):
-            shifted = [m[:j] + (m[j] + 1,) + m[j + 1 :] for m in std]
-            for u in shifted:
-                if u not in column and u not in border:
-                    unit = Poly.from_clean(I.vars, {u: one}, I.domain)
-                    border[u] = normal_form(unit, I.basis, I.order, I.caps).terms
-            products.append(shifted)
+        R = I.reduced
         modulus = I.domain.p or 0
-        D = 1 if modulus else lcm(*(c.denominator for t in border.values() for c in t.values()))
+        # packed border monomial -> (v, s): its normal form is v / s for
+        # the packed integer terms v
+        border: dict[int, tuple[dict, int]] = {
+            lead: ({t: -c % modulus if modulus else -c for t, c in tail}, lc)
+            for lead, lc, tail in zip(R.leads, R.lcs, R.tails)
+        }
+        index = {e: i for i, e in enumerate(map(R.packing.pack, std))}
+        divisors = R.divisors()
+        products = []
+        for step in R.packing.coefs:  # x_j packed
+            shifted = [e + step for e in index]
+            for u in shifted:
+                if u not in index and u not in border:
+                    border[u] = _reduce_terms({u: 1}, divisors, R.packing, I.caps, modulus)
+            products.append(shifted)
+        D = 1 if modulus else lcm(*(s // gcd(c, s) for v, s in border.values() for c in v.values()))
         self.std, self.column, self.modulus, self.denominator = std, column, modulus, D
         self.rows = []
         for shifted in products:
             rows = []
             for u in shifted:
                 row = [0] * len(std)
-                if u in column:
-                    row[column[u]] = D
+                if u in index:
+                    row[index[u]] = D
                 else:
-                    for t, c in border[u].items():
-                        row[column[t]] = c if modulus else c.numerator * (D // c.denominator)
+                    v, s = border[u]
+                    for t, c in v.items():
+                        row[index[t]] = c * D // s
                 rows.append(row)
             self.rows.append(rows)
         self.cols = [[list(c) for c in zip(*rows)] for rows in self.rows]

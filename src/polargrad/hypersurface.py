@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from operator import mul
+from math import gcd, lcm
+from operator import add, mul
 
 from .arith import divisors as _divisors
 from .groebner import (
@@ -33,6 +33,7 @@ from .groebner import (
     Caps,
     Ideal,
     NotZeroDimensional,
+    _cleared,
     _echelon,
     _scaled_matrix,
     _stable_image,
@@ -123,27 +124,23 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
         cs = cs[low:]
     if len(cs) == 1:
         return roots
-    from math import gcd as _gcd
-
-    den_lcm = 1
-    for c in cs:
-        den_lcm = den_lcm * c.denominator // _gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in cs]
-    content = 0
-    for v in ints:
-        content = _gcd(content, abs(v))
-    ints = [v // content for v in ints]
-    a0, ad = abs(ints[0]), abs(ints[-1])
-    for p in _divisors(a0):
-        for q in _divisors(ad):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in roots:
-                    continue
-                acc = Fraction(0)
+    L = lcm(*(c.denominator for c in cs))
+    ints = [c.numerator * (L // c.denominator) for c in cs]
+    k = gcd(*ints)
+    ints = [c // k for c in ints]
+    # a root p/q in lowest terms has p | c_0 and q | c_n, and is one exactly
+    # when sum c_i p^i q^(n-i) = 0
+    for p in _divisors(abs(ints[0])):
+        for q in _divisors(abs(ints[-1])):
+            if gcd(p, q) != 1:
+                continue
+            for num in (p, -p):
+                acc, qk = 0, 1
                 for c in reversed(ints):
-                    acc = acc * cand + c
+                    acc = acc * num + c * qk
+                    qk *= q
                 if acc == 0:
-                    roots.append(cand)
+                    roots.append(Fraction(num, q))
     return sorted(roots)
 
 
@@ -197,19 +194,37 @@ class AffineModel:
 def _affine_model(f: Poly, row) -> Poly:
     """h = f(ell, y_1, ..., y_n) with ell = a_0 + a_1 y_1 + ... + a_n y_n for
     the frame with first row a: f grouped by the exponent of x_0 as
-    sum_e x_0^e g_e, then h = sum_e ell^e g_e(y)."""
-    ys = f.vars[1:]
-    ell = Poly.constant(ys, row[0], f.domain)
-    for i, a in enumerate(row[1:]):
-        ell = ell + Poly.variable(ys, i, f.domain).scale(a)
-    groups: dict[int, dict] = {}
-    for m, c in f.terms.items():
-        groups.setdefault(m[0], {})[m[1:]] = c
-    powers = [Poly.constant(ys, 1, f.domain)]
+    sum_e x_0^e g_e, then h = sum_e ell^e g_e(y).  Expanded on the integer
+    coefficients of L*f (`_cleared`); h's coefficients are divided by L
+    (reduced mod p over GF(p)) only at the end."""
+    ys, dom = f.vars[1:], f.domain
+    n = len(ys)
+    L, terms = _cleared(f)
+    groups: dict[int, list] = {}
+    for m, c in terms.items():
+        groups.setdefault(m[0], []).append((m[1:], c))
+    one = (0,) * n
+    ell = [(one, row[0])] + [(one[:i] + (1,) + one[i + 1 :], a) for i, a in enumerate(row[1:]) if a]
+
+    def times(p: dict, q) -> dict:
+        out: dict = {}
+        for m1, c1 in p.items():
+            for m2, c2 in q:
+                m = tuple(map(add, m1, m2))
+                out[m] = out.get(m, 0) + c1 * c2
+        return out
+
+    powers = [{one: 1}]
     while len(powers) <= max(groups, default=0):
-        powers.append(powers[-1] * ell)
-    parts = (powers[e] * Poly.from_clean(ys, g, f.domain) for e, g in groups.items())
-    return sum(parts, Poly.zero(ys, f.domain))
+        powers.append(times(powers[-1], ell))
+    h: dict = {}
+    for e, g in groups.items():
+        for m, c in times(powers[e], g).items():
+            h[m] = h.get(m, 0) + c
+    modulus = dom.p
+    if modulus:
+        return Poly.from_clean(ys, {m: c % modulus for m, c in h.items() if c % modulus}, dom)
+    return Poly.from_clean(ys, {m: Fraction(c, L) for m, c in h.items() if c}, dom)
 
 
 def generic_frame(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS) -> AffineModel:

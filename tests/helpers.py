@@ -9,8 +9,8 @@ multiplicities by enumerating root-of-unity products, the completeness of
 the rational singular points from Tjurina numbers instead of Milnor numbers,
 the points themselves by lex bases on the coordinate cells instead of
 eigenvalues on the frame's algebra, the genericity of an affine frame from
-two projective certificates instead of one critical count, multivariate division and Buchberger's pair loop on tuple
-monomials instead of packed ints, and echelon forms, stable images and
+two projective certificates instead of one critical count, multivariate division, Buchberger's pair loop and the
+staircase's box walk on tuple monomials instead of packed ints, and echelon forms, stable images and
 multiplication matrices in `Fraction` arithmetic and by one normal form per
 standard monomial instead of on integer rows from the variable matrices.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from itertools import product as iproduct
 
 import hypothesis.strategies as st
@@ -542,6 +542,37 @@ def reference_buchberger(gens, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_
 
     basis.sort(key=lambda p: order.key(leading_monomial(p, order)), reverse=True)
     return basis
+
+
+def reference_staircase(monos, nvars: int) -> tuple:
+    """(lead monomials, standard monomials or None, Krull dimension) of the
+    monomial ideal (monos), as `groebner.staircase` read them off tuple
+    monomials before its packed walk: the minimal generators by (degree,
+    exponents); every monomial of the box below the smallest pure powers,
+    kept when no generator divides it; and the size of the largest variable
+    subset that holds no generator's support."""
+    def by_degree(m):
+        return sum(m), m
+
+    leads: list[Mono] = []
+    for m in sorted(set(monos), key=by_degree):
+        if not any(mono_divides(k, m) for k in leads):
+            leads.append(m)
+    supports = [frozenset(i for i, e in enumerate(m) if e) for m in leads]
+    if frozenset() in supports:
+        return tuple(leads), (), -1
+    dim = max(
+        k
+        for k in range(nvars + 1)
+        for subset in combinations(range(nvars), k)
+        if not any(s <= set(subset) for s in supports)
+    )
+    bounds = [min((m[i] for m, s in zip(leads, supports) if s == {i}), default=None) for i in range(nvars)]
+    if None in bounds:
+        return tuple(leads), None, dim
+    box = iproduct(*(range(b) for b in bounds))
+    std = sorted((m for m in box if not any(mono_divides(k, m) for k in leads)), key=by_degree)
+    return tuple(leads), tuple(std), dim
 
 
 # ---------------------------------------------------- double-saturation oracle

@@ -60,6 +60,7 @@ from helpers import (
     reference_echelon,
     reference_multiplication_matrix,
     reference_stable_image,
+    reference_staircase,
 )
 
 V2 = ("x", "y")
@@ -755,7 +756,29 @@ class TestQuotientAndSaturation:
             assert saturate(I, g)[0] == rabinowitsch_saturate(I, g)
 
 
+@st.composite
+def monomial_ideals(draw):
+    """A term order and a monomial set in one to four variables: sometimes
+    empty (the zero ideal), holding 1 (the unit ideal), or topped up with a
+    pure power of every variable (a finite staircase)."""
+    n = draw(st.integers(1, 4))
+    monos = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=7))
+    if draw(st.booleans()):
+        monos += [tuple(draw(st.integers(1, 4)) if k == i else 0 for k in range(n)) for i in range(n)]
+    return draw(term_orders(n)), V4[:n], monos
+
+
 class TestStaircaseInvariants:
+    @given(monomial_ideals())
+    @settings(max_examples=200, deadline=None)
+    def test_packed_staircase_matches_the_box_walk(self, case):
+        order, names, monos = case
+        I = Ideal([Poly(names, {m: 1}) for m in monos], order, vars=names, domain=QQ)
+        report = staircase(I)
+        got = (report.lead_monomials, report.standard_monomials, report.krull_dim)
+        assert got == reference_staircase(monos, len(names))
+        assert I.is_unit() == (report.krull_dim == -1)
+
     def test_projective_dim_examples(self):
         fermat_jac = Ideal([P("3*x^2"), P("3*y^2"), P("3*z^2")])
         assert projective_dim(fermat_jac) == -1

@@ -34,6 +34,7 @@ from polargrad.hypersurface import (
     total_mu_on_V,
 )
 from polargrad.parser import parse_poly
+from polargrad.polar import polar_degree_fiber_oracle
 from polargrad.poly import (
     dehomogenize,
     det_fraction,
@@ -343,13 +344,13 @@ class TestGenericFrame:
 
     def test_each_draw_builds_one_basis(self, monkeypatch):
         calls = []
-        real = groebner.buchberger
+        real = groebner.buchberger_run
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(groebner, "buchberger", counting)
+        monkeypatch.setattr(groebner, "buchberger_run", counting)
         draws = []
         # seed 6 rejects its first draw for the five-node quartic
         for name in ("five-node-quartic", "e6-cubic", "cremona-triangle"):
@@ -362,6 +363,39 @@ class TestGenericFrame:
                 assert len(calls) == model.draws, (name, seed)
                 draws.append(model.draws)
         assert max(draws) == 2
+
+    def test_counts_read_the_run_alone(self, monkeypatch):
+        # oracle cone ideals and rejected draws never inter-reduce nor build
+        # a Poly; an accepted frame's count, algebra and basis share one
+        # pair loop, as do a count and a basis of any ideal
+        runs, finished, built = [], [], []
+        real_run, real_finish, real_polys = (
+            groebner.buchberger_run, groebner._inter_reduce, groebner._Run.polys
+        )
+
+        def run(*args):
+            runs.append(real_run(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(groebner, "buchberger_run", run)
+        monkeypatch.setattr(groebner, "_inter_reduce", lambda r: finished.append(r) or real_finish(r))
+        monkeypatch.setattr(groebner._Run, "polys", lambda r: built.append(r) or real_polys(r))
+        entry = BY_NAME["five-node-quartic"]
+        f = parse_poly(entry.text, entry.vars)
+        assert polar_degree_fiber_oracle(f, seed=1).value == 4
+        assert len(runs) == 3 and finished == built == []
+        runs.clear()
+        model = generic_frame(f, 6)  # rejects its first draw
+        assert model.draws == 2 and len(runs) == 2 and finished == built == []
+        assert len(rational_singular_points(model)) == 5
+        I = model.critical_ideal
+        basis = I.basis
+        assert len(runs) == 2 and finished == [runs[1]] and built == [I.reduced]
+        assert I.basis is basis
+        runs.clear()
+        J = Ideal(gradient(model.h))
+        assert quotient_vs_dim(J) == 9 and J.basis == basis
+        assert len(runs) == 1
 
     def test_triangle_frame_moves_points_off_infinity(self):
         model = generic_frame(XYZ, seed=1)

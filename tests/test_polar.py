@@ -233,17 +233,17 @@ class TestOnePartialSaturation:
     )
     def test_one_basis_per_trial_and_domain(self, monkeypatch, text, vars, value):
         # both inputs have a nonempty base locus, which the oracle never saturates away
-        buchberger = groebner.buchberger
+        run = groebner.buchberger_run
         calls = []
 
         def counted(gens, order, caps):
             calls.append(gens)
-            return buchberger(gens, order, caps)
+            return run(gens, order, caps)
 
         def forbidden(*args):
             raise AssertionError("the oracle saturated or intersected")
 
-        monkeypatch.setattr(groebner, "buchberger", counted)
+        monkeypatch.setattr(groebner, "buchberger_run", counted)
         for module, name in ((groebner, "saturate"), (groebner, "intersect"), (polar, "intersect")):
             monkeypatch.setattr(module, name, forbidden)
         r = polar_degree_fiber_oracle(parse_poly(text, vars), seed=1)
@@ -314,7 +314,7 @@ class TestConeOracle:
         def forbidden(*args):
             raise AssertionError("a basis was built")
 
-        monkeypatch.setattr(groebner, "buchberger", forbidden)
+        monkeypatch.setattr(groebner, "buchberger_run", forbidden)
         r = polar_degree_fiber_oracle(parse_poly("x", V2), seed=1)
         assert r.value == 0
 

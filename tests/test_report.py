@@ -213,13 +213,13 @@ class TestPipeline:
         # first draw) and one per oracle target; the oracle agrees, so no
         # second frame is drawn, and the points step adds no basis
         orders = []
-        real = groebner.buchberger
+        real = groebner.buchberger_run
 
         def counting(gens, order=groebner.GREVLEX, caps=groebner.DEFAULT_CAPS):
             orders.append(order)
             return real(gens, order, caps)
 
-        monkeypatch.setattr(groebner, "buchberger", counting)
+        monkeypatch.setattr(groebner, "buchberger_run", counting)
         report = analyze_polynomial("x^3+y^3+z^3+x*y*z", V3).data
         assert report["d_f"]["consolidated"] == 4
         assert orders == [groebner.GREVLEX] * 5
