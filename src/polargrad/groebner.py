@@ -18,22 +18,25 @@ by lc/gcd(lc, c) instead of dividing by lc (over GF(p) every lc is 1 and
 nothing is scaled).  `normal_form` and `poly_divmod` clear the denominators
 and pack on entry, and divide by the kernel's scale and unpack on exit.
 
-Buchberger is split in two, a packed run and a finish.  The run,
-`buchberger_run`, takes integer generators (`_cleared`, then `_primitive`)
-and keeps primitive integer elements (content removed once per new element,
-lc > 0; monic over GF(p)), pairs in a heap keyed by the packed lcm of their
-leads (the normal strategy), a coprime test `lcm == a + b`, a guard-bit test
-for the chain criterion, and no S-polynomial ever built (`_s_remainder`); it
-returns the kept elements over the minimal leads as a `_Run`.  Every integer
-work set is a positive multiple of the one over QQ, so the same terms cancel
-and the same divisors act in the same sequence.  The finish inter-reduces a
-run (`_inter_reduce`) and builds its `Poly`s (`_Run.polys`); `buchberger` is
-run + finish.  An `Ideal` keeps its run and, on demand, the reduced run.
-Counts need only the run: the staircase is read off its packed minimal
-leads, so `quotient_vs_dim` and `projective_dim` never inter-reduce and
-never build a `Fraction`.  `Fraction`s appear only at the `Poly` boundary:
-generators and dividends on entry, `Ideal.basis`, remainders and quotients
-on exit.  `Poly` keeps tuple monomials everywhere else, and
+Buchberger is split in two, a packed run and a finish.  The run is one
+pair loop, `_pair_loop`, on packed integer generators: it makes them
+primitive (`_primitive`: content removed, lc > 0; monic over GF(p)) and
+keeps primitive integer elements, pairs in a heap keyed by the packed lcm of
+their leads (the normal strategy), a coprime test `lcm == a + b`, a
+guard-bit test for the chain criterion, and no S-polynomial ever built
+(`_s_remainder`); it returns the kept elements over the minimal leads as a
+`_Run`.  `buchberger_run` packs `Poly` generators (`_cleared`) and enters
+it; the fiber oracle packs grad f once and enters it with each cone target
+(`polar._fiber_degree`).  Every integer work set is a positive multiple of
+the one over QQ, so the same terms cancel and the same divisors act in the
+same sequence.  The finish inter-reduces a run (`_inter_reduce`) and builds
+its `Poly`s (`_Run.polys`); `buchberger` is run + finish.  An `Ideal` keeps
+its run and, on demand, the reduced run.  Counts need only the run: the
+staircase is read off its packed minimal leads (`_run_staircase`), so
+`quotient_vs_dim`, `run_quotient_dim` and `projective_dim` never
+inter-reduce and never build a `Fraction`.  `Fraction`s appear only at the
+`Poly` boundary: generators and dividends on entry, `Ideal.basis`,
+remainders and quotients on exit.  `Poly` keeps tuple monomials everywhere else, and
 `leading_monomial` remembers its answer on the polynomial.
 
 Linear algebra on a zero-dimensional k[x]/I takes no Groebner work past the
@@ -42,9 +45,9 @@ run: the standard monomials and the variable matrices M_{x_j} on integer
 rows over one common denominator, read off the border of the staircase, one
 `_reduce_terms` per border monomial that leads no element (compare Faugere,
 Gianni, Lazard & Mora, JSC 1993).  A multiplication matrix is then one
-vector-matrix product per new monomial, and `_echelon` and `_stable_image`
-work on integer rows: fraction-free with primitive rows over QQ, residues
-over GF(p).
+vector-matrix product per standard monomial, and `_echelon` and
+`_stable_image` work on integer rows: fraction-free with primitive rows over
+QQ, residues over GF(p).
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ from .poly import (
     mono_div,
     mono_divides,
     mono_lcm,
-    mono_mul,
 )
 
 
@@ -522,23 +524,18 @@ def _intake_cmp(unpack):
     return cmp
 
 
-def buchberger_run(gens, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_CAPS) -> _Run | None:
-    """Buchberger's pair loop (normal strategy, both skip criteria) and the
-    minimal leading terms: a `_Run` of the kept elements, not inter-reduced,
-    or None when every generator is zero.  The run has one packing, holding
-    twice the larger of the degree cap and the largest generator degree: no
-    basis element is larger (a new one above the cap raises), so every
-    S-polynomial and reduction fits.
+def _run_packing(order: TermOrder, nvars: int, degree: int, caps: Caps) -> _Packing:
+    """The packing of a pair loop on generators of degree at most `degree`:
+    it holds twice the larger of that and the degree cap.  No basis element
+    is larger than either (a new one above the cap raises), so every
+    S-polynomial and reduction fits."""
+    return _Packing(order, nvars, (2 * max(caps.max_degree, degree)).bit_length())
 
-    The run is fraction-free.  Each element is a primitive integer
-    polynomial (`_primitive`: over QQ its content removed and lc > 0; over
-    GF(p) monic): at intake a generator with its denominators cleared
-    (`_cleared`) and made primitive, which is its monic form times its lc.
-    Equal forms are taken once, the first generator giving one kept as
-    `given`, and they enter by packed lead ascending, ties broken by the
-    sorted terms of the monic forms (`_intake_cmp`).  An element is made
-    primitive again whenever a reduction makes it.  No `Fraction` and no
-    `Poly` is built."""
+
+def buchberger_run(gens, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_CAPS) -> _Run | None:
+    """The pair loop (`_pair_loop`) on `Poly` generators, or None when every
+    generator is zero: each one packed on one `_run_packing` with its
+    denominators cleared (`_cleared`), its terms descending."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return None
@@ -546,13 +543,31 @@ def buchberger_run(gens, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_CAPS) 
     for g in gens:
         if g.vars != vars0 or g.domain != dom:
             raise DomainMismatch("generators live in different rings")
-    need = max(caps.max_degree, max(g.degree() for g in gens))
-    packing = _Packing(order, len(vars0), (2 * need).bit_length())
+    packing = _run_packing(order, len(vars0), max(g.degree() for g in gens), caps)
+    pack = packing.pack
+    packed = [(sorted(((pack(m), c) for m, c in _cleared(g)[1].items()), reverse=True), g) for g in gens]
+    return _pair_loop(vars0, dom, packing, caps, packed)
+
+
+def _pair_loop(vars, domain, packing: _Packing, caps: Caps, gens) -> _Run:
+    """Buchberger's pair loop (normal strategy, both skip criteria) and the
+    minimal leading terms: a `_Run` of the kept elements, not inter-reduced.
+    `gens` holds (terms, given) pairs, possibly none: the packed integer
+    terms of a nonzero generator (over QQ its denominators cleared),
+    descending, and the generator itself or None.
+
+    The loop is fraction-free.  Each element is a primitive integer
+    polynomial (`_primitive`: over QQ its content removed and lc > 0; over
+    GF(p) monic): at intake a generator made primitive, which is its monic
+    form times its lc.  Equal forms are taken once, the first generator
+    giving one kept as `given`, and they enter by packed lead ascending, ties
+    broken by the sorted terms of the monic forms (`_intake_cmp`).  An
+    element is made primitive again whenever a reduction makes it.  No
+    `Fraction` and no `Poly` is built."""
     pack, unpack, guard, top, fmask = packing.pack, packing.unpack, packing.guard, packing.top, packing.fmask
-    modulus = dom.p
-    forms: dict[tuple, Poly] = {}
-    for g in gens:
-        (lead, lc), *tail = sorted(((pack(m), c) for m, c in _cleared(g)[1].items()), reverse=True)
+    modulus = domain.p
+    forms: dict[tuple, object] = {}
+    for ((lead, lc), *tail), g in gens:
         lc, tail, _ = _primitive(lc, tail, modulus)
         forms.setdefault((lead, lc, tuple(tail)), g)
     intake = sorted(((*form, g) for form, g in forms.items()), key=cmp_to_key(_intake_cmp(unpack)))
@@ -607,7 +622,7 @@ def buchberger_run(gens, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_CAPS) 
         if not any(not (lts[i] - lts[k]) & guard for k in kept):
             kept.append(i)
     return _Run(
-        vars0, dom, order, caps, packing,
+        vars, domain, packing.order, caps, packing,
         *([seq[i] for i in kept] for seq in (lts, lcs, tails, given)),
     )
 
@@ -915,22 +930,32 @@ def _standard_monomials(leads: list[int], packing: _Packing) -> list[int]:
 _INFINITE = "no pure power of some variable among the leading terms"
 
 
+def _run_staircase(run: _Run) -> tuple[int, list[int] | None]:
+    """(the Krull dimension of k[x]/I, its packed standard monomials when
+    that is 0, else None) for the ideal I of a run, read off the run's packed
+    minimal leads; (-1, []) for the unit ideal, and for a run with no leads,
+    that of the zero ideal."""
+    if run.leads[:1] == [0]:  # the unit ideal: 1 packs to 0
+        return -1, []
+    unpack = run.packing.unpack
+    supports = [sum(1 << i for i, x in enumerate(unpack(e)) if x) for e in run.leads]
+    dim = _krull_dim(supports, len(run.vars))
+    return dim, _standard_monomials(run.leads, run.packing) if dim == 0 else None
+
+
 def staircase(I: Ideal) -> StaircaseReport:
-    """The staircase of I, read off the packed minimal leads of `I.run`;
-    `Ideal.staircase_report` keeps it."""
+    """The staircase of I, read off the packed minimal leads of `I.run`
+    (`_run_staircase`); `Ideal.staircase_report` keeps it."""
     run, nv = I.run, len(I.vars)
     if run is None:  # the zero ideal: every monomial is standard
         return StaircaseReport((), None if nv else ((),), nv)
     unpack = run.packing.unpack
-    leads = sorted(map(unpack, run.leads), key=_by_degree)
-    if run.leads[0] == 0:  # the unit ideal
-        return StaircaseReport(tuple(leads), (), -1)
-    supports = [sum(1 << i for i, x in enumerate(m) if x) for m in leads]
-    dim = _krull_dim(supports, nv)
-    std = None
-    if dim == 0:
-        std = tuple(sorted(map(unpack, _standard_monomials(run.leads, run.packing)), key=_by_degree))
-    return StaircaseReport(lead_monomials=tuple(leads), standard_monomials=std, krull_dim=dim)
+    dim, std = _run_staircase(run)
+    return StaircaseReport(
+        lead_monomials=tuple(sorted(map(unpack, run.leads), key=_by_degree)),
+        standard_monomials=None if std is None else tuple(sorted(map(unpack, std), key=_by_degree)),
+        krull_dim=dim,
+    )
 
 
 def projective_dim(I: Ideal) -> int:
@@ -947,6 +972,15 @@ def quotient_vs_dim(I: Ideal) -> int:
     if I.is_zero_ideal():
         raise NotZeroDimensional("the zero ideal has an infinite quotient")
     std = I.staircase_report.standard_monomials
+    if std is None:
+        raise NotZeroDimensional(_INFINITE)
+    return len(std)
+
+
+def run_quotient_dim(run: _Run) -> int:
+    """`quotient_vs_dim` of the ideal of a run, for a caller that holds the
+    run and no `Ideal`: its number of standard monomials (`_run_staircase`)."""
+    std = _run_staircase(run)[1]
     if std is None:
         raise NotZeroDimensional(_INFINITE)
     return len(std)
@@ -1011,12 +1045,20 @@ class QuotientAlgebra:
 
     def scaled_matrix(self, g: Poly) -> tuple[list[list[int]], int]:
         """(R, s) with R the matrix of multiplication by g on integer rows and
-        s a nonzero integer, R = s * M_g (over GF(p) s = 1 and R = M_g).  The
-        row of std[i] is sum of c * NF(t * std[i]) over the terms c*t of g;
+        s a positive integer, R = s * M_g (over GF(p) s = 1 and R = M_g).
+        The row of 1 is NF(g), the sum of c * NF(t) over the terms c*t of g;
         each NF(u) of a nonstandard u is remembered, as an integer vector v
         with NF(u) = v / D^e, and built by one vector-matrix product:
-        NF(u) = NF(u / x_j) * M_{x_j}."""
+        NF(u) = NF(u / x_j) * M_{x_j}.  Every other standard monomial is
+        m = x_j * m' with m' standard, whose row comes first, and the row of
+        m is row(m') * M_{x_j}, one vector-matrix product more (compare
+        Faugere, Gianni, Lazard & Mora, JSC 1993).  Over QQ each row is kept
+        primitive with its exact rational scale, and the rows are put over
+        one common scale at the end."""
         std, column, modulus, D = self.std, self.column, self.modulus, self.denominator
+        L, terms = _cleared(g)
+        if not std:  # the unit ideal
+            return [], L
         memo: dict[Mono, tuple[list[int], int]] = {}
 
         def vector(u: Mono) -> tuple[list[int], int]:
@@ -1035,23 +1077,34 @@ class QuotientAlgebra:
             memo[u] = hit
             return hit
 
-        L, terms = _cleared(g)
-        shifted = [[(mono_mul(t, m), c) for t, c in terms.items()] for m in std]
-        k = max((vector(u)[1] for row in shifted for u, _ in row if u not in column), default=0)
-        Dk = D**k
-        rows = []
-        for row_terms in shifted:
-            out = [0] * len(std)
-            for u, c in row_terms:
-                i = column.get(u)
-                if i is not None:
-                    out[i] += c * Dk
-                else:
-                    v, e = memo[u]
-                    c *= D ** (k - e)
-                    out = [x + c * y for x, y in zip(out, v)]
-            rows.append([x % modulus for x in out] if modulus else out)
-        return rows, L * Dk
+        def kept(w: list[int], q: Fraction) -> tuple[list[int], Fraction]:
+            # the row w * q: residues over GF(p), primitive over QQ
+            if modulus:
+                return [x % modulus for x in w], q
+            k = gcd(*w)
+            return ([x // k for x in w], q * k) if k > 1 else (w, q)
+
+        k = max((vector(t)[1] for t in terms if t not in column), default=0)
+        first = [0] * len(std)
+        for t, c in terms.items():
+            i = column.get(t)
+            if i is not None:
+                first[i] += c * D**k
+            else:
+                v, e = memo[t]
+                c *= D ** (k - e)
+                first = [x + c * y for x, y in zip(first, v)]
+        rows = {std[0]: kept(first, Fraction(1, L * D**k))}  # std[0] is 1
+        for m in std[1:]:
+            j = next(j for j, e in enumerate(m) if e)
+            v, q = rows[m[:j] + (m[j] - 1,) + m[j + 1 :]]
+            rows[m] = kept([sum(map(mul, v, col)) for col in self.cols[j]], q / D)
+        s = lcm(*(q.denominator for _, q in rows.values()))
+        out = []
+        for v, q in rows.values():
+            c = q.numerator * (s // q.denominator)
+            out.append([x * c for x in v])
+        return out, s
 
 
 def _scaled_matrix(I: Ideal, g: Poly) -> tuple[tuple[Mono, ...], list[list[int]], int]:
@@ -1117,11 +1170,14 @@ def _echelon(rows, modulus: int) -> list[list[int]]:
 
 def _stable_image(rows, modulus: int) -> list[list[int]]:
     """An echelon basis (`_echelon`) of the stable image of the integer
-    matrix `rows` acting on row vectors: the images of M, M^2, ... shrink
-    until two have equal dimension, within len(rows) steps.  Each image is
+    square matrix `rows` acting on row vectors: the images of M, M^2, ...
+    shrink until two have equal dimension, within len(rows) steps, and an
+    invertible M has the whole space as its first.  Each image is
     kept as an echelon basis, which keeps the entries small where powers of
     M would not.  A nonzero scale of M changes none of the images."""
     image = _echelon(rows, modulus)
+    if len(image) == len(rows):  # M is invertible: every image is the whole space
+        return image
     cols = list(zip(*rows))
     while True:
         products = [[sum(map(mul, v, col)) for col in cols] for v in image]

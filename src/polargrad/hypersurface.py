@@ -362,10 +362,11 @@ def mu_summary(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS) -> MuSummary:
     raises InconsistentMu."""
     model, mu_on, mu_off = frame_split(f, seed, caps)
     local_mu = rational_singular_points(model)
-    partials = gradient(f)
-    for pt in local_mu:
-        if any(g.evaluate(pt.coords) != 0 for g in partials):
-            raise InconsistentMu(f"the frame gives {pt}, where grad f does not vanish")
+    if local_mu:
+        partials = gradient(f)
+        for pt in local_mu:
+            if any(g.evaluate(pt.coords) != 0 for g in partials):
+                raise InconsistentMu(f"the frame gives {pt}, where grad f does not vanish")
     found = sum(local_mu.values())
     if found > mu_on:
         raise InconsistentMu(

@@ -11,7 +11,10 @@
   other two need both, which `require_hypotheses` alone decides, exactly.
   It shares no kernel with them (no frame, no stable image); `analyze`
   reads the formula and tame values off one certified frame, so the oracle
-  is its independent vote.
+  is its independent vote.  grad f is packed once per call
+  (`_packed_gradient`), and each target adds one constant term to each
+  partial and enters Buchberger's pair loop directly, with no `Poly` or
+  `Ideal` built; the count is read off the run's staircase.
   Every count is exact: the cone bases are computed over the rationals.
 """
 
@@ -22,13 +25,16 @@ from dataclasses import dataclass, field
 
 from .groebner import (
     DEFAULT_CAPS,
+    GREVLEX,
     Caps,
-    Ideal,
     NotZeroDimensional,
+    _cleared,
+    _pair_loop,
+    _run_packing,
     # unused; perfbench's test_install_rebinds_every_namespace_and_restores rebinds it
     intersect,
     projective_dim,
-    quotient_vs_dim,
+    run_quotient_dim,
 )
 from .hypersurface import frame_split, jacobian_ideal, mu_summary
 from .monodromy import (
@@ -132,23 +138,47 @@ def polar_degree_tame(f: Poly, seed: int = 1, caps: Caps = DEFAULT_CAPS) -> Pola
 # ---------------------------------------------------------------- the oracle
 
 
-def _fiber_degree(grads: list[Poly], d: int, u: tuple[int, ...], caps: Caps = DEFAULT_CAPS) -> int:
-    """Fiber count over [u] in the coefficient domain of `grads`, from one
-    zero-dimensional basis and no saturation.
+def _packed_gradient(f: Poly, d: int, caps: Caps = DEFAULT_CAPS) -> tuple:
+    """grad f packed once for every cone target: (f's variables, its domain,
+    one GREVLEX packing wide enough for max(cap, d - 1) (`_run_packing`), and
+    per partial f_i the pair (L_i, the packed integer terms of L_i * f_i in
+    descending order), L_i clearing its denominators (`_cleared`))."""
+    packing = _run_packing(GREVLEX, len(f.vars), d - 1, caps)
+    pack = packing.pack
+    partials = []
+    for g in gradient(f):
+        L, terms = _cleared(g)
+        partials.append((L, sorted(((pack(m), c) for m, c in terms.items()), reverse=True)))
+    return f.vars, f.domain, packing, partials
+
+
+def _fiber_degree(grad: tuple, d: int, u: tuple[int, ...], caps: Caps = DEFAULT_CAPS) -> int:
+    """Fiber count over [u] in the coefficient domain of grad f, packed by
+    `_packed_gradient`, from one zero-dimensional basis and no saturation.
 
     A fiber point is [x] with grad f(x) = c*u, c != 0; since grad f has
     degree d - 1, exactly d - 1 rescalings of x solve grad f(x) = u (etale,
     as the characteristic does not divide d - 1), and points of the base
     locus grad f = 0 never do.  So the affine cone ideal (f_i - u_i) has
     quotient dimension d - 1 times the count, with multiplicity; a unit
-    ideal is an empty fiber.  Raises PositiveDimensionalFiber for a
-    degenerate target and OracleInconsistent when d - 1 does not divide the
-    quotient dimension."""
+    ideal is an empty fiber.  Its generators go straight into the pair loop
+    (`_pair_loop`): the terms of L_i * f_i and one constant term -L_i * u_i,
+    last, as 1 packs to 0, below every other monomial.  Raises
+    PositiveDimensionalFiber for a degenerate target and OracleInconsistent
+    when d - 1 does not divide the quotient dimension."""
     if d == 1:  # grad f is constant: the generic fiber is empty
         return 0
-    cone = Ideal([g - Poly.constant(g.vars, c, g.domain) for g, c in zip(grads, u)], caps=caps)
+    vars, domain, packing, partials = grad
+    modulus = domain.p
+    gens = []
+    for (L, terms), c in zip(partials, u):
+        c = -L * c % modulus if modulus else -L * c
+        if c:
+            terms = [*terms, (0, c)]
+        if terms:
+            gens.append((terms, None))
     try:
-        count = quotient_vs_dim(cone)
+        count = run_quotient_dim(_pair_loop(vars, domain, packing, caps, gens))
     except NotZeroDimensional as exc:
         raise PositiveDimensionalFiber(f"fiber over {list(u)} is not finite") from exc
     degree, rest = divmod(count, d - 1)
@@ -176,7 +206,7 @@ def polar_degree_fiber_oracle(
     if d < 1:
         raise HypothesisError("the gradient map needs a non-constant polynomial")
     check_oracle_options(trials)
-    grads = gradient(f)
+    grad = _packed_gradient(f, d, caps)
     rng = SplitMix64(seed * 6364136223846793005 + 0xDA3E39CB94B95BDB)
     nv = len(f.vars)
     values: list[int] = []
@@ -198,7 +228,7 @@ def polar_degree_fiber_oracle(
             u = rng.nonzero_vector(nv, -100, 100)
             drawn += 1
             try:
-                degree = _fiber_degree(grads, d, u, caps)
+                degree = _fiber_degree(grad, d, u, caps)
                 break
             except PositiveDimensionalFiber:
                 continue

@@ -45,6 +45,9 @@ class DegeneratePencil(PolyError):
     pass
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)  # immutable, so shared by every call
+
+
 @dataclass(frozen=True)
 class Domain:
     """Coefficient domain tag: rationals when ``p`` is None, else F_p."""
@@ -74,10 +77,10 @@ class Domain:
         raise TypeError(f"cannot coerce {value!r} into F_{self.p}")
 
     def zero(self):
-        return Fraction(0) if self.p is None else 0
+        return _ZERO if self.p is None else 0
 
     def one(self):
-        return Fraction(1) if self.p is None else 1
+        return _ONE if self.p is None else 1
 
     def add(self, a, b):
         return a + b if self.p is None else (a + b) % self.p

@@ -25,6 +25,8 @@ from itertools import product as iproduct
 import hypothesis.strategies as st
 from hypothesis import assume
 
+import polargrad.groebner as groebner
+import polargrad.polar as polar
 from polargrad.groebner import (
     DEFAULT_CAPS,
     GREVLEX,
@@ -69,6 +71,22 @@ VAR_POOL = ("w", "x", "y", "z", "u", "v")
 
 def var_names(nv: int) -> tuple[str, ...]:
     return VAR_POOL[:nv]
+
+
+def record_pair_loops(monkeypatch) -> list:
+    """Record every Buchberger pair loop as (term order, domain, the `_Run`
+    it returns): the `_pair_loop` seam, rebound in `groebner`, where every
+    `Ideal` enters it, and in `polar`, where the oracle's cone ideals do."""
+    real, calls = groebner._pair_loop, []
+
+    def loop(vars, domain, packing, caps, gens):
+        run = real(vars, domain, packing, caps, gens)
+        calls.append((packing.order, domain, run))
+        return run
+
+    for module in (groebner, polar):
+        monkeypatch.setattr(module, "_pair_loop", loop)
+    return calls
 
 
 # ----------------------------------------------------------------- strategies

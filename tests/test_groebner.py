@@ -1018,9 +1018,20 @@ class TestIntegerKernels:
         stacked = image + moved
         assert fraction_rank(stacked, p) == len(image)
 
+    @pytest.mark.parametrize("p", [0, 32003])
+    def test_stable_image_of_an_invertible_matrix_is_one_echelon(self, monkeypatch, p):
+        # an invertible M has every image equal to the whole space, so the
+        # first echelon is the stable image and no power of M is formed
+        calls = []
+        real = groebner._echelon
+        monkeypatch.setattr(groebner, "_echelon", lambda rows, m: calls.append(rows) or real(rows, m))
+        rows = [[2, 1, 0], [0, 3, -1], [1, 0, 5]]
+        assert groebner._stable_image(rows, p) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("p", [None, 32003])
     @given(seed=st.integers(0, 10**6), nv=st.integers(2, 3),
-           g_terms=st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * 3), ENTRIES), max_size=4),
+           g_terms=st.lists(st.tuples(st.tuples(*[st.integers(0, 4)] * 3), ENTRIES), max_size=4),
            shift=st.sampled_from([0, 3, BIG]), unit=st.booleans())
     @settings(max_examples=30, deadline=None)
     def test_multiplication_matrix_equals_the_normal_forms(self, p, seed, nv, g_terms, shift, unit):

@@ -50,6 +50,7 @@ from helpers import (
     frame_certificates,
     homogeneous_polys,
     lex_singular_points,
+    record_pair_loops,
     saturation_local_dim,
     tjurina_complete,
 )
@@ -368,34 +369,27 @@ class TestGenericFrame:
         # oracle cone ideals and rejected draws never inter-reduce nor build
         # a Poly; an accepted frame's count, algebra and basis share one
         # pair loop, as do a count and a basis of any ideal
-        runs, finished, built = [], [], []
-        real_run, real_finish, real_polys = (
-            groebner.buchberger_run, groebner._inter_reduce, groebner._Run.polys
-        )
-
-        def run(*args):
-            runs.append(real_run(*args))
-            return runs[-1]
-
-        monkeypatch.setattr(groebner, "buchberger_run", run)
+        finished, built = [], []
+        real_finish, real_polys = groebner._inter_reduce, groebner._Run.polys
+        loops = record_pair_loops(monkeypatch)
         monkeypatch.setattr(groebner, "_inter_reduce", lambda r: finished.append(r) or real_finish(r))
         monkeypatch.setattr(groebner._Run, "polys", lambda r: built.append(r) or real_polys(r))
         entry = BY_NAME["five-node-quartic"]
         f = parse_poly(entry.text, entry.vars)
         assert polar_degree_fiber_oracle(f, seed=1).value == 4
-        assert len(runs) == 3 and finished == built == []
-        runs.clear()
+        assert len(loops) == 3 and finished == built == []
+        loops.clear()
         model = generic_frame(f, 6)  # rejects its first draw
-        assert model.draws == 2 and len(runs) == 2 and finished == built == []
+        assert model.draws == 2 and len(loops) == 2 and finished == built == []
         assert len(rational_singular_points(model)) == 5
         I = model.critical_ideal
         basis = I.basis
-        assert len(runs) == 2 and finished == [runs[1]] and built == [I.reduced]
+        assert len(loops) == 2 and finished == [loops[1][2]] and built == [I.reduced]
         assert I.basis is basis
-        runs.clear()
+        loops.clear()
         J = Ideal(gradient(model.h))
         assert quotient_vs_dim(J) == 9 and J.basis == basis
-        assert len(runs) == 1
+        assert len(loops) == 1
 
     def test_triangle_frame_moves_points_off_infinity(self):
         model = generic_frame(XYZ, seed=1)

@@ -10,6 +10,7 @@ from helpers import (
     fiber_minors,
     form_products,
     rabinowitsch_saturate,
+    record_pair_loops,
     saturation_fiber_count,
     saturation_local_dim,
 )
@@ -18,6 +19,7 @@ from polargrad.groebner import (
     NotZeroDimensional,
     projective_dim,
     quotient_vs_dim,
+    run_quotient_dim,
     saturate_ideal,
     zero_dim_degree_projective,
 )
@@ -233,30 +235,23 @@ class TestOnePartialSaturation:
     )
     def test_one_basis_per_trial_and_domain(self, monkeypatch, text, vars, value):
         # both inputs have a nonempty base locus, which the oracle never saturates away
-        run = groebner.buchberger_run
-        calls = []
-
-        def counted(gens, order, caps):
-            calls.append(gens)
-            return run(gens, order, caps)
-
         def forbidden(*args):
             raise AssertionError("the oracle saturated or intersected")
 
-        monkeypatch.setattr(groebner, "buchberger_run", counted)
+        calls = record_pair_loops(monkeypatch)
         for module, name in ((groebner, "saturate"), (groebner, "intersect"), (polar, "intersect")):
             monkeypatch.setattr(module, name, forbidden)
         r = polar_degree_fiber_oracle(parse_poly(text, vars), seed=1)
         assert r.value == value
         assert {t["path"] for t in r.details["trials"]} == {"rational"}
-        assert {g.domain for gens in calls for g in gens} == {QQ}
+        assert {domain for _, domain, _ in calls} == {QQ}
         assert len(calls) == len(r.details["trials"])
 
     def test_no_admissible_partial_gives_an_empty_fiber(self):
         # u = (0, 0, 1) and f_z = 0: the cone ideal holds f_z - 1 = -1, a unit
-        grads = gradient(parse_poly("x^2*y", V3))
-        assert saturation_fiber_count(grads, (0, 0, 1)) == 0
-        assert polar._fiber_degree(grads, 3, (0, 0, 1)) == 0
+        f = parse_poly("x^2*y", V3)
+        assert saturation_fiber_count(gradient(f), (0, 0, 1)) == 0
+        assert polar._fiber_degree(polar._packed_gradient(f, 3), 3, (0, 0, 1)) == 0
 
     def test_saturation_exponent_per_trial(self):
         # the trial records carry no saturation exponent: nothing is saturated
@@ -293,10 +288,10 @@ class TestConeOracle:
             with pytest.raises(NotZeroDimensional):
                 quotient_vs_dim(cone)
             with pytest.raises(PositiveDimensionalFiber):
-                polar._fiber_degree(grads, d, u)
+                polar._fiber_degree(polar._packed_gradient(f, d), d, u)
             return
         assert quotient_vs_dim(cone) == (d - 1) * expected
-        assert polar._fiber_degree(grads, d, u) == expected
+        assert polar._fiber_degree(polar._packed_gradient(f, d), d, u) == expected
 
     @pytest.mark.parametrize(
         "text, vars",
@@ -311,15 +306,12 @@ class TestConeOracle:
         assert r.value == 0 and set(r.details["values"]) == {0}
 
     def test_linear_form_builds_no_basis(self, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("a basis was built")
-
-        monkeypatch.setattr(groebner, "buchberger_run", forbidden)
+        calls = record_pair_loops(monkeypatch)
         r = polar_degree_fiber_oracle(parse_poly("x", V2), seed=1)
-        assert r.value == 0
+        assert r.value == 0 and calls == []
 
     def test_indivisible_count_is_inconsistent_over_qq(self, monkeypatch):
-        monkeypatch.setattr(polar, "quotient_vs_dim", lambda I: quotient_vs_dim(I) + 1)
+        monkeypatch.setattr(polar, "run_quotient_dim", lambda run: run_quotient_dim(run) + 1)
         with pytest.raises(OracleInconsistent, match="not a multiple of d - 1 = 2"):
             polar_degree_fiber_oracle(FERMAT2, seed=1)
 

@@ -10,6 +10,7 @@ import pytest
 import polargrad.groebner as groebner
 import polargrad.hypersurface as hypersurface
 import polargrad.report as report_module
+from helpers import record_pair_loops
 from polargrad.catalog import BY_NAME
 from polargrad.cli import main
 from polargrad.groebner import Caps, ResourceLimit
@@ -212,17 +213,10 @@ class TestPipeline:
         # the hypotheses' Jacobian basis, one frame basis (certified at its
         # first draw) and one per oracle target; the oracle agrees, so no
         # second frame is drawn, and the points step adds no basis
-        orders = []
-        real = groebner.buchberger_run
-
-        def counting(gens, order=groebner.GREVLEX, caps=groebner.DEFAULT_CAPS):
-            orders.append(order)
-            return real(gens, order, caps)
-
-        monkeypatch.setattr(groebner, "buchberger_run", counting)
+        loops = record_pair_loops(monkeypatch)
         report = analyze_polynomial("x^3+y^3+z^3+x*y*z", V3).data
         assert report["d_f"]["consolidated"] == 4
-        assert orders == [groebner.GREVLEX] * 5
+        assert [order for order, _, _ in loops] == [groebner.GREVLEX] * 5
 
     def test_milnor_sum_above_mu_on_raises(self, monkeypatch):
         real = hypersurface.rational_singular_points
