@@ -5,9 +5,11 @@ Usage: PYTHONPATH=src python scripts/scale_tier.py [--repeat N]
 
 Each input is analyzed N times in this one process (default 3) and its line
 gives the median wall time in seconds, d(f) and mu(V).  The inputs and their
-expected values are those of acceptance criteria 11 and 12: every d(f) route
-must give the expected value unanimously, and mu(V) and the rational singular
-points with their Milnor numbers must match, on every run.  The exit status
+expected values are those of acceptance criteria 11 and 12, plus the smooth
+plane octic x^8+y^8+z^8+x^3*y^3*z^2 (d(f) = 49, mu = 0), whose Jacobian
+gate is a real Groebner run: every d(f) route must give the expected
+value unanimously, and mu(V) and the rational singular points with their
+Milnor numbers must match, on every run.  The exit status
 is 1 when any run gives another verdict, else 0.
 """
 
@@ -27,6 +29,7 @@ INPUTS = (
     ("w^5+x^5+y^5+z^5", "wxyz", 64, {}),
     ("w^3*x*y+x^5+y^5+z^5", "wxyz", 60, {("1", "0", "0", "0"): 4}),
     ("v^4+w^4+x^4+y^4+z^4", "vwxyz", 81, {}),
+    ("x^8+y^8+z^8+x^3*y^3*z^2", "xyz", 49, {}),
 )
 
 

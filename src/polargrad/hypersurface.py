@@ -16,6 +16,11 @@ fiber, of dimension mu_off; A/S, of dimension mu_on, is the part at the
 singular points of V, and the rational ones with their mu_p are the common
 generalized eigenspaces of the coordinates on A/S with rational eigenvalues.
 grad f is evaluated at each point found, an independent check.
+
+A caller that has proved V smooth (an empty Jacobian scheme, as the
+hypothesis gate finds it) passes `smooth=True`: the frame is still drawn and
+certified, and the split is (0, dim A) with no S, algebra or points step
+(`frame_split` has the argument).
 """
 
 from __future__ import annotations
@@ -347,21 +352,36 @@ class MuSummary:
     local_mu: dict[ProjectivePoint, int] = field(default_factory=dict)
 
 
-def frame_split(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS) -> tuple[AffineModel, int, int]:
+def frame_split(
+    f: Poly, seed: int, caps: Caps = DEFAULT_CAPS, smooth: bool = False
+) -> tuple[AffineModel, int, int]:
     """`generic_frame` with its critical-multiplicity split: (model, mu_on,
-    mu_off)."""
+    mu_off).
+
+    `smooth` is the caller's proof that V(f) is smooth: the Jacobian scheme
+    of f is empty (projective dimension -1, as `polar.require_hypotheses`
+    finds it).  The frame is still drawn and certified, and the split is then
+    (0, dim A) with no algebra built: at a critical point p of h with
+    h(p) = 0, put x = (ell(p), p) for ell = a_0 + a_1 y_1 + ... + a_n y_n.
+    Euler's identity d*f = ell*f_0 + sum_i y_i f_i and dh/dy_i =
+    a_i*f_0 + f_i at x give a_0*f_0(x) = 0, so grad f(x) = 0, which the
+    empty Jacobian scheme rules out.  So h is a unit on A, S = A and
+    mu_on = 0."""
     model = generic_frame(f, seed, caps)
+    if smooth:
+        return model, 0, quotient_vs_dim(model.critical_ideal)
     return (model, *tame_split(model))
 
 
-def mu_summary(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS) -> MuSummary:
-    """`frame_split` plus the points step, `rational_singular_points` on the
-    same frame.  grad f must vanish at each point it returns, an independent
-    check; the enumeration is complete when their local Milnor numbers sum to
-    mu_on.  A point where grad f does not vanish, or a sum above mu_on,
-    raises InconsistentMu."""
-    model, mu_on, mu_off = frame_split(f, seed, caps)
-    local_mu = rational_singular_points(model)
+def mu_summary(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS, smooth: bool = False) -> MuSummary:
+    """`frame_split` (passing `smooth` on) plus the points step,
+    `rational_singular_points` on the same frame, when mu_on > 0: with
+    mu_on = 0 there is no point to find.  grad f must vanish at each point it
+    returns, an independent check; the enumeration is complete when their
+    local Milnor numbers sum to mu_on.  A point where grad f does not vanish,
+    or a sum above mu_on, raises InconsistentMu."""
+    model, mu_on, mu_off = frame_split(f, seed, caps, smooth=smooth)
+    local_mu = rational_singular_points(model) if mu_on else {}
     if local_mu:
         partials = gradient(f)
         for pt in local_mu:

@@ -157,12 +157,11 @@ def support_orders(d: CycDivisor) -> list[int]:
 
 def validate_exposed(d: CycDivisor) -> CycDivisor:
     """Check integrality and non-negative multiplicity at every root."""
-    d.integral_exponents()
+    exps = d.integral_exponents()
     for k in support_orders(d):
-        if mult_at_order(d, k) < 0:
-            raise NonIntegralResult(
-                f"negative multiplicity {mult_at_order(d, k)} at order {k}"
-            )
+        mult = sum(e for m, e in exps.items() if m % k == 0)  # `mult_at_order`
+        if mult < 0:
+            raise NonIntegralResult(f"negative multiplicity {mult} at order {k}")
     return d
 
 
@@ -175,10 +174,17 @@ def bp_charpoly(exponents: Iterable[int]) -> CycDivisor:
     exponents = list(exponents)
     if any(a < 2 for a in exponents):
         raise ValueError("pure-power exponents must be at least 2")
-    acc = lam(1)
+    # the `divisor_mul` fold on plain {order: int} maps: every exponent stays
+    # an integer, and one CycDivisor is built at the end
+    acc = {1: 1}
     for a in exponents:
-        acc = divisor_mul(acc, lam(a) - lam(1))
-    return validate_exposed(acc)
+        out: dict[int, int] = {}
+        for m, e in acc.items():
+            g = gcd(m, a)  # (t^m - 1) joined with (t^a - 1) - (t - 1)
+            out[m * a // g] = out.get(m * a // g, 0) + e * g
+            out[m] = out.get(m, 0) - e
+        acc = out
+    return validate_exposed(CycDivisor(acc))
 
 
 def wh_charpoly(weights: Iterable) -> CycDivisor:

@@ -9,6 +9,9 @@
   locus grad f = 0 has none, so nothing is saturated.  This route needs no
   reducedness or isolatedness hypotheses and is the general fallback; the
   other two need both, which `require_hypotheses` alone decides, exactly.
+  The gate also says whether V(f) is smooth (an empty Jacobian scheme);
+  the formula and tame routes then take mu(V) = 0 from it and build no
+  frame algebra beyond the frame's certificate (`frame_split`).
   It shares no kernel with them (no frame, no stable image); `analyze`
   reads the formula and tame values off one certified frame, so the oracle
   is its independent vote.  grad f is packed once per call
@@ -75,12 +78,14 @@ class PolarDegreeResult:
     details: dict = field(default_factory=dict)
 
 
-def require_hypotheses(f: Poly, caps: Caps = DEFAULT_CAPS) -> int:
-    """Degree of f after checking that it is a reduced form in two or more
-    variables with isolated singularities.  Both are read off the projective
-    dimension pd of the Jacobian scheme: for n >= 2 a square factor g^2 makes
-    V(g) (dimension n - 1) singular, so pd <= 0 proves f reduced; for n = 1,
-    f is reduced exactly when pd = -1."""
+def require_hypotheses(f: Poly, caps: Caps = DEFAULT_CAPS) -> tuple[int, bool]:
+    """(d, smooth): the degree of f after checking that it is a reduced form
+    in two or more variables with isolated singularities, and whether V(f)
+    is smooth.  All three are read off the projective dimension pd of the
+    Jacobian scheme: for n >= 2 a square factor g^2 makes V(g) (dimension
+    n - 1) singular, so pd <= 0 proves f reduced; for n = 1, f is reduced
+    exactly when pd = -1; and V(f) is smooth exactly when pd = -1, which
+    `frame_split` takes as mu(V) = 0."""
     try:
         d = homogeneous_degree(f)
     except (NotHomogeneous, ZeroPolynomial) as exc:
@@ -93,15 +98,15 @@ def require_hypotheses(f: Poly, caps: Caps = DEFAULT_CAPS) -> int:
         raise HypothesisError(f"singular locus has dimension {pd}")
     if n == 1 and pd == 0:
         raise HypothesisError("input polynomial is not reduced")
-    return d
+    return d, pd == -1
 
 
 def polar_degree_formula(f: Poly, seed: int = 1, caps: Caps = DEFAULT_CAPS) -> PolarDegreeResult:
     """(d-1)^n - mu(V(f)), with mu computed through a certified frame and
     cross-checked against per-point local Milnor numbers when possible."""
-    d = require_hypotheses(f, caps)
+    d, smooth = require_hypotheses(f, caps)
     n = len(f.vars) - 1
-    summary = mu_summary(f, seed, caps)
+    summary = mu_summary(f, seed, caps, smooth=smooth)
     value = (d - 1) ** n - summary.mu_on
     if value < 0:
         raise PolarError(f"negative degree {(d-1)**n} - {summary.mu_on}")
@@ -120,8 +125,8 @@ def polar_degree_formula(f: Poly, seed: int = 1, caps: Caps = DEFAULT_CAPS) -> P
 
 def polar_degree_tame(f: Poly, seed: int = 1, caps: Caps = DEFAULT_CAPS) -> PolarDegreeResult:
     """Critical multiplicity of the affine model away from the zero fiber."""
-    require_hypotheses(f, caps)
-    model, mu_on, mu_off = frame_split(f, seed, caps)
+    _, smooth = require_hypotheses(f, caps)
+    model, mu_on, mu_off = frame_split(f, seed, caps, smooth=smooth)
     return PolarDegreeResult(
         "tame_split",
         mu_off,

@@ -12,7 +12,10 @@ mu_on + mu_off = (d-1)^n, so they agree, and the fiber oracle, which shares
 no kernel with the frame, is the independent vote.  A second frame (seed + 1)
 is drawn only when the oracle disagrees, to break the tie, or when the value
 is a COUNTEREXAMPLE; its mu(V) must match the first frame's, and the tame
-value is its split.  `polar.consolidate` combines the three values.
+value is its split.  `polar.consolidate` combines the three values.  When
+the gate finds the Jacobian scheme empty, V is smooth, and both frames take
+mu(V) = 0 from it (`hypersurface.frame_split`): each is still drawn and
+certified, but builds no frame algebra.
 """
 
 from __future__ import annotations
@@ -201,13 +204,13 @@ def analyze_polynomial(text: str, vars, options: AnalysisOptions | None = None) 
     except ParseError as exc:
         raise InputError(str(exc)) from exc
     declarations = parse_declarations(options.declarations, len(f.vars))
-    d = require_hypotheses(f, options.caps)
+    d, smooth = require_hypotheses(f, options.caps)
     n = len(f.vars) - 1
     timings["hypotheses"] = time.monotonic() - t0
 
     notes: list[str] = []
     t1 = time.monotonic()
-    summary = mu_summary(f, options.seed, options.caps)
+    summary = mu_summary(f, options.seed, options.caps, smooth=smooth)
     # the declarations are checked against the points before any further work
     records = _build_records(summary.points, summary.local_mu, declarations)
     formula_value = (d - 1) ** n - summary.mu_on
@@ -225,7 +228,7 @@ def analyze_polynomial(text: str, vars, options: AnalysisOptions | None = None) 
         # a tie to break, or a counterexample claim: the tame vote comes from
         # a second frame, whose mu(V) must match the first
         t4 = time.monotonic()
-        _, mu_on_alt, tame_value = frame_split(f, options.seed + 1, options.caps)
+        _, mu_on_alt, tame_value = frame_split(f, options.seed + 1, options.caps, smooth=smooth)
         if summary.mu_on != mu_on_alt:
             raise InconsistencyError(
                 f"mu(V) differs between frames: {summary.mu_on} vs {mu_on_alt}"

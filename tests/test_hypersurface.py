@@ -2,6 +2,7 @@
 numbers, certified frames and the critical-multiplicity split."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from unittest.mock import patch
 
 import pytest
@@ -36,6 +37,7 @@ from polargrad.hypersurface import (
 from polargrad.parser import parse_poly
 from polargrad.polar import polar_degree_fiber_oracle
 from polargrad.poly import (
+    Poly,
     dehomogenize,
     det_fraction,
     gradient,
@@ -494,6 +496,25 @@ class TestTameSplit:
             assert mu_on + mu_off == (d - 1) ** n
 
 
+@st.composite
+def nearly_diagonal_forms(draw):
+    """c_0 x_0^d + ... + c_n x_n^d plus up to three more terms of degree d,
+    all coefficients in [-3, 3]: smooth as drawn unless the extra terms make
+    it singular."""
+    nv = draw(st.sampled_from((2, 3, 4)))
+    d = draw(st.integers(2, 3 if nv == 4 else 4))
+    names = (V2, V3, V4)[nv - 2]
+    terms = {
+        tuple(d * (k == i) for k in range(nv)): draw(st.integers(1, 3)) * draw(st.sampled_from((-1, 1)))
+        for i in range(nv)
+    }
+    monos = [tuple(combo.count(i) for i in range(nv)) for combo in combinations_with_replacement(range(nv), d)]
+    for _ in range(draw(st.integers(0, 3))):
+        m = draw(st.sampled_from(monos))
+        terms[m] = terms.get(m, 0) + draw(st.integers(-3, 3))
+    return Poly(names, terms)
+
+
 class TestMuSummary:
     def test_triangle_cross_check(self):
         s = mu_summary(XYZ, 1)
@@ -557,6 +578,20 @@ class TestMuSummary:
             chart_h = dehomogenize(f, pt.chart())
             assert mu == saturation_local_dim(gradient(chart_h), pt.affine_coords()), pt
         assert total_mu_on_V(f, seed + 1) == s.mu_on
+
+    @given(nearly_diagonal_forms(), st.integers(1, 100))
+    @example(FERMAT, 1)
+    @settings(max_examples=60, deadline=None)
+    def test_a_smooth_split_equals_the_stable_image_split(self, f, seed):
+        # an empty Jacobian scheme proves mu(V) = 0; the stable image of M_g
+        # on the frame's algebra, the full route, is the independent oracle
+        assume(projective_dim(jacobian_ideal(f)) == -1)
+        try:
+            full = frame_split(f, seed)
+        except TransversalityNotFound:
+            assume(False)
+        assert frame_split(f, seed, smooth=True) == full
+        assert full[1] == 0
 
     def test_frame_split_is_the_frame_step_of_the_summary(self):
         for f in (XYZ, CONIC_TANGENT, A1A5_CUBIC):

@@ -7,6 +7,8 @@ exact fractional angles; it never touches the divisor representation.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polargrad.monodromy import (
     CycDivisor,
@@ -120,6 +122,19 @@ class TestFermatClosedForm:
     def test_quadric_germ(self):
         for n in range(1, 5):
             assert divisor_degree(fermat_charpoly(2, n)) == 1
+
+    @given(st.lists(st.integers(2, 9), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_pure_powers_are_the_join_product_fold(self, exps):
+        # bp_charpoly folds on plain integers; the CycDivisor fold is the
+        # reference, and equal exponents are the Fermat closed form
+        acc = lam(1)
+        for a in exps:
+            acc = divisor_mul(acc, lam(a) - lam(1))
+        divisor = bp_charpoly(exps)
+        assert divisor == acc and factored_string(divisor) == factored_string(acc)
+        if len(set(exps)) == 1:
+            assert divisor == fermat_charpoly(exps[0], len(exps))
 
     def test_matches_pure_power_route(self):
         for d in range(2, 7):

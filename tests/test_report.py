@@ -209,6 +209,38 @@ class TestPipeline:
         assert sizes.count(9) == 1
         assert set(sizes) == {9, 5}
 
+    @pytest.mark.parametrize(
+        "text,vars,built",
+        [
+            ("x^3+y^3+z^3+x*y*z", V3, 0),
+            ("w^3 + x^3 + y^3 + z^3", V4, 0),
+            ("x*y*z", V3, 1),
+            ("x^2*w + x*z^2 + y^3", V4, 1),
+        ],
+        ids=["hesse-cubic", "fermat-surface", "triangle", "e6-cubic"],
+    )
+    def test_a_smooth_input_builds_no_frame_algebra(self, monkeypatch, text, vars, built):
+        # the gate's empty Jacobian scheme gives mu(V) = 0: a smooth input
+        # builds no QuotientAlgebra and no multiplication matrix, a singular
+        # one builds the frame's algebra and M_g once each
+        algebras, matrices = [], []
+        real_algebra, real_matrix = groebner.QuotientAlgebra, groebner._scaled_matrix
+
+        def algebra(I):
+            algebras.append(I)
+            return real_algebra(I)
+
+        def matrix(I, g):
+            matrices.append(g)
+            return real_matrix(I, g)
+
+        monkeypatch.setattr(groebner, "QuotientAlgebra", algebra)
+        for module in (groebner, hypersurface):
+            monkeypatch.setattr(module, "_scaled_matrix", matrix)
+        report = analyze_polynomial(text, vars).data
+        assert report["d_f"]["unanimous"] and (report["mu_V"] == 0) == (built == 0)
+        assert len(algebras) == len(matrices) == built
+
     def test_one_jacobian_basis_per_analysis(self, monkeypatch):
         # the hypotheses' Jacobian basis, one frame basis (certified at its
         # first draw) and one per oracle target; the oracle agrees, so no
@@ -290,8 +322,8 @@ class TestConsolidation:
     def test_three_different_values_raise(self, monkeypatch):
         real = report_module.frame_split
 
-        def shifted_split(f, seed, caps):
-            model, mu_on, mu_off = real(f, seed, caps)
+        def shifted_split(f, seed, caps, smooth=False):
+            model, mu_on, mu_off = real(f, seed, caps, smooth=smooth)
             return model, mu_on, mu_off + 5
 
         monkeypatch.setattr(report_module, "polar_degree_fiber_oracle", self.fixed_oracle(7))
@@ -304,11 +336,11 @@ class TestConsolidation:
         real_summary = report_module.mu_summary
         calls = []
 
-        def summary_with_mu_7(f, seed, caps):
-            return replace(real_summary(f, seed, caps), mu_on=7)
+        def summary_with_mu_7(f, seed, caps, smooth=False):
+            return replace(real_summary(f, seed, caps, smooth=smooth), mu_on=7)
 
-        def split_with_mu_7(f, seed, caps):
-            return real_summary(f, seed, caps).model, 7, 1
+        def split_with_mu_7(f, seed, caps, smooth=False):
+            return real_summary(f, seed, caps, smooth=smooth).model, 7, 1
 
         monkeypatch.setattr(report_module, "mu_summary", summary_with_mu_7)
         monkeypatch.setattr(report_module, "frame_split", split_with_mu_7)
@@ -338,9 +370,9 @@ class TestSecondFrame:
         seeds = []
         real = report_module.frame_split
 
-        def spying(f, seed, caps):
+        def spying(f, seed, caps, smooth=False):
             seeds.append(seed)
-            model, mu_on, mu_off = real(f, seed, caps)
+            model, mu_on, mu_off = real(f, seed, caps, smooth=smooth)
             return model, mu_on + shift, mu_off - shift
 
         monkeypatch.setattr(report_module, "frame_split", spying)
@@ -382,7 +414,9 @@ class TestSecondFrame:
         monkeypatch.setattr(
             report_module,
             "mu_summary",
-            lambda f, seed, caps: replace(real_summary(f, seed, caps), mu_on=7),
+            lambda f, seed, caps, smooth=False: replace(
+                real_summary(f, seed, caps, smooth=smooth), mu_on=7
+            ),
         )
         monkeypatch.setattr(
             report_module, "polar_degree_fiber_oracle", TestConsolidation.fixed_oracle(1)
