@@ -9,7 +9,6 @@ from .groebner import (
     StaircaseReport,
     TermOrder,
     buchberger,
-    eliminate,
     ideal_quotient,
     normal_form,
     projective_dim,
@@ -29,7 +28,6 @@ from .hypersurface import (
     mu_summary,
     rational_singular_points,
     tame_split,
-    total_mu_on_V,
 )
 from .monodromy import (
     CycDivisor,
@@ -43,7 +41,6 @@ from .monodromy import (
     mult_at_order,
     primitive_betti,
     wh_charpoly,
-    zero_fiber_charpoly,
 )
 from .parser import parse_poly
 from .polar import (
@@ -65,7 +62,6 @@ from .poly import (
     ProjectivePoint,
     Reducedness,
     dehomogenize,
-    euler_check,
     gradient,
     homogeneous_degree,
     poly_text,

@@ -6,7 +6,8 @@ internal inconsistency (methods disagree after retries, or a catalog
 mismatch), 4 resource limit (a --max-basis or --max-degree cap was exceeded).
 Each command takes only the flags it reads.  The two cap flags make one
 `Caps` value, which the command passes down with its work, so nothing set by
-one `main` call outlives it.
+one `main` call outlives it.  `catalog run` runs its entries one after
+another in this process and prints their lines in catalog order.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import partial
 
 from . import monodromy as mono
 from .monodromy import KNotDividingD, NonIntegralResult
@@ -35,6 +35,7 @@ from .polar import (
     PolarError,
     PositiveDimensionalFiber,
     check_oracle_options,
+    check_surface_criterion,
     consolidate,
     polar_degree_fiber_oracle,
     polar_degree_formula,
@@ -212,8 +213,6 @@ def cmd_bounds(args) -> int:
                 mono.primitive_betti(d, n - 2) - args.mu0
             )
         if n == 3:
-            from .polar import check_surface_criterion
-
             payload["surface_mu0_criterion"] = check_surface_criterion(d, args.mu0)
     if args.format == "json":
         print(json.dumps(payload, indent=2))
@@ -235,23 +234,14 @@ def cmd_catalog(args) -> int:
             kind = "oracle-only" if entry.oracle_only else "full"
             print(f"{entry.name:<28} {kind:<11} d(f)={entry.d_f}  {entry.text}")
         return EXIT_OK
-    if args.jobs < 1:
-        raise InputError(f"need --jobs >= 1, got {args.jobs}")
     if args.target == "all":
         entries = list(CATALOG)
     else:
         if args.target not in BY_NAME:
             raise InputError(f"unknown catalog entry {args.target!r}")
         entries = [BY_NAME[args.target]]
-    run = partial(run_entry, seed=args.seed, trials=args.trials, caps=_caps(args))
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # a fork pool starts all its workers at once: no more than there are entries
-        with ProcessPoolExecutor(min(args.jobs, len(entries))) as pool:
-            results = list(pool.map(run, entries))
-    else:
-        results = [run(e) for e in entries]
+    caps = _caps(args)
+    results = [run_entry(e, seed=args.seed, trials=args.trials, caps=caps) for e in entries]
     failed = False
     for res in results:
         mark = "pass" if res["ok"] else "FAIL"
@@ -303,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", help="list or run the example catalog")
     p.add_argument("action", choices=("list", "run"))
     p.add_argument("target", nargs="?", default="all")
-    p.add_argument("--jobs", type=int, default=1)
     _common_flags(p)
     p.set_defaults(func=cmd_catalog)
 

@@ -209,8 +209,8 @@ class _Packing:
     compare as their ints.  a | b exactly when (b - a) leaves every guard bit
     clear: a borrow sets the guard bit of the lowest field where a is larger.
 
-    Valid while every total degree stays below 2^bits; `_reduce` and
-    `buchberger_run` pick the width so that it does.  The divisibility test
+    Valid while every total degree stays below 2^bits; `_run_packing` is the
+    one place that picks the width so that it does.  The divisibility test
     needs only every exponent below 2^bits, which is all the staircase walk
     (`_standard_monomials`) relies on."""
 
@@ -348,15 +348,14 @@ def _coefficients(terms, unpack, num: int, den: int, modulus) -> dict:
 
 def _reduce(p: Poly, divisors, order: TermOrder, caps: Caps, quotients: bool = False):
     """(remainder of p under full reduction by the divisors, the quotients'
-    term dicts, one per divisor, when `quotients` is set, else None), on a
-    packing wide enough for the degree cap and every degree given.  The
-    kernel reduces L*p, with L the lcm of p's denominators, by the integer
-    divisors (L_i / k_i) * g_i (`_cleared`, then `_primitive`) and scales
-    by s; so the remainder is R / (s*L) and the i-th quotient is
-    Q_i * L_i / (k_i*s*L)."""
+    term dicts, one per divisor, when `quotients` is set, else None), on the
+    `_run_packing` of every degree given.  The kernel reduces L*p, with L
+    the lcm of p's denominators, by the integer divisors (L_i / k_i) * g_i
+    (`_cleared`, then `_primitive`) and scales by s; so the remainder is
+    R / (s*L) and the i-th quotient is Q_i * L_i / (k_i*s*L)."""
     nonzero = [(i, g) for i, g in enumerate(divisors) if g.terms]
-    need = max([caps.max_degree, *map(sum, p.terms), *(max(map(sum, g.terms)) for _, g in nonzero)])
-    packing = _Packing(order, len(p.vars), need.bit_length())
+    degree = max([0, *map(sum, p.terms), *(max(map(sum, g.terms)) for _, g in nonzero)])
+    packing = _run_packing(order, len(p.vars), degree, caps)
     pack, unpack, modulus = packing.pack, packing.unpack, p.domain.p
     by_lead: dict[int, tuple] = {}
     ratios: dict[int, tuple[int, int]] = {}  # divisor index -> (L_i, k_i)
@@ -525,10 +524,10 @@ def _intake_cmp(unpack):
 
 
 def _run_packing(order: TermOrder, nvars: int, degree: int, caps: Caps) -> _Packing:
-    """The packing of a pair loop on generators of degree at most `degree`:
-    it holds twice the larger of that and the degree cap.  No basis element
-    is larger than either (a new one above the cap raises), so every
-    S-polynomial and reduction fits."""
+    """The packing of a pair loop or a reduction on polynomials of degree at
+    most `degree`: it holds twice the larger of that and the degree cap.  No
+    basis element or product is larger than either (one above the cap
+    raises), so every S-polynomial and reduction fits."""
     return _Packing(order, nvars, (2 * max(caps.max_degree, degree)).bit_length())
 
 
@@ -800,18 +799,6 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     for g in basis:
         if all(m[0] == 0 for m in g.terms):
             kept.append(Poly(I.vars, {m[1:]: c for m, c in g.terms.items()}, I.domain))
-    return Ideal(kept, I.order, vars=I.vars, domain=I.domain, caps=I.caps)
-
-
-def eliminate(I: Ideal, keep) -> Ideal:
-    """Generators of I ∩ k[kept variables], via a block elimination order."""
-    keep = sorted(set(keep))
-    elim = tuple(i for i in range(len(I.vars)) if i not in keep)
-    if I.is_zero_ideal() or not elim:
-        return I
-    order = elimination_order(elim, tuple(keep))
-    basis = buchberger(I.gens, order, I.caps)
-    kept = [g for g in basis if all(all(m[i] == 0 for i in elim) for m in g.terms)]
     return Ideal(kept, I.order, vars=I.vars, domain=I.domain, caps=I.caps)
 
 
@@ -1115,17 +1102,6 @@ def _scaled_matrix(I: Ideal, g: Poly) -> tuple[tuple[Mono, ...], list[list[int]]
     if not g.is_zero() and g.degree() + top > I.caps.max_degree:
         raise ResourceLimit(f"degree cap {I.caps.max_degree} exceeded by a product")
     return A.std, *A.scaled_matrix(g)
-
-
-def multiplication_matrix(I: Ideal, g: Poly) -> tuple[tuple[Mono, ...], list[list]]:
-    """The standard monomials of a zero-dimensional I and the matrix of
-    multiplication by g on k[x]/I in that basis: row i holds the coordinates
-    of the normal form of g * std[i], which has only standard terms.  Built
-    from the variable matrices of `I.algebra`, without a normal form."""
-    std, rows, scale = _scaled_matrix(I, g)
-    if I.domain.p:
-        return std, rows
-    return std, [[Fraction(x, scale) for x in row] for row in rows]
 
 
 def _echelon(rows, modulus: int) -> list[list[int]]:

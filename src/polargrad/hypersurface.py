@@ -347,7 +347,6 @@ class MuSummary:
     model: AffineModel
     mu_on: int
     mu_off: int
-    points: list[ProjectivePoint]
     complete: bool
     local_mu: dict[ProjectivePoint, int] = field(default_factory=dict)
 
@@ -396,15 +395,9 @@ def mu_summary(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS, smooth: bool = Fal
         model=model,
         mu_on=mu_on,
         mu_off=mu_off,
-        points=list(local_mu),
         complete=found == mu_on,
         local_mu=local_mu,
     )
-
-
-def total_mu_on_V(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS) -> int:
-    """Sum of the Milnor numbers of all singularities of V(f)."""
-    return mu_summary(f, seed, caps).mu_on
 
 
 # --------------------------------------------------------- singularity record

@@ -140,13 +140,6 @@ def mu0_from_charpoly(d: CycDivisor) -> int:
     return mult_at_order(d, 1)
 
 
-def zero_fiber_charpoly(delta_v: CycDivisor) -> CycDivisor:
-    """Characteristic divisor of the monodromy about the zero fiber:
-    the global divisor with one extra factor (t - 1)."""
-    delta_v.integral_exponents()
-    return delta_v + lam(1)
-
-
 def support_orders(d: CycDivisor) -> list[int]:
     """All k at which mult_at_order can be nonzero: divisors of the support."""
     ks: set[int] = set()

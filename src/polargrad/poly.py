@@ -360,10 +360,6 @@ class Poly:
 # ------------------------------------------------------------------ helpers
 
 
-def variables(names: Sequence[str], domain: Domain = QQ) -> list[Poly]:
-    return [Poly.variable(names, i, domain) for i in range(len(names))]
-
-
 def gradient(f: Poly) -> list[Poly]:
     """All partial derivatives, in variable order."""
     return [f.partial(i) for i in range(len(f.vars))]
@@ -388,15 +384,6 @@ def is_homogeneous(f: Poly) -> bool:
     if f.is_zero():
         return True
     return len({mono_degree(m) for m in f.terms}) == 1
-
-
-def euler_check(f: Poly) -> bool:
-    """Whether sum_i x_i * df/dx_i equals deg(f) * f exactly."""
-    d = homogeneous_degree(f)
-    acc = Poly.zero(f.vars, f.domain)
-    for i in range(len(f.vars)):
-        acc = acc + Poly.variable(f.vars, i, f.domain) * f.partial(i)
-    return acc == f.scale(d)
 
 
 def det_fraction(M: Sequence[Sequence]) -> Fraction:
@@ -437,11 +424,6 @@ def substitute_linear(f: Poly, M: Sequence[Sequence]) -> Poly:
                 img = img + Poly.variable(f.vars, j, f.domain).scale(Fraction(a))
         images.append(img)
     return f.subs(images)
-
-
-def set_variable_zero(f: Poly, i: int) -> Poly:
-    """Restrict to the hyperplane x_i = 0 (variable kept in the ring)."""
-    return Poly(f.vars, {m: c for m, c in f.terms.items() if m[i] == 0}, f.domain)
 
 
 def dehomogenize(f: Poly, i: int) -> Poly:

@@ -168,20 +168,20 @@ def parse_declarations(raw: list[dict], nvars: int) -> dict[ProjectivePoint, dic
     return out
 
 
-def _build_records(points, local_mu, declarations) -> list[SingularityRecord]:
-    unmatched = set(declarations) - set(points)
+def _build_records(local_mu, declarations) -> list[SingularityRecord]:
+    unmatched = set(declarations) - set(local_mu)
     if unmatched:
         raise InputError(
             "declared points are not rational singular points: "
             + ", ".join(str(p) for p in sorted(unmatched, key=lambda q: q.coords))
         )
     records = []
-    for pt in points:
+    for pt, mu in local_mu.items():
         decl = declarations.get(pt, {})
         try:
             rec = SingularityRecord(
                 point=pt,
-                mu=local_mu[pt],
+                mu=mu,
                 label=decl.get("label"),
                 bp_exponents=decl.get("bp_exponents"),
                 weights=decl.get("weights"),
@@ -212,7 +212,7 @@ def analyze_polynomial(text: str, vars, options: AnalysisOptions | None = None) 
     t1 = time.monotonic()
     summary = mu_summary(f, options.seed, options.caps, smooth=smooth)
     # the declarations are checked against the points before any further work
-    records = _build_records(summary.points, summary.local_mu, declarations)
+    records = _build_records(summary.local_mu, declarations)
     formula_value = (d - 1) ** n - summary.mu_on
     tame_value = summary.mu_off
     timings["frames"] = time.monotonic() - t1

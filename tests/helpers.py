@@ -62,7 +62,6 @@ from polargrad.poly import (
     mono_lcm,
     mono_mul,
     ProjectivePoint,
-    set_variable_zero,
 )
 from polargrad.rng import SplitMix64
 
@@ -224,9 +223,10 @@ def invert_fraction_matrix(M):
 
 
 def reference_multiplication_matrix(I: Ideal, g: Poly) -> tuple[tuple[Mono, ...], list[list]]:
-    """`groebner.multiplication_matrix` as it was before the variable
-    matrices: row i holds the coordinates of the normal form of g * std[i],
-    one normal form per standard monomial."""
+    """The standard monomials of a zero-dimensional I and the matrix of
+    multiplication by g on k[x]/I, built as before the variable matrices of
+    `groebner._scaled_matrix`: row i holds the coordinates of the normal form
+    of g * std[i], one normal form per standard monomial."""
     std = staircase(I).standard_monomials
     if std is None:
         raise NotZeroDimensional("no pure power of some variable among the leading terms")
@@ -679,8 +679,7 @@ def lex_singular_points(f: Poly) -> list[ProjectivePoint]:
     for chart in range(nv - 1, -1, -1):
         cell = []
         for g in J.gens:
-            for j in range(chart + 1, nv):
-                g = set_variable_zero(g, j)
+            g = Poly(g.vars, {m: c for m, c in g.terms.items() if not any(m[chart + 1 :])}, g.domain)
             for j in range(nv - 1, chart - 1, -1):
                 g = dehomogenize(g, j)
             if not g.is_zero():
@@ -722,7 +721,8 @@ def frame_certificates(fM: Poly, caps: Caps = DEFAULT_CAPS) -> bool:
     """The two-certificate frame rule: the section of V(fM) by x_0 = 0 is
     smooth, and V(fM) has no singular point on x_0 = 0.  `generic_frame`
     accepts exactly these frames by the one count dim k[y]/(grad h) = (d-1)^n."""
-    restriction = dehomogenize(set_variable_zero(fM, 0), 0)
+    section = Poly(fM.vars, {m: c for m, c in fM.terms.items() if m[0] == 0}, fM.domain)
+    restriction = dehomogenize(section, 0)
     if restriction.is_zero():
         return False
     Jw = Ideal(gradient(restriction), GREVLEX, vars=restriction.vars, domain=fM.domain, caps=caps)

@@ -15,7 +15,7 @@ import conftest
 
 from polargrad.catalog import BY_NAME, CATALOG, run_entry
 from polargrad.groebner import Ideal, quotient_vs_dim, staircase
-from polargrad.hypersurface import total_mu_on_V
+from polargrad.hypersurface import mu_summary
 from polargrad.monodromy import (
     bp_charpoly,
     divisor_degree,
@@ -209,7 +209,7 @@ def test_criterion_10_kernel_oracles(catalog_runs):
     for name in FULL_ENTRIES:
         entry = BY_NAME[name]
         f = parse_poly(entry.text, entry.vars)
-        mus = {total_mu_on_V(f, seed) for seed in (11, 12, 13)}
+        mus = {mu_summary(f, seed).mu_on for seed in (11, 12, 13)}
         ok &= mus == {entry.mu}
     _report("10 Macaulay oracle, tame totals, frame invariance", ok)
 

@@ -10,7 +10,6 @@ import pytest
 
 import polargrad.cli
 import polargrad.report
-from polargrad.catalog import CATALOG
 from polargrad.cli import main
 from polargrad.report import analyze_polynomial
 
@@ -202,6 +201,7 @@ class TestUsage:
             ["analyze", "x*y*z", "--vars", "x,y,z", "--modp", "off"],
             ["polar-degree", "x*y*z", "--vars", "x,y,z", "--modp", "off"],
             ["catalog", "run", "line-pair", "--modp", "off"],
+            ["catalog", "run", "line-pair", "--jobs", "2"],
         ):
             with redirect_stderr(io.StringIO()):
                 assert run_cli(argv)[0] == 1
@@ -364,59 +364,6 @@ class TestCatalog:
         code, out = run_cli(["catalog", "run", "cremona-triangle"])
         assert code == 0
         assert out.strip() == "pass  cremona-triangle"
-
-    def test_parallel_jobs(self):
-        code, out = run_cli(["catalog", "run", "line-pair", "--jobs", "2"])
-        assert code == 0 and "pass" in out
-
-    def test_parallel_workers_keep_the_caps(self, monkeypatch):
-        # spawned workers do not inherit the parent's module state, so the
-        # caps must be handed to them
-        import concurrent.futures
-        import multiprocessing
-
-        pool_class = concurrent.futures.ProcessPoolExecutor
-
-        def spawn_pool(*args, **kwargs):
-            return pool_class(*args, mp_context=multiprocessing.get_context("spawn"), **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawn_pool)
-        argv = ["catalog", "run", "cremona-triangle", "--jobs", "2", "--max-basis", "2"]
-        with redirect_stderr(io.StringIO()):
-            assert run_cli(argv)[0] == 4
-
-    def test_jobs_below_one_rejected(self):
-        for jobs in ("0", "-2"):
-            err = io.StringIO()
-            with redirect_stderr(err):
-                assert run_cli(["catalog", "run", "line-pair", "--jobs", jobs])[0] == 1
-            assert "--jobs" in err.getvalue()
-
-    def test_pool_is_no_larger_than_the_entries(self, monkeypatch):
-        # a stand-in pool that records its size and runs the entries here, so
-        # no worker process is started
-        import concurrent.futures
-
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers=None, **kwargs):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        assert run_cli(["catalog", "run", "line-pair", "--jobs", "64"])[0] == 0
-        assert run_cli(["catalog", "run", "all", "--jobs", "64"])[0] == 0
-        assert run_cli(["catalog", "run", "all", "--jobs", "3"])[0] == 0
-        assert sizes == [1, len(CATALOG), 3]
 
     def test_unknown_entry(self):
         code, _ = run_cli(["catalog", "run", "no-such-entry"])

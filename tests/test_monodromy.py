@@ -29,7 +29,6 @@ from polargrad.monodromy import (
     support_orders,
     to_json_map,
     wh_charpoly,
-    zero_fiber_charpoly,
 )
 
 from helpers import bp_tuples_up_to, brute_force_mult
@@ -205,16 +204,6 @@ class TestReferenceValues:
                     assert mult_at_order(
                         fermat_charpoly(d, n), k
                     ) == fermat_mult_reference(d, n, k)
-
-
-class TestZeroFiberCharpoly:
-    def test_examples(self):
-        assert zero_fiber_charpoly(one()) == lam(1)
-        assert zero_fiber_charpoly(CycDivisor({1: 3})) == CycDivisor({1: 4})
-
-    def test_degree_increases_by_one(self):
-        for d in [one(), bp_charpoly([3, 3]), fermat_charpoly(4, 2)]:
-            assert divisor_degree(zero_fiber_charpoly(d)) == divisor_degree(d) + 1
 
 
 class TestSerialization:
