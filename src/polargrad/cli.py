@@ -7,7 +7,8 @@ mismatch), 4 resource limit (a --max-basis or --max-degree cap was exceeded).
 Each command takes only the flags it reads.  The two cap flags make one
 `Caps` value, which the command passes down with its work, so nothing set by
 one `main` call outlives it.  `catalog run` runs its entries one after
-another in this process and prints their lines in catalog order.
+another in this process and prints each entry's line as it finishes, in
+catalog order; a resource limit names the entry that reached it.
 """
 
 from __future__ import annotations
@@ -241,13 +242,15 @@ def cmd_catalog(args) -> int:
             raise InputError(f"unknown catalog entry {args.target!r}")
         entries = [BY_NAME[args.target]]
     caps = _caps(args)
-    results = [run_entry(e, seed=args.seed, trials=args.trials, caps=caps) for e in entries]
     failed = False
-    for res in results:
-        mark = "pass" if res["ok"] else "FAIL"
-        print(f"{mark}  {res['name']}")
+    for entry in entries:
+        try:
+            res = run_entry(entry, seed=args.seed, trials=args.trials, caps=caps)
+        except ResourceLimit as exc:
+            raise ResourceLimit(f"{exc} in catalog entry {entry.name}") from exc
+        print(f"{'pass' if res['ok'] else 'FAIL'}  {res['name']}", flush=True)
         for msg in res["mismatches"]:
-            print(f"      {msg}")
+            print(f"      {msg}", flush=True)
             failed = True
     return EXIT_INCONSISTENT if failed else EXIT_OK
 

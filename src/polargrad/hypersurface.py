@@ -1,9 +1,11 @@
 """Hypersurface-level analysis: Jacobian ideals, singular points, local
 Milnor numbers, generic affine frames and the critical-multiplicity split.
 
-`frame_split` draws an affine frame, certified by one count: the critical
-multiplicity dim k[y]/(grad h) of its affine model h is (d-1)^n; the frame
-moves only the hyperplane at infinity, so h keeps small coefficients.  It
+`frame_split` takes an affine frame, certified by one count: the critical
+multiplicity dim k[y]/(grad h) of its affine model h is (d-1)^n.  The frame
+is a coordinate chart x_k = 0 when f's terms allow it, so h = f|_{x_k=1}
+keeps f's sparsity, and otherwise a random frame that moves only the
+hyperplane at infinity, so h keeps small coefficients (`generic_frame`).  It
 splits that multiplicity into mu_on = mu(V) and mu_off; `mu_summary` adds the
 points step: rational singular points and their local Milnor numbers.  Every
 singular point has mu_p >= 1, so the rational points are all of them exactly
@@ -53,7 +55,7 @@ from .monodromy import CycDivisor, divisor_degree, mu0_from_charpoly
 from .poly import Poly, ProjectivePoint, gradient, homogeneous_degree
 from .rng import SplitMix64
 
-MAX_FRAME_DRAWS = 32  # coordinate changes drawn per frame seed
+MAX_FRAME_DRAWS = 32  # random coordinate changes drawn per frame seed, after the chart
 
 
 class HypersurfaceError(Exception):
@@ -171,10 +173,14 @@ def _annihilator(v: list[int], rows: list[list[int]]) -> list[int]:
 
 @dataclass(frozen=True)
 class AffineModel:
-    """A certified affine chart for f: the frame M (a random first row a over
-    the identity rows), the model h = f(My)|_{y_0=1} = f(a_0 + a_1 y_1 + ... +
-    a_n y_n, y_1, ..., y_n) and its critical ideal (grad h), whose one Groebner
-    basis certifies the frame and serves the split and every point."""
+    """A certified affine chart for f: the frame M, the model
+    h = f(My)|_{y_0=1} and its critical ideal (grad h), whose one Groebner
+    basis certifies the frame and serves the split and every point.  M is
+    the identity with row 0 replaced by a row a with a_0 != 0, then rows 0
+    and k swapped: x_k = ell = a_0 + a_1 y_1 + ... + a_n y_n, x_0 = y_k when
+    k > 0, and x_i = y_i otherwise (`_ell_row` finds k).  A coordinate chart
+    has a = e_0, so x_k = 1 and h keeps f's terms; a random frame has
+    k = 0."""
 
     f: Poly
     matrix: tuple[tuple[int, ...], ...]
@@ -188,25 +194,43 @@ class AffineModel:
         """S, an echelon basis (`_echelon`) of the stable image of M_h on
         A = k[y]/(grad h): the local algebras at the critical points off the
         zero fiber.  Built once per frame for the split and the points step,
-        from M_g with g = f_0(a_0 + a_1 y_1 + ... + a_n y_n, y): by Euler's
+        from M_g with g = f_k(My)|_{y_0=1} for the row k of ell: by Euler's
         identity d*h = a_0*g + sum_i y_i dh/dy_i, so M_h = (a_0/d) M_g on A,
         with the same stable image, and g has degree d - 1."""
         I = self.critical_ideal
-        g = _affine_model(self.f.partial(0), self.matrix[0])
+        g = _affine_model(self.f.partial(_ell_row(self.matrix)), self.matrix)
         return _stable_image(_scaled_matrix(I, g)[1], I.domain.p or 0)
 
 
-def _affine_model(f: Poly, row) -> Poly:
-    """h = f(ell, y_1, ..., y_n) with ell = a_0 + a_1 y_1 + ... + a_n y_n for
-    the frame with first row a: f grouped by the exponent of x_0 as
-    sum_e x_0^e g_e, then h = sum_e ell^e g_e(y).  Expanded on the integer
-    coefficients of L*f (`_cleared`); h's coefficients are divided by L
-    (reduced mod p over GF(p)) only at the end."""
+def _frame_matrix(row, k: int) -> tuple[tuple[int, ...], ...]:
+    """The frame matrix of `AffineModel`: the identity with row 0 replaced by
+    row, then rows 0 and k swapped."""
+    n = len(row)
+    rows = [tuple(row)] + [tuple(int(j == i) for j in range(n)) for i in range(1, n)]
+    rows[0], rows[k] = rows[k], rows[0]
+    return tuple(rows)
+
+
+def _ell_row(matrix) -> int:
+    """The k with x_k = ell in a frame matrix: its one row with y_0 in it."""
+    return next(k for k, row in enumerate(matrix) if row[0])
+
+
+def _affine_model(f: Poly, matrix) -> Poly:
+    """h = f(My)|_{y_0=1} for a frame matrix M of `AffineModel`'s shape: f
+    grouped by the exponent of x_k (k = `_ell_row`) as sum_e x_k^e g_e, then
+    h = sum_e ell^e g_e(y), where g_e takes x_0 to y_k.  Expanded on the
+    integer coefficients of L*f (`_cleared`); h's coefficients are divided
+    by L (reduced mod p over GF(p)) only at the end."""
     ys, dom = f.vars[1:], f.domain
     n = len(ys)
+    k = _ell_row(matrix)
+    row = matrix[k]
     L, terms = _cleared(f)
     groups: dict[int, list] = {}
     for m, c in terms.items():
+        if k:
+            m = (m[k],) + m[1:k] + (m[0],) + m[k + 1 :]
         groups.setdefault(m[0], []).append((m[1:], c))
     one = (0,) * n
     ell = [(one, row[0])] + [(one[:i] + (1,) + one[i + 1 :], a) for i, a in enumerate(row[1:]) if a]
@@ -232,40 +256,63 @@ def _affine_model(f: Poly, row) -> Poly:
     return Poly.from_clean(ys, {m: Fraction(c, L) for m, c in h.items() if c}, dom)
 
 
+def _chart_may_certify(f: Poly, k: int, d: int) -> bool:
+    """False when f's terms prove that the chart x_k = 0 fails its count.  For
+    j != k the section x_k = 0 is singular at the vertex e_j exactly when f
+    has neither an x_j^d term nor an x_j^(d-1)*x_i term with i not in {j, k}
+    (the value and gradient of the section there), and a singular section
+    keeps the count below (d-1)^n."""
+    return all(
+        any(m[j] >= d - 1 and not m[k] for m in f.terms) for j in range(len(f.vars)) if j != k
+    )
+
+
 def generic_frame(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS) -> AffineModel:
-    """Seeded random frame: a first row a in [-5, 5]^(n+1) with a_0 != 0 (det M
-    = a_0) over the identity rows, so only the hyperplane at infinity moves,
-    to x_0 = a_1 x_1 + ... + a_n x_n, and h keeps small coefficients.  A draw
-    is accepted exactly when dim k[y]/(grad h) = (d-1)^n.  The partials of h
-    homogenize to the partials of f_M = f(My) in y_1..y_n, whose common zeros
-    on y_0 = 0 are the singular points of that hyperplane section; by Bezout
-    the count reaches (d-1)^n exactly when there are none, so no critical
-    multiplicity escapes to infinity.  A singular point of V(f) on y_0 = 0
-    would be one of them, and every positive-dimensional singular locus meets
-    that hyperplane, so a certified frame also proves the singularities
-    isolated."""
+    """A certified frame for seed: first the coordinate chart x_k = 0 for
+    k = (seed - 1) mod (n + 1), whose matrix swaps x_0 and x_k (the identity
+    for k = 0), so h = f|_{x_k=1} keeps f's sparsity; then seeded random
+    frames, a first row a in [-5, 5]^(n+1) with a_0 != 0 (det M = a_0) over
+    the identity rows, so only the hyperplane at infinity moves, to
+    x_0 = a_1 x_1 + ... + a_n x_n, and h keeps small coefficients.  The chart
+    is tried, and counted as a draw, only when `_chart_may_certify`; it never
+    touches the rng, so the random frames of a seed do not depend on it, and
+    a seed makes at most 1 + MAX_FRAME_DRAWS draws.
+
+    A frame is accepted exactly when dim k[y]/(grad h) = (d-1)^n.  The
+    partials of h homogenize to the partials of f_M = f(My) in y_1..y_n,
+    whose common zeros on y_0 = 0 are the singular points of that hyperplane
+    section; by Bezout the count reaches (d-1)^n exactly when there are none,
+    so no critical multiplicity escapes to infinity.  A singular point of
+    V(f) on y_0 = 0 would be one of them, and every positive-dimensional
+    singular locus meets that hyperplane, so a certified frame also proves
+    the singularities isolated."""
     d = homogeneous_degree(f)
     nv = len(f.vars)
-    identity = tuple(tuple(int(k == i) for k in range(nv)) for i in range(1, nv))
+    count = (d - 1) ** (nv - 1)
+
+    def certified(matrix, draws: int) -> AffineModel | None:
+        h = _affine_model(f, matrix)
+        Jh = Ideal(gradient(h), GREVLEX, vars=h.vars, domain=h.domain, caps=caps)
+        try:
+            if quotient_vs_dim(Jh) != count:
+                return None
+        except NotZeroDimensional:
+            return None
+        return AffineModel(f=f, matrix=matrix, h=h, seed=seed, draws=draws, critical_ideal=Jh)
+
+    k = (seed - 1) % nv
+    tried = _chart_may_certify(f, k, d)
+    if tried and (model := certified(_frame_matrix((1,) + (0,) * (nv - 1), k), 1)):
+        return model
     rng = SplitMix64(seed * 0x9E3779B9 + 17)
     for draw in range(1, MAX_FRAME_DRAWS + 1):
         row = rng.int_vector(nv, -5, 5)
-        if row[0] == 0:
-            continue
-        h = _affine_model(f, row)
-        Jh = Ideal(gradient(h), GREVLEX, vars=h.vars, domain=h.domain, caps=caps)
-        try:
-            if quotient_vs_dim(Jh) != (d - 1) ** (nv - 1):
-                continue
-        except NotZeroDimensional:
-            continue
-        return AffineModel(
-            f=f, matrix=(row,) + identity, h=h, seed=seed, draws=draw, critical_ideal=Jh
-        )
+        if row[0] != 0 and (model := certified(_frame_matrix(row, 0), tried + draw)):
+            return model
     if not has_isolated_singularities(f, caps):
         raise NotIsolated("singular locus is positive-dimensional")
     raise TransversalityNotFound(
-        f"no admissible frame after {MAX_FRAME_DRAWS} draws from seed {seed}"
+        f"no admissible frame after {tried + MAX_FRAME_DRAWS} draws from seed {seed}"
     )
 
 
@@ -289,7 +336,7 @@ def rational_singular_points(model: AffineModel) -> dict[ProjectivePoint, int]:
     y_i - r_i is nilpotent: mu_on minus the rank of the stacked stable images
     of R_i - r_i.  At a full point that part is the local algebra, of
     dimension mu_p.  A certified frame has no singular point at infinity, so
-    x = (a_0 + a_1 r_1 + ... + a_n r_n, r_1, ..., r_n) gives them all.
+    x = M (1, r_1, ..., r_n) gives them all.
     Whether they are all of the singular points is decided by `mu_summary`."""
     A, S = model.critical_ideal.algebra, model.off_fiber
     pivots = {next(i for i, x in enumerate(b) if x): b for b in S}
@@ -328,9 +375,9 @@ def rational_singular_points(model: AffineModel) -> dict[ProjectivePoint, int]:
                 if len(nxt) < mu_on:
                     grown.append((prefix + (r,), nxt))
         walk = grown
-    a = model.matrix[0]
+    M = model.matrix
     found = {
-        ProjectivePoint((a[0] + sum(map(mul, a[1:], prefix)),) + prefix): mu_on - len(stacked)
+        ProjectivePoint([r[0] + sum(map(mul, r[1:], prefix)) for r in M]): mu_on - len(stacked)
         for prefix, stacked in walk
     }
     return dict(sorted(found.items(), key=lambda item: item[0].coords))
@@ -361,10 +408,10 @@ def frame_split(
     of f is empty (projective dimension -1, as `polar.require_hypotheses`
     finds it).  The frame is still drawn and certified, and the split is then
     (0, dim A) with no algebra built: at a critical point p of h with
-    h(p) = 0, put x = (ell(p), p) for ell = a_0 + a_1 y_1 + ... + a_n y_n.
-    Euler's identity d*f = ell*f_0 + sum_i y_i f_i and dh/dy_i =
-    a_i*f_0 + f_i at x give a_0*f_0(x) = 0, so grad f(x) = 0, which the
-    empty Jacobian scheme rules out.  So h is a unit on A, S = A and
+    h(p) = 0, put x = M (1, p) and f_M = f(My).  Euler's identity for f_M at
+    (1, p) leaves d*h(p) = df_M/dy_0, and df_M/dy_i = dh/dy_i = 0 for
+    i >= 1, so grad f_M(1, p) = M^T grad f(x) = 0 and grad f(x) = 0, which
+    the empty Jacobian scheme rules out.  So h is a unit on A, S = A and
     mu_on = 0."""
     model = generic_frame(f, seed, caps)
     if smooth:

@@ -268,3 +268,45 @@ def test_criterion_12_scale_tier_2():
         "A4 quintic 60, quartic threefold 81, each within about 15x its time",
         ok,
     )
+
+
+def test_criterion_13_scale_tier_3():
+    # the `TIER_3` inputs of `scripts/scale_tier.py`, whose comments check
+    # each value by hand.  Each bound is about 15x the median of 3 `analyze`
+    # times with coordinate-chart frames first (0.011, 0.007, 0.24, 0.17,
+    # 4.4 s), and at least 2 s; with random frames only they took 13-18,
+    # 18, 1.2, 2.1 and 5.2 s
+    ok = True
+    for text, vars, d_f, points, bound in (
+        ("v^5+w^5+x^5+y^5+z^5", tuple("vwxyz"), 256, {}, 2.0),
+        ("u^4+v^4+w^4+x^4+y^4+z^4", tuple("uvwxyz"), 243, {}, 2.0),
+        (
+            "v^2*(w^2+x^2+y^2+z^2)+w^4+x^4+y^4+z^4",
+            tuple("vwxyz"),
+            80,
+            {("1", "0", "0", "0", "0"): 1},
+            3.6,
+        ),
+        ("w^4*x^2+x^6+y^6+z^6", tuple("wxyz"), 100, {("1", "0", "0", "0"): 25}, 2.5),
+        (
+            "v^4+w^4+x^4+y^4+z^4+2*v*w*x*y-3*w*x*y*z+v^2*x*z+w^3*y-x^2*z^2",
+            tuple("vwxyz"),
+            81,
+            {},
+            66.0,
+        ),
+    ):
+        start = time.monotonic()
+        report = analyze_polynomial(text, vars).data
+        elapsed = time.monotonic() - start
+        df = report["d_f"]
+        ok &= df["formula"] == df["fiber_oracle"] == df["tame_split"] == d_f
+        ok &= df["consolidated"] == d_f and df["unanimous"]
+        ok &= {tuple(p["point"]): p["mu"] for p in report["singular_points"]} == points
+        ok &= report["mu_V"] == sum(points.values()) and report["enumeration_complete"]
+        ok &= elapsed < bound
+    _report(
+        "13 scale tier 3: quintic threefold 256, quartic fourfold 243, nodal quartic "
+        "threefold 80, sextic 100, dense quartic threefold 81, each within about 15x its time",
+        ok,
+    )

@@ -10,6 +10,7 @@ import pytest
 
 import polargrad.cli
 import polargrad.report
+from polargrad.catalog import CATALOG
 from polargrad.cli import main
 from polargrad.report import analyze_polynomial
 
@@ -222,6 +223,28 @@ class TestResourceLimit:
                 code, _ = run_cli(argv)
             assert code == 4
             assert err.getvalue().startswith("resource limit: basis cap 2 exceeded")
+
+    def test_catalog_prints_each_entry_as_it_finishes(self, monkeypatch):
+        # each entry's line is out before the next entry starts, and the
+        # entry that reaches the cap is named after the usual message
+        out, before = io.StringIO(), []
+        real = polargrad.cli.run_entry
+
+        def spy(entry, **kwargs):
+            before.append(out.getvalue())
+            return real(entry, **kwargs)
+
+        monkeypatch.setattr(polargrad.cli, "run_entry", spy)
+        err = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["catalog", "run", "all", "--max-basis", "10"])
+        names = [entry.name for entry in CATALOG]
+        tripped = names.index("five-node-quartic")
+        assert code == 4
+        assert before == ["".join(f"pass  {name}\n" for name in names[:i]) for i in range(tripped + 1)]
+        assert err.getvalue() == (
+            "resource limit: basis cap 10 exceeded in catalog entry five-node-quartic\n"
+        )
 
     def test_caps_do_not_outlive_the_call(self):
         with redirect_stderr(io.StringIO()):

@@ -267,28 +267,125 @@ class _FirstDraw:
 IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
+def no_chart():
+    """`generic_frame` with the chart's pre-check failing: random frames only."""
+    return patch.object(hypersurface, "_chart_may_certify", lambda f, k, d: False)
+
+
 def frame_from_first_draw(f, row):
-    """`generic_frame` with the row as its first draw; the frame of that row
-    is accepted exactly when the model comes back with draws == 1."""
-    with patch.object(hypersurface, "SplitMix64", lambda seed: _FirstDraw(row)):
+    """`generic_frame` with no chart and the row as its first draw; the frame
+    of that row is accepted exactly when the model comes back with
+    draws == 1."""
+    with patch.object(hypersurface, "SplitMix64", lambda seed: _FirstDraw(row)), no_chart():
         return generic_frame(f, seed=1)
 
 
-def row_matrix(row):
-    """The frame matrix of a first row: the row over the identity rows."""
-    n = len(row)
-    return (tuple(row),) + tuple(tuple(int(k == i) for k in range(n)) for i in range(1, n))
+def chart_matrix(nv, k):
+    """The frame of the coordinate chart x_k = 0."""
+    return hypersurface._frame_matrix([int(j == 0) for j in range(nv)], k)
+
+
+def signed_row(row):
+    """An echelon row with its first nonzero entry positive."""
+    return row if next(x for x in row if x) > 0 else [-x for x in row]
+
+
+# the inputs of the benchmark's smooth and singular workloads, with mu(V)
+BENCHMARK_FRAME_INPUTS = [
+    (entry.text, entry.vars, entry.mu)
+    for entry in CATALOG
+    if not entry.oracle_only
+] + [
+    ("x^3 + y^3 + z^3 + x*y*z", V3, 0),
+    ("x^4 + y^4 + z^4", V3, 0),
+    ("x^2*z - y^3", V3, 2),
+    ("y^2*z - x^3 - x^2*z", V3, 1),
+    ("x*y*z*(x + y + z)", V3, 6),
+]
+
+
+@st.composite
+def nearly_diagonal_forms(draw):
+    """c_0 x_0^d + ... + c_n x_n^d plus up to three more terms of degree d,
+    all coefficients in [-3, 3]: smooth as drawn unless the extra terms make
+    it singular."""
+    nv = draw(st.sampled_from((2, 3, 4)))
+    d = draw(st.integers(2, 3 if nv == 4 else 4))
+    names = (V2, V3, V4)[nv - 2]
+    terms = {
+        tuple(d * (k == i) for k in range(nv)): draw(st.integers(1, 3)) * draw(st.sampled_from((-1, 1)))
+        for i in range(nv)
+    }
+    monos = [tuple(combo.count(i) for i in range(nv)) for combo in combinations_with_replacement(range(nv), d)]
+    for _ in range(draw(st.integers(0, 3))):
+        m = draw(st.sampled_from(monos))
+        terms[m] = terms.get(m, 0) + draw(st.integers(-3, 3))
+    return Poly(names, terms)
+
+
+@st.composite
+def forms_singular_at_a_vertex(draw):
+    """(f, seed): a cubic or quartic in 3 or 4 variables, singular at the
+    vertex e_k, with c_i x_i^d for every i != k and up to three more terms
+    of degree at most d - 2 in x_k, coefficients in [-3, 3]; the seed's
+    chart is x_k = 0, which misses e_k."""
+    nv = draw(st.sampled_from((3, 4)))
+    d = draw(st.integers(3, 4 if nv == 3 else 3))
+    k = draw(st.integers(0, nv - 1))
+    terms = {
+        tuple(d * (j == i) for j in range(nv)): draw(st.integers(1, 3)) * draw(st.sampled_from((-1, 1)))
+        for i in range(nv)
+        if i != k
+    }
+    monos = [tuple(combo.count(i) for i in range(nv)) for combo in combinations_with_replacement(range(nv), d)]
+    for m in draw(st.lists(st.sampled_from([m for m in monos if m[k] <= d - 2]), max_size=3)):
+        terms[m] = terms.get(m, 0) + draw(st.integers(-3, 3))
+    return Poly((V3, V4)[nv - 3], terms), k + 1
+
+
+@st.composite
+def sparse_and_dense_forms(draw):
+    """Forms of degree 2-4 in 3 or 4 variables with coefficients in [-3, 3]:
+    every monomial, or at most n + 3 of them."""
+    nv = draw(st.sampled_from((3, 4)))
+    d = draw(st.integers(2, 4 if nv == 3 else 3))
+    monos = [tuple(combo.count(i) for i in range(nv)) for combo in combinations_with_replacement(range(nv), d)]
+    if draw(st.booleans()):
+        monos = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=nv + 2, unique=True))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos)))
+    f = Poly((V3, V4)[nv - 3], dict(zip(monos, coeffs)))
+    assume(not f.is_zero())
+    return f
 
 
 class TestGenericFrame:
     def test_fermat_accepts_quickly(self):
-        model = generic_frame(FERMAT, seed=1)
+        with no_chart():
+            model = generic_frame(FERMAT, seed=1)
         assert model.draws >= 1
         # one random row over the identity rows: det M = a_0
-        assert model.matrix == row_matrix(model.matrix[0])
+        assert model.matrix == hypersurface._frame_matrix(model.matrix[0], 0)
         assert det_fraction(model.matrix) == model.matrix[0][0] != 0
         assert homogeneous_degree(model.f) == 3
         assert len(model.h.vars) == 2
+
+    def test_fermat_takes_its_chart_first(self):
+        # the pre-check passes and the chart x_0 = 0 certifies: no random draw
+        model = generic_frame(FERMAT, seed=1)
+        assert model.draws == 1 and model.matrix == chart_matrix(3, 0) == IDENTITY
+
+    def test_the_frame_matrix_puts_the_row_in_row_k(self):
+        assert hypersurface._frame_matrix((2, 3, 4), 1) == ((0, 1, 0), (2, 3, 4), (0, 0, 1))
+        assert chart_matrix(3, 2) == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+
+    def test_a_failed_chart_is_counted_in_the_draws(self):
+        # the chart x_0 = 0 of the triangle counts 1, not 4, and every random
+        # row is the zero row: the error names all 1 + MAX_FRAME_DRAWS draws
+        chart = patch.object(hypersurface, "_chart_may_certify", lambda f, k, d: True)
+        zero_rows = patch.object(hypersurface, "SplitMix64", lambda seed: _FirstDraw((0, 0, 0)))
+        draws = hypersurface.MAX_FRAME_DRAWS + 1
+        with chart, zero_rows, pytest.raises(TransversalityNotFound, match=f"after {draws} draws"):
+            generic_frame(XYZ, seed=1)
 
     def test_identity_would_be_acceptable_for_fermat(self):
         # h = 1 + y^3 + z^3 has (3-1)^2 critical points counted with multiplicity
@@ -333,16 +430,92 @@ class TestGenericFrame:
             accepted = frame_from_first_draw(f, row).draws == 1
         except (NotIsolated, TransversalityNotFound):
             accepted = False
-        assert accepted == frame_certificates(substitute_linear(f, row_matrix(row)))
+        assert accepted == frame_certificates(substitute_linear(f, hypersurface._frame_matrix(row, 0)))
 
     @given(homogeneous_polys(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_the_affine_model_is_f_in_the_frame_at_y0_1(self, f, data):
         nv = len(f.vars)
         row = data.draw(st.tuples(*[st.integers(-5, 5)] * nv), label="row")
+        k = data.draw(st.integers(0, nv - 1), label="k")
         assume(row[0] != 0)
-        h = hypersurface._affine_model(f, row)
-        assert h == dehomogenize(substitute_linear(f, row_matrix(row)), 0)
+        M = hypersurface._frame_matrix(row, k)
+        assert hypersurface._affine_model(f, M) == dehomogenize(substitute_linear(f, M), 0)
+
+    @given(sparse_and_dense_forms())
+    @settings(max_examples=60, deadline=None)
+    def test_a_skipped_chart_falls_short_of_the_count(self, f):
+        # the pre-check skips a chart only where its count must fail
+        d, nv = homogeneous_degree(f), len(f.vars)
+        for k in range(nv):
+            if hypersurface._chart_may_certify(f, k, d):
+                continue
+            h = hypersurface._affine_model(f, chart_matrix(nv, k))
+            J = Ideal(gradient(h), GREVLEX, vars=h.vars, domain=h.domain)
+            try:
+                assert quotient_vs_dim(J) < (d - 1) ** (nv - 1), k
+            except NotZeroDimensional:
+                pass
+
+    @given(
+        st.one_of(
+            st.tuples(nearly_diagonal_forms(), st.integers(1, 4)),
+            forms_singular_at_a_vertex(),
+        )
+    )
+    @example((parse_poly("x*y*z + x^3 + y^3", V3), 3))  # a node at (0:0:1)
+    @example((parse_poly("w*x*y + x^3 + y^3 + z^3", V4), 1))  # an A2 at (1:0:0:0)
+    @settings(max_examples=60, deadline=None)
+    def test_a_chart_and_a_random_frame_agree(self, case):
+        # mu_on, mu_off and the points with their mu_p do not depend on the
+        # certified frame; the chart's S is the stable image of M_h itself
+        f, seed = case
+        try:
+            chart = mu_summary(f, seed)
+            with no_chart():
+                drawn = mu_summary(f, seed)
+        except (NotIsolated, TransversalityNotFound):
+            assume(False)
+        model = chart.model
+        assume(model.matrix == chart_matrix(len(f.vars), (seed - 1) % len(f.vars)))
+        assert model.draws == 1 and drawn.model.matrix != model.matrix
+        assert (chart.mu_on, chart.mu_off, chart.local_mu, chart.complete) == (
+            drawn.mu_on,
+            drawn.mu_off,
+            drawn.local_mu,
+            drawn.complete,
+        )
+        of_h = groebner._stable_image(groebner._scaled_matrix(model.critical_ideal, model.h)[1], 0)
+        assert sorted(map(signed_row, model.off_fiber)) == sorted(map(signed_row, of_h))
+
+    def test_the_benchmark_inputs_take_or_skip_the_chart(self, monkeypatch):
+        # the smooth inputs certify the chart x_0 = 0 at seed 1; the singular
+        # ones each have a singular coordinate vertex, so the pre-check
+        # skips the chart and their frames are the random ones
+        verdicts, models = [], []
+        real_check, real_frame = hypersurface._chart_may_certify, hypersurface.generic_frame
+        monkeypatch.setattr(
+            hypersurface,
+            "_chart_may_certify",
+            lambda f, k, d: verdicts.append(real_check(f, k, d)) or verdicts[-1],
+        )
+        monkeypatch.setattr(
+            hypersurface, "generic_frame", lambda *a: models.append(real_frame(*a)) or models[-1]
+        )
+        for text, vars, mu in BENCHMARK_FRAME_INPUTS:
+            f = parse_poly(text, vars)
+            verdicts.clear()
+            models.clear()
+            summary = mu_summary(f, 1)
+            assert summary.mu_on == mu, text
+            if mu:
+                assert verdicts == [False], text
+                with no_chart():
+                    assert generic_frame(f, 1) == summary.model, text
+            else:
+                assert verdicts == [True], text
+                assert summary.model.draws == 1 and summary.model.matrix == chart_matrix(len(vars), 0)
+            assert models == [summary.model]
 
     def test_each_draw_builds_one_basis(self, monkeypatch):
         calls = []
@@ -448,15 +621,16 @@ class TestTameSplit:
             form_products(nvs=(2, 3, 4)).map(lambda case: case[0]),
         ),
         st.lists(st.integers(-5, 5), min_size=4, max_size=4),
+        st.integers(0, 3),
     )
     @settings(max_examples=60, deadline=None)
-    def test_euler_identity_modulo_grad_h(self, f, row):
-        # d*h = a_0*g + sum_i y_i dh/dy_i for g the affine model of f_0, on
-        # any row with a_0 != 0, certified or not
-        row = row[: len(f.vars)]
+    def test_euler_identity_modulo_grad_h(self, f, row, k):
+        # d*h = a_0*g + sum_i y_i dh/dy_i for g the affine model of f_k, on
+        # any row with a_0 != 0 put in any row k, certified or not
+        row, k = row[: len(f.vars)], k % len(f.vars)
         assume(f.degree() >= 1 and row[0] != 0)
-        h = hypersurface._affine_model(f, row)
-        g = hypersurface._affine_model(f.partial(0), row)
+        h = hypersurface._affine_model(f, hypersurface._frame_matrix(row, k))
+        g = hypersurface._affine_model(f.partial(k), hypersurface._frame_matrix(row, k))
         rest = h.scale(f.degree()) - g.scale(row[0])
         partials = [p for p in gradient(h) if not p.is_zero()]
         if partials:
@@ -480,11 +654,7 @@ class TestTameSplit:
         assume(model.draws == 1)
         I = model.critical_ideal
         of_h = groebner._stable_image(groebner._scaled_matrix(I, model.h)[1], 0)
-
-        def signed(rows):
-            return sorted(r if next(x for x in r if x) > 0 else [-x for x in r] for r in rows)
-
-        assert signed(model.off_fiber) == signed(of_h)
+        assert sorted(map(signed_row, model.off_fiber)) == sorted(map(signed_row, of_h))
 
     def test_split_sums_to_expected_total(self):
         for f, n in [(XYZ, 2), (CONIC_TANGENT, 2), (A1A5_CUBIC, 3)]:
@@ -493,25 +663,6 @@ class TestTameSplit:
             mu_on, mu_off = tame_split(model)
             assert mu_on >= 0 and mu_off >= 0
             assert mu_on + mu_off == (d - 1) ** n
-
-
-@st.composite
-def nearly_diagonal_forms(draw):
-    """c_0 x_0^d + ... + c_n x_n^d plus up to three more terms of degree d,
-    all coefficients in [-3, 3]: smooth as drawn unless the extra terms make
-    it singular."""
-    nv = draw(st.sampled_from((2, 3, 4)))
-    d = draw(st.integers(2, 3 if nv == 4 else 4))
-    names = (V2, V3, V4)[nv - 2]
-    terms = {
-        tuple(d * (k == i) for k in range(nv)): draw(st.integers(1, 3)) * draw(st.sampled_from((-1, 1)))
-        for i in range(nv)
-    }
-    monos = [tuple(combo.count(i) for i in range(nv)) for combo in combinations_with_replacement(range(nv), d)]
-    for _ in range(draw(st.integers(0, 3))):
-        m = draw(st.sampled_from(monos))
-        terms[m] = terms.get(m, 0) + draw(st.integers(-3, 3))
-    return Poly(names, terms)
 
 
 class TestMuSummary:
