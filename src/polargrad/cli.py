@@ -82,10 +82,7 @@ def _parse_input(args):
     names = tuple(v.strip() for v in args.vars.split(",") if v.strip())
     if not 2 <= len(names) <= args.max_vars:
         raise InputError(f"need between 2 and {args.max_vars} variables, got {len(names)}")
-    f = parse_poly(args.poly, names)
-    if f.degree() > args.max_input_degree:
-        raise InputError(f"input degree {f.degree()} exceeds the cap {args.max_input_degree}")
-    return names, f
+    return names, parse_poly(args.poly, names, max_degree=args.max_input_degree)
 
 
 def _load_declarations(args) -> list[dict]:

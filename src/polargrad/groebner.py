@@ -1,7 +1,7 @@
 """Groebner-basis engine: term orders, Buchberger, elimination, quotients,
 saturation, staircase invariants (dimension, degree, quotient dimension),
-the algebra of a zero-dimensional quotient with its multiplication matrices,
-and the one kernel on them, `local_component_dim`.
+and the algebra of a zero-dimensional quotient over QQ with its
+multiplication matrices.
 
 Everything is deterministic: the normal pair-selection strategy, sorted
 generator intake and final inter-reduction make the reduced basis unique for
@@ -39,15 +39,16 @@ inter-reduce and never build a `Fraction`.  `Fraction`s appear only at the
 remainders and quotients on exit.  `Poly` keeps tuple monomials everywhere else, and
 `leading_monomial` remembers its answer on the polynomial.
 
-Linear algebra on a zero-dimensional k[x]/I takes no Groebner work past the
-algebra itself.  `Ideal.algebra` builds it once per ideal from the reduced
-run: the standard monomials and the variable matrices M_{x_j} on integer
-rows over one common denominator, read off the border of the staircase, one
-`_reduce_terms` per border monomial that leads no element (compare Faugere,
-Gianni, Lazard & Mora, JSC 1993).  A multiplication matrix is then one
-vector-matrix product per standard monomial, and `_echelon` and
-`_stable_image` work on integer rows: fraction-free with primitive rows over
-QQ, residues over GF(p).
+Linear algebra on a zero-dimensional k[x]/I, over QQ only, takes no
+Groebner work past the algebra itself.  `Ideal.algebra` builds it once per
+ideal from the reduced run: the standard monomials of the ideal's staircase
+and the variable matrices M_{x_j} on integer rows over one common
+denominator, read off the border of the staircase, one `_reduce_terms` per
+border monomial that leads no element (compare Faugere, Gianni, Lazard &
+Mora, JSC 1993).  A multiplication matrix takes one `_reduce_terms` more,
+for its row of 1, and one vector-matrix product per other standard
+monomial; `_echelon` and `_stable_image` work fraction-free on primitive
+integer rows.
 """
 
 from __future__ import annotations
@@ -94,6 +95,12 @@ class NotHomogeneousIdeal(GroebnerError):
 class Caps:
     max_basis: int = 600
     max_degree: int = 120
+
+    def __post_init__(self):
+        if self.max_basis < 1 or self.max_degree < 1:
+            raise ValueError(
+                f"caps must be at least 1: max_basis {self.max_basis}, max_degree {self.max_degree}"
+            )
 
 
 DEFAULT_CAPS = Caps()
@@ -662,12 +669,12 @@ def buchberger(gens, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_CAPS) -> l
 class Ideal:
     """Generator list with a term order, resource caps and four lazily
     cached values: the pair loop's packed `run`, the `reduced` run finished
-    from it (whose `Poly`s are the `basis`), its `StaircaseReport` and, for
-    a zero-dimensional ideal, the `QuotientAlgebra` k[x]/I.  Counts read the
-    run alone: the staircase takes its leads, so `quotient_vs_dim` and
-    `projective_dim` neither inter-reduce nor build a `Fraction`.  Every
-    ideal derived from this one (intersection, elimination, quotient,
-    saturation) keeps its order and caps.
+    from it (whose `Poly`s are the `basis`), the packed `stairs` of the run
+    and, for a zero-dimensional ideal over QQ, the `QuotientAlgebra` k[x]/I.
+    Counts read the run alone: the staircase takes its leads, so
+    `quotient_vs_dim` and `projective_dim` neither inter-reduce nor build a
+    `Fraction`.  Every ideal derived from this one (intersection,
+    elimination, quotient, saturation) keeps its order and caps.
 
     Instances are immutable; each cached value is computed at most once and
     then shared read-only, so concurrent readers are safe, and it is freed
@@ -727,14 +734,22 @@ class Ideal:
         return () if reduced is None else reduced.polys()
 
     @property
-    def staircase_report(self) -> "StaircaseReport":
+    def stairs(self) -> tuple[int, list[int] | None]:
+        """`_run_staircase` of the run: the Krull dimension and, when it is
+        0, the packed standard monomials; (len(vars), None) for the zero
+        ideal."""
         if self._staircase is None:
-            object.__setattr__(self, "_staircase", staircase(self))
+            run = self.run
+            stairs = (len(self.vars), None) if run is None else _run_staircase(run)
+            object.__setattr__(self, "_staircase", stairs)
         return self._staircase
 
     @property
     def algebra(self) -> "QuotientAlgebra":
-        """k[x]/I; raises NotZeroDimensional unless it is finite."""
+        """k[x]/I over QQ; raises NotZeroDimensional unless it is finite and
+        DomainMismatch over GF(p)."""
+        if self.domain.p:
+            raise DomainMismatch("the quotient algebra is built over QQ only")
         if self._algebra is None:
             object.__setattr__(self, "_algebra", QuotientAlgebra(self))
         return self._algebra
@@ -931,13 +946,12 @@ def _run_staircase(run: _Run) -> tuple[int, list[int] | None]:
 
 
 def staircase(I: Ideal) -> StaircaseReport:
-    """The staircase of I, read off the packed minimal leads of `I.run`
-    (`_run_staircase`); `Ideal.staircase_report` keeps it."""
+    """The staircase of I, unpacked from `I.stairs` and sorted by degree."""
     run, nv = I.run, len(I.vars)
     if run is None:  # the zero ideal: every monomial is standard
         return StaircaseReport((), None if nv else ((),), nv)
     unpack = run.packing.unpack
-    dim, std = _run_staircase(run)
+    dim, std = I.stairs
     return StaircaseReport(
         lead_monomials=tuple(sorted(map(unpack, run.leads), key=_by_degree)),
         standard_monomials=None if std is None else tuple(sorted(map(unpack, std), key=_by_degree)),
@@ -951,14 +965,14 @@ def projective_dim(I: Ideal) -> int:
         raise NotHomogeneousIdeal("projective dimension needs homogeneous generators")
     if I.is_zero_ideal():
         return len(I.vars) - 1
-    return max(I.staircase_report.krull_dim - 1, -1)
+    return max(I.stairs[0] - 1, -1)
 
 
 def quotient_vs_dim(I: Ideal) -> int:
     """Vector-space dimension of k[x]/I for a zero-dimensional affine ideal."""
     if I.is_zero_ideal():
         raise NotZeroDimensional("the zero ideal has an infinite quotient")
-    std = I.staircase_report.standard_monomials
+    std = I.stairs[1]
     if std is None:
         raise NotZeroDimensional(_INFINITE)
     return len(std)
@@ -977,114 +991,76 @@ def run_quotient_dim(run: _Run) -> int:
 
 
 class QuotientAlgebra:
-    """k[x]/I for a zero-dimensional I, in the basis of its standard
-    monomials `std` (`column` maps each to its index), with the variable
-    matrices on integer rows: `rows[j][i]` is D times the coordinates of the
-    normal form of x_j * std[i], for D the lcm of the denominators of those
-    coordinates in lowest terms (residues and D = 1 over GF(p)), and
-    `cols[j]` the same matrix by columns.  Built from `I.reduced` on its
-    packing, with no `Fraction`: a standard x_j * std[i] has the row D at its
-    column, a lead's normal form is minus the rest of its reduced element,
+    """k[x]/I for a zero-dimensional I over QQ, in the basis of its standard
+    monomials `std`, sorted by degree (`_by_degree`); `index` maps each one,
+    packed on the packing of `run` = `I.reduced`, to its position.  The
+    variable matrices are on integer rows: `rows[j][i]` is D times the
+    coordinates of the normal form of x_j * std[i], for D the lcm of the
+    denominators of those coordinates in lowest terms, and `cols[j]` the
+    same matrix by columns.  Built with no `Fraction`: a standard monomial is
+    its own normal form, a lead's is minus the rest of its reduced element,
     and each other border monomial takes one `_reduce_terms` by the reduced
-    elements, packed once per algebra.  Built once per ideal and read-only;
-    see `Ideal.algebra`."""
+    elements (`divisors`).  Built once per ideal and read-only; see
+    `Ideal.algebra`."""
 
-    __slots__ = ("std", "column", "modulus", "denominator", "rows", "cols")
+    __slots__ = ("std", "index", "run", "divisors", "denominator", "rows", "cols")
 
     def __init__(self, I: Ideal):
-        std = I.staircase_report.standard_monomials
-        if std is None:
+        packed = I.stairs[1]
+        if packed is None:
             raise NotZeroDimensional(_INFINITE)
-        column = {m: i for i, m in enumerate(std)}
         R = I.reduced
-        modulus = I.domain.p or 0
-        # packed border monomial -> (v, s): its normal form is v / s for
-        # the packed integer terms v
-        border: dict[int, tuple[dict, int]] = {
-            lead: ({t: -c % modulus if modulus else -c for t, c in tail}, lc)
-            for lead, lc, tail in zip(R.leads, R.lcs, R.tails)
-        }
-        index = {e: i for i, e in enumerate(map(R.packing.pack, std))}
+        packing = R.packing
+        std = tuple(sorted(map(packing.unpack, packed), key=_by_degree))
+        index = {e: i for i, e in enumerate(map(packing.pack, std))}
+        # packed monomial -> (v, s): its normal form is v / s for the packed
+        # integer terms v
+        nf: dict[int, tuple[dict, int]] = {e: ({e: 1}, 1) for e in index}
+        for lead, lc, tail in zip(R.leads, R.lcs, R.tails):
+            nf[lead] = {t: -c for t, c in tail}, lc
         divisors = R.divisors()
-        products = []
-        for step in R.packing.coefs:  # x_j packed
-            shifted = [e + step for e in index]
-            for u in shifted:
-                if u not in index and u not in border:
-                    border[u] = _reduce_terms({u: 1}, divisors, R.packing, I.caps, modulus)
-            products.append(shifted)
-        D = 1 if modulus else lcm(*(s // gcd(c, s) for v, s in border.values() for c in v.values()))
-        self.std, self.column, self.modulus, self.denominator = std, column, modulus, D
-        self.rows = []
+        products = [[e + step for e in index] for step in packing.coefs]  # step is x_j packed
         for shifted in products:
-            rows = []
             for u in shifted:
-                row = [0] * len(std)
-                if u in index:
-                    row[index[u]] = D
-                else:
-                    v, s = border[u]
-                    for t, c in v.items():
-                        row[index[t]] = c * D // s
-                rows.append(row)
-            self.rows.append(rows)
+                if u not in nf:
+                    nf[u] = _reduce_terms({u: 1}, divisors, packing, R.caps, 0)
+        D = lcm(*(s // gcd(c, s) for v, s in nf.values() for c in v.values()))
+        self.std, self.index, self.run, self.divisors, self.denominator = std, index, R, divisors, D
+        self.rows = [
+            [[v[e] * D // s if e in v else 0 for e in index] for v, s in map(nf.get, shifted)]
+            for shifted in products
+        ]
         self.cols = [[list(c) for c in zip(*rows)] for rows in self.rows]
 
     def scaled_matrix(self, g: Poly) -> tuple[list[list[int]], int]:
         """(R, s) with R the matrix of multiplication by g on integer rows and
-        s a positive integer, R = s * M_g (over GF(p) s = 1 and R = M_g).
-        The row of 1 is NF(g), the sum of c * NF(t) over the terms c*t of g;
-        each NF(u) of a nonstandard u is remembered, as an integer vector v
-        with NF(u) = v / D^e, and built by one vector-matrix product:
-        NF(u) = NF(u / x_j) * M_{x_j}.  Every other standard monomial is
-        m = x_j * m' with m' standard, whose row comes first, and the row of
-        m is row(m') * M_{x_j}, one vector-matrix product more (compare
-        Faugere, Gianni, Lazard & Mora, JSC 1993).  Over QQ each row is kept
-        primitive with its exact rational scale, and the rows are put over
-        one common scale at the end."""
-        std, column, modulus, D = self.std, self.column, self.modulus, self.denominator
+        s a positive integer, R = s * M_g.  The row of 1 is NF(g), one
+        `_reduce_terms` of g by the reduced elements, as for the border
+        monomials.  Every other standard monomial is m = x_j * m' for the
+        first variable x_j of m, with m' standard and earlier in `std` (its
+        packing is m's less x_j's), and the row of m is row(m') * M_{x_j},
+        one vector-matrix product (compare Faugere, Gianni, Lazard & Mora,
+        JSC 1993).  Each row is kept primitive with its exact rational scale,
+        and the rows are put over one common scale at the end."""
+        index, D, packing = self.index, self.denominator, self.run.packing
         L, terms = _cleared(g)
-        if not std:  # the unit ideal
+        if not index:  # the unit ideal
             return [], L
-        memo: dict[Mono, tuple[list[int], int]] = {}
-
-        def vector(u: Mono) -> tuple[list[int], int]:
-            hit = memo.get(u)
-            if hit is not None:
-                return hit
-            below = [(j, u[:j] + (u[j] - 1,) + u[j + 1 :]) for j, e in enumerate(u) if e]
-            j, v = next(((j, v) for j, v in below if v in column), (None, None))
-            if j is not None:  # a border monomial: a row of M_{x_j}
-                hit = self.rows[j][column[v]], 1
-            else:
-                j, v = next(((j, v) for j, v in below if v in memo), below[0])
-                prev, e = vector(v)
-                out = [sum(map(mul, prev, col)) for col in self.cols[j]]
-                hit = ([x % modulus for x in out] if modulus else out), e + 1
-            memo[u] = hit
-            return hit
+        work = {packing.pack(m): c for m, c in terms.items()}
+        nf, scale = _reduce_terms(work, self.divisors, packing, self.run.caps, 0)
+        first = [nf.get(e, 0) for e in index]
 
         def kept(w: list[int], q: Fraction) -> tuple[list[int], Fraction]:
-            # the row w * q: residues over GF(p), primitive over QQ
-            if modulus:
-                return [x % modulus for x in w], q
+            # the row w * q, made primitive
             k = gcd(*w)
             return ([x // k for x in w], q * k) if k > 1 else (w, q)
 
-        k = max((vector(t)[1] for t in terms if t not in column), default=0)
-        first = [0] * len(std)
-        for t, c in terms.items():
-            i = column.get(t)
-            if i is not None:
-                first[i] += c * D**k
-            else:
-                v, e = memo[t]
-                c *= D ** (k - e)
-                first = [x + c * y for x, y in zip(first, v)]
-        rows = {std[0]: kept(first, Fraction(1, L * D**k))}  # std[0] is 1
-        for m in std[1:]:
-            j = next(j for j, e in enumerate(m) if e)
-            v, q = rows[m[:j] + (m[j] - 1,) + m[j + 1 :]]
+        guard, steps = packing.guard, packing.coefs
+        ms = iter(index)
+        rows = {next(ms): kept(first, Fraction(1, scale * L))}  # std[0] is 1
+        for m in ms:
+            j = next(j for j, step in enumerate(steps) if not (m - step) & guard)
+            v, q = rows[m - steps[j]]
             rows[m] = kept([sum(map(mul, v, col)) for col in self.cols[j]], q / D)
         s = lcm(*(q.denominator for _, q in rows.values()))
         out = []
@@ -1104,20 +1080,17 @@ def _scaled_matrix(I: Ideal, g: Poly) -> tuple[tuple[Mono, ...], list[list[int]]
     return A.std, *A.scaled_matrix(g)
 
 
-def _echelon(rows, modulus: int) -> list[list[int]]:
-    """A basis of the row space of integer rows in reduced echelon form:
-    over QQ (modulus 0) each row primitive, over GF(modulus) each pivot 1.
-    A row is cleared at a pivot by r <- s*r - t*b, with s and t the pivot
-    entries of b and r divided by their gcd (fraction-free, compare Bareiss,
-    Math. Comp. 1968; over GF(p), s = 1).  Clearing each new pivot from the
+def _echelon(rows) -> list[list[int]]:
+    """A basis of the row space of integer rows in reduced echelon form,
+    each row primitive.  A row is cleared at a pivot by r <- s*r - t*b, with
+    s and t the pivot entries of b and r divided by their gcd (fraction-free,
+    compare Bareiss, Math. Comp. 1968).  Clearing each new pivot from the
     rows already kept is not needed for the rank, but keeps the entries
     small."""
     basis: list[tuple[int, list[int]]] = []
 
     def combine(r, b, col):
         c, pb = r[col], b[col]
-        if modulus:
-            return [(x - c * y) % modulus for x, y in zip(r, b)]
         g = gcd(c, pb)
         s, t = pb // g, c // g
         r = [s * x - t * y for x, y in zip(r, b)]
@@ -1131,12 +1104,8 @@ def _echelon(rows, modulus: int) -> list[list[int]]:
         pivot = next((i for i, x in enumerate(r) if x), None)
         if pivot is None:
             continue
-        if modulus:
-            inv = pow(r[pivot], -1, modulus)
-            r = [x * inv % modulus for x in r]
-        else:
-            g = gcd(*r)
-            r = [x // g for x in r] if g > 1 else r
+        g = gcd(*r)
+        r = [x // g for x in r] if g > 1 else r
         for k, (col, b) in enumerate(basis):
             if b[pivot]:
                 basis[k] = (col, combine(b, r, pivot))
@@ -1144,42 +1113,38 @@ def _echelon(rows, modulus: int) -> list[list[int]]:
     return [b for _, b in basis]
 
 
-def _stable_image(rows, modulus: int) -> list[list[int]]:
+def _stable_image(rows) -> list[list[int]]:
     """An echelon basis (`_echelon`) of the stable image of the integer
     square matrix `rows` acting on row vectors: the images of M, M^2, ...
     shrink until two have equal dimension, within len(rows) steps, and an
     invertible M has the whole space as its first.  Each image is
     kept as an echelon basis, which keeps the entries small where powers of
     M would not.  A nonzero scale of M changes none of the images."""
-    image = _echelon(rows, modulus)
+    image = _echelon(rows)
     if len(image) == len(rows):  # M is invertible: every image is the whole space
         return image
     cols = list(zip(*rows))
     while True:
-        products = [[sum(map(mul, v, col)) for col in cols] for v in image]
-        if modulus:
-            products = [[x % modulus for x in v] for v in products]
-        nxt = _echelon(products, modulus)
+        nxt = _echelon([[sum(map(mul, v, col)) for col in cols] for v in image])
         if len(nxt) == len(image):
             return image
         image = nxt
 
 
 def local_component_dim(I: Ideal, forms) -> int:
-    """Dimension of the part of a zero-dimensional k[x]/I on which every
-    polynomial in `forms` vanishes: the sum of the local algebras at the
-    points of V(I) where they all vanish.  Multiplication by g acts on the
-    local algebra at p as g(p) plus a nilpotent (Stickelberger's theorem), so
-    the stable image of its matrix is the sum of the local algebras where
-    g(p) != 0, and the stable images of the forms together span the local
-    algebras where some form does not vanish.  Runs on the integer matrices
-    of `QuotientAlgebra.scaled_matrix`."""
-    total = quotient_vs_dim(I)
-    modulus = I.domain.p or 0
+    """Dimension of the part of a zero-dimensional k[x]/I over QQ on which
+    every polynomial in `forms` vanishes: the sum of the local algebras at
+    the points of V(I) where they all vanish.  Multiplication by g acts on
+    the local algebra at p as g(p) plus a nilpotent (Stickelberger's
+    theorem), so the stable image of its matrix is the sum of the local
+    algebras where g(p) != 0, and the stable images of the forms together
+    span the local algebras where some form does not vanish.  Runs on the
+    integer matrices of `QuotientAlgebra.scaled_matrix`."""
+    total = len(I.algebra.std)
     images: list[list[int]] = []
     for g in forms:
-        images += _stable_image(_scaled_matrix(I, g)[1], modulus)
-    return total - len(_echelon(images, modulus))
+        images += _stable_image(_scaled_matrix(I, g)[1])
+    return total - len(_echelon(images))
 
 
 def hilbert_numerator(leads, nvars: int) -> list[int]:
@@ -1236,7 +1201,7 @@ def zero_dim_degree_projective(I: Ideal) -> int:
     the Hilbert function, read off the staircase."""
     if projective_dim(I) != 0:
         raise NotZeroDimensional("projective scheme is not zero-dimensional")
-    num = hilbert_numerator(I.staircase_report.lead_monomials, len(I.vars))
+    num = hilbert_numerator(staircase(I).lead_monomials, len(I.vars))
     strips = 0
     while sum(num) == 0:
         num = _divide_one_minus_t(num)

@@ -164,7 +164,7 @@ def _annihilator(v: list[int], rows: list[list[int]]) -> list[int]:
     while len(krylov) <= k:
         krylov.append([sum(map(mul, krylov[-1], col)) for col in cols])
     tagged = [w + [int(i == k - e) for i in range(k + 1)] for e, w in enumerate(krylov)]
-    relation = max(_echelon(tagged, 0), key=lambda r: next(i for i, x in enumerate(r) if x))
+    relation = max(_echelon(tagged), key=lambda r: next(i for i, x in enumerate(r) if x))
     return relation[k:][::-1]
 
 
@@ -197,9 +197,8 @@ class AffineModel:
         from M_g with g = f_k(My)|_{y_0=1} for the row k of ell: by Euler's
         identity d*h = a_0*g + sum_i y_i dh/dy_i, so M_h = (a_0/d) M_g on A,
         with the same stable image, and g has degree d - 1."""
-        I = self.critical_ideal
         g = _affine_model(self.f.partial(_ell_row(self.matrix)), self.matrix)
-        return _stable_image(_scaled_matrix(I, g)[1], I.domain.p or 0)
+        return _stable_image(_scaled_matrix(self.critical_ideal, g)[1])
 
 
 def _frame_matrix(row, k: int) -> tuple[tuple[int, ...], ...]:
@@ -370,8 +369,8 @@ def rational_singular_points(model: AffineModel) -> dict[ProjectivePoint, int]:
                     shifted = [[x * r.denominator for x in row] for row in R]
                     for i, row in enumerate(shifted):
                         row[i] -= r.numerator * s
-                    images[j, r] = _stable_image(shifted, 0)
-                nxt = _echelon(stacked + images[j, r], 0)
+                    images[j, r] = _stable_image(shifted)
+                nxt = _echelon(stacked + images[j, r])
                 if len(nxt) < mu_on:
                     grown.append((prefix + (r,), nxt))
         walk = grown

@@ -65,12 +65,17 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str, vars: tuple[str, ...], domain: Domain):
+    def __init__(self, text: str, vars: tuple[str, ...], domain: Domain, max_degree: int | None):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.vars = vars
         self.domain = domain
+        self.max_degree = max_degree
         self.var_index = {name: i for i, name in enumerate(vars)}
+
+    def check_degree(self, degree: int) -> None:
+        if self.max_degree is not None and degree > self.max_degree:
+            raise ValueError(f"input degree {degree} exceeds the cap {self.max_degree}")
 
     def peek(self):
         return self.tokens[self.pos]
@@ -117,7 +122,10 @@ class _Parser:
             kind, value, _ = self.peek()
             if kind == "op" and value == "*":
                 self.advance()
-                acc = acc * self.factor()
+                rhs = self.factor()
+                if self.max_degree is not None:
+                    self.check_degree(acc.degree() + rhs.degree())
+                acc = acc * rhs
             else:
                 return acc
 
@@ -130,6 +138,8 @@ class _Parser:
             if kind != "int":
                 raise ParseError("exponent must be an unsigned integer", where)
             self.advance()
+            if self.max_degree is not None:
+                self.check_degree(int(value) * base.degree())
             return base ** int(value)
         return base
 
@@ -153,6 +163,7 @@ class _Parser:
             idx = self.var_index.get(value)
             if idx is None:
                 raise UnknownVariable(f"unknown variable {value!r}", where)
+            self.check_degree(1)
             return Poly.variable(self.vars, idx, self.domain)
         if kind == "op" and value == "(":
             inner = self.expression()
@@ -161,9 +172,12 @@ class _Parser:
         raise ParseError(f"expected a number, variable or parenthesis", where)
 
 
-def parse_poly(text: str, vars, domain: Domain = QQ) -> Poly:
-    """Parse `text` into a polynomial in the given ordered variables."""
+def parse_poly(text: str, vars, domain: Domain = QQ, max_degree: int | None = None) -> Poly:
+    """Parse `text` into a polynomial in the given ordered variables.  With
+    `max_degree` set, a ValueError is raised before any variable, product
+    (deg a + deg b) or power (n * deg a) above that degree is built; None
+    means no cap."""
     names = tuple(vars)
     if len(set(names)) != len(names):
         raise ValueError("duplicate variable names")
-    return _Parser(text, names, domain).parse()
+    return _Parser(text, names, domain, max_degree).parse()

@@ -134,7 +134,8 @@ def _coords_strings(pt: ProjectivePoint) -> list[str]:
 def parse_declarations(raw: list[dict], nvars: int) -> dict[ProjectivePoint, dict]:
     """Validate user-supplied singularity declarations (points as rational
     strings plus optional weights / pure-power exponents / label) and derive
-    each declared monodromy divisor."""
+    each declared monodromy divisor.  Each point may be declared once, up to
+    scaling."""
     out: dict[ProjectivePoint, dict] = {}
     for item in raw:
         if not isinstance(item, dict):
@@ -158,6 +159,8 @@ def parse_declarations(raw: list[dict], nvars: int) -> dict[ProjectivePoint, dic
             pt = ProjectivePoint(coords)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
+        if pt in out:
+            raise InputError(f"point {pt} is declared twice")
         if bp and weights:
             raise InputError("declare either weights or pure-power exponents, not both")
         try:

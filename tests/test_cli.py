@@ -12,6 +12,7 @@ import polargrad.cli
 import polargrad.report
 from polargrad.catalog import CATALOG
 from polargrad.cli import main
+from polargrad.poly import Poly
 from polargrad.report import analyze_polynomial
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -87,6 +88,62 @@ class TestAnalyze:
     def test_degree_cap(self):
         code, _ = run_cli(["analyze", "x^13 + y^13", "--vars", "x,y"])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "text,degree",
+        [("(x+y+z)^90", 90), ("(x+y)^8*(y+z)^8", 16), ("x^6*(x*y^3)^2", 14)],
+    )
+    def test_degree_cap_is_checked_before_expansion(self, monkeypatch, text, degree):
+        # no product or power above --max-input-degree is ever built, and the
+        # message names the degree the input would reach
+        built = []
+        real_mul, real_pow = Poly.__mul__, Poly.__pow__
+
+        def mul(a, b):
+            out = real_mul(a, b)
+            built.append(out.degree())
+            return out
+
+        def power(a, n):
+            out = real_pow(a, n)
+            built.append(out.degree())
+            return out
+
+        monkeypatch.setattr(Poly, "__mul__", mul)
+        monkeypatch.setattr(Poly, "__pow__", power)
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, _ = run_cli(["analyze", text, "--vars", "x,y,z"])
+        monkeypatch.undo()
+        assert code == 1
+        assert err.getvalue() == f"input error: input degree {degree} exceeds the cap 12\n"
+        assert max(built, default=0) <= 12
+
+    @pytest.mark.parametrize("flag,value", [("--max-degree", "-1"), ("--max-basis", "0")])
+    def test_caps_below_one_are_input_errors(self, flag, value):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["analyze", "x^3+y^3+z^3", "--vars", "x,y,z", flag, value])
+        assert code == 1 and out == ""
+        assert err.getvalue().startswith("input error: caps must be at least 1")
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_a_point_declared_twice_exits_1(self, tmp_path, first):
+        # (0:0:2) and (0:0:1) are one point: whichever comes first, the two
+        # declarations contradict each other and neither is kept
+        decl = [
+            {"point": ["0", "0", "2"], "bp_exponents": [2, 3], "label": "A2"},
+            {"point": ["0", "0", "1"], "bp_exponents": [2, 2], "label": "A1"},
+        ]
+        path = tmp_path / "sing.json"
+        path.write_text(json.dumps(decl[first:] + decl[:first]))
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(
+                ["analyze", "y^2*z-x^3-x^2*z", "--vars", "x,y,z", "--singular-data", str(path)]
+            )
+        assert code == 1 and out == ""
+        assert err.getvalue() == "input error: point (0 : 0 : 1) is declared twice\n"
 
     def test_singular_data_declarations(self, tmp_path):
         decl = [

@@ -614,7 +614,7 @@ class TestCaps:
 class TestPickling:
     """An `Ideal` pickles through its constructor: the generators, order,
     ring and caps travel, and the cached basis, staircase and algebra are
-    recomputed on the other side."""
+    recomputed on the other side (the algebra over QQ only)."""
 
     @pytest.mark.parametrize("prime", [None, 32003])
     def test_ideal_round_trip(self, prime):
@@ -624,12 +624,16 @@ class TestPickling:
         caps = Caps(max_basis=50, max_degree=30)
         I = Ideal(gens, LEX, caps=caps)
         assert pickle.loads(pickle.dumps(I)).gens == I.gens
-        assert quotient_vs_dim(I) == 4 and I.algebra is not None
+        assert quotient_vs_dim(I) == 4
+        if prime is None:
+            assert I.algebra is not None
         J = pickle.loads(pickle.dumps(I))
         assert (J.gens, J.order, J.vars, J.domain, J.caps) == (I.gens, LEX, V2, I.domain, caps)
         assert J._basis is None and J._staircase is None and J._algebra is None
         assert [list(g.terms.items()) for g in J.basis] == [list(g.terms.items()) for g in I.basis]
-        assert J.algebra.rows == I.algebra.rows
+        assert J.stairs == I.stairs
+        if prime is None:
+            assert J.algebra.rows == I.algebra.rows
         with pytest.raises(AttributeError):
             J.order = GREVLEX
 
@@ -817,16 +821,14 @@ class TestMultiplicationMatrix:
     (Stickelberger), and `local_component_dim(I, forms)` is what the stable
     images of the forms leave of k[x]/I.  Checked against the extra-variable
     saturation and `saturate_ideal`, and the standard monomials against the
-    Macaulay rank, over QQ and GF(32003)."""
+    Macaulay rank.  The algebra is over QQ only; p names the QQ case."""
 
-    @pytest.mark.parametrize("p", [None, 32003])
+    @pytest.mark.parametrize("p", [None])
     @given(seed=st.integers(0, 10**6), nv=st.integers(2, 3), g_terms=TERMS,
            constant=st.integers(-2, 2))
     @settings(max_examples=30, deadline=None)
     def test_stable_rank_is_the_saturation_dimension(self, p, seed, nv, g_terms, constant):
         gens = random_zero_dim_ideal(seed, nv)
-        if p is not None:
-            gens = [to_prime_field(g, p) for g in gens]
         I = Ideal(gens)
         g = Poly(I.vars, [(m[:nv], c) for m, c in g_terms] + [((0,) * nv, constant)], I.domain)
         std = _scaled_matrix(I, g)[0]
@@ -838,15 +840,12 @@ class TestMultiplicationMatrix:
         bound = max(sum(m) for m in std) + 1
         assert len(std) == macaulay_quotient_dim(gens, bound)
 
-    @pytest.mark.parametrize("p", [None, 32003])
+    @pytest.mark.parametrize("p", [None])
     @given(seed=st.integers(0, 10**6), nv=st.integers(2, 3),
            forms_terms=st.lists(st.tuples(TERMS, st.integers(-2, 2)), min_size=1, max_size=3))
     @settings(max_examples=30, deadline=None)
     def test_local_component_dim_against_saturation(self, p, seed, nv, forms_terms):
-        gens = random_zero_dim_ideal(seed, nv)
-        if p is not None:
-            gens = [to_prime_field(g, p) for g in gens]
-        I = Ideal(gens)
+        I = Ideal(random_zero_dim_ideal(seed, nv))
         forms = [
             Poly(I.vars, [(m[:nv], c) for m, c in terms] + [((0,) * nv, constant)], I.domain)
             for terms, constant in forms_terms
@@ -897,8 +896,22 @@ class TestMultiplicationMatrix:
         with pytest.raises(DomainMismatch):
             _scaled_matrix(Ideal([P("x^2", V2), P("y", V2)]), to_prime_field(P("x", V2), 7))
 
+    def test_the_algebra_is_over_the_rationals_only(self):
+        # a GF(p) ideal still counts its staircase, but builds no algebra
+        I = Ideal([to_prime_field(g, 32003) for g in (P("x^2 - y", V2), P("y^2 - y", V2))])
+        x = to_prime_field(P("x", V2), 32003)
+        assert quotient_vs_dim(I) == 4
+        with pytest.raises(DomainMismatch):
+            I.algebra
+        with pytest.raises(DomainMismatch):
+            _scaled_matrix(I, x)
+        for forms in ([x], []):
+            with pytest.raises(DomainMismatch):
+                local_component_dim(I, forms)
+        assert I._algebra is None
 
-# a denominator that 32003 does not divide, so that it survives into GF(32003)
+
+# a large denominator
 BIG = 10**12 + 39
 ENTRIES = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 1, 2, 3, 7, BIG, BIG**2]))
 
@@ -927,11 +940,9 @@ def fraction_matrices(draw, square=False):
     return rows
 
 
-def _integer_rows(rows, p, common=False):
+def _integer_rows(rows, common=False):
     """The rows over the integers: each row, or with `common` the whole
-    matrix, times the lcm of its denominators; residues mod p when p is set."""
-    if p is not None:
-        return [[GF(p).coerce(x) for x in r] for r in rows]
+    matrix, times the lcm of its denominators."""
     if common:
         D = math.lcm(1, *(x.denominator for r in rows for x in r))
         return [[int(x * D) for x in r] for r in rows]
@@ -942,68 +953,56 @@ class TestIntegerKernels:
     """The echelon and stable-image kernels on integer rows, and the
     multiplication matrices built from the variable matrices, against the
     Fraction kernels and the normal forms they replaced
-    (`tests/helpers.py::reference_*`) and against `fraction_rank`, over QQ and
-    GF(32003)."""
+    (`tests/helpers.py::reference_*`) and against `fraction_rank`.  The
+    kernels are over QQ only; p names the QQ case."""
 
-    @pytest.mark.parametrize("p", [None, 32003])
+    @pytest.mark.parametrize("p", [None])
     @given(rows=fraction_matrices())
     @settings(max_examples=60, deadline=None)
     def test_echelon_rank_and_form(self, p, rows):
-        dom = GF(p) if p else QQ
-        in_domain = [[dom.coerce(x) for x in r] for r in rows]
-        echelon = groebner._echelon(_integer_rows(rows, p), p or 0)
-        rank = fraction_rank(in_domain, p)
-        assert len(echelon) == len(reference_echelon(in_domain, dom)) == rank
+        echelon = groebner._echelon(_integer_rows(rows))
+        rank = fraction_rank(rows)
+        assert len(echelon) == len(reference_echelon(rows, QQ)) == rank
         # the echelon rows span the row space
-        assert fraction_rank(in_domain + [[dom.coerce(x) for x in r] for r in echelon], p) == rank
+        assert fraction_rank(rows + echelon) == rank
         # reduced: each pivot is the only nonzero entry of its column
         pivots = [next(i for i, x in enumerate(r) if x) for r in echelon]
         assert len(set(pivots)) == len(pivots)
         for r, col in zip(echelon, pivots):
             assert all(not other[col] for other in echelon if other is not r)
-            if p:
-                assert r[col] == 1 and all(0 <= x < p for x in r)
-            else:
-                assert math.gcd(*r) == 1
+            assert math.gcd(*r) == 1
 
     def test_fraction_rank_is_exact_on_integer_rows(self):
         # Krylov rows of rank 3: the fourth is -(second) - 2*(third); in
         # floating point the elimination leaves a residue and counts 4
         rows = [[1, -1, -1, -1], [4, 1, 0, 1], [-3, -1, 1, -1], [2, 1, -2, 1], [-1, -1, 3, -1]]
-        assert fraction_rank(rows) == 3 == len(groebner._echelon(rows, 0))
+        assert fraction_rank(rows) == 3 == len(groebner._echelon(rows))
 
-    @pytest.mark.parametrize("p", [None, 32003])
+    @pytest.mark.parametrize("p", [None])
     @given(rows=fraction_matrices(square=True))
     @settings(max_examples=60, deadline=None)
     def test_stable_image_dimension(self, p, rows):
-        dom = GF(p) if p else QQ
-        in_domain = [[dom.coerce(x) for x in r] for r in rows]
-        image = groebner._stable_image(_integer_rows(rows, p, common=True), p or 0)
-        assert len(image) == len(reference_stable_image(in_domain, dom))
+        image = groebner._stable_image(_integer_rows(rows, common=True))
+        assert len(image) == len(reference_stable_image(rows, QQ))
         nilpotent = all(not x for i, r in enumerate(rows) for x in r[: i + 1])
         if nilpotent or not rows:
             assert image == []
         # the image is invariant under the matrix
-        image = [[dom.coerce(x) for x in v] for v in image]
-        moved = [
-            [sum((dom.mul(c, y) for c, y in zip(v, col)), dom.zero()) for col in zip(*in_domain)]
-            for v in image
-        ]
-        stacked = image + moved
-        assert fraction_rank(stacked, p) == len(image)
+        moved = [[sum(c * y for c, y in zip(v, col)) for col in zip(*rows)] for v in image]
+        assert fraction_rank(image + moved) == len(image)
 
-    @pytest.mark.parametrize("p", [0, 32003])
+    @pytest.mark.parametrize("p", [0])
     def test_stable_image_of_an_invertible_matrix_is_one_echelon(self, monkeypatch, p):
         # an invertible M has every image equal to the whole space, so the
         # first echelon is the stable image and no power of M is formed
         calls = []
         real = groebner._echelon
-        monkeypatch.setattr(groebner, "_echelon", lambda rows, m: calls.append(rows) or real(rows, m))
+        monkeypatch.setattr(groebner, "_echelon", lambda rows: calls.append(rows) or real(rows))
         rows = [[2, 1, 0], [0, 3, -1], [1, 0, 5]]
-        assert groebner._stable_image(rows, p) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert groebner._stable_image(rows) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("p", [None, 32003])
+    @pytest.mark.parametrize("p", [None])
     @given(seed=st.integers(0, 10**6), nv=st.integers(2, 3),
            g_terms=st.lists(st.tuples(st.tuples(*[st.integers(0, 4)] * 3), ENTRIES), max_size=4),
            shift=st.sampled_from([0, 3, BIG]), unit=st.booleans())
@@ -1018,28 +1017,27 @@ class TestIntegerKernels:
         if unit:
             gens.append(gens[0] + Poly.constant(names, 1))
         g = Poly(names, [(m[:nv], c) for m, c in g_terms])
-        if p is not None:
-            gens = [to_prime_field(h, p) for h in gens]
-            g = to_prime_field(g, p)
         I = Ideal(gens)
         std, rows, scale = _scaled_matrix(I, g)
-        if p is None:  # over QQ the rows are scale * M_g
-            rows = [[Fraction(x, scale) for x in row] for row in rows]
+        rows = [[Fraction(x, scale) for x in row] for row in rows]  # the rows are scale * M_g
         assert (std, rows) == reference_multiplication_matrix(I, g)
         assert len(std) == quotient_vs_dim(I) and (std == ()) == unit
         assert local_component_dim(I, []) == len(std)
 
     def test_algebra_is_built_once_per_ideal(self, monkeypatch):
-        calls = []
-        real = groebner.staircase
-        monkeypatch.setattr(groebner, "staircase", lambda I: calls.append(I) or real(I))
+        # counts, the algebra and the matrices read one packed staircase per
+        # ideal, and none of them builds a `StaircaseReport`
+        calls, reports = [], []
+        real, real_report = groebner._run_staircase, groebner.staircase
+        monkeypatch.setattr(groebner, "_run_staircase", lambda run: calls.append(run) or real(run))
+        monkeypatch.setattr(groebner, "staircase", lambda I: reports.append(I) or real_report(I))
         I = Ideal([P("x^2 - y", V2), P("y^2 - y", V2)])
         point = Ideal([P("x"), P("y")])
         for _ in range(2):
             assert quotient_vs_dim(I) == 4 and projective_dim(point) == 0
             _scaled_matrix(I, P("x*y", V2))
             local_component_dim(I, [P("x", V2), P("y - 1", V2)])
-        assert len(calls) == 2  # one per ideal
+        assert calls == [I.run, point.run] and reports == []
         assert I.algebra is I.algebra
 
 

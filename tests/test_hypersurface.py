@@ -485,7 +485,7 @@ class TestGenericFrame:
             drawn.local_mu,
             drawn.complete,
         )
-        of_h = groebner._stable_image(groebner._scaled_matrix(model.critical_ideal, model.h)[1], 0)
+        of_h = groebner._stable_image(groebner._scaled_matrix(model.critical_ideal, model.h)[1])
         assert sorted(map(signed_row, model.off_fiber)) == sorted(map(signed_row, of_h))
 
     def test_the_benchmark_inputs_take_or_skip_the_chart(self, monkeypatch):
@@ -604,9 +604,9 @@ class TestTameSplit:
         sizes = []
         real = hypersurface._stable_image
 
-        def imaging(rows, modulus):
+        def imaging(rows):
             sizes.append(len(rows))
-            return real(rows, modulus)
+            return real(rows)
 
         monkeypatch.setattr(hypersurface, "_stable_image", imaging)
         model = generic_frame(XYZ, seed=1)
@@ -653,7 +653,7 @@ class TestTameSplit:
             assume(False)
         assume(model.draws == 1)
         I = model.critical_ideal
-        of_h = groebner._stable_image(groebner._scaled_matrix(I, model.h)[1], 0)
+        of_h = groebner._stable_image(groebner._scaled_matrix(I, model.h)[1])
         assert sorted(map(signed_row, model.off_fiber)) == sorted(map(signed_row, of_h))
 
     def test_split_sums_to_expected_total(self):

@@ -185,9 +185,9 @@ class TestPipeline:
         real_split = hypersurface.tame_split
         real_points = hypersurface.rational_singular_points
 
-        def imaging(rows, modulus):
+        def imaging(rows):
             sizes.append(len(rows))
-            return real_image(rows, modulus)
+            return real_image(rows)
 
         def splitting(model):
             frames.append(model.seed)
@@ -208,6 +208,19 @@ class TestPipeline:
         assert frames == [1] and points == [1] and kernel == []
         assert sizes.count(9) == 1
         assert set(sizes) == {9, 5}
+
+    def test_one_packed_staircase_per_ideal(self, monkeypatch):
+        # the gate, the frame certificate, the split, the points step and the
+        # oracle targets all count through `_run_staircase`, once per run;
+        # no stage builds a `StaircaseReport`
+        runs, reports = [], []
+        real_run, real_report = groebner._run_staircase, groebner.staircase
+        monkeypatch.setattr(groebner, "_run_staircase", lambda run: runs.append(run) or real_run(run))
+        monkeypatch.setattr(groebner, "staircase", lambda I: reports.append(I) or real_report(I))
+        entry = BY_NAME["five-node-quartic"]
+        assert analyze_polynomial(entry.text, entry.vars).data["mu_V"] == 5
+        assert reports == []
+        assert len(runs) > 2 and len({id(run) for run in runs}) == len(runs)
 
     @pytest.mark.parametrize(
         "text,vars,built",
