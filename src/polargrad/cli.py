@@ -47,7 +47,7 @@ from .report import (
     AnalysisOptions,
     InconsistencyError,
     InputError,
-    analyze_polynomial,
+    analyze_parsed,
 )
 
 EXIT_OK = 0
@@ -107,7 +107,7 @@ def cmd_analyze(args) -> int:
         timings=args.timings,
         caps=_caps(args),
     )
-    report = analyze_polynomial(args.poly, names, options)
+    report = analyze_parsed(f, args.poly, options)
     print(report.to_json() if args.format == "json" else report.to_text())
     return EXIT_OK if report.data["d_f"]["unanimous"] else EXIT_INCONSISTENT
 

@@ -197,7 +197,7 @@ class AffineModel:
         from M_g with g = f_k(My)|_{y_0=1} for the row k of ell: by Euler's
         identity d*h = a_0*g + sum_i y_i dh/dy_i, so M_h = (a_0/d) M_g on A,
         with the same stable image, and g has degree d - 1."""
-        g = _affine_model(self.f.partial(_ell_row(self.matrix)), self.matrix)
+        g = _affine_model(gradient(self.f)[_ell_row(self.matrix)], self.matrix)
         return _stable_image(_scaled_matrix(self.critical_ideal, g)[1])
 
 

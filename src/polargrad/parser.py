@@ -11,11 +11,19 @@ Grammar:
 Implicit multiplication is rejected.  The optional leading sign and the
 ``uint '/' uint`` coefficient form are strict extensions of the base grammar
 so that every canonically printed polynomial parses back to itself.
+
+Every subexpression is a plain term dict {monomial: coefficient}, with int
+coefficients until a ``a/b`` constant brings in a ``Fraction`` (over GF(p),
+ints in [0, p), a constant coerced when it is read), and the ``Poly`` is
+built once, at the end.  A power of a single term, such as ``x^4`` or
+``3*y^2`` in parentheses, is one multiply of its exponents; any other power
+is repeated multiplication by its base.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .poly import Domain, Poly, QQ
 
@@ -65,13 +73,18 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Each subexpression is a term dict {monomial: coefficient} with no zero
+    coefficient: over QQ an int or a Fraction, over GF(p) an int in [0, p)."""
+
     def __init__(self, text: str, vars: tuple[str, ...], domain: Domain, max_degree: int | None):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.vars = vars
         self.domain = domain
+        self.modulus = domain.p
         self.max_degree = max_degree
         self.var_index = {name: i for i, name in enumerate(vars)}
+        self.one = (0,) * len(vars)
 
     def check_degree(self, degree: int) -> None:
         if self.max_degree is not None and degree > self.max_degree:
@@ -96,9 +109,11 @@ class _Parser:
         kind, value, where = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {value!r}", where)
-        return result
+        if not self.modulus:  # a Poly over QQ holds Fractions
+            result = {m: c if type(c) is Fraction else Fraction(c) for m, c in result.items()}
+        return Poly.from_clean(self.vars, result, self.domain)
 
-    def expression(self) -> Poly:
+    def expression(self) -> dict:
         kind, value, _ = self.peek()
         negate = False
         if kind == "op" and value in "+-":
@@ -106,17 +121,16 @@ class _Parser:
             self.advance()
         acc = self.term()
         if negate:
-            acc = -acc
+            acc = self.add({}, acc, -1)
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
-                rhs = self.term()
-                acc = acc - rhs if value == "-" else acc + rhs
+                acc = self.add(acc, self.term(), -1 if value == "-" else 1)
             else:
                 return acc
 
-    def term(self) -> Poly:
+    def term(self) -> dict:
         acc = self.factor()
         while True:
             kind, value, _ = self.peek()
@@ -124,12 +138,12 @@ class _Parser:
                 self.advance()
                 rhs = self.factor()
                 if self.max_degree is not None:
-                    self.check_degree(acc.degree() + rhs.degree())
-                acc = acc * rhs
+                    self.check_degree(_degree(acc) + _degree(rhs))
+                acc = self.mul(acc, rhs)
             else:
                 return acc
 
-    def factor(self) -> Poly:
+    def factor(self) -> dict:
         base = self.base()
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
@@ -138,12 +152,22 @@ class _Parser:
             if kind != "int":
                 raise ParseError("exponent must be an unsigned integer", where)
             self.advance()
+            n = int(value)
             if self.max_degree is not None:
-                self.check_degree(int(value) * base.degree())
-            return base ** int(value)
+                self.check_degree(n * _degree(base))
+            if n == 0:
+                return {self.one: 1}
+            if len(base) == 1:  # one term: one exponent multiply
+                ((m, c),) = base.items()
+                c = pow(c, n, self.modulus) if self.modulus else c**n
+                return {tuple([e * n for e in m]): c}
+            power = base
+            for _ in range(n - 1):
+                power = self.mul(power, base)
+            return power
         return base
 
-    def base(self) -> Poly:
+    def base(self) -> dict:
         kind, value, where = self.advance()
         if kind == "int":
             num = int(value)
@@ -157,19 +181,51 @@ class _Parser:
                 den = int(value3)
                 if den == 0:
                     raise ParseError("zero denominator", where3)
-                return Poly.constant(self.vars, Fraction(num, den), self.domain)
-            return Poly.constant(self.vars, num, self.domain)
+                # coerced when read, so GF(p) rejects a denominator p divides
+                c = self.domain.coerce(Fraction(num, den))
+            else:
+                c = num % self.modulus if self.modulus else num
+            return {self.one: c} if c else {}
         if kind == "name":
             idx = self.var_index.get(value)
             if idx is None:
                 raise UnknownVariable(f"unknown variable {value!r}", where)
             self.check_degree(1)
-            return Poly.variable(self.vars, idx, self.domain)
+            return {self.one[:idx] + (1,) + self.one[idx + 1 :]: 1}
         if kind == "op" and value == "(":
             inner = self.expression()
             self.expect_op(")")
             return inner
         raise ParseError(f"expected a number, variable or parenthesis", where)
+
+    def add(self, acc: dict, terms: dict, sign: int) -> dict:
+        """acc + sign * terms, in place in acc, which no other expression holds."""
+        modulus = self.modulus
+        for m, c in terms.items():
+            s = acc.get(m, 0) + sign * c
+            if modulus:
+                s %= modulus
+            if s:
+                acc[m] = s
+            else:
+                acc.pop(m, None)
+        return acc
+
+    def mul(self, a: dict, b: dict) -> dict:
+        out: dict = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = tuple(map(add, m1, m2))
+                out[m] = out.get(m, 0) + c1 * c2
+        modulus = self.modulus
+        if modulus:
+            return {m: c % modulus for m, c in out.items() if c % modulus}
+        return {m: c for m, c in out.items() if c}
+
+
+def _degree(terms: dict) -> int:
+    """Total degree of a term dict; -1 for no terms."""
+    return max(map(sum, terms), default=-1)
 
 
 def parse_poly(text: str, vars, domain: Domain = QQ, max_degree: int | None = None) -> Poly:

@@ -143,10 +143,11 @@ class Poly:
     """Immutable sparse polynomial: variable list, term map, domain tag.
 
     `_lead` holds (term order, leading monomial) for the last order the
-    leading monomial was asked for (see `groebner.leading_monomial`); it
-    takes no part in equality or hashing."""
+    leading monomial was asked for (see `groebner.leading_monomial`), and
+    `_grad` the tuple of partial derivatives once `gradient` has built it;
+    neither takes part in equality or hashing."""
 
-    __slots__ = ("vars", "terms", "domain", "_lead")
+    __slots__ = ("vars", "terms", "domain", "_lead", "_grad")
 
     def __init__(
         self,
@@ -178,12 +179,13 @@ class Poly:
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "_lead", None)
+        object.__setattr__(self, "_grad", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     def __reduce__(self):
-        # pickle rebuilds through the trusted constructor, without the cache
+        # pickle rebuilds through the trusted constructor, without the caches
         return Poly.from_clean, (self.vars, self.terms, self.domain)
 
     # ---------------------------------------------------------------- basics
@@ -306,20 +308,15 @@ class Poly:
         """Formal partial derivative with respect to variable i."""
         if not 0 <= i < len(self.vars):
             raise IndexError(f"variable index {i} out of range")
-        dom = self.domain
-        out: dict[Mono, object] = {}
-        zero = dom.zero()
-        for m, c in self.terms.items():
-            e = m[i]
-            if e == 0:
-                continue
-            dm = m[:i] + (e - 1,) + m[i + 1 :]
-            s = dom.add(out.get(dm, zero), dom.mul(c, dom.coerce(e)))
-            if s == zero:
-                out.pop(dm, None)
-            else:
-                out[dm] = s
-        return Poly.from_clean(self.vars, out, dom)
+        mul = self.domain.mul
+        # m -> m / x_i is injective on the terms with x_i in them, so nothing
+        # collects; over GF(p) a term whose c * e vanishes drops out
+        out = {
+            m[:i] + (e - 1,) + m[i + 1 :]: v
+            for m, c in self.terms.items()
+            if (e := m[i]) and (v := mul(c, e))
+        }
+        return Poly.from_clean(self.vars, out, self.domain)
 
     def evaluate(self, point: Sequence) -> object:
         """Evaluate at a point (coefficients coerced into the domain)."""
@@ -360,9 +357,15 @@ class Poly:
 # ------------------------------------------------------------------ helpers
 
 
-def gradient(f: Poly) -> list[Poly]:
-    """All partial derivatives, in variable order."""
-    return [f.partial(i) for i in range(len(f.vars))]
+def gradient(f: Poly) -> tuple[Poly, ...]:
+    """All partial derivatives, in variable order: built on the first call
+    and kept on f (`Poly._grad`), so every later call returns the same
+    tuple."""
+    grad = f._grad
+    if grad is None:
+        grad = tuple([f.partial(i) for i in range(len(f.vars))])
+        object.__setattr__(f, "_grad", grad)
+    return grad
 
 
 def homogeneous_degree(f: Poly) -> int:

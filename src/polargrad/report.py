@@ -30,7 +30,7 @@ from . import monodromy as mono
 from .groebner import DEFAULT_CAPS, Caps
 from .hypersurface import SingularityRecord, frame_split, mu_summary
 from .parser import ParseError, parse_poly
-from .poly import ProjectivePoint
+from .poly import Poly, ProjectivePoint
 from .polar import (
     check_multiplicity_inequality,
     check_polar_degree_lower_bound,
@@ -197,15 +197,21 @@ def _build_records(local_mu, declarations) -> list[SingularityRecord]:
 
 
 def analyze_polynomial(text: str, vars, options: AnalysisOptions | None = None) -> AnalysisReport:
-    """Full verdict bundle for one input polynomial."""
-    options = options or AnalysisOptions()
-    check_oracle_options(options.trials)
-    timings: dict[str, float] = {}
-    t0 = time.monotonic()
+    """Full verdict bundle for one input polynomial, given as text in `vars`."""
     try:
         f = parse_poly(text, vars)
     except ParseError as exc:
         raise InputError(str(exc)) from exc
+    return analyze_parsed(f, text, options)
+
+
+def analyze_parsed(f: Poly, text: str, options: AnalysisOptions | None = None) -> AnalysisReport:
+    """`analyze_polynomial` for a polynomial already parsed from `text`,
+    which the report shows as its "input"."""
+    options = options or AnalysisOptions()
+    check_oracle_options(options.trials)
+    timings: dict[str, float] = {}
+    t0 = time.monotonic()
     declarations = parse_declarations(options.declarations, len(f.vars))
     d, smooth = require_hypotheses(f, options.caps)
     n = len(f.vars) - 1

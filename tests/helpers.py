@@ -12,7 +12,8 @@ eigenvalues on the frame's algebra, the genericity of an affine frame from
 two projective certificates instead of one critical count, multivariate division, Buchberger's pair loop and the
 staircase's box walk on tuple monomials instead of packed ints, and echelon forms, stable images and
 multiplication matrices in `Fraction` arithmetic and by one normal form per
-standard monomial instead of on integer rows from the variable matrices.
+standard monomial instead of on integer rows from the variable matrices, and
+the parser on whole-`Poly` arithmetic instead of term dicts.
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ from polargrad.groebner import (
     zero_dim_degree_projective,
 )
 from polargrad.hypersurface import NotIsolated, _rational_roots, jacobian_ideal
+from polargrad.parser import ParseError, UnknownVariable, _tokenize
 from polargrad.poly import (
+    QQ,
     DomainMismatch,
     Mono,
     Poly,
@@ -763,3 +766,131 @@ def bp_tuples_up_to(product_bound: int) -> list[tuple[int, ...]]:
 
     walk([], 2, 1)
     return out
+
+
+# ------------------------------------------------- Poly-arithmetic parser
+
+
+class _PolyParser:
+    """`parser.parse_poly` as it was on whole-`Poly` arithmetic, an oracle for
+    the term-dict parser: the same tokens, grammar, ParseError positions and
+    max_degree checks, each subexpression a `Poly`, each power `Poly.__pow__`."""
+
+    def __init__(self, text, vars, domain, max_degree):
+        self.tokens, self.pos = _tokenize(text), 0
+        self.vars, self.domain, self.max_degree = vars, domain, max_degree
+
+    def check(self, degree):
+        if self.max_degree is not None and degree > self.max_degree:
+            raise ValueError(f"input degree {degree} exceeds the cap {self.max_degree}")
+
+    def op(self, ops):
+        """The next token's op when it is one of `ops` (consumed), else None."""
+        kind, value, _ = self.tokens[self.pos]
+        if kind == "op" and value in ops:
+            self.pos += 1
+            return value
+        return None
+
+    def uint(self, message):
+        kind, value, where = self.tokens[self.pos]
+        if kind != "int":
+            raise ParseError(message, where)
+        self.pos += 1
+        return int(value)
+
+    def parse(self):
+        result = self.expression()
+        kind, value, where = self.tokens[self.pos]
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {value!r}", where)
+        return result
+
+    def expression(self):
+        sign = self.op("+-")
+        acc = self.term()
+        if sign == "-":
+            acc = -acc
+        while sign := self.op("+-"):
+            rhs = self.term()
+            acc = acc - rhs if sign == "-" else acc + rhs
+        return acc
+
+    def term(self):
+        acc = self.factor()
+        while self.op("*"):
+            rhs = self.factor()
+            if self.max_degree is not None:
+                self.check(acc.degree() + rhs.degree())
+            acc = acc * rhs
+        return acc
+
+    def factor(self):
+        base = self.base()
+        if not self.op("^"):
+            return base
+        n = self.uint("exponent must be an unsigned integer")
+        if self.max_degree is not None:
+            self.check(n * base.degree())
+        return base**n
+
+    def base(self):
+        kind, value, where = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "int":
+            c = int(value)
+            if self.op("/"):
+                where = self.tokens[self.pos][2]
+                den = self.uint("denominator must be an unsigned integer")
+                if den == 0:
+                    raise ParseError("zero denominator", where)
+                c = Fraction(c, den)
+            return Poly.constant(self.vars, c, self.domain)
+        if kind == "name":
+            if value not in self.vars:
+                raise UnknownVariable(f"unknown variable {value!r}", where)
+            self.check(1)
+            return Poly.variable(self.vars, self.vars.index(value), self.domain)
+        if (kind, value) == ("op", "("):
+            inner = self.expression()
+            if not self.op(")"):
+                raise ParseError("expected ')'", self.tokens[self.pos][2])
+            return inner
+        raise ParseError("expected a number, variable or parenthesis", where)
+
+
+def reference_parse_poly(text: str, vars, domain=QQ, max_degree: int | None = None) -> Poly:
+    names = tuple(vars)
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate variable names")
+    return _PolyParser(text, names, domain, max_degree).parse()
+
+
+@st.composite
+def expression_texts(draw, names, depth=3, top=True):
+    """Polynomial text over `names`: sums, differences, products, powers
+    (exponents 0 to 3), parentheses, signs and constants n and a/b.  A sign
+    is valid only at the start of an expression, so only the whole text may
+    start with one and a negated subexpression is put in parentheses."""
+    kind = "leaf" if depth == 0 else draw(
+        st.sampled_from(("leaf", "sum", "product", "power", "parens", "minus"))
+    )
+    if kind == "leaf":
+        return draw(st.one_of(
+            st.sampled_from(names),
+            st.integers(0, 12).map(str),
+            st.tuples(st.integers(0, 9), st.integers(1, 9)).map(lambda t: f"{t[0]}/{t[1]}"),
+        ))
+    sub = expression_texts(names, depth - 1, top=False)
+    if kind == "sum":
+        return f"{draw(sub)} {draw(st.sampled_from('+-'))} {draw(sub)}"
+    if kind == "product":
+        return f"{draw(sub)}*{draw(sub)}"
+    if kind == "power":
+        base = draw(sub)
+        if draw(st.booleans()):
+            base = f"({base})"
+        return f"{base}^{draw(st.integers(0, 3))}"
+    if kind == "parens":
+        return f"({draw(sub)})"
+    return f"{draw(st.sampled_from('+-'))}{draw(sub)}" if top else f"(-{draw(sub)})"

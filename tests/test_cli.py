@@ -12,7 +12,7 @@ import polargrad.cli
 import polargrad.report
 from polargrad.catalog import CATALOG
 from polargrad.cli import main
-from polargrad.poly import Poly
+from polargrad.parser import _Parser, _degree
 from polargrad.report import analyze_polynomial
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -85,6 +85,21 @@ class TestAnalyze:
         )
         assert code == 1
 
+    def test_input_is_parsed_once(self, monkeypatch):
+        # the CLI parses under --max-input-degree and hands the polynomial
+        # to the report, which does not parse the text again
+        calls = []
+        for module in (polargrad.cli, polargrad.report):
+
+            def spy(text, *args, real=module.parse_poly, **kwargs):
+                calls.append(text)
+                return real(text, *args, **kwargs)
+
+            monkeypatch.setattr(module, "parse_poly", spy)
+        code, out = run_cli(["analyze", "x*y*z", "--vars", "x,y,z", "--format", "json"])
+        assert code == 0 and calls == ["x*y*z"]
+        assert json.loads(out)["input"] == "x*y*z"
+
     def test_degree_cap(self):
         code, _ = run_cli(["analyze", "x^13 + y^13", "--vars", "x,y"])
         assert code == 1
@@ -97,27 +112,27 @@ class TestAnalyze:
         # no product or power above --max-input-degree is ever built, and the
         # message names the degree the input would reach
         built = []
-        real_mul, real_pow = Poly.__mul__, Poly.__pow__
+        real_mul, real_factor = _Parser.mul, _Parser.factor
 
-        def mul(a, b):
-            out = real_mul(a, b)
-            built.append(out.degree())
+        def mul(self, a, b):
+            out = real_mul(self, a, b)
+            built.append(_degree(out))
             return out
 
-        def power(a, n):
-            out = real_pow(a, n)
-            built.append(out.degree())
+        def factor(self):
+            out = real_factor(self)
+            built.append(_degree(out))
             return out
 
-        monkeypatch.setattr(Poly, "__mul__", mul)
-        monkeypatch.setattr(Poly, "__pow__", power)
+        monkeypatch.setattr(_Parser, "mul", mul)
+        monkeypatch.setattr(_Parser, "factor", factor)
         err = io.StringIO()
         with redirect_stderr(err):
             code, _ = run_cli(["analyze", text, "--vars", "x,y,z"])
         monkeypatch.undo()
         assert code == 1
         assert err.getvalue() == f"input error: input degree {degree} exceeds the cap 12\n"
-        assert max(built, default=0) <= 12
+        assert built and max(built) <= 12
 
     @pytest.mark.parametrize("flag,value", [("--max-degree", "-1"), ("--max-basis", "0")])
     def test_caps_below_one_are_input_errors(self, flag, value):

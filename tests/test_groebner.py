@@ -310,8 +310,9 @@ def buchberger_cases(draw, coeffs=SMALL_COEFFICIENTS):
         below = [(m, c) for m, c in poly(3).terms.items() if order.key(m) < order.key(lead)]
         gens.append(Poly(V4[:n], [(lead, draw(coeffs))] + below))
     # a degree cap at or just above the largest generator degree sets the
-    # packing's width, and S-polynomials and reductions climb past it
-    top = max(g.degree() for g in gens)
+    # packing's width, and S-polynomials and reductions climb past it; at
+    # least 1, as caps below 1 are rejected and every generator may be constant
+    top = max(1, *(g.degree() for g in gens))
     caps = Caps(
         max_basis=draw(st.sampled_from([6, 25])),
         max_degree=draw(st.sampled_from([top, top + 1, top + 2, 120])),

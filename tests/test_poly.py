@@ -1,16 +1,20 @@
 """Polynomial kernel: parser, calculus, substitution, reducedness probe."""
 
 import pickle
+import re
 from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polargrad.groebner import GREVLEX, leading_monomial
 from polargrad.parser import ParseError, UnknownVariable, parse_poly
 from polargrad.poly import (
     GF,
+    QQ,
+    DomainMismatch,
     NotHomogeneous,
     Poly,
     ProjectivePoint,
@@ -27,7 +31,14 @@ from polargrad.poly import (
 )
 from polargrad.rng import SplitMix64
 
-from helpers import homogeneous_polys, invert_fraction_matrix, poly_pairs, polys
+from helpers import (
+    expression_texts,
+    homogeneous_polys,
+    invert_fraction_matrix,
+    poly_pairs,
+    polys,
+    reference_parse_poly,
+)
 
 V2 = ("x", "y")
 V3 = ("x", "y", "z")
@@ -75,6 +86,43 @@ class TestParser:
     def test_signed_exponent_rejected(self):
         with pytest.raises(ParseError):
             parse_poly("x^-2", V2)
+
+    def test_prime_field_coefficients(self):
+        # a constant is coerced into GF(p) when it is read, so 1/3 fails
+        # mod 3 even though the two terms would cancel
+        with pytest.raises(DomainMismatch):
+            parse_poly("1/3*x - 1/3*x", V2, GF(3))
+        assert parse_poly("3/3*x", V2, GF(3)) == parse_poly("x", V2, GF(3))
+        # coefficients that vanish mod 3 in a sum, product or power are dropped
+        for text in ("2*x + x + y", "(x + 1)*(x + 2)", "(x + y)^3"):
+            assert parse_poly(text, V2, GF(3)) == reference_parse_poly(text, V2, GF(3))
+        assert parse_poly("(x + y)^3", V2, GF(3)) == parse_poly("x^3 + y^3", V2, GF(3))
+
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_poly_arithmetic_parser(self, data):
+        # the same polynomial (coefficient types included), or the same
+        # ParseError at the same position, the same max_degree ValueError or
+        # the same DomainMismatch, as the parser on whole-Poly arithmetic
+        names = data.draw(st.sampled_from((V2, V3)), label="vars")
+        text = data.draw(expression_texts(names), label="text")
+        if data.draw(st.booleans(), label="mutate"):
+            # one character replaced or dropped: mostly syntax errors
+            i = data.draw(st.integers(0, len(text)), label="at")
+            new = data.draw(st.sampled_from(("", "+", "-", "*", "^", "(", ")", "/", "#", "x", "q", "0")))
+            text = text[:i] + new + text[i + 1 :]
+            assume(all(int(e) <= 3 for e in re.findall(r"\^\s*(\d+)", text)))
+        domain = data.draw(st.sampled_from((QQ, GF(3), GF(32003))), label="domain")
+        cap = data.draw(st.one_of(st.none(), st.integers(0, 4)), label="max_degree")
+
+        def outcome(parse):
+            try:
+                f = parse(text, names, domain, cap)
+            except (ParseError, ValueError, DomainMismatch) as exc:
+                return type(exc), str(exc), getattr(exc, "position", None)
+            return f.vars, f.domain, {m: (type(c), c) for m, c in f.terms.items()}
+
+        assert outcome(parse_poly) == outcome(reference_parse_poly)
 
     def test_rational_coefficient(self):
         f = parse_poly("1/2*x + 3*y", V2)
@@ -131,13 +179,13 @@ class TestCalculus:
 
     def test_gradient_examples(self):
         xyz = parse_poly("x*y*z", V3)
-        assert gradient(xyz) == [
+        assert gradient(xyz) == (
             parse_poly("y*z", V3),
             parse_poly("x*z", V3),
             parse_poly("x*y", V3),
-        ]
+        )
         sq = parse_poly("x^2 + y^2", V2)
-        assert gradient(sq) == [parse_poly("2*x", V2), parse_poly("2*y", V2)]
+        assert gradient(sq) == (parse_poly("2*x", V2), parse_poly("2*y", V2))
         pure = parse_poly("x^5", V3)
         grads = gradient(pure)
         assert grads[0] == parse_poly("5*x^4", V3)

@@ -16,7 +16,7 @@ from polargrad.cli import main
 from polargrad.groebner import Caps, ResourceLimit
 from polargrad.parser import parse_poly
 from polargrad.polar import HypothesisError, PolarDegreeResult
-from polargrad.poly import ProjectivePoint
+from polargrad.poly import Poly, ProjectivePoint
 from polargrad.report import (
     AnalysisOptions,
     InconsistencyError,
@@ -296,6 +296,28 @@ class TestPipeline:
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
             assert main(["analyze", "x*y*z", "--vars", "x,y,z"]) == 3
         assert err.getvalue().startswith("inconsistency:")
+
+    @pytest.mark.parametrize(
+        "text,vars",
+        [("x^3 + y^3 + z^3 + x*y*z", V3), (BY_NAME["e6-cubic"].text, BY_NAME["e6-cubic"].vars)],
+        ids=["hesse-cubic", "e6-cubic"],
+    )
+    def test_f_is_differentiated_once_per_variable(self, monkeypatch, text, vars):
+        # the gate, the frame's g = f_k, the point check and the oracle all
+        # read the one grad f kept on f: n + 1 partials of f in all
+        f = parse_poly(text, vars)
+        real, taken = Poly.partial, []
+
+        def partial(self, i):
+            if self == f:
+                taken.append(i)
+            return real(self, i)
+
+        monkeypatch.setattr(Poly, "partial", partial)
+        report = analyze_polynomial(text, vars).data
+        assert sorted(taken) == list(range(len(vars)))
+        # the E6 cubic has a rational singular point, so grad f is checked there
+        assert len(report["singular_points"]) == (text == BY_NAME["e6-cubic"].text)
 
     def test_caps_do_not_leak_between_concurrent_analyses(self):
         # the Jacobian ideal of x*y*z alone needs three basis elements
