@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
-"""Time `analyze_polynomial` on the scale-tier inputs and check their verdicts.
+"""Time the scale-tier inputs and check their verdicts with `catalog.run_entry`.
 
 Usage: PYTHONPATH=src python scripts/scale_tier.py [--repeat N]
 
-Each input is analyzed N times in this one process (default 3) and its line
-gives the median wall time in seconds, d(f) and mu(V).  The inputs are those
-of acceptance criteria 11 and 12 (tier 2), plus the smooth plane octic
-x^8+y^8+z^8+x^3*y^3*z^2 (d(f) = 49, mu = 0), whose Jacobian gate is a real
-Groebner run, then those of criterion 13 (tier 3).  Every d(f) route must
-give the expected value unanimously, and mu(V) and the rational singular
-points with their Milnor numbers must match, on every run.  The exit status
-is 1 when any run gives another verdict, else 0.
+Each input is run N times in this one process (default 3) and its line
+gives the median wall time in seconds, d(f) and mu(V).  `INPUTS` (tier 2,
+with the smooth plane octic, whose Jacobian gate is a real Groebner run)
+and `TIER_3` are the one table of these inputs; acceptance criteria 11-13
+read it from this file.  `run_entry` checks that every d(f) route gives the
+expected value unanimously, and that mu(V) and the rational singular points
+with their Milnor numbers match; mu(V) is the sum of the points' Milnor
+numbers, so the points found are all of them.  A run that raises is a wrong
+verdict, and the rest of the tier still runs.  The exit status is 1 when
+any run gives another verdict, else 0.
 """
 
 import argparse
@@ -18,47 +20,57 @@ import statistics
 import sys
 import time
 
-from polargrad.report import analyze_polynomial
+from polargrad.catalog import CatalogEntry, CatalogSingularity, run_entry
 
-# (text, variables, d(f), {point: Milnor number})
+
+def _entry(name: str, text: str, vars: str, d_f: int, *points: CatalogSingularity) -> CatalogEntry:
+    """A scale-tier input, whose mu(V) is the sum of its points' Milnor numbers."""
+    mu = sum(p.mu for p in points)
+    return CatalogEntry(name, text, tuple(vars), d_f, note="", mu=mu, singularities=points)
+
+
 INPUTS = (
-    ("w^4+x^4+y^4+z^4", "wxyz", 27, {}),
-    ("v^3+w^3+x^3+y^3+z^3", "vwxyz", 16, {}),
-    ("u^3+v^3+w^3+x^3+y^3+z^3", "uvwxyz", 32, {}),
-    ("u*(v^2+w^2+x^2+y^2+z^2)+v^3+w^3+x^3+y^3+z^3", "uvwxyz", 31, {("1", "0", "0", "0", "0", "0"): 1}),
-    ("w^5+x^5+y^5+z^5", "wxyz", 64, {}),
-    ("w^3*x*y+x^5+y^5+z^5", "wxyz", 60, {("1", "0", "0", "0"): 4}),
-    ("v^4+w^4+x^4+y^4+z^4", "vwxyz", 81, {}),
-    ("x^8+y^8+z^8+x^3*y^3*z^2", "xyz", 49, {}),
+    _entry("fermat-quartic-p3", "w^4+x^4+y^4+z^4", "wxyz", 27),
+    _entry("fermat-cubic-p4", "v^3+w^3+x^3+y^3+z^3", "vwxyz", 16),
+    _entry("fermat-cubic-p5", "u^3+v^3+w^3+x^3+y^3+z^3", "uvwxyz", 32),
+    _entry(
+        "nodal-cubic-p5", "u*(v^2+w^2+x^2+y^2+z^2)+v^3+w^3+x^3+y^3+z^3", "uvwxyz", 31,
+        CatalogSingularity(tuple("100000"), "A1", 1),
+    ),
+    _entry("fermat-quintic-p3", "w^5+x^5+y^5+z^5", "wxyz", 64),
+    _entry("a4-quintic-p3", "w^3*x*y+x^5+y^5+z^5", "wxyz", 60, CatalogSingularity(tuple("1000"), "A4", 4)),
+    _entry("fermat-quartic-p4", "v^4+w^4+x^4+y^4+z^4", "vwxyz", 81),
+    _entry("octic-p2", "x^8+y^8+z^8+x^3*y^3*z^2", "xyz", 49),
 )
 
 # d(f) = (d-1)^n - mu(V) for isolated singularities, each checked by hand
 TIER_3 = (
     # Fermat quintic threefold: grad f = 5*(x_i^4) vanishes only at 0, so
     # V is smooth and d(f) = 4^4 = 256
-    ("v^5+w^5+x^5+y^5+z^5", "vwxyz", 256, {}),
+    _entry("fermat-quintic-p4", "v^5+w^5+x^5+y^5+z^5", "vwxyz", 256),
     # Fermat quartic fourfold: smooth as above, d(f) = 3^5 = 243
-    ("u^4+v^4+w^4+x^4+y^4+z^4", "uvwxyz", 243, {}),
+    _entry("fermat-quartic-p5", "u^4+v^4+w^4+x^4+y^4+z^4", "uvwxyz", 243),
     # v^2*q + w^4+x^4+y^4+z^4 with q = w^2+x^2+y^2+z^2: f_v = 2*v*q and
     # f_{w_i} = 2*w_i*(v^2 + 2*w_i^2).  v = 0 forces every w_i = 0, so v != 0
     # and q = 0; each w_i is 0 or has w_i^2 = -v^2/2, and then q = 0 forces
     # all w_i = 0.  At (1:0:0:0:0) f is q plus quartic terms, a Morse point
     # (A1, mu 1): d(f) = 3^4 - 1 = 80
-    (
-        "v^2*(w^2+x^2+y^2+z^2)+w^4+x^4+y^4+z^4",
-        "vwxyz",
-        80,
-        {("1", "0", "0", "0", "0"): 1},
+    _entry(
+        "nodal-quartic-p4", "v^2*(w^2+x^2+y^2+z^2)+w^4+x^4+y^4+z^4", "vwxyz", 80,
+        CatalogSingularity(tuple("10000"), "A1", 1),
     ),
     # f_y = 6*y^5 and f_z = 6*z^5 give y = z = 0; f_w = 4*w^3*x^2 then needs
     # w = 0, where f_x = 6*x^5 forces x = 0, or x = 0.  So (1:0:0:0) is the
     # one singular point, where f = x^2*(1 + x^4) + y^6 + z^6 is x^2+y^6+z^6
     # up to a change of x (mu 1*5*5 = 25): d(f) = 5^3 - 25 = 100
-    ("w^4*x^2+x^6+y^6+z^6", "wxyz", 100, {("1", "0", "0", "0"): 25}),
+    _entry(
+        "sextic-p3", "w^4*x^2+x^6+y^6+z^6", "wxyz", 100,
+        CatalogSingularity(tuple("1000"), "x^2+y^6+z^6", 25),
+    ),
     # a dense quartic threefold Q: not checked by hand.  mu = 0 rests on the
     # QQ Jacobian gate (projective dimension -1, an empty singular scheme),
     # and the three d(f) routes agree on 3^4 = 81
-    ("v^4+w^4+x^4+y^4+z^4+2*v*w*x*y-3*w*x*y*z+v^2*x*z+w^3*y-x^2*z^2", "vwxyz", 81, {}),
+    _entry("dense-quartic-p4", "v^4+w^4+x^4+y^4+z^4+2*v*w*x*y-3*w*x*y*z+v^2*x*z+w^3*y-x^2*z^2", "vwxyz", 81),
     # Not run: the dense quintic threefold
     # v^5+w^5+x^5+y^5+z^5+2*v*w*x*y*z-3*v^2*w*x*y+w^3*y*z+x^4*z, expected
     # smooth with d(f) = 4^4 = 256.  Its QQ Jacobian gate runs for more than
@@ -67,40 +79,34 @@ TIER_3 = (
 )
 
 
-def verdict_ok(report: dict, d_f: int, points: dict) -> bool:
-    df = report["d_f"]
-    found = {tuple(p["point"]): p["mu"] for p in report["singular_points"]}
-    return (
-        df["formula"] == df["fiber_oracle"] == df["tame_split"] == df["consolidated"] == d_f
-        and df["unanimous"]
-        and found == points
-        and report["mu_V"] == sum(points.values())
-        and report["enumeration_complete"]
-    )
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--repeat", type=int, default=3, help="runs per input; the median is printed")
     args = ap.parse_args()
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
-    inputs = INPUTS + TIER_3
-    width = max(len(text) for text, *_ in inputs)
+    entries = INPUTS + TIER_3
+    width = max(len(entry.text) for entry in entries)
     print(f"{'input':<{width}} {'sec':>7} {'d(f)':>5} {'mu':>4}  verdict")
     wrong = 0
-    for text, vars, d_f, points in inputs:
-        seconds, ok = [], True
+    for entry in entries:
+        seconds, problems, report = [], [], None
         for _ in range(args.repeat):
             start = time.perf_counter()
-            report = analyze_polynomial(text, tuple(vars)).data
+            try:
+                result = run_entry(entry)
+            except Exception as exc:  # a crash is a wrong verdict, not the end of the tier
+                problems.append(f"ERROR: {type(exc).__name__}: {exc}")
+                break
             seconds.append(time.perf_counter() - start)
-            ok &= verdict_ok(report, d_f, points)
-        wrong += not ok
-        print(
-            f"{text:<{width}} {statistics.median(seconds):>7.3f} {report['d_f']['consolidated']!s:>5} "
-            f"{report['mu_V']:>4}  {'ok' if ok else 'WRONG'}"
-        )
+            report = result["report"]
+            problems += [f"MISMATCH: {msg}" for msg in result["mismatches"]]
+        wrong += bool(problems)
+        sec = f"{statistics.median(seconds):.3f}" if seconds else "-"
+        df, mu = (report["d_f"]["consolidated"], report["mu_V"]) if report else ("-", "-")
+        print(f"{entry.text:<{width}} {sec:>7} {df!s:>5} {mu!s:>4}  {'WRONG' if problems else 'ok'}")
+        for problem in dict.fromkeys(problems):
+            print(f"    {problem}")
     if wrong:
         print(f"\n{wrong} inputs gave a wrong verdict")
         return 1

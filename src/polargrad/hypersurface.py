@@ -451,17 +451,15 @@ def mu_summary(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS, smooth: bool = Fal
 
 @dataclass
 class SingularityRecord:
-    """One singular point with its local data.  The weighted-homogeneous
-    structure (weights or pure-power exponents) is user-declared; the divisor
-    is derived from it and must match the computed Milnor number."""
+    """One singular point with its local data.  The divisor is derived from
+    a user-declared weighted-homogeneous structure and must match the
+    computed Milnor number; mu0 is read off the divisor."""
 
     point: ProjectivePoint
     mu: int
     label: str | None = None
-    bp_exponents: tuple[int, ...] | None = None
-    weights: tuple[Fraction, ...] | None = None
     delta: CycDivisor | None = None
-    mu0: int | None = None
+    mu0: int | None = field(init=False, default=None)
 
     def __post_init__(self):
         if self.mu < 1:
@@ -472,8 +470,4 @@ class SingularityRecord:
                     f"divisor degree {divisor_degree(self.delta)} does not match "
                     f"the Milnor number {self.mu} at {self.point}"
                 )
-            expected = mu0_from_charpoly(self.delta)
-            if self.mu0 is None:
-                self.mu0 = expected
-            elif self.mu0 != expected:
-                raise ValueError("declared mu0 contradicts the divisor")
+            self.mu0 = mu0_from_charpoly(self.delta)

@@ -79,17 +79,19 @@ class PolarDegreeResult:
 
 
 def require_hypotheses(f: Poly, caps: Caps = DEFAULT_CAPS) -> tuple[int, bool]:
-    """(d, smooth): the degree of f after checking that it is a reduced form
-    in two or more variables with isolated singularities, and whether V(f)
-    is smooth.  All three are read off the projective dimension pd of the
-    Jacobian scheme: for n >= 2 a square factor g^2 makes V(g) (dimension
-    n - 1) singular, so pd <= 0 proves f reduced; for n = 1, f is reduced
-    exactly when pd = -1; and V(f) is smooth exactly when pd = -1, which
-    `frame_split` takes as mu(V) = 0."""
+    """(d, smooth): the degree of f after checking that it is a reduced
+    non-constant form in two or more variables with isolated singularities,
+    and whether V(f) is smooth.  Reducedness, isolatedness and smoothness are
+    read off the projective dimension pd of the Jacobian scheme: for n >= 2
+    a square factor g^2 makes V(g) (dimension n - 1) singular, so pd <= 0
+    proves f reduced; for n = 1, f is reduced exactly when pd = -1; and V(f)
+    is smooth exactly when pd = -1, which `frame_split` takes as mu(V) = 0."""
     try:
         d = homogeneous_degree(f)
     except (NotHomogeneous, ZeroPolynomial) as exc:
         raise HypothesisError(str(exc)) from exc
+    if d < 1:
+        raise HypothesisError("the gradient map needs a non-constant polynomial")
     n = len(f.vars) - 1
     if n < 1:
         raise HypothesisError("need at least two variables")

@@ -167,7 +167,7 @@ def parse_declarations(raw: list[dict], nvars: int) -> dict[ProjectivePoint, dic
             delta = mono.bp_charpoly(bp) if bp else mono.wh_charpoly(weights) if weights else None
         except (ValueError, mono.NonIntegralResult) as exc:
             raise InputError(f"bad singularity declaration at {pt}: {exc}") from exc
-        out[pt] = dict(label=item.get("label"), bp_exponents=bp, weights=weights, delta=delta)
+        out[pt] = dict(label=item.get("label"), delta=delta)
     return out
 
 
@@ -182,14 +182,7 @@ def _build_records(local_mu, declarations) -> list[SingularityRecord]:
     for pt, mu in local_mu.items():
         decl = declarations.get(pt, {})
         try:
-            rec = SingularityRecord(
-                point=pt,
-                mu=mu,
-                label=decl.get("label"),
-                bp_exponents=decl.get("bp_exponents"),
-                weights=decl.get("weights"),
-                delta=decl.get("delta"),
-            )
+            rec = SingularityRecord(pt, mu, decl.get("label"), decl.get("delta"))
         except ValueError as exc:
             raise InputError(str(exc)) from exc
         records.append(rec)

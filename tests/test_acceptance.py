@@ -5,6 +5,7 @@ per criterion.  Heavy analyses are shared through a module-scoped cache so
 the suite stays within the per-entry time budget.
 """
 
+import importlib.util
 import json
 import time
 from pathlib import Path
@@ -27,7 +28,6 @@ from polargrad.monodromy import (
 )
 from polargrad.parser import parse_poly
 from polargrad.polar import polar_degree_fiber_oracle
-from polargrad.report import analyze_polynomial
 
 from helpers import (
     bp_tuples_up_to,
@@ -39,6 +39,13 @@ from helpers import (
 FULL_ENTRIES = [e.name for e in CATALOG if not e.oracle_only]
 # the seed-1 report of every full entry, as `json.dumps(reports, indent=2)`
 GOLDEN_REPORTS = Path(__file__).parent / "data" / "catalog_reports_seed1.json"
+
+# the scale-tier table, `INPUTS` and `TIER_3` of `scripts/scale_tier.py`
+# (a script, not a package module, so it is loaded by path)
+_spec = importlib.util.spec_from_file_location("scale_tier", Path(__file__).parents[1] / "scripts/scale_tier.py")
+SCALE = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(SCALE)
+SCALE_TIER = {e.name: e for e in SCALE.INPUTS + SCALE.TIER_3}
 
 
 def _report(criterion: str, ok: bool) -> None:
@@ -214,99 +221,52 @@ def test_criterion_10_kernel_oracles(catalog_runs):
     _report("10 Macaulay oracle, tame totals, frame invariance", ok)
 
 
-def test_criterion_11_scale_tier():
-    # smooth, so mu(V) = 0 and d(f) = (d-1)^n; each finishes in a few seconds
-    # with the multiplication-matrix tame split, and the 60 s bound (about
-    # 15x that) fails a return to saturating grad h by h, which ran > 300 s
+def _scale_tier(criterion: str, bounds: dict[str, float]) -> None:
+    # each named entry's verdict is right, within its bound in seconds
     ok = True
-    for text, vars, d_f in (
-        ("w^4+x^4+y^4+z^4", ("w", "x", "y", "z"), 27),
-        ("v^3+w^3+x^3+y^3+z^3", ("v", "w", "x", "y", "z"), 16),
-    ):
+    for name, bound in bounds.items():
         start = time.monotonic()
-        report = analyze_polynomial(text, vars).data
-        elapsed = time.monotonic() - start
-        df = report["d_f"]
-        ok &= df["formula"] == df["fiber_oracle"] == df["tame_split"] == d_f
-        ok &= df["consolidated"] == d_f and df["unanimous"]
-        ok &= report["mu_V"] == 0
-        ok &= elapsed < 60.0
-    _report("11 scale tier: Fermat quartic surface 27, cubic threefold 16, <60s each", ok)
+        ok &= run_entry(SCALE_TIER[name])["ok"] and time.monotonic() - start < bound
+    _report(criterion, ok)
+
+
+# Seconds per scale-tier entry: about 15x its median of 3 in
+# `scripts/scale_tier.py --repeat 3`, and at least 2 s.  The medians were at
+# most 0.066 s in tier 2, and 0.011, 0.007, 0.24, 0.17 and 4.4 s in tier 3
+BOUNDS_11 = dict.fromkeys(("fermat-quartic-p3", "fermat-cubic-p4"), 2.0)
+BOUNDS_12 = dict.fromkeys(
+    ("fermat-cubic-p5", "nodal-cubic-p5", "fermat-quintic-p3", "a4-quintic-p3", "fermat-quartic-p4", "octic-p2"),
+    2.0,
+)
+BOUNDS_13 = {
+    "fermat-quintic-p4": 2.0,
+    "fermat-quartic-p5": 2.0,
+    "nodal-quartic-p4": 3.6,
+    "sextic-p3": 2.5,
+    "dense-quartic-p4": 66.0,
+}
+
+
+def test_every_scale_tier_entry_has_one_criterion():
+    assert [e.name for e in SCALE.INPUTS] == [*BOUNDS_11, *BOUNDS_12]
+    assert [e.name for e in SCALE.TIER_3] == [*BOUNDS_13]
+
+
+def test_criterion_11_scale_tier():
+    _scale_tier("11 scale tier: Fermat quartic surface 27, cubic threefold 16, <2s each", BOUNDS_11)
 
 
 def test_criterion_12_scale_tier_2():
-    # each bound is about 15x the median of 3 `analyze` times with one-row
-    # frames (0.84, 2.07, 2.36, 5.01 s); with dense frames these inputs took
-    # 8-46 s, most of it spent on the frame basis's large coefficients.  The
-    # quartic threefold's bound is about 15x its median of 3 with the
-    # fraction-free Buchberger (1.75 s)
-    ok = True
-    for text, vars, d_f, points, bound in (
-        ("u^3+v^3+w^3+x^3+y^3+z^3", tuple("uvwxyz"), 32, {}, 15.0),
-        (
-            "u*(v^2+w^2+x^2+y^2+z^2)+v^3+w^3+x^3+y^3+z^3",
-            tuple("uvwxyz"),
-            31,
-            {("1", "0", "0", "0", "0", "0"): 1},
-            30.0,
-        ),
-        ("w^5+x^5+y^5+z^5", tuple("wxyz"), 64, {}, 35.0),
-        ("w^3*x*y+x^5+y^5+z^5", tuple("wxyz"), 60, {("1", "0", "0", "0"): 4}, 75.0),
-        ("v^4+w^4+x^4+y^4+z^4", tuple("vwxyz"), 81, {}, 26.0),
-    ):
-        start = time.monotonic()
-        report = analyze_polynomial(text, vars).data
-        elapsed = time.monotonic() - start
-        df = report["d_f"]
-        ok &= df["formula"] == df["fiber_oracle"] == df["tame_split"] == d_f
-        ok &= df["consolidated"] == d_f and df["unanimous"]
-        ok &= {tuple(p["point"]): p["mu"] for p in report["singular_points"]} == points
-        ok &= report["mu_V"] == sum(points.values()) and report["enumeration_complete"]
-        ok &= elapsed < bound
-    _report(
+    _scale_tier(
         "12 scale tier 2: cubic fourfold 32, nodal cubic fourfold 31, quintic surface 64, "
-        "A4 quintic 60, quartic threefold 81, each within about 15x its time",
-        ok,
+        "A4 quintic 60, quartic threefold 81, plane octic 49, each within about 15x its time",
+        BOUNDS_12,
     )
 
 
 def test_criterion_13_scale_tier_3():
-    # the `TIER_3` inputs of `scripts/scale_tier.py`, whose comments check
-    # each value by hand.  Each bound is about 15x the median of 3 `analyze`
-    # times with coordinate-chart frames first (0.011, 0.007, 0.24, 0.17,
-    # 4.4 s), and at least 2 s; with random frames only they took 13-18,
-    # 18, 1.2, 2.1 and 5.2 s
-    ok = True
-    for text, vars, d_f, points, bound in (
-        ("v^5+w^5+x^5+y^5+z^5", tuple("vwxyz"), 256, {}, 2.0),
-        ("u^4+v^4+w^4+x^4+y^4+z^4", tuple("uvwxyz"), 243, {}, 2.0),
-        (
-            "v^2*(w^2+x^2+y^2+z^2)+w^4+x^4+y^4+z^4",
-            tuple("vwxyz"),
-            80,
-            {("1", "0", "0", "0", "0"): 1},
-            3.6,
-        ),
-        ("w^4*x^2+x^6+y^6+z^6", tuple("wxyz"), 100, {("1", "0", "0", "0"): 25}, 2.5),
-        (
-            "v^4+w^4+x^4+y^4+z^4+2*v*w*x*y-3*w*x*y*z+v^2*x*z+w^3*y-x^2*z^2",
-            tuple("vwxyz"),
-            81,
-            {},
-            66.0,
-        ),
-    ):
-        start = time.monotonic()
-        report = analyze_polynomial(text, vars).data
-        elapsed = time.monotonic() - start
-        df = report["d_f"]
-        ok &= df["formula"] == df["fiber_oracle"] == df["tame_split"] == d_f
-        ok &= df["consolidated"] == d_f and df["unanimous"]
-        ok &= {tuple(p["point"]): p["mu"] for p in report["singular_points"]} == points
-        ok &= report["mu_V"] == sum(points.values()) and report["enumeration_complete"]
-        ok &= elapsed < bound
-    _report(
+    _scale_tier(
         "13 scale tier 3: quintic threefold 256, quartic fourfold 243, nodal quartic "
         "threefold 80, sextic 100, dense quartic threefold 81, each within about 15x its time",
-        ok,
+        BOUNDS_13,
     )

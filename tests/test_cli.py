@@ -364,6 +364,18 @@ class TestPolarDegree:
             assert code == 1
             assert err.getvalue().startswith("input error:")
 
+    def test_constant_is_a_hypothesis_violation_on_every_route(self):
+        # the gate rejects d < 1 before it builds the Jacobian ideal
+        methods = ("formula", "oracle", "tame", "all")
+        for argv in (["analyze"], *(["polar-degree", "--method", m] for m in methods)):
+            err = io.StringIO()
+            with redirect_stderr(err):
+                code, _ = run_cli([*argv, "1", "--vars", "x,y"])
+            assert code == 2, argv
+            assert err.getvalue() == (
+                "hypothesis violation: the gradient map needs a non-constant polynomial\n"
+            )
+
     def test_oracle_accepts_non_reduced(self):
         code, out = run_cli(
             ["polar-degree", "x^2*y", "--vars", "x,y", "--method", "oracle"]

@@ -23,6 +23,7 @@ from polargrad.groebner import (
 from polargrad.hypersurface import (
     NotACriticalPoint,
     NotIsolated,
+    SingularityRecord,
     TransversalityNotFound,
     frame_split,
     generic_frame,
@@ -33,10 +34,12 @@ from polargrad.hypersurface import (
     rational_singular_points,
     tame_split,
 )
+from polargrad.monodromy import bp_charpoly
 from polargrad.parser import parse_poly
 from polargrad.polar import polar_degree_fiber_oracle
 from polargrad.poly import (
     Poly,
+    ProjectivePoint,
     dehomogenize,
     det_fraction,
     gradient,
@@ -747,3 +750,14 @@ class TestMuSummary:
         for f in (XYZ, CONIC_TANGENT, A1A5_CUBIC):
             s = mu_summary(f, 1)
             assert frame_split(f, 1) == (s.model, s.mu_on, s.mu_off)
+
+
+class TestSingularityRecord:
+    def test_mu0_is_read_off_the_divisor_only(self):
+        pt, a3 = ProjectivePoint([Fraction(0), Fraction(0), Fraction(1)]), bp_charpoly([2, 4])
+        assert SingularityRecord(pt, 3, "A3", a3).mu0 == 1  # the tacnode of conic-tangent
+        assert SingularityRecord(pt, 3).mu0 is None
+        with pytest.raises(ValueError, match="does not match the Milnor number 2"):
+            SingularityRecord(pt, 2, delta=a3)
+        with pytest.raises(TypeError):
+            SingularityRecord(pt, 3, mu0=1)

@@ -187,6 +187,7 @@ class TestHypothesisGate:
         cases = [
             ("x^2 + y", V2, "degrees"),
             ("0", V2, "zero polynomial"),
+            ("5", V2, "non-constant"),
             ("x", ("x",), "at least two variables"),
             ("x^2*y", V3, "singular locus has dimension 1"),
             ("x^2*y", V2, "input polynomial is not reduced"),
