@@ -468,13 +468,14 @@ class _Run:
     still equals up to a scalar, or None.  The leads ascend and generate the
     leading-term ideal minimally.  `buchberger_run` makes one and
     `_inter_reduce` a reduced copy; neither changes a run once made.  The
-    polynomials (`polys`) are built only when asked for."""
+    polynomials (`polys`) are built only when asked for.  A pair loop's run
+    keeps its `schedule` (see `_pair_loop`); a reduced copy keeps None."""
 
-    __slots__ = ("vars", "domain", "order", "caps", "packing", "leads", "lcs", "tails", "given", "_polys")
+    __slots__ = ("vars", "domain", "order", "caps", "packing", "leads", "lcs", "tails", "given", "schedule", "_polys")
 
-    def __init__(self, vars, domain, order, caps, packing, leads, lcs, tails, given):
+    def __init__(self, vars, domain, order, caps, packing, leads, lcs, tails, given, schedule=None):
         self.vars, self.domain, self.order, self.caps, self.packing = vars, domain, order, caps, packing
-        self.leads, self.lcs, self.tails, self.given = leads, lcs, tails, given
+        self.leads, self.lcs, self.tails, self.given, self.schedule = leads, lcs, tails, given, schedule
         self._polys = None
 
     def divisors(self) -> dict:
@@ -555,7 +556,7 @@ def buchberger_run(gens, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_CAPS) 
     return _pair_loop(vars0, dom, packing, caps, packed)
 
 
-def _pair_loop(vars, domain, packing: _Packing, caps: Caps, gens) -> _Run:
+def _pair_loop(vars, domain, packing: _Packing, caps: Caps, gens, follow=None) -> _Run | None:
     """Buchberger's pair loop (normal strategy, both skip criteria) and the
     minimal leading terms: a `_Run` of the kept elements, not inter-reduced.
     `gens` holds (terms, given) pairs, possibly none: the packed integer
@@ -569,7 +570,17 @@ def _pair_loop(vars, domain, packing: _Packing, caps: Caps, gens) -> _Run:
     giving one kept as `given`, and they enter by packed lead ascending, ties
     broken by the sorted terms of the monic forms (`_intake_cmp`).  An
     element is made primitive again whenever a reduction makes it.  No
-    `Fraction` and no `Poly` is built."""
+    `Fraction` and no `Poly` is built.
+
+    The run keeps its schedule: the intake's leads, then each reduced pair
+    as (lcm, i, j, the remainder's lead or None for zero).  The loop's
+    choices (intake and pair order, both criteria, the kept leads) read
+    nothing else, so generators that reproduce a schedule of this packing
+    get the very run the full loop would build (compare Traverso's Groebner
+    trace, ISSAC 1988).  `follow`, such a schedule, replaces the queue and
+    the criteria; every reduction and cap check is still made, and the loop
+    returns None at the first intake lead, zero or remainder lead that
+    differs, for the caller to run the full loop."""
     pack, unpack, guard, top, fmask = packing.pack, packing.unpack, packing.guard, packing.top, packing.fmask
     modulus = domain.p
     forms: dict[tuple, object] = {}
@@ -577,10 +588,13 @@ def _pair_loop(vars, domain, packing: _Packing, caps: Caps, gens) -> _Run:
         lc, tail, _ = _primitive(lc, tail, modulus)
         forms.setdefault((lead, lc, tuple(tail)), g)
     intake = sorted(((*form, g) for form, g in forms.items()), key=cmp_to_key(_intake_cmp(unpack)))
+    schedule = ([form[0] for form in intake], [])
+    if follow is not None and follow[0] != schedule[0]:
+        return None
 
-    # element i: packed lead lts[i] (exps[i] unpacked) with the integer
-    # coefficient lcs[i], packed tail tails[i] in descending order, and
-    # given[i], the generator it still is, or None
+    # element i: packed lead lts[i] (exps[i] unpacked, when queueing) with
+    # the integer coefficient lcs[i], packed tail tails[i] in descending
+    # order, and given[i], the generator it still is, or None
     lts, exps, lcs, tails, given = [], [], [], [], []
     by_lead: dict[int, tuple] = {}  # the divisors, as `_reduce_terms` reads them
     pending: set[tuple[int, int]] = set()
@@ -590,36 +604,47 @@ def _pair_loop(vars, domain, packing: _Packing, caps: Caps, gens) -> _Run:
         idx = len(lts)
         if idx + 1 > caps.max_basis:
             raise ResourceLimit(f"basis cap {caps.max_basis} exceeded")
-        lt = unpack(lead)
-        for i, other in enumerate(exps):
-            pending.add((i, idx))
-            heappush(queue, (pack(map(max, other, lt)), i, idx))
+        if follow is None:
+            lt = unpack(lead)
+            for i, other in enumerate(exps):
+                pending.add((i, idx))
+                heappush(queue, (pack(map(max, other, lt)), i, idx))
+            exps.append(lt)
         lts.append(lead)
-        exps.append(lt)
         lcs.append(lc)
         tails.append(tail)
         given.append(poly)
         if lead not in by_lead:
             by_lead[lead] = idx, lc, packing.top_degree(tail), tail
 
+    def selected():
+        # the normal strategy: pairs by lcm, less those the criteria skip
+        while queue:
+            lcm, i, j = heappop(queue)
+            pending.discard((i, j))
+            if lcm == lts[i] + lts[j]:
+                continue  # coprime leading terms
+            third = [k for k, lead in enumerate(lts) if not (lcm - lead) & guard and k != i and k != j]
+            if any((min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending for k in third):
+                continue  # the chain criterion
+            yield lcm, i, j, None
+
     for form in intake:
         add(*form)
 
-    while queue:
-        lcm, i, j = heappop(queue)
-        pending.discard((i, j))
-        if lcm == lts[i] + lts[j]:
-            continue  # coprime leading terms
-        third = [k for k, lead in enumerate(lts) if not (lcm - lead) & guard and k != i and k != j]
-        if any((min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending for k in third):
-            continue  # the chain criterion
+    for lcm, i, j, expected in selected() if follow is None else follow[1]:
         rem = _s_remainder(
             lcm, (lts[i], lcs[i], tails[i]), (lts[j], lcs[j], tails[j]), by_lead, packing, caps, modulus
         )
+        lead = next(iter(rem), None)  # the first term popped is the lead
+        if follow is None:
+            schedule[1].append((lcm, i, j, lead))
+        elif lead != expected:
+            return None
         if rem:
             if max((t >> top) & fmask for t in rem) > caps.max_degree:
                 raise ResourceLimit(f"degree cap {caps.max_degree} exceeded")
-            (lead, lc), *tail = rem.items()  # the first term popped is the lead
+            (_, lc), *tail = rem.items()
             add(lead, *_primitive(lc, tail, modulus)[:2])
 
     # minimal generators of the leading-term ideal, ascending
@@ -630,6 +655,7 @@ def _pair_loop(vars, domain, packing: _Packing, caps: Caps, gens) -> _Run:
     return _Run(
         vars, domain, packing.order, caps, packing,
         *([seq[i] for i in kept] for seq in (lts, lcs, tails, given)),
+        schedule=schedule if follow is None else follow,
     )
 
 

@@ -18,7 +18,12 @@
   (`_packed_gradient`), and each target adds one constant term to each
   partial and enters Buchberger's pair loop directly, with no `Poly` or
   `Ideal` built; the count is read off the run's staircase.
-  Every count is exact: the cone bases are computed over the rationals.
+  The targets share a pair schedule: the pair loop's choices read only the
+  intake's leads and each remainder's lead or zero, so a later target
+  follows the schedule of the last one run in full, reducing every pair
+  itself and checking each lead; on the first difference it runs in full
+  and its schedule is kept.  A followed run is the one the full loop would
+  build, and every count is exact: the cone bases are over the rationals.
 """
 
 from __future__ import annotations
@@ -159,24 +164,11 @@ def _packed_gradient(f: Poly, d: int, caps: Caps = DEFAULT_CAPS) -> tuple:
     return f.vars, f.domain, packing, partials
 
 
-def _fiber_degree(grad: tuple, d: int, u: tuple[int, ...], caps: Caps = DEFAULT_CAPS) -> int:
-    """Fiber count over [u] in the coefficient domain of grad f, packed by
-    `_packed_gradient`, from one zero-dimensional basis and no saturation.
-
-    A fiber point is [x] with grad f(x) = c*u, c != 0; since grad f has
-    degree d - 1, exactly d - 1 rescalings of x solve grad f(x) = u (etale,
-    as the characteristic does not divide d - 1), and points of the base
-    locus grad f = 0 never do.  So the affine cone ideal (f_i - u_i) has
-    quotient dimension d - 1 times the count, with multiplicity; a unit
-    ideal is an empty fiber.  Its generators go straight into the pair loop
-    (`_pair_loop`): the terms of L_i * f_i and one constant term -L_i * u_i,
-    last, as 1 packs to 0, below every other monomial.  Raises
-    PositiveDimensionalFiber for a degenerate target and OracleInconsistent
-    when d - 1 does not divide the quotient dimension."""
-    if d == 1:  # grad f is constant: the generic fiber is empty
-        return 0
-    vars, domain, packing, partials = grad
-    modulus = domain.p
+def _cone_generators(grad: tuple, u: tuple[int, ...]) -> list:
+    """The pair loop's generators of the cone ideal (f_i - u_i), from grad f
+    packed by `_packed_gradient`: the terms of L_i * f_i and one constant
+    term -L_i * u_i, last, as 1 packs to 0, below every other monomial."""
+    modulus, partials = grad[1].p, grad[3]
     gens = []
     for (L, terms), c in zip(partials, u):
         c = -L * c % modulus if modulus else -L * c
@@ -184,14 +176,42 @@ def _fiber_degree(grad: tuple, d: int, u: tuple[int, ...], caps: Caps = DEFAULT_
             terms = [*terms, (0, c)]
         if terms:
             gens.append((terms, None))
+    return gens
+
+
+def _fiber_degree(
+    grad: tuple, d: int, u: tuple[int, ...], caps: Caps = DEFAULT_CAPS, follow=None
+) -> tuple[int, tuple | None]:
+    """(fiber count over [u] in the coefficient domain of grad f, packed by
+    `_packed_gradient`, from one zero-dimensional basis and no saturation;
+    the schedule of the pair loop that gave it, or `follow` when none ran).
+
+    A fiber point is [x] with grad f(x) = c*u, c != 0; since grad f has
+    degree d - 1, exactly d - 1 rescalings of x solve grad f(x) = u (etale,
+    as the characteristic does not divide d - 1), and points of the base
+    locus grad f = 0 never do.  So the affine cone ideal (f_i - u_i) has
+    quotient dimension d - 1 times the count, with multiplicity; a unit
+    ideal is an empty fiber.  Its generators (`_cone_generators`) go
+    straight into the pair loop (`_pair_loop`), which first follows
+    `follow`, another target's schedule, when given, and runs in full when
+    that returns None.  Raises PositiveDimensionalFiber for a degenerate
+    target and OracleInconsistent when d - 1 does not divide the quotient
+    dimension."""
+    if d == 1:  # grad f is constant: the generic fiber is empty
+        return 0, follow
+    vars, domain, packing, _ = grad
+    gens = _cone_generators(grad, u)
+    run = None if follow is None else _pair_loop(vars, domain, packing, caps, gens, follow)
+    if run is None:
+        run = _pair_loop(vars, domain, packing, caps, gens)
     try:
-        count = run_quotient_dim(_pair_loop(vars, domain, packing, caps, gens))
+        count = run_quotient_dim(run)
     except NotZeroDimensional as exc:
         raise PositiveDimensionalFiber(f"fiber over {list(u)} is not finite") from exc
     degree, rest = divmod(count, d - 1)
     if rest:
         raise OracleInconsistent(f"{count} cone solutions is not a multiple of d - 1 = {d - 1}")
-    return degree
+    return degree, run.schedule
 
 
 def check_oracle_options(trials: int) -> None:
@@ -220,6 +240,7 @@ def polar_degree_fiber_oracle(
     infos: list[dict] = []
     budget = max(4 * trials, trials + 9)
     drawn = 0
+    schedule = None  # that of the last target whose pair loop ran in full
     while True:
         if values and len(set(values)) == 1 and len(values) >= trials:
             break
@@ -235,7 +256,7 @@ def polar_degree_fiber_oracle(
             u = rng.nonzero_vector(nv, -100, 100)
             drawn += 1
             try:
-                degree = _fiber_degree(grad, d, u, caps)
+                degree, schedule = _fiber_degree(grad, d, u, caps, schedule)
                 break
             except PositiveDimensionalFiber:
                 continue

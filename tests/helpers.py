@@ -77,13 +77,15 @@ def var_names(nv: int) -> tuple[str, ...]:
 
 def record_pair_loops(monkeypatch) -> list:
     """Record every Buchberger pair loop as (term order, domain, the `_Run`
-    it returns): the `_pair_loop` seam, rebound in `groebner`, where every
-    `Ideal` enters it, and in `polar`, where the oracle's cone ideals do."""
+    it returns, or None when a followed schedule did not match, whether it
+    followed a schedule): the `_pair_loop` seam, rebound in `groebner`, where
+    every `Ideal` enters it, and in `polar`, where the oracle's cone ideals
+    do."""
     real, calls = groebner._pair_loop, []
 
-    def loop(vars, domain, packing, caps, gens):
-        run = real(vars, domain, packing, caps, gens)
-        calls.append((packing.order, domain, run))
+    def loop(vars, domain, packing, caps, gens, follow=None):
+        run = real(vars, domain, packing, caps, gens, follow)
+        calls.append((packing.order, domain, run, follow is not None))
         return run
 
     for module in (groebner, polar):

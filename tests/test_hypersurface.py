@@ -555,6 +555,10 @@ class TestGenericFrame:
         f = parse_poly(entry.text, entry.vars)
         assert polar_degree_fiber_oracle(f, seed=1).value == 4
         assert len(loops) == 3 and finished == built == []
+        # targets 2 and 3 follow target 1's schedule
+        assert [(run is None, followed) for _, _, run, followed in loops] == [
+            (False, False), (False, True), (False, True)
+        ]
         loops.clear()
         model = generic_frame(f, 6)  # rejects its first draw
         assert model.draws == 2 and len(loops) == 2 and finished == built == []

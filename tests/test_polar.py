@@ -14,9 +14,14 @@ from helpers import (
     saturation_fiber_count,
     saturation_local_dim,
 )
+from polargrad.catalog import BY_NAME
 from polargrad.groebner import (
+    DEFAULT_CAPS,
+    Caps,
     Ideal,
     NotZeroDimensional,
+    ResourceLimit,
+    _pair_loop,
     projective_dim,
     quotient_vs_dim,
     run_quotient_dim,
@@ -245,14 +250,17 @@ class TestOnePartialSaturation:
         r = polar_degree_fiber_oracle(parse_poly(text, vars), seed=1)
         assert r.value == value
         assert {t["path"] for t in r.details["trials"]} == {"rational"}
-        assert {domain for _, domain, _ in calls} == {QQ}
-        assert len(calls) == len(r.details["trials"])
+        assert {domain for _, domain, _, _ in calls} == {QQ}
+        assert len(calls) == len(r.details["trials"]) == 3
+        # the second and third targets follow the first one's schedule
+        assert [followed for *_, followed in calls] == [False, True, True]
+        assert all(run is not None for _, _, run, _ in calls)
 
     def test_no_admissible_partial_gives_an_empty_fiber(self):
         # u = (0, 0, 1) and f_z = 0: the cone ideal holds f_z - 1 = -1, a unit
         f = parse_poly("x^2*y", V3)
         assert saturation_fiber_count(gradient(f), (0, 0, 1)) == 0
-        assert polar._fiber_degree(polar._packed_gradient(f, 3), 3, (0, 0, 1)) == 0
+        assert polar._fiber_degree(polar._packed_gradient(f, 3), 3, (0, 0, 1))[0] == 0
 
     def test_saturation_exponent_per_trial(self):
         # the trial records carry no saturation exponent: nothing is saturated
@@ -292,7 +300,92 @@ class TestConeOracle:
                 polar._fiber_degree(polar._packed_gradient(f, d), d, u)
             return
         assert quotient_vs_dim(cone) == (d - 1) * expected
-        assert polar._fiber_degree(polar._packed_gradient(f, d), d, u) == expected
+        assert polar._fiber_degree(polar._packed_gradient(f, d), d, u)[0] == expected
+
+    @given(form_products(nvs=(3, 4)), st.data(), st.sampled_from((None, 32003)))
+    @settings(max_examples=80, deadline=None)
+    def test_a_followed_run_is_the_full_run(self, case, data, p):
+        # the second target follows the first one's schedule; a target
+        # grad f(x0) need not reproduce it, and then following gives None
+        f = case[0] if p is None else to_prime_field(case[0], p)
+        d, nv = f.degree(), len(f.vars)
+        assume(2 <= d <= (4 if nv == 3 else 3))
+        grads, grad = gradient(f), polar._packed_gradient(f, d)
+
+        def target(label):
+            if data.draw(st.booleans(), label=f"{label} on a point"):
+                x0 = data.draw(st.tuples(*[st.integers(-2, 2)] * nv), label=f"{label} x0")
+                return tuple(int(g.evaluate(x0)) for g in grads)
+            return data.draw(st.tuples(*[st.integers(-3, 3)] * nv), label=label)
+
+        u1, u2 = target("u1"), target("u2")
+        assume(any(u1) and any(u2))
+        schedule = _cone_loop(grad, u1).schedule
+        full, followed = _cone_loop(grad, u2), _cone_loop(grad, u2, schedule)
+        assert (followed is None) == (full.schedule != schedule)
+        if followed is not None:
+            assert followed.schedule is schedule
+            for name in ("leads", "lcs", "tails", "given"):
+                assert getattr(followed, name) == getattr(full, name), name
+        try:
+            expected = saturation_fiber_count(grads, u2)
+        except NotZeroDimensional:
+            with pytest.raises(PositiveDimensionalFiber):
+                polar._fiber_degree(grad, d, u2, follow=schedule)
+            return
+        assert polar._fiber_degree(grad, d, u2, follow=schedule)[0] == expected
+
+    @pytest.mark.parametrize(
+        "text, x0, count",
+        [
+            ("x*(x*z - y^2)", (1, 1, 0), 1),  # off the curve: a finite fiber
+            ("x*(x*z - y^2)", (0, 1, 0), None),  # on the line x = 0: not finite
+            ("x*y*z", (1, 1, 0), None),  # on the line z = 0: not finite
+        ],
+    )
+    def test_a_non_generic_target_leaves_the_schedule(self, text, x0, count):
+        # u = grad f(x0), after a generic first target: its run reduces the
+        # pairs in another way, so following gives None and the count
+        # comes from the full loop
+        f = parse_poly(text, V3)
+        d, grad = f.degree(), polar._packed_gradient(f, f.degree())
+        u1 = tuple(polar_degree_fiber_oracle(f, seed=1).details["trials"][0]["u"])
+        u2 = tuple(int(g.evaluate(x0)) for g in gradient(f))
+        schedule = _cone_loop(grad, u1).schedule
+        assert _cone_loop(grad, u2, schedule) is None
+        if count is None:
+            with pytest.raises(PositiveDimensionalFiber):
+                polar._fiber_degree(grad, d, u2, follow=schedule)
+        else:
+            assert polar._fiber_degree(grad, d, u2, follow=schedule) == (count, _cone_loop(grad, u2).schedule)
+            assert saturation_fiber_count(gradient(f), u2) == count
+
+    @pytest.mark.parametrize("name", ["five-node-quartic", "e6-cubic", "cremona-triangle"])
+    def test_a_followed_target_hits_the_basis_cap_of_its_full_loop(self, name):
+        entry = BY_NAME[name]
+        f = parse_poly(entry.text, entry.vars)
+        grad = polar._packed_gradient(f, f.degree())
+        u1, u2 = (tuple(t["u"]) for t in polar_degree_fiber_oracle(f, seed=1).details["trials"][:2])
+        schedule = _cone_loop(grad, u1).schedule
+        # the elements the loop makes: the intake and each nonzero remainder
+        size = len(schedule[0]) + sum(lead is not None for *_, lead in schedule[1])
+        for k in range(1, size + 2):
+            caps = Caps(max_basis=k)
+            for follow in (None, schedule):
+                if k < size:
+                    with pytest.raises(ResourceLimit, match=f"basis cap {k} exceeded"):
+                        _cone_loop(grad, u2, follow, caps)
+                else:
+                    assert _cone_loop(grad, u2, follow, caps) is not None
+
+    def test_reductions_of_the_five_node_quartic(self, monkeypatch):
+        # targets 2 and 3 follow target 1's schedule and still reduce every
+        # pair of their own runs: the S-pair reductions of the oracle at seed 1
+        real, remainders = groebner._s_remainder, []
+        monkeypatch.setattr(groebner, "_s_remainder", lambda *a: remainders.append(real(*a)) or remainders[-1])
+        entry = BY_NAME["five-node-quartic"]
+        assert polar_degree_fiber_oracle(parse_poly(entry.text, entry.vars), seed=1).value == 4
+        assert (len(remainders), sum(not r for r in remainders)) == (66, 33)
 
     @pytest.mark.parametrize(
         "text, vars",
@@ -315,6 +408,13 @@ class TestConeOracle:
         monkeypatch.setattr(polar, "run_quotient_dim", lambda run: run_quotient_dim(run) + 1)
         with pytest.raises(OracleInconsistent, match="not a multiple of d - 1 = 2"):
             polar_degree_fiber_oracle(FERMAT2, seed=1)
+
+
+def _cone_loop(grad, u, follow=None, caps=DEFAULT_CAPS):
+    """The pair loop on the cone ideal (f_i - u_i) of grad f, packed by
+    `polar._packed_gradient`, following `follow` when given."""
+    vars, domain, packing, _ = grad
+    return _pair_loop(vars, domain, packing, caps, polar._cone_generators(grad, u), follow)
 
 
 def _check_milnor_numbers(f):
