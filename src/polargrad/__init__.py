@@ -55,9 +55,6 @@ from .polar import (
     polar_degree_tame,
 )
 from .poly import (
-    GF,
-    QQ,
-    Domain,
     Poly,
     ProjectivePoint,
     Reducedness,

@@ -1,6 +1,6 @@
 """Integer helpers: primality, factorization, divisor enumeration.
 
-Used for exact rational root extraction and for validating prime-field moduli.
+Used for exact rational root extraction.
 Deterministic throughout (fixed Miller-Rabin bases, fixed Pollard rho cycle).
 """
 

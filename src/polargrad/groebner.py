@@ -12,18 +12,18 @@ Hot-path layout: monomials are packed (`_Packing`; compare Monagan & Pearce,
 vector whose fields, guard bits, degree and linear order key make a product
 one addition, a divisibility test one subtraction and one mask, and the term
 order integer comparison.  One heap loop, `_reduce_terms`, does every
-reduction, on Python int coefficients in both domains: a divisor is an
-integer lc*lead + tail, and a term c*e is pseudo-reduced by scaling the work
-by lc/gcd(lc, c) instead of dividing by lc (over GF(p) every lc is 1 and
-nothing is scaled).  `normal_form` and `poly_divmod` clear the denominators
-and pack on entry, and divide by the kernel's scale and unpack on exit.
+reduction, on Python int coefficients: a divisor is an integer
+lc*lead + tail, and a term c*e is pseudo-reduced by scaling the work by
+lc/gcd(lc, c) instead of dividing by lc.  `normal_form` and `poly_divmod`
+clear the denominators and pack on entry, and divide by the kernel's scale
+and unpack on exit.
 
 Buchberger is split in two, a packed run and a finish.  The run is one
 pair loop, `_pair_loop`, on packed integer generators: it makes them
-primitive (`_primitive`: content removed, lc > 0; monic over GF(p)) and
-keeps primitive integer elements, pairs in a heap keyed by the packed lcm of
-their leads (the normal strategy), a coprime test `lcm == a + b`, a
-guard-bit test for the chain criterion, and no S-polynomial ever built
+primitive (`_primitive`: content removed, lc > 0) and keeps primitive
+integer elements, pairs in a heap keyed by the packed lcm of their leads
+(the normal strategy), a coprime test `lcm == a + b`, a guard-bit test for
+the chain criterion, and no S-polynomial ever built
 (`_s_remainder`); it returns the kept elements over the minimal leads as a
 `_Run`.  `buchberger_run` packs `Poly` generators (`_cleared`) and enters
 it; the fiber oracle packs grad f once and enters it with each cone target
@@ -39,16 +39,15 @@ inter-reduce and never build a `Fraction`.  `Fraction`s appear only at the
 remainders and quotients on exit.  `Poly` keeps tuple monomials everywhere else, and
 `leading_monomial` remembers its answer on the polynomial.
 
-Linear algebra on a zero-dimensional k[x]/I, over QQ only, takes no
-Groebner work past the algebra itself.  `Ideal.algebra` builds it once per
-ideal from the reduced run: the standard monomials of the ideal's staircase
-and the variable matrices M_{x_j} on integer rows over one common
-denominator, read off the border of the staircase, one `_reduce_terms` per
-border monomial that leads no element (compare Faugere, Gianni, Lazard &
-Mora, JSC 1993).  A multiplication matrix takes one `_reduce_terms` more,
-for its row of 1, and one vector-matrix product per other standard
-monomial; `_echelon` and `_stable_image` work fraction-free on primitive
-integer rows.
+Linear algebra on a zero-dimensional k[x]/I takes no Groebner work past
+the algebra itself.  `Ideal.algebra` builds it once per ideal from the
+reduced run: the standard monomials of the ideal's staircase and the
+variable matrices M_{x_j} on integer rows over one common denominator, read
+off the border of the staircase, one `_reduce_terms` per border monomial
+that leads no element (compare Faugere, Gianni, Lazard & Mora, JSC 1993).
+A multiplication matrix takes one `_reduce_terms` more, for its row of 1,
+and one vector-matrix product per other standard monomial; `_echelon` and
+`_stable_image` work fraction-free on primitive integer rows.
 """
 
 from __future__ import annotations
@@ -254,22 +253,14 @@ class _Packing:
 
 def _cleared(p: Poly) -> tuple[int, dict]:
     """(L, the integer coefficients of L * p), for L the lcm of p's
-    denominators; over GF(p), (1, p.terms)."""
-    if p.domain.p:
-        return 1, p.terms
+    denominators."""
     L = lcm(*(c.denominator for c in p.terms.values()))
     return L, {m: c.numerator * (L // c.denominator) for m, c in p.terms.items()}
 
 
-def _primitive(lc: int, tail: list, modulus) -> tuple[int, list, int]:
-    """(lc / k, tail / k, k) for the content k of lc*lead + tail: over QQ
-    the gcd of its integer coefficients, signed so that lc / k > 0; over
-    GF(p) lc itself, so that the element becomes monic."""
-    if modulus:
-        if lc == 1:
-            return 1, tail, 1
-        inv = pow(lc, -1, modulus)
-        return 1, [(t, c * inv % modulus) for t, c in tail], lc
+def _primitive(lc: int, tail: list) -> tuple[int, list, int]:
+    """(lc / k, tail / k, k) for the content k of lc*lead + tail: the gcd of
+    its integer coefficients, signed so that lc / k > 0."""
     k = gcd(lc, *(c for _, c in tail))
     if lc < 0:
         k = -k
@@ -279,7 +270,7 @@ def _primitive(lc: int, tail: list, modulus) -> tuple[int, list, int]:
 
 
 def _reduce_terms(
-    work: dict, by_lead: dict, packing: _Packing, caps: Caps, modulus, found=None
+    work: dict, by_lead: dict, packing: _Packing, caps: Caps, found=None
 ) -> tuple[dict, int]:
     """(remainder, s): the remainder of s times the packed integer terms in
     `work` (consumed), in descending order, under full reduction, and the
@@ -290,8 +281,7 @@ def _reduce_terms(
     s * work = sum of found[i] * divisor i + remainder.  A step on a term
     c*e takes g = gcd(lc, c), scales everything held so far (the work set,
     the remainder and the quotients) by lc/g and subtracts (c/g)*shift*tail:
-    a pseudo-reduction, with no division.  Over GF(p) every lc is 1, so
-    nothing is scaled and s = 1.  A step checks the cap on the shift's
+    a pseudo-reduction, with no division.  A step checks the cap on the shift's
     degree plus the tail's before any product, so no term exceeds
     max(degree in `work`, cap)."""
     guard, top, fmask, max_degree = packing.guard, packing.top, packing.fmask, caps.max_degree
@@ -335,8 +325,6 @@ def _reduce_terms(
                 heappush(heap, -t)
             else:
                 d = old + c * tc
-            if modulus:
-                d %= modulus
             if d:
                 work[t] = d
             else:
@@ -344,12 +332,9 @@ def _reduce_terms(
     return remainder, scale
 
 
-def _coefficients(terms, unpack, num: int, den: int, modulus) -> dict:
+def _coefficients(terms, unpack, num: int, den: int) -> dict:
     """The packed integer terms, (packed monomial, c) pairs, times num / den
     as a `Poly` term dict."""
-    if modulus:
-        r = num * pow(den, -1, modulus) % modulus
-        return {unpack(e): c * r % modulus for e, c in terms}
     return {unpack(e): Fraction(num * c, den) for e, c in terms}
 
 
@@ -363,7 +348,7 @@ def _reduce(p: Poly, divisors, order: TermOrder, caps: Caps, quotients: bool = F
     nonzero = [(i, g) for i, g in enumerate(divisors) if g.terms]
     degree = max([0, *map(sum, p.terms), *(max(map(sum, g.terms)) for _, g in nonzero)])
     packing = _run_packing(order, len(p.vars), degree, caps)
-    pack, unpack, modulus = packing.pack, packing.unpack, p.domain.p
+    pack, unpack = packing.pack, packing.unpack
     by_lead: dict[int, tuple] = {}
     ratios: dict[int, tuple[int, int]] = {}  # divisor index -> (L_i, k_i)
     for i, g in nonzero:
@@ -371,18 +356,18 @@ def _reduce(p: Poly, divisors, order: TermOrder, caps: Caps, quotients: bool = F
         (lead, lc), *tail = sorted(((pack(m), c) for m, c in terms.items()), reverse=True)
         if lead in by_lead:
             continue
-        lc, tail, k = _primitive(lc, tail, modulus)
+        lc, tail, k = _primitive(lc, tail)
         by_lead[lead] = (i, lc, packing.top_degree(tail), tail)
         ratios[i] = (L, k)
     found = [{} for _ in divisors] if quotients else None
     L, terms = _cleared(p)
     work = {pack(m): c for m, c in terms.items()}
-    remainder, s = _reduce_terms(work, by_lead, packing, caps, modulus, found)
-    rem = Poly.from_clean(p.vars, _coefficients(remainder.items(), unpack, 1, s * L, modulus), p.domain)
+    remainder, s = _reduce_terms(work, by_lead, packing, caps, found)
+    rem = Poly.from_clean(p.vars, _coefficients(remainder.items(), unpack, 1, s * L))
     if found is None:
         return rem, None
     return rem, [
-        _coefficients(q.items(), unpack, ratios[i][0], ratios[i][1] * s * L, modulus) if q else {}
+        _coefficients(q.items(), unpack, ratios[i][0], ratios[i][1] * s * L) if q else {}
         for i, q in enumerate(found)
     ]
 
@@ -395,7 +380,7 @@ def poly_divmod(p: Poly, divisors: list[Poly], order: TermOrder, caps: Caps = DE
     p = sum(q_i * divisors_i) + remainder and no remainder term divisible by
     any leading term of the divisors."""
     rem, quotients = _reduce(p, divisors, order, caps, quotients=True)
-    return [Poly.from_clean(p.vars, q, p.domain) for q in quotients], rem
+    return [Poly.from_clean(p.vars, q) for q in quotients], rem
 
 
 def normal_form(p: Poly, basis, order: TermOrder, caps: Caps = DEFAULT_CAPS) -> Poly:
@@ -422,29 +407,28 @@ def exact_div(p: Poly, g: Poly, order: TermOrder = GREVLEX, caps: Caps = DEFAULT
 def _monic(p: Poly, order: TermOrder) -> Poly:
     lt = leading_monomial(p, order)
     lc = p.terms[lt]
-    if lc == p.domain.one():
+    if lc == 1:
         return p
-    return p.scale(p.domain.inv(lc))
+    return p.scale(1 / lc)
 
 
 def s_polynomial(f: Poly, g: Poly, order: TermOrder) -> Poly:
     ltf = leading_monomial(f, order)
     ltg = leading_monomial(g, order)
     lcm = mono_lcm(ltf, ltg)
-    dom = f.domain
-    mf = Poly.from_clean(f.vars, {mono_div(lcm, ltf): dom.inv(f.terms[ltf])}, dom)
-    mg = Poly.from_clean(f.vars, {mono_div(lcm, ltg): dom.inv(g.terms[ltg])}, dom)
+    mf = Poly.from_clean(f.vars, {mono_div(lcm, ltf): 1 / f.terms[ltf]})
+    mg = Poly.from_clean(f.vars, {mono_div(lcm, ltg): 1 / g.terms[ltg]})
     return mf * f - mg * g
 
 
-def _s_remainder(lcm: int, f, g, by_lead: dict, packing: _Packing, caps: Caps, modulus) -> dict:
+def _s_remainder(lcm: int, f, g, by_lead: dict, packing: _Packing, caps: Caps) -> dict:
     """The remainder (`_reduce_terms`) of the S-polynomial of the basis
     elements f and g, each a packed (lead, lc, tail) for lc*lead + tail,
     whose leads have the lcm `lcm`.  The S-polynomial is never built: with
     k = gcd(lc_f, lc_g) the leads of (lc_g/k)*shift_f*f and
     (lc_f/k)*shift_g*g cancel, and the two tails, shifted up to the lcm and
-    scaled, go straight into the work set.  The remainder is an integer
-    multiple of the one over QQ; the caller removes its content."""
+    scaled, go straight into the work set.  The remainder is a positive
+    integer multiple of the S-polynomial's; the caller removes its content."""
     (lead_f, lc_f, tail_f), (lead_g, lc_g, tail_g) = f, g
     k = gcd(lc_f, lc_g)
     a, b = lc_g // k, lc_f // k
@@ -454,11 +438,9 @@ def _s_remainder(lcm: int, f, g, by_lead: dict, packing: _Packing, caps: Caps, m
     for t, c in tail_g:
         t += shift
         d = work.pop(t, 0) - b * c
-        if modulus:
-            d %= modulus
         if d:
             work[t] = d
-    return _reduce_terms(work, by_lead, packing, caps, modulus)[0]
+    return _reduce_terms(work, by_lead, packing, caps)[0]
 
 
 class _Run:
@@ -471,10 +453,10 @@ class _Run:
     polynomials (`polys`) are built only when asked for.  A pair loop's run
     keeps its `schedule` (see `_pair_loop`); a reduced copy keeps None."""
 
-    __slots__ = ("vars", "domain", "order", "caps", "packing", "leads", "lcs", "tails", "given", "schedule", "_polys")
+    __slots__ = ("vars", "order", "caps", "packing", "leads", "lcs", "tails", "given", "schedule", "_polys")
 
-    def __init__(self, vars, domain, order, caps, packing, leads, lcs, tails, given, schedule=None):
-        self.vars, self.domain, self.order, self.caps, self.packing = vars, domain, order, caps, packing
+    def __init__(self, vars, order, caps, packing, leads, lcs, tails, given, schedule=None):
+        self.vars, self.order, self.caps, self.packing = vars, order, caps, packing
         self.leads, self.lcs, self.tails, self.given, self.schedule = leads, lcs, tails, given, schedule
         self._polys = None
 
@@ -493,14 +475,14 @@ class _Run:
         generator is that generator made monic (`_monic`), the very object
         given when it already was.  Built once."""
         if self._polys is None:
-            order, dom, unpack, modulus = self.order, self.domain, self.packing.unpack, self.domain.p
+            order, unpack = self.order, self.packing.unpack
             out = []
             for lead, lc, tail, g in zip(self.leads, self.lcs, self.tails, self.given):
                 if g is None:
                     lt = unpack(lead)
-                    terms = {lt: dom.one()}
-                    terms.update(_coefficients(tail, unpack, 1, lc, modulus))
-                    g = Poly.from_clean(self.vars, terms, dom)
+                    terms = {lt: Fraction(1)}
+                    terms.update(_coefficients(tail, unpack, 1, lc))
+                    g = Poly.from_clean(self.vars, terms)
                     object.__setattr__(g, "_lead", (order, lt))
                 out.append(_monic(g, order))
             self._polys = tuple(reversed(out))
@@ -546,26 +528,24 @@ def buchberger_run(gens, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_CAPS) 
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return None
-    vars0, dom = gens[0].vars, gens[0].domain
+    vars0 = gens[0].vars
     for g in gens:
-        if g.vars != vars0 or g.domain != dom:
+        if g.vars != vars0:
             raise DomainMismatch("generators live in different rings")
     packing = _run_packing(order, len(vars0), max(g.degree() for g in gens), caps)
     pack = packing.pack
     packed = [(sorted(((pack(m), c) for m, c in _cleared(g)[1].items()), reverse=True), g) for g in gens]
-    return _pair_loop(vars0, dom, packing, caps, packed)
+    return _pair_loop(vars0, packing, caps, packed)
 
 
-def _pair_loop(vars, domain, packing: _Packing, caps: Caps, gens, follow=None) -> _Run | None:
+def _pair_loop(vars, packing: _Packing, caps: Caps, gens, follow=None) -> _Run | None:
     """Buchberger's pair loop (normal strategy, both skip criteria) and the
     minimal leading terms: a `_Run` of the kept elements, not inter-reduced.
     `gens` holds (terms, given) pairs, possibly none: the packed integer
-    terms of a nonzero generator (over QQ its denominators cleared),
-    descending, and the generator itself or None.
+    terms of a nonzero generator (its denominators cleared), descending, and the generator itself or None.
 
     The loop is fraction-free.  Each element is a primitive integer
-    polynomial (`_primitive`: over QQ its content removed and lc > 0; over
-    GF(p) monic): at intake a generator made primitive, which is its monic
+    polynomial (`_primitive`: its content removed and lc > 0): at intake a generator made primitive, which is its monic
     form times its lc.  Equal forms are taken once, the first generator
     giving one kept as `given`, and they enter by packed lead ascending, ties
     broken by the sorted terms of the monic forms (`_intake_cmp`).  An
@@ -582,10 +562,9 @@ def _pair_loop(vars, domain, packing: _Packing, caps: Caps, gens, follow=None) -
     returns None at the first intake lead, zero or remainder lead that
     differs, for the caller to run the full loop."""
     pack, unpack, guard, top, fmask = packing.pack, packing.unpack, packing.guard, packing.top, packing.fmask
-    modulus = domain.p
     forms: dict[tuple, object] = {}
     for ((lead, lc), *tail), g in gens:
-        lc, tail, _ = _primitive(lc, tail, modulus)
+        lc, tail, _ = _primitive(lc, tail)
         forms.setdefault((lead, lc, tuple(tail)), g)
     intake = sorted(((*form, g) for form, g in forms.items()), key=cmp_to_key(_intake_cmp(unpack)))
     schedule = ([form[0] for form in intake], [])
@@ -634,7 +613,7 @@ def _pair_loop(vars, domain, packing: _Packing, caps: Caps, gens, follow=None) -
 
     for lcm, i, j, expected in selected() if follow is None else follow[1]:
         rem = _s_remainder(
-            lcm, (lts[i], lcs[i], tails[i]), (lts[j], lcs[j], tails[j]), by_lead, packing, caps, modulus
+            lcm, (lts[i], lcs[i], tails[i]), (lts[j], lcs[j], tails[j]), by_lead, packing, caps
         )
         lead = next(iter(rem), None)  # the first term popped is the lead
         if follow is None:
@@ -645,7 +624,7 @@ def _pair_loop(vars, domain, packing: _Packing, caps: Caps, gens, follow=None) -
             if max((t >> top) & fmask for t in rem) > caps.max_degree:
                 raise ResourceLimit(f"degree cap {caps.max_degree} exceeded")
             (_, lc), *tail = rem.items()
-            add(lead, *_primitive(lc, tail, modulus)[:2])
+            add(lead, *_primitive(lc, tail)[:2])
 
     # minimal generators of the leading-term ideal, ascending
     kept: list[int] = []
@@ -653,7 +632,7 @@ def _pair_loop(vars, domain, packing: _Packing, caps: Caps, gens, follow=None) -
         if not any(not (lts[i] - lts[k]) & guard for k in kept):
             kept.append(i)
     return _Run(
-        vars, domain, packing.order, caps, packing,
+        vars, packing.order, caps, packing,
         *([seq[i] for i in kept] for seq in (lts, lcs, tails, given)),
         schedule=schedule if follow is None else follow,
     )
@@ -663,7 +642,7 @@ def _inter_reduce(run: _Run) -> _Run:
     """The reduced basis of a run, as a new `_Run`: tails inter-reduced until
     stable.  No lead divides a term of its own tail, so every element
     reduces each tail, and a tail scaled by s scales its lc by s."""
-    packing, caps, modulus = run.packing, run.caps, run.domain.p
+    packing, caps = run.packing, run.caps
     lcs, tails, given = list(run.lcs), list(run.tails), list(run.given)
     reducers = run.divisors()
     changed = True
@@ -671,12 +650,12 @@ def _inter_reduce(run: _Run) -> _Run:
         changed = False
         for i, lead in enumerate(run.leads):
             before = dict(tails[i])
-            rem, s = _reduce_terms(dict(before), reducers, packing, caps, modulus)
+            rem, s = _reduce_terms(dict(before), reducers, packing, caps)
             if rem != before:
-                lcs[i], tails[i], _ = _primitive(lcs[i] * s, list(rem.items()), modulus)
+                lcs[i], tails[i], _ = _primitive(lcs[i] * s, list(rem.items()))
                 given[i], changed = None, True
                 reducers[lead] = (i, lcs[i], packing.top_degree(tails[i]), tails[i])
-    return _Run(run.vars, run.domain, run.order, caps, packing, run.leads, lcs, tails, given)
+    return _Run(run.vars, run.order, caps, packing, run.leads, lcs, tails, given)
 
 
 def buchberger(gens, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_CAPS) -> list[Poly]:
@@ -696,7 +675,7 @@ class Ideal:
     """Generator list with a term order, resource caps and four lazily
     cached values: the pair loop's packed `run`, the `reduced` run finished
     from it (whose `Poly`s are the `basis`), the packed `stairs` of the run
-    and, for a zero-dimensional ideal over QQ, the `QuotientAlgebra` k[x]/I.
+    and, for a zero-dimensional ideal, the `QuotientAlgebra` k[x]/I.
     Counts read the run alone: the staircase takes its leads, so
     `quotient_vs_dim` and `projective_dim` neither inter-reduce nor build a
     `Fraction`.  Every ideal derived from this one (intersection,
@@ -707,24 +686,20 @@ class Ideal:
     with the ideal.
     """
 
-    __slots__ = ("gens", "order", "vars", "domain", "caps", "_run", "_basis", "_staircase", "_algebra")
+    __slots__ = ("gens", "order", "vars", "caps", "_run", "_basis", "_staircase", "_algebra")
 
-    def __init__(
-        self, gens, order: TermOrder = GREVLEX, vars=None, domain=None, caps: Caps = DEFAULT_CAPS
-    ):
+    def __init__(self, gens, order: TermOrder = GREVLEX, vars=None, caps: Caps = DEFAULT_CAPS):
         gens = tuple(g for g in gens if not g.is_zero())
         if gens:
             vars = gens[0].vars
-            domain = gens[0].domain
             for g in gens:
-                if g.vars != vars or g.domain != domain:
+                if g.vars != vars:
                     raise DomainMismatch("generators live in different rings")
-        elif vars is None or domain is None:
-            raise ValueError("zero ideal needs explicit vars and domain")
+        elif vars is None:
+            raise ValueError("zero ideal needs explicit vars")
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "vars", tuple(vars))
-        object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "caps", caps)
         object.__setattr__(self, "_run", None)
         object.__setattr__(self, "_basis", None)
@@ -736,7 +711,7 @@ class Ideal:
 
     def __reduce__(self):
         # pickle rebuilds from the generators; the cached values are recomputed
-        return Ideal, (self.gens, self.order, self.vars, self.domain, self.caps)
+        return Ideal, (self.gens, self.order, self.vars, self.caps)
 
     @property
     def run(self) -> _Run | None:
@@ -772,10 +747,7 @@ class Ideal:
 
     @property
     def algebra(self) -> "QuotientAlgebra":
-        """k[x]/I over QQ; raises NotZeroDimensional unless it is finite and
-        DomainMismatch over GF(p)."""
-        if self.domain.p:
-            raise DomainMismatch("the quotient algebra is built over QQ only")
+        """k[x]/I; raises NotZeroDimensional unless it is finite."""
         if self._algebra is None:
             object.__setattr__(self, "_algebra", QuotientAlgebra(self))
         return self._algebra
@@ -806,7 +778,7 @@ class Ideal:
         raise TypeError("Ideal is unhashable; compare with ==")
 
     def __repr__(self):
-        return f"Ideal({len(self.gens)} gens in {self.vars}, {self.domain})"
+        return f"Ideal({len(self.gens)} gens in {self.vars})"
 
 
 def _fresh_var(vars: tuple[str, ...]) -> str:
@@ -818,12 +790,12 @@ def _fresh_var(vars: tuple[str, ...]) -> str:
 
 def _prepend_var(p: Poly, name: str, t_exponent: int) -> Poly:
     new_vars = (name,) + p.vars
-    return Poly(new_vars, {(t_exponent,) + m: c for m, c in p.terms.items()}, p.domain)
+    return Poly(new_vars, {(t_exponent,) + m: c for m, c in p.terms.items()})
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
     """I ∩ J via the single-auxiliary-variable elimination trick."""
-    if I.vars != J.vars or I.domain != J.domain:
+    if I.vars != J.vars:
         raise DomainMismatch("ideals live in different rings")
     if I.is_zero_ideal():
         return I
@@ -839,8 +811,8 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     kept = []
     for g in basis:
         if all(m[0] == 0 for m in g.terms):
-            kept.append(Poly(I.vars, {m[1:]: c for m, c in g.terms.items()}, I.domain))
-    return Ideal(kept, I.order, vars=I.vars, domain=I.domain, caps=I.caps)
+            kept.append(Poly(I.vars, {m[1:]: c for m, c in g.terms.items()}))
+    return Ideal(kept, I.order, vars=I.vars, caps=I.caps)
 
 
 def ideal_quotient(I: Ideal, g: Poly) -> Ideal:
@@ -858,7 +830,7 @@ def ideal_quotient(I: Ideal, g: Poly) -> Ideal:
             qgens.extend(homogeneous_parts(q))
         else:
             qgens.append(q)
-    return Ideal(qgens, I.order, vars=I.vars, domain=I.domain, caps=I.caps)
+    return Ideal(qgens, I.order, vars=I.vars, caps=I.caps)
 
 
 def saturate(I: Ideal, g: Poly) -> tuple[Ideal, int]:
@@ -891,7 +863,7 @@ def saturate_ideal(I: Ideal, J: Ideal) -> Ideal:
         regraded: list[Poly] = []
         for g in result.gens:
             regraded.extend(homogeneous_parts(g))
-        result = Ideal(regraded, I.order, vars=I.vars, domain=I.domain, caps=I.caps)
+        result = Ideal(regraded, I.order, vars=I.vars, caps=I.caps)
     return result
 
 
@@ -1017,7 +989,7 @@ def run_quotient_dim(run: _Run) -> int:
 
 
 class QuotientAlgebra:
-    """k[x]/I for a zero-dimensional I over QQ, in the basis of its standard
+    """k[x]/I for a zero-dimensional I, in the basis of its standard
     monomials `std`, sorted by degree (`_by_degree`); `index` maps each one,
     packed on the packing of `run` = `I.reduced`, to its position.  The
     variable matrices are on integer rows: `rows[j][i]` is D times the
@@ -1049,7 +1021,7 @@ class QuotientAlgebra:
         for shifted in products:
             for u in shifted:
                 if u not in nf:
-                    nf[u] = _reduce_terms({u: 1}, divisors, packing, R.caps, 0)
+                    nf[u] = _reduce_terms({u: 1}, divisors, packing, R.caps)
         D = lcm(*(s // gcd(c, s) for v, s in nf.values() for c in v.values()))
         self.std, self.index, self.run, self.divisors, self.denominator = std, index, R, divisors, D
         self.rows = [
@@ -1073,7 +1045,7 @@ class QuotientAlgebra:
         if not index:  # the unit ideal
             return [], L
         work = {packing.pack(m): c for m, c in terms.items()}
-        nf, scale = _reduce_terms(work, self.divisors, packing, self.run.caps, 0)
+        nf, scale = _reduce_terms(work, self.divisors, packing, self.run.caps)
         first = [nf.get(e, 0) for e in index]
 
         def kept(w: list[int], q: Fraction) -> tuple[list[int], Fraction]:
@@ -1097,7 +1069,7 @@ class QuotientAlgebra:
 
 
 def _scaled_matrix(I: Ideal, g: Poly) -> tuple[tuple[Mono, ...], list[list[int]], int]:
-    if I.vars != g.vars or I.domain != g.domain:
+    if I.vars != g.vars:
         raise DomainMismatch("ideal and multiplier live in different rings")
     A = I.algebra
     top = max(map(sum, A.std), default=0)
@@ -1158,7 +1130,7 @@ def _stable_image(rows) -> list[list[int]]:
 
 
 def local_component_dim(I: Ideal, forms) -> int:
-    """Dimension of the part of a zero-dimensional k[x]/I over QQ on which
+    """Dimension of the part of a zero-dimensional k[x]/I on which
     every polynomial in `forms` vanishes: the sum of the local algebras at
     the points of V(I) where they all vanish.  Multiplication by g acts on
     the local algebra at p as g(p) plus a nilpotent (Stickelberger's

@@ -82,7 +82,7 @@ def jacobian_ideal(f: Poly, caps: Caps = DEFAULT_CAPS) -> Ideal:
     """Ideal generated by all partial derivatives of f."""
     if f.is_zero() or f.degree() == 0:
         raise ValueError("need a non-constant polynomial")
-    return Ideal(gradient(f), GREVLEX, vars=f.vars, domain=f.domain, caps=caps)
+    return Ideal(gradient(f), GREVLEX, vars=f.vars, caps=caps)
 
 
 def has_isolated_singularities(f: Poly, caps: Caps = DEFAULT_CAPS) -> bool:
@@ -99,13 +99,10 @@ def local_milnor_number(h: Poly, point, caps: Caps = DEFAULT_CAPS) -> int:
     which every x_i - point_i vanishes.  Needs finitely many critical points."""
     partials = gradient(h)
     for p in partials:
-        if p.evaluate(point) != p.domain.zero():
+        if p.evaluate(point):
             raise NotACriticalPoint(f"gradient of h does not vanish at {tuple(point)}")
-    J = Ideal(partials, GREVLEX, vars=h.vars, domain=h.domain, caps=caps)
-    forms = [
-        Poly.variable(h.vars, i, h.domain) - Poly.constant(h.vars, a, h.domain)
-        for i, a in enumerate(point)
-    ]
+    J = Ideal(partials, GREVLEX, vars=h.vars, caps=caps)
+    forms = [Poly.variable(h.vars, i) - Poly.constant(h.vars, a) for i, a in enumerate(point)]
     try:
         return local_component_dim(J, forms)
     except NotZeroDimensional as exc:
@@ -220,8 +217,8 @@ def _affine_model(f: Poly, matrix) -> Poly:
     grouped by the exponent of x_k (k = `_ell_row`) as sum_e x_k^e g_e, then
     h = sum_e ell^e g_e(y), where g_e takes x_0 to y_k.  Expanded on the
     integer coefficients of L*f (`_cleared`); h's coefficients are divided
-    by L (reduced mod p over GF(p)) only at the end."""
-    ys, dom = f.vars[1:], f.domain
+    by L only at the end."""
+    ys = f.vars[1:]
     n = len(ys)
     k = _ell_row(matrix)
     row = matrix[k]
@@ -249,10 +246,7 @@ def _affine_model(f: Poly, matrix) -> Poly:
     for e, g in groups.items():
         for m, c in times(powers[e], g).items():
             h[m] = h.get(m, 0) + c
-    modulus = dom.p
-    if modulus:
-        return Poly.from_clean(ys, {m: c % modulus for m, c in h.items() if c % modulus}, dom)
-    return Poly.from_clean(ys, {m: Fraction(c, L) for m, c in h.items() if c}, dom)
+    return Poly.from_clean(ys, {m: Fraction(c, L) for m, c in h.items() if c})
 
 
 def _chart_may_certify(f: Poly, k: int, d: int) -> bool:
@@ -291,7 +285,7 @@ def generic_frame(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS) -> AffineModel:
 
     def certified(matrix, draws: int) -> AffineModel | None:
         h = _affine_model(f, matrix)
-        Jh = Ideal(gradient(h), GREVLEX, vars=h.vars, domain=h.domain, caps=caps)
+        Jh = Ideal(gradient(h), GREVLEX, vars=h.vars, caps=caps)
         try:
             if quotient_vs_dim(Jh) != count:
                 return None

@@ -13,11 +13,10 @@ Implicit multiplication is rejected.  The optional leading sign and the
 so that every canonically printed polynomial parses back to itself.
 
 Every subexpression is a plain term dict {monomial: coefficient}, with int
-coefficients until a ``a/b`` constant brings in a ``Fraction`` (over GF(p),
-ints in [0, p), a constant coerced when it is read), and the ``Poly`` is
-built once, at the end.  A power of a single term, such as ``x^4`` or
-``3*y^2`` in parentheses, is one multiply of its exponents; any other power
-is repeated multiplication by its base.
+coefficients until a ``a/b`` constant brings in a ``Fraction``, and the
+``Poly`` is built once, at the end.  A power of a single term, such as
+``x^4`` or ``3*y^2`` in parentheses, is one multiply of its exponents; any
+other power is repeated multiplication by its base.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .poly import Domain, Poly, QQ
+from .poly import Poly
 
 
 class ParseError(Exception):
@@ -74,14 +73,12 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 class _Parser:
     """Each subexpression is a term dict {monomial: coefficient} with no zero
-    coefficient: over QQ an int or a Fraction, over GF(p) an int in [0, p)."""
+    coefficient, an int or a Fraction."""
 
-    def __init__(self, text: str, vars: tuple[str, ...], domain: Domain, max_degree: int | None):
+    def __init__(self, text: str, vars: tuple[str, ...], max_degree: int | None):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.vars = vars
-        self.domain = domain
-        self.modulus = domain.p
         self.max_degree = max_degree
         self.var_index = {name: i for i, name in enumerate(vars)}
         self.one = (0,) * len(vars)
@@ -109,9 +106,8 @@ class _Parser:
         kind, value, where = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {value!r}", where)
-        if not self.modulus:  # a Poly over QQ holds Fractions
-            result = {m: c if type(c) is Fraction else Fraction(c) for m, c in result.items()}
-        return Poly.from_clean(self.vars, result, self.domain)
+        result = {m: c if type(c) is Fraction else Fraction(c) for m, c in result.items()}
+        return Poly.from_clean(self.vars, result)
 
     def expression(self) -> dict:
         kind, value, _ = self.peek()
@@ -159,8 +155,7 @@ class _Parser:
                 return {self.one: 1}
             if len(base) == 1:  # one term: one exponent multiply
                 ((m, c),) = base.items()
-                c = pow(c, n, self.modulus) if self.modulus else c**n
-                return {tuple([e * n for e in m]): c}
+                return {tuple([e * n for e in m]): c**n}
             power = base
             for _ in range(n - 1):
                 power = self.mul(power, base)
@@ -181,10 +176,9 @@ class _Parser:
                 den = int(value3)
                 if den == 0:
                     raise ParseError("zero denominator", where3)
-                # coerced when read, so GF(p) rejects a denominator p divides
-                c = self.domain.coerce(Fraction(num, den))
+                c = Fraction(num, den)
             else:
-                c = num % self.modulus if self.modulus else num
+                c = num
             return {self.one: c} if c else {}
         if kind == "name":
             idx = self.var_index.get(value)
@@ -200,11 +194,8 @@ class _Parser:
 
     def add(self, acc: dict, terms: dict, sign: int) -> dict:
         """acc + sign * terms, in place in acc, which no other expression holds."""
-        modulus = self.modulus
         for m, c in terms.items():
             s = acc.get(m, 0) + sign * c
-            if modulus:
-                s %= modulus
             if s:
                 acc[m] = s
             else:
@@ -217,9 +208,6 @@ class _Parser:
             for m2, c2 in b.items():
                 m = tuple(map(add, m1, m2))
                 out[m] = out.get(m, 0) + c1 * c2
-        modulus = self.modulus
-        if modulus:
-            return {m: c % modulus for m, c in out.items() if c % modulus}
         return {m: c for m, c in out.items() if c}
 
 
@@ -228,7 +216,7 @@ def _degree(terms: dict) -> int:
     return max(map(sum, terms), default=-1)
 
 
-def parse_poly(text: str, vars, domain: Domain = QQ, max_degree: int | None = None) -> Poly:
+def parse_poly(text: str, vars, *, max_degree: int | None = None) -> Poly:
     """Parse `text` into a polynomial in the given ordered variables.  With
     `max_degree` set, a ValueError is raised before any variable, product
     (deg a + deg b) or power (n * deg a) above that degree is built; None
@@ -236,4 +224,4 @@ def parse_poly(text: str, vars, domain: Domain = QQ, max_degree: int | None = No
     names = tuple(vars)
     if len(set(names)) != len(names):
         raise ValueError("duplicate variable names")
-    return _Parser(text, names, domain, max_degree).parse()
+    return _Parser(text, names, max_degree).parse()

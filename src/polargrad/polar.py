@@ -151,8 +151,8 @@ def polar_degree_tame(f: Poly, seed: int = 1, caps: Caps = DEFAULT_CAPS) -> Pola
 
 
 def _packed_gradient(f: Poly, d: int, caps: Caps = DEFAULT_CAPS) -> tuple:
-    """grad f packed once for every cone target: (f's variables, its domain,
-    one GREVLEX packing wide enough for max(cap, d - 1) (`_run_packing`), and
+    """grad f packed once for every cone target: (f's variables, one GREVLEX
+    packing wide enough for max(cap, d - 1) (`_run_packing`), and
     per partial f_i the pair (L_i, the packed integer terms of L_i * f_i in
     descending order), L_i clearing its denominators (`_cleared`))."""
     packing = _run_packing(GREVLEX, len(f.vars), d - 1, caps)
@@ -161,17 +161,16 @@ def _packed_gradient(f: Poly, d: int, caps: Caps = DEFAULT_CAPS) -> tuple:
     for g in gradient(f):
         L, terms = _cleared(g)
         partials.append((L, sorted(((pack(m), c) for m, c in terms.items()), reverse=True)))
-    return f.vars, f.domain, packing, partials
+    return f.vars, packing, partials
 
 
 def _cone_generators(grad: tuple, u: tuple[int, ...]) -> list:
     """The pair loop's generators of the cone ideal (f_i - u_i), from grad f
     packed by `_packed_gradient`: the terms of L_i * f_i and one constant
     term -L_i * u_i, last, as 1 packs to 0, below every other monomial."""
-    modulus, partials = grad[1].p, grad[3]
     gens = []
-    for (L, terms), c in zip(partials, u):
-        c = -L * c % modulus if modulus else -L * c
+    for (L, terms), c in zip(grad[2], u):
+        c = -L * c
         if c:
             terms = [*terms, (0, c)]
         if terms:
@@ -182,14 +181,13 @@ def _cone_generators(grad: tuple, u: tuple[int, ...]) -> list:
 def _fiber_degree(
     grad: tuple, d: int, u: tuple[int, ...], caps: Caps = DEFAULT_CAPS, follow=None
 ) -> tuple[int, tuple | None]:
-    """(fiber count over [u] in the coefficient domain of grad f, packed by
-    `_packed_gradient`, from one zero-dimensional basis and no saturation;
-    the schedule of the pair loop that gave it, or `follow` when none ran).
+    """(fiber count over [u] of grad f, packed by `_packed_gradient`, from
+    one zero-dimensional basis and no saturation; the schedule of the pair
+    loop that gave it, or `follow` when none ran).
 
     A fiber point is [x] with grad f(x) = c*u, c != 0; since grad f has
-    degree d - 1, exactly d - 1 rescalings of x solve grad f(x) = u (etale,
-    as the characteristic does not divide d - 1), and points of the base
-    locus grad f = 0 never do.  So the affine cone ideal (f_i - u_i) has
+    degree d - 1, exactly d - 1 rescalings of x solve grad f(x) = u (etale),
+    and points of the base locus grad f = 0 never do.  So the affine cone ideal (f_i - u_i) has
     quotient dimension d - 1 times the count, with multiplicity; a unit
     ideal is an empty fiber.  Its generators (`_cone_generators`) go
     straight into the pair loop (`_pair_loop`), which first follows
@@ -199,11 +197,11 @@ def _fiber_degree(
     dimension."""
     if d == 1:  # grad f is constant: the generic fiber is empty
         return 0, follow
-    vars, domain, packing, _ = grad
+    vars, packing, _ = grad
     gens = _cone_generators(grad, u)
-    run = None if follow is None else _pair_loop(vars, domain, packing, caps, gens, follow)
+    run = None if follow is None else _pair_loop(vars, packing, caps, gens, follow)
     if run is None:
-        run = _pair_loop(vars, domain, packing, caps, gens)
+        run = _pair_loop(vars, packing, caps, gens)
     try:
         count = run_quotient_dim(run)
     except NotZeroDimensional as exc:

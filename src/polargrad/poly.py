@@ -1,9 +1,10 @@
 """Sparse multivariate polynomials with exact coefficients.
 
-The coefficient domain of every polynomial is either the rationals (stdlib
-``Fraction``, always in lowest terms with positive denominator) or a prime
-field F_p with canonical representatives in ``[0, p)``.  All values are
-immutable after construction and safe to share between threads.
+Every coefficient is a rational number, a stdlib ``Fraction`` (always in
+lowest terms with positive denominator).  A coefficient given to `Poly` may
+also be an ``int``, which becomes one; anything else is refused
+(`_coerce`).  All values are immutable after construction and safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .arith import is_prime
 from .rng import SplitMix64
 
 Mono = tuple[int, ...]
@@ -38,83 +38,24 @@ class SingularMatrix(PolyError):
 
 
 class DomainMismatch(PolyError):
-    pass
+    """Polynomials or ideals over different variable lists."""
 
 
 class DegeneratePencil(PolyError):
     pass
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)  # immutable, so shared by every call
+_ZERO = Fraction(0)  # immutable, so shared by every call
 
 
-@dataclass(frozen=True)
-class Domain:
-    """Coefficient domain tag: rationals when ``p`` is None, else F_p."""
-
-    p: int | None = None
-
-    @property
-    def is_prime_field(self) -> bool:
-        return self.p is not None
-
-    def coerce(self, value):
-        if self.p is None:
-            if isinstance(value, Fraction):
-                return value
-            if isinstance(value, int):
-                return Fraction(value)
-            raise TypeError(f"cannot coerce {value!r} into Q")
-        if isinstance(value, Fraction):
-            den = value.denominator % self.p
-            if den == 0:
-                raise DomainMismatch(
-                    f"denominator {value.denominator} not invertible mod {self.p}"
-                )
-            return value.numerator * pow(den, -1, self.p) % self.p
-        if isinstance(value, int):
-            return value % self.p
-        raise TypeError(f"cannot coerce {value!r} into F_{self.p}")
-
-    def zero(self):
-        return _ZERO if self.p is None else 0
-
-    def one(self):
-        return _ONE if self.p is None else 1
-
-    def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
-
-    def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b if self.p is None else a * b % self.p
-
-    def neg(self, a):
-        return -a if self.p is None else (-a) % self.p
-
-    def inv(self, a):
-        if self.p is None:
-            if a == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return 1 / a
-        return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def __str__(self) -> str:
-        return "QQ" if self.p is None else f"GF({self.p})"
-
-
-QQ = Domain()
-
-
-def GF(p: int) -> Domain:
-    if p == 2 or p >= 2**31 or not is_prime(p):
-        raise ValueError("prime field modulus must be an odd prime below 2^31")
-    return Domain(p)
+def _coerce(value) -> Fraction:
+    """`value` as a rational coefficient: a `Fraction` as it is, an `int`
+    made one; anything else, such as a float or a string, is refused."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"cannot coerce {value!r} into Q")
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
@@ -140,22 +81,21 @@ def mono_degree(m: Mono) -> int:
 
 
 class Poly:
-    """Immutable sparse polynomial: variable list, term map, domain tag.
+    """Immutable sparse polynomial: variable list and term map.
 
     `_lead` holds (term order, leading monomial) for the last order the
     leading monomial was asked for (see `groebner.leading_monomial`), and
     `_grad` the tuple of partial derivatives once `gradient` has built it;
     neither takes part in equality or hashing."""
 
-    __slots__ = ("vars", "terms", "domain", "_lead", "_grad")
+    __slots__ = ("vars", "terms", "_lead", "_grad")
 
     def __init__(
         self,
         vars: Sequence[str],
         terms: Mapping[Mono, object] | Iterable[tuple[Mono, object]] = (),
-        domain: Domain = QQ,
     ):
-        clean: dict[Mono, object] = {}
+        clean: dict[Mono, Fraction] = {}
         vars = tuple(vars)
         items = terms.items() if isinstance(terms, Mapping) else terms
         n = len(vars)
@@ -165,19 +105,18 @@ class Poly:
                 raise PolyError(f"monomial {mono} has wrong length for {vars}")
             if any(e < 0 for e in mono):
                 raise PolyError(f"negative exponent in {mono}")
-            c = domain.coerce(coeff)
+            c = _coerce(coeff)
             if mono in clean:
-                c = domain.add(clean[mono], c)
-            if c == domain.zero():
-                clean.pop(mono, None)
-            else:
+                c += clean[mono]
+            if c:
                 clean[mono] = c
-        self._set(vars, clean, domain)
+            else:
+                clean.pop(mono, None)
+        self._set(vars, clean)
 
-    def _set(self, vars: tuple[str, ...], terms: dict[Mono, object], domain: Domain) -> None:
+    def _set(self, vars: tuple[str, ...], terms: dict[Mono, Fraction]) -> None:
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "_lead", None)
         object.__setattr__(self, "_grad", None)
 
@@ -186,30 +125,30 @@ class Poly:
 
     def __reduce__(self):
         # pickle rebuilds through the trusted constructor, without the caches
-        return Poly.from_clean, (self.vars, self.terms, self.domain)
+        return Poly.from_clean, (self.vars, self.terms)
 
     # ---------------------------------------------------------------- basics
 
     @classmethod
-    def from_clean(cls, vars: tuple[str, ...], terms: dict[Mono, object], domain: Domain) -> "Poly":
+    def from_clean(cls, vars: tuple[str, ...], terms: dict[Mono, Fraction]) -> "Poly":
         """`terms` taken as they are, unchecked: tuple monomials of the right
-        length and nonzero coefficients already in `domain`."""
+        length and nonzero `Fraction` coefficients."""
         p = object.__new__(cls)
-        p._set(vars, terms, domain)
+        p._set(vars, terms)
         return p
 
     @classmethod
-    def zero(cls, vars: Sequence[str], domain: Domain = QQ) -> "Poly":
-        return cls.from_clean(tuple(vars), {}, domain)
+    def zero(cls, vars: Sequence[str]) -> "Poly":
+        return cls.from_clean(tuple(vars), {})
 
     @classmethod
-    def constant(cls, vars: Sequence[str], c, domain: Domain = QQ) -> "Poly":
-        return cls(vars, {(0,) * len(vars): c}, domain)
+    def constant(cls, vars: Sequence[str], c) -> "Poly":
+        return cls(vars, {(0,) * len(vars): c})
 
     @classmethod
-    def variable(cls, vars: Sequence[str], i: int, domain: Domain = QQ) -> "Poly":
+    def variable(cls, vars: Sequence[str], i: int) -> "Poly":
         mono = tuple(1 if j == i else 0 for j in range(len(vars)))
-        return cls(vars, {mono: 1}, domain)
+        return cls(vars, {mono: 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -221,54 +160,46 @@ class Poly:
         return max(mono_degree(m) for m in self.terms)
 
     def _check_compatible(self, other: "Poly") -> None:
-        if self.vars != other.vars or self.domain != other.domain:
-            raise DomainMismatch(
-                f"incompatible polynomials: {self.vars}/{self.domain} vs "
-                f"{other.vars}/{other.domain}"
-            )
+        if self.vars != other.vars:
+            raise DomainMismatch(f"incompatible polynomials: {self.vars} vs {other.vars}")
 
     # ------------------------------------------------------------ arithmetic
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check_compatible(other)
-        dom = self.domain
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = dom.add(out.get(m, dom.zero()), c)
-            if s == dom.zero():
-                out.pop(m, None)
-            else:
+            s = out.get(m, _ZERO) + c
+            if s:
                 out[m] = s
-        return Poly.from_clean(self.vars, out, dom)
+            else:
+                out.pop(m, None)
+        return Poly.from_clean(self.vars, out)
 
     def __neg__(self) -> "Poly":
-        dom = self.domain
-        return Poly.from_clean(self.vars, {m: dom.neg(c) for m, c in self.terms.items()}, dom)
+        return Poly.from_clean(self.vars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_compatible(other)
-        dom = self.domain
-        out: dict[Mono, object] = {}
-        zero = dom.zero()
+        out: dict[Mono, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                s = dom.add(out.get(m, zero), dom.mul(c1, c2))
-                if s == zero:
-                    out.pop(m, None)
-                else:
+                s = out.get(m, _ZERO) + c1 * c2
+                if s:
                     out[m] = s
-        return Poly.from_clean(self.vars, out, dom)
+                else:
+                    out.pop(m, None)
+        return Poly.from_clean(self.vars, out)
 
     def scale(self, c) -> "Poly":
-        dom = self.domain
-        c = dom.coerce(c)
-        if c == dom.zero():
-            return Poly.zero(self.vars, dom)
-        return Poly.from_clean(self.vars, {m: dom.mul(v, c) for m, v in self.terms.items()}, dom)
+        c = _coerce(c)
+        if not c:
+            return Poly.zero(self.vars)
+        return Poly.from_clean(self.vars, {m: v * c for m, v in self.terms.items()})
 
     def __rmul__(self, c) -> "Poly":
         if isinstance(c, (int, Fraction)):
@@ -278,7 +209,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = Poly.constant(self.vars, 1, self.domain)
+        result = Poly.constant(self.vars, 1)
         base = self
         while n:
             if n & 1:
@@ -290,17 +221,13 @@ class Poly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return (
-            self.vars == other.vars
-            and self.domain == other.domain
-            and self.terms == other.terms
-        )
+        return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.vars, self.domain, frozenset(self.terms.items())))
+        return hash((self.vars, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
-        return f"Poly({poly_text(self)!r}, vars={self.vars}, domain={self.domain})"
+        return f"Poly({poly_text(self)!r}, vars={self.vars})"
 
     # -------------------------------------------------------------- calculus
 
@@ -308,29 +235,27 @@ class Poly:
         """Formal partial derivative with respect to variable i."""
         if not 0 <= i < len(self.vars):
             raise IndexError(f"variable index {i} out of range")
-        mul = self.domain.mul
         # m -> m / x_i is injective on the terms with x_i in them, so nothing
-        # collects; over GF(p) a term whose c * e vanishes drops out
+        # collects, and c * e is never 0
         out = {
-            m[:i] + (e - 1,) + m[i + 1 :]: v
+            m[:i] + (e - 1,) + m[i + 1 :]: c * e
             for m, c in self.terms.items()
-            if (e := m[i]) and (v := mul(c, e))
+            if (e := m[i])
         }
-        return Poly.from_clean(self.vars, out, self.domain)
+        return Poly.from_clean(self.vars, out)
 
-    def evaluate(self, point: Sequence) -> object:
-        """Evaluate at a point (coefficients coerced into the domain)."""
-        dom = self.domain
+    def evaluate(self, point: Sequence) -> Fraction:
+        """Evaluate at a point of ints or `Fraction`s."""
         if len(point) != len(self.vars):
             raise ValueError("point has wrong length")
-        pt = [dom.coerce(x) for x in point]
-        total = dom.zero()
+        pt = [_coerce(x) for x in point]
+        total = _ZERO
         for m, c in self.terms.items():
             v = c
             for x, e in zip(pt, m):
                 for _ in range(e):
-                    v = dom.mul(v, x)
-            total = dom.add(total, v)
+                    v = v * x
+            total = total + v
         return total
 
     def subs(self, images: Sequence["Poly"]) -> "Poly":
@@ -341,10 +266,10 @@ class Poly:
         for im in images:
             target._check_compatible(im)
         # cache successive powers of each image
-        powers: list[list[Poly]] = [[Poly.constant(target.vars, 1, target.domain)] for _ in images]
-        out = Poly.zero(target.vars, target.domain)
+        powers: list[list[Poly]] = [[Poly.constant(target.vars, 1)] for _ in images]
+        out = Poly.zero(target.vars)
         for m, c in sorted(self.terms.items()):
-            term = Poly.constant(target.vars, c, target.domain)
+            term = Poly.constant(target.vars, c)
             for i, e in enumerate(m):
                 cache = powers[i]
                 while len(cache) <= e:
@@ -421,10 +346,10 @@ def substitute_linear(f: Poly, M: Sequence[Sequence]) -> Poly:
         raise SingularMatrix("coordinate change matrix is singular")
     images = []
     for i in range(n):
-        img = Poly.zero(f.vars, f.domain)
+        img = Poly.zero(f.vars)
         for j, a in enumerate(M[i]):
             if a:
-                img = img + Poly.variable(f.vars, j, f.domain).scale(Fraction(a))
+                img = img + Poly.variable(f.vars, j).scale(Fraction(a))
         images.append(img)
     return f.subs(images)
 
@@ -434,31 +359,23 @@ def dehomogenize(f: Poly, i: int) -> Poly:
     if not 0 <= i < len(f.vars):
         raise IndexError(f"variable index {i} out of range")
     new_vars = f.vars[:i] + f.vars[i + 1 :]
-    out: dict[Mono, object] = {}
-    dom = f.domain
-    zero = dom.zero()
+    out: dict[Mono, Fraction] = {}
     for m, c in f.terms.items():
         nm = m[:i] + m[i + 1 :]
-        s = dom.add(out.get(nm, zero), c)
-        if s == zero:
-            out.pop(nm, None)
-        else:
+        s = out.get(nm, _ZERO) + c
+        if s:
             out[nm] = s
-    return Poly(new_vars, out, dom)
+        else:
+            out.pop(nm, None)
+    return Poly(new_vars, out)
 
 
 def homogeneous_parts(f: Poly) -> list[Poly]:
     """Graded components of f, by increasing degree."""
-    buckets: dict[int, dict[Mono, object]] = {}
+    buckets: dict[int, dict[Mono, Fraction]] = {}
     for m, c in f.terms.items():
         buckets.setdefault(mono_degree(m), {})[m] = c
-    return [Poly(f.vars, terms, f.domain) for _, terms in sorted(buckets.items())]
-
-
-def to_prime_field(f: Poly, p: int) -> Poly:
-    """Reduce a rational polynomial mod p; denominators must be invertible."""
-    dom = GF(p)
-    return Poly(f.vars, {m: dom.coerce(c) for m, c in f.terms.items()}, dom)
+    return [Poly(f.vars, terms) for _, terms in sorted(buckets.items())]
 
 
 # -------------------------------------------------------------- text output
@@ -481,8 +398,6 @@ def poly_text(f: Poly) -> str:
     parts: list[str] = []
     for m in sorted(f.terms, key=_grevlex_key, reverse=True):
         c = f.terms[m]
-        if f.domain.is_prime_field:
-            c = Fraction(c)
         factors = []
         for name, e in zip(f.vars, m):
             if e == 1:
@@ -594,8 +509,6 @@ def squarefree_probe(f: Poly, trials: int = 8, seed: int = 0) -> Reducedness:
     """
     if f.is_zero():
         raise ZeroPolynomial("cannot probe the zero polynomial")
-    if f.domain.is_prime_field:
-        raise DomainMismatch("reducedness probe runs over the rationals")
     d = homogeneous_degree(f)
     if d == 0:
         return Reducedness.PROBABLY_REDUCED

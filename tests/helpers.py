@@ -53,7 +53,6 @@ from polargrad.groebner import (
 from polargrad.hypersurface import NotIsolated, _rational_roots, jacobian_ideal
 from polargrad.parser import ParseError, UnknownVariable, _tokenize
 from polargrad.poly import (
-    QQ,
     DomainMismatch,
     Mono,
     Poly,
@@ -76,16 +75,16 @@ def var_names(nv: int) -> tuple[str, ...]:
 
 
 def record_pair_loops(monkeypatch) -> list:
-    """Record every Buchberger pair loop as (term order, domain, the `_Run`
-    it returns, or None when a followed schedule did not match, whether it
+    """Record every Buchberger pair loop as (term order, the `_Run` it
+    returns, or None when a followed schedule did not match, whether it
     followed a schedule): the `_pair_loop` seam, rebound in `groebner`, where
     every `Ideal` enters it, and in `polar`, where the oracle's cone ideals
     do."""
     real, calls = groebner._pair_loop, []
 
-    def loop(vars, domain, packing, caps, gens, follow=None):
-        run = real(vars, domain, packing, caps, gens, follow)
-        calls.append((packing.order, domain, run, follow is not None))
+    def loop(vars, packing, caps, gens, follow=None):
+        run = real(vars, packing, caps, gens, follow)
+        calls.append((packing.order, run, follow is not None))
         return run
 
     for module in (groebner, polar):
@@ -179,8 +178,8 @@ def form_products(draw, nvs=(2, 3), count=(1, 2)):
 # ------------------------------------------------------------- linear algebra
 
 
-def fraction_rank(rows: list[list], p: int | None = None) -> int:
-    """Rank over the rationals, or over GF(p) for entries in [0, p)."""
+def fraction_rank(rows: list[list]) -> int:
+    """Rank over the rationals."""
     rows = [list(r) for r in rows]
     rank = 0
     ncols = len(rows[0]) if rows else 0
@@ -192,13 +191,11 @@ def fraction_rank(rows: list[list], p: int | None = None) -> int:
         if pivot is None:
             continue
         rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        inv = Fraction(1, rows[pivot_row][col]) if p is None else pow(rows[pivot_row][col], -1, p)
+        inv = Fraction(1, rows[pivot_row][col])
         for r in range(len(rows)):
             if r != pivot_row and rows[r][col] != 0:
                 factor = rows[r][col] * inv
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot_row])]
-                if p is not None:
-                    rows[r] = [a % p for a in rows[r]]
         pivot_row += 1
         rank += 1
         if pivot_row == len(rows):
@@ -236,54 +233,51 @@ def reference_multiplication_matrix(I: Ideal, g: Poly) -> tuple[tuple[Mono, ...]
     if std is None:
         raise NotZeroDimensional("no pure power of some variable among the leading terms")
     column = {m: i for i, m in enumerate(std)}
-    zero = I.domain.zero()
     rows = []
     for m in std:
-        shifted = Poly(g.vars, {mono_mul(gm, m): c for gm, c in g.terms.items()}, g.domain)
-        row = [zero] * len(std)
+        shifted = Poly(g.vars, {mono_mul(gm, m): c for gm, c in g.terms.items()})
+        row = [Fraction(0)] * len(std)
         for t, c in normal_form(shifted, I.basis, I.order, I.caps).terms.items():
             row[column[t]] = c
         rows.append(row)
     return std, rows
 
 
-def reference_echelon(rows, domain) -> list[list]:
+def reference_echelon(rows) -> list[list]:
     """`groebner._echelon` as it was before integer rows: a reduced echelon
-    basis of the row space in the domain's arithmetic, pivots scaled to 1."""
-    zero = domain.zero()
+    basis of the row space of `Fraction` rows, pivots scaled to 1."""
     basis: list[tuple[int, list]] = []
     for r in rows:
         for col, b in basis:
             c = r[col]
-            if c != zero:
-                r = [domain.sub(x, domain.mul(c, y)) for x, y in zip(r, b)]
-        pivot = next((i for i, x in enumerate(r) if x != zero), None)
+            if c:
+                r = [x - c * y for x, y in zip(r, b)]
+        pivot = next((i for i, x in enumerate(r) if x), None)
         if pivot is None:
             continue
-        inv = domain.inv(r[pivot])
-        r = [domain.mul(inv, x) for x in r]
+        inv = 1 / r[pivot]
+        r = [inv * x for x in r]
         for k, (col, b) in enumerate(basis):
             c = b[pivot]
-            if c != zero:
-                basis[k] = (col, [domain.sub(x, domain.mul(c, y)) for x, y in zip(b, r)])
+            if c:
+                basis[k] = (col, [x - c * y for x, y in zip(b, r)])
         basis.append((pivot, r))
     return [b for _, b in basis]
 
 
-def reference_stable_image(rows, domain) -> list[list]:
+def reference_stable_image(rows) -> list[list]:
     """`groebner._stable_image` as it was before integer rows: echelon bases
     of the images of M, M^2, ... until two have equal dimension."""
-    image = reference_echelon(rows, domain)
-    zero = domain.zero()
+    image = reference_echelon(rows)
     while True:
         products = []
         for v in image:
-            out = [zero] * len(rows)
+            out = [Fraction(0)] * len(rows)
             for c, row in zip(v, rows):
-                if c != zero:
-                    out = [domain.add(x, domain.mul(c, y)) for x, y in zip(out, row)]
+                if c:
+                    out = [x + c * y for x, y in zip(out, row)]
             products.append(out)
-        nxt = reference_echelon(products, domain)
+        nxt = reference_echelon(products)
         if len(nxt) == len(image):
             return image
         image = nxt
@@ -309,10 +303,8 @@ def monomials_up_to(nv: int, bound: int) -> list[tuple[int, ...]]:
 def macaulay_quotient_dim(gens: list[Poly], bound: int) -> int:
     """Dimension of (monomials of degree <= bound) modulo the span of all
     degree-<= bound multiples of the generators; equals the quotient
-    dimension once `bound` passes the staircase.  The rank is taken over the
-    coefficient field of the generators."""
+    dimension once `bound` passes the staircase."""
     nv = len(gens[0].vars)
-    p = gens[0].domain.p
     cols = {m: i for i, m in enumerate(monomials_up_to(nv, bound))}
     rows = []
     for g in gens:
@@ -322,7 +314,7 @@ def macaulay_quotient_dim(gens: list[Poly], bound: int) -> int:
             for gm, c in g.terms.items():
                 row[cols[mono_mul(m, gm)]] = c
             rows.append(row)
-    return len(cols) - fraction_rank(rows, p)
+    return len(cols) - fraction_rank(rows)
 
 
 def random_zero_dim_ideal(seed: int, nv: int) -> list[Poly]:
@@ -352,21 +344,18 @@ def rabinowitsch_saturate(I: Ideal, g: Poly) -> Ideal:
     """I : g^inf via the extra-variable construction (1 - t*g)."""
     tname = "t_rab"
     new_vars = (tname,) + I.vars
-    lifted = [
-        Poly(new_vars, {(0,) + m: c for m, c in p.terms.items()}, I.domain)
-        for p in I.gens
-    ]
-    tg = Poly(new_vars, {(1,) + m: c for m, c in g.terms.items()}, I.domain)
-    one = Poly.constant(new_vars, 1, I.domain)
+    lifted = [Poly(new_vars, {(0,) + m: c for m, c in p.terms.items()}) for p in I.gens]
+    tg = Poly(new_vars, {(1,) + m: c for m, c in g.terms.items()})
+    one = Poly.constant(new_vars, 1)
     lifted.append(one - tg)
     order = elimination_order((0,), tuple(range(1, len(new_vars))))
     basis = buchberger(lifted, order)
     kept = [
-        Poly(I.vars, {m[1:]: c for m, c in p.terms.items()}, I.domain)
+        Poly(I.vars, {m[1:]: c for m, c in p.terms.items()})
         for p in basis
         if all(m[0] == 0 for m in p.terms)
     ]
-    return Ideal(kept, I.order, vars=I.vars, domain=I.domain)
+    return Ideal(kept, I.order, vars=I.vars)
 
 
 # ----------------------------------------------- saturated fiber oracle
@@ -410,8 +399,6 @@ def reference_divmod(p: Poly, divisors: list[Poly], order: TermOrder, caps: Caps
     term, and a heap keyed by `order.key` negated.  Returns (quotients,
     remainder) with p = sum(q_i * divisors_i) + remainder and no remainder
     term divisible by any leading term of the divisors."""
-    dom = p.domain
-    zero = dom.zero()
     lead = []
     for g in divisors:
         if g.is_zero():
@@ -427,8 +414,8 @@ def reference_divmod(p: Poly, divisors: list[Poly], order: TermOrder, caps: Caps
     work = dict(p.terms)
     heap = [(neg_key(m), m) for m in work]
     heapq.heapify(heap)
-    remainder: dict[Mono, object] = {}
-    quotients: list[dict[Mono, object]] = [{} for _ in divisors]
+    remainder: dict[Mono, Fraction] = {}
+    quotients: list[dict[Mono, Fraction]] = [{} for _ in divisors]
     while heap:
         _, m = heapq.heappop(heap)
         c = work.get(m)
@@ -440,9 +427,9 @@ def reference_divmod(p: Poly, divisors: list[Poly], order: TermOrder, caps: Caps
             ltm, lc, gterms = entry
             if mono_divides(ltm, m):
                 shift = mono_div(m, ltm)
-                factor = dom.div(c, lc)
+                factor = c / lc
                 q = quotients[gi]
-                q[shift] = dom.add(q.get(shift, zero), factor)
+                q[shift] = q.get(shift, 0) + factor
                 del work[m]
                 for gm, gc in gterms.items():
                     if gm == ltm:
@@ -452,8 +439,8 @@ def reference_divmod(p: Poly, divisors: list[Poly], order: TermOrder, caps: Caps
                         raise ResourceLimit(
                             f"degree cap {caps.max_degree} exceeded during reduction"
                         )
-                    d = dom.sub(work.get(nm, zero), dom.mul(factor, gc))
-                    if d == zero:
+                    d = work.get(nm, 0) - factor * gc
+                    if not d:
                         work.pop(nm, None)
                     else:
                         if nm not in work:
@@ -463,14 +450,7 @@ def reference_divmod(p: Poly, divisors: list[Poly], order: TermOrder, caps: Caps
         else:
             remainder[m] = c
             del work[m]
-    rem = Poly.zero(p.vars, dom)
-    object.__setattr__(rem, "terms", remainder)
-    qpolys = []
-    for q in quotients:
-        qp = Poly.zero(p.vars, dom)
-        object.__setattr__(qp, "terms", q)
-        qpolys.append(qp)
-    return qpolys, rem
+    return [Poly.from_clean(p.vars, q) for q in quotients], Poly.from_clean(p.vars, remainder)
 
 
 # ------------------------------------------- tuple-monomial Buchberger
@@ -491,9 +471,9 @@ def reference_buchberger(gens, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
-    vars0, dom0 = gens[0].vars, gens[0].domain
+    vars0 = gens[0].vars
     for g in gens:
-        if g.vars != vars0 or g.domain != dom0:
+        if g.vars != vars0:
             raise DomainMismatch("generators live in different rings")
 
     G: list[Poly] = []
@@ -609,14 +589,11 @@ def saturation_local_dim(gens, point) -> int:
     if not gens:
         raise NotZeroDimensional("zero ideal has no finite local component")
     vars = gens[0].vars
-    shift = [
-        Poly.variable(vars, i, gens[0].domain) + Poly.constant(vars, Fraction(a), gens[0].domain)
-        for i, a in enumerate(point)
-    ]
+    shift = [Poly.variable(vars, i) + Poly.constant(vars, Fraction(a)) for i, a in enumerate(point)]
     J = Ideal([g.subs(shift) for g in gens], GREVLEX)
     if J.is_unit():
         return 0
-    m = Ideal([Poly.variable(vars, i, J.domain) for i in range(len(vars))], GREVLEX)
+    m = Ideal([Poly.variable(vars, i) for i in range(len(vars))], GREVLEX)
     rest = saturate_ideal(J, m)
     if rest.is_unit():
         primary = J
@@ -633,7 +610,7 @@ def _substitute_last(p: Poly, value: Fraction) -> Poly:
     out: dict = {}
     for m, c in p.terms.items():
         out[m[:-1]] = out.get(m[:-1], 0) + c * value ** m[-1]
-    return Poly(p.vars[:-1], {m: c for m, c in out.items() if c}, p.domain)
+    return Poly(p.vars[:-1], {m: c for m, c in out.items() if c})
 
 
 def lex_points_affine(gens: list[Poly]) -> list[tuple[Fraction, ...]]:
@@ -684,7 +661,7 @@ def lex_singular_points(f: Poly) -> list[ProjectivePoint]:
     for chart in range(nv - 1, -1, -1):
         cell = []
         for g in J.gens:
-            g = Poly(g.vars, {m: c for m, c in g.terms.items() if not any(m[chart + 1 :])}, g.domain)
+            g = Poly(g.vars, {m: c for m, c in g.terms.items() if not any(m[chart + 1 :])})
             for j in range(nv - 1, chart - 1, -1):
                 g = dehomogenize(g, j)
             if not g.is_zero():
@@ -726,16 +703,14 @@ def frame_certificates(fM: Poly, caps: Caps = DEFAULT_CAPS) -> bool:
     """The two-certificate frame rule: the section of V(fM) by x_0 = 0 is
     smooth, and V(fM) has no singular point on x_0 = 0.  `generic_frame`
     accepts exactly these frames by the one count dim k[y]/(grad h) = (d-1)^n."""
-    section = Poly(fM.vars, {m: c for m, c in fM.terms.items() if m[0] == 0}, fM.domain)
+    section = Poly(fM.vars, {m: c for m, c in fM.terms.items() if m[0] == 0})
     restriction = dehomogenize(section, 0)
     if restriction.is_zero():
         return False
-    Jw = Ideal(gradient(restriction), GREVLEX, vars=restriction.vars, domain=fM.domain, caps=caps)
+    Jw = Ideal(gradient(restriction), GREVLEX, vars=restriction.vars, caps=caps)
     if Jw.is_zero_ideal() or projective_dim(Jw) != -1:
         return False
-    at_infinity = Ideal(
-        list(gradient(fM)) + [Poly.variable(fM.vars, 0, fM.domain)], GREVLEX, caps=caps
-    )
+    at_infinity = Ideal(list(gradient(fM)) + [Poly.variable(fM.vars, 0)], GREVLEX, caps=caps)
     return projective_dim(at_infinity) == -1
 
 
@@ -778,9 +753,9 @@ class _PolyParser:
     the term-dict parser: the same tokens, grammar, ParseError positions and
     max_degree checks, each subexpression a `Poly`, each power `Poly.__pow__`."""
 
-    def __init__(self, text, vars, domain, max_degree):
+    def __init__(self, text, vars, max_degree):
         self.tokens, self.pos = _tokenize(text), 0
-        self.vars, self.domain, self.max_degree = vars, domain, max_degree
+        self.vars, self.max_degree = vars, max_degree
 
     def check(self, degree):
         if self.max_degree is not None and degree > self.max_degree:
@@ -847,12 +822,12 @@ class _PolyParser:
                 if den == 0:
                     raise ParseError("zero denominator", where)
                 c = Fraction(c, den)
-            return Poly.constant(self.vars, c, self.domain)
+            return Poly.constant(self.vars, c)
         if kind == "name":
             if value not in self.vars:
                 raise UnknownVariable(f"unknown variable {value!r}", where)
             self.check(1)
-            return Poly.variable(self.vars, self.vars.index(value), self.domain)
+            return Poly.variable(self.vars, self.vars.index(value))
         if (kind, value) == ("op", "("):
             inner = self.expression()
             if not self.op(")"):
@@ -861,11 +836,11 @@ class _PolyParser:
         raise ParseError("expected a number, variable or parenthesis", where)
 
 
-def reference_parse_poly(text: str, vars, domain=QQ, max_degree: int | None = None) -> Poly:
+def reference_parse_poly(text: str, vars, *, max_degree: int | None = None) -> Poly:
     names = tuple(vars)
     if len(set(names)) != len(names):
         raise ValueError("duplicate variable names")
-    return _PolyParser(text, names, domain, max_degree).parse()
+    return _PolyParser(text, names, max_degree).parse()
 
 
 @st.composite

@@ -45,7 +45,7 @@ from polargrad.groebner import (
     zero_dim_degree_projective,
 )
 from polargrad.parser import parse_poly
-from polargrad.poly import GF, QQ, DomainMismatch, Poly, mono_divides, mono_mul, to_prime_field
+from polargrad.poly import DomainMismatch, Poly, mono_divides, mono_mul
 
 import helpers
 from helpers import (
@@ -204,15 +204,14 @@ class TestPackedDivision:
     """`poly_divmod` on packed monomials against the tuple-monomial division it
     replaced (`helpers.reference_divmod`): the same quotients and remainder,
     term for term in the same dict order, so everything built on them is
-    byte-identical."""
+    byte-identical.  The coefficients are rational only; prime names that
+    case."""
 
-    @pytest.mark.parametrize("prime", [None, 32003])
+    @pytest.mark.parametrize("prime", [None])
     @given(division_cases())
     @settings(max_examples=100, deadline=None)
     def test_divmod_matches_the_tuple_reference(self, prime, case):
         order, p, divisors = case
-        if prime is not None:
-            p, divisors = to_prime_field(p, prime), [to_prime_field(g, prime) for g in divisors]
         expected = _outcome(reference_divmod, p, divisors, order)
         assert _outcome(poly_divmod, p, divisors, order) == expected
         assert list(normal_form(p, divisors, order).terms.items()) == expected[1]
@@ -335,13 +334,11 @@ class TestPackedBuchberger:
         assert packed["_s_remainder"] == tuples["s_polynomial"]
         return outcome
 
-    @pytest.mark.parametrize("prime", [None, 32003])
+    @pytest.mark.parametrize("prime", [None])
     @given(buchberger_cases())
     @settings(max_examples=200, deadline=None)
     def test_basis_matches_the_tuple_reference(self, prime, case):
         order, gens, caps = case
-        if prime is not None:
-            gens = [to_prime_field(g, prime) for g in gens]
         self._check(gens, order, caps)
 
     @given(buchberger_cases(WIDE_COEFFICIENTS))
@@ -350,7 +347,7 @@ class TestPackedBuchberger:
         order, gens, caps = case
         self._check(gens, order, caps)
 
-    @pytest.mark.parametrize("prime", [None, 32003])
+    @pytest.mark.parametrize("prime", [None])
     def test_s_polynomials_above_the_cap(self, monkeypatch, prime):
         # under lex these S-polynomials reach degree 9 and 10, above the caps
         # of 8 and 7, and still reduce to a basis within them
@@ -367,8 +364,6 @@ class TestPackedBuchberger:
 
         for texts, cap in cases:
             gens = [P(t) for t in texts]
-            if prime is not None:
-                gens = [to_prime_field(g, prime) for g in gens]
             degrees.clear()
             monkeypatch.setattr(helpers, "s_polynomial", spoly)
             reference_buchberger(gens, LEX, Caps(max_degree=cap))
@@ -378,24 +373,23 @@ class TestPackedBuchberger:
 
 
 class TestFractionFreeKernel:
-    """`_reduce_terms` runs on Python ints in both domains: over QQ every
-    `Fraction` is cleared on the way in and rebuilt on the way out, and over
-    GF(p) every divisor is monic, so the kernel never scales."""
+    """`_reduce_terms` runs on Python ints: every `Fraction` is cleared on
+    the way in and rebuilt on the way out."""
 
     GENS = ("3/2*x^3 - 5*y*z^2", "7*y^3 - 2/3*x^2*z", "x*y*z - 4/5*z^3")
     DIVIDEND = "1/7*x^4*y - 3*z^5 + 2/9*x*y + 5/4"
 
-    def _run(self, monkeypatch, prime=None):
+    def _run(self, monkeypatch):
         """(coefficients received, coefficients returned, factor) of every
         kernel call of a `buchberger`, a `normal_form` and a `poly_divmod`."""
         seen = []
         original = groebner._reduce_terms
 
-        def spy(work, by_lead, packing, caps, modulus, found=None):
+        def spy(work, by_lead, packing, caps, found=None):
             received = list(work.values())
             for _, lc, _, tail in by_lead.values():
                 received += [lc, *(c for _, c in tail)]
-            remainder, factor = original(work, by_lead, packing, caps, modulus, found)
+            remainder, factor = original(work, by_lead, packing, caps, found)
             returned = list(remainder.values())
             for q in found or ():
                 returned += q.values()
@@ -403,8 +397,6 @@ class TestFractionFreeKernel:
             return remainder, factor
 
         gens, p = [P(t) for t in self.GENS], P(self.DIVIDEND)
-        if prime is not None:
-            gens, p = [to_prime_field(g, prime) for g in gens], to_prime_field(p, prime)
         monkeypatch.setattr(groebner, "_reduce_terms", spy)
         basis = buchberger(gens)
         remainder = normal_form(p, basis, GREVLEX)
@@ -423,13 +415,6 @@ class TestFractionFreeKernel:
             assert all(type(c) is int for c in received + returned)
             assert type(factor) is int and factor > 0
         assert any(factor > 1 for *_, factor in seen)  # the kernel did scale
-
-    def test_factor_is_one_over_a_prime_field(self, monkeypatch):
-        seen = self._run(monkeypatch, 32003)
-        assert len(seen) > 3
-        for received, returned, factor in seen:
-            assert all(type(c) is int for c in received + returned)
-            assert factor == 1
 
 
 class TestLeadingMonomial:
@@ -549,15 +534,6 @@ class TestBuchberger:
         g = f * f * f
         assert g.terms[(3, 0)] == big**3  # no overflow, exact integers
 
-    def test_prime_field_agrees_with_rationals(self):
-        gens = [P("x^2 + y*z"), P("x*y - z^2")]
-        basis_q = buchberger(gens)
-        p = 2147483629
-        basis_p = buchberger([to_prime_field(g, p) for g in gens])
-        lts_q = {leading_monomial(g, GREVLEX) for g in basis_q}
-        lts_p = {leading_monomial(g, GREVLEX) for g in basis_p}
-        assert lts_q == lts_p
-
 
 class TestCaps:
     """Caps travel with an Ideal: every ideal derived from it and every
@@ -615,33 +591,30 @@ class TestCaps:
 class TestPickling:
     """An `Ideal` pickles through its constructor: the generators, order,
     ring and caps travel, and the cached basis, staircase and algebra are
-    recomputed on the other side (the algebra over QQ only)."""
+    recomputed on the other side.  The coefficients are rational only; prime
+    names that case."""
 
-    @pytest.mark.parametrize("prime", [None, 32003])
+    @pytest.mark.parametrize("prime", [None])
     def test_ideal_round_trip(self, prime):
         gens = [P("x^2 - 1/3*y", V2), P("y^2 - 1", V2)]
-        if prime is not None:
-            gens = [to_prime_field(g, prime) for g in gens]
         caps = Caps(max_basis=50, max_degree=30)
         I = Ideal(gens, LEX, caps=caps)
         assert pickle.loads(pickle.dumps(I)).gens == I.gens
         assert quotient_vs_dim(I) == 4
-        if prime is None:
-            assert I.algebra is not None
+        assert I.algebra is not None
         J = pickle.loads(pickle.dumps(I))
-        assert (J.gens, J.order, J.vars, J.domain, J.caps) == (I.gens, LEX, V2, I.domain, caps)
+        assert (J.gens, J.order, J.vars, J.caps) == (I.gens, LEX, V2, caps)
         assert J._basis is None and J._staircase is None and J._algebra is None
         assert [list(g.terms.items()) for g in J.basis] == [list(g.terms.items()) for g in I.basis]
         assert J.stairs == I.stairs
-        if prime is None:
-            assert J.algebra.rows == I.algebra.rows
+        assert J.algebra.rows == I.algebra.rows
         with pytest.raises(AttributeError):
             J.order = GREVLEX
 
     def test_zero_ideal_round_trip(self):
-        zero = Ideal([], vars=V3, domain=GF(32003))
+        zero = Ideal([], vars=V3, caps=Caps(max_basis=7))
         back = pickle.loads(pickle.dumps(zero))
-        assert back.is_zero_ideal() and back.vars == V3 and back.domain == GF(32003)
+        assert back.is_zero_ideal() and back.vars == V3 and back.caps == Caps(max_basis=7)
 
 
 class TestPairOrder:
@@ -671,10 +644,9 @@ class TestPairOrder:
             assert counts == {"_s_remainder": spolys, "_reduce_terms": reductions}
             assert len(basis) == size
 
-    def test_counts_of_an_intersection_mod_p(self, monkeypatch):
-        p = 32003
-        I = Ideal([to_prime_field(P(t), p) for t in ("x^3 - y*z^2", "y^3 - x^2*z", "x*y*z - z^3")])
-        J = Ideal([to_prime_field(P(t), p) for t in ("x*y - z^2", "x^2 + y^2 + z^2")])
+    def test_counts_of_an_intersection(self, monkeypatch):
+        I = Ideal([P(t) for t in ("x^3 - y*z^2", "y^3 - x^2*z", "x*y*z - z^3")])
+        J = Ideal([P(t) for t in ("x*y - z^2", "x^2 + y^2 + z^2")])
         counts, K = self._count(monkeypatch, lambda: intersect(I, J))
         assert counts == {"_s_remainder": 46, "_reduce_terms": 78}
         assert len(K.gens) == 9
@@ -752,7 +724,7 @@ class TestStaircaseInvariants:
     @settings(max_examples=200, deadline=None)
     def test_packed_staircase_matches_the_box_walk(self, case):
         order, names, monos = case
-        I = Ideal([Poly(names, {m: 1}) for m in monos], order, vars=names, domain=QQ)
+        I = Ideal([Poly(names, {m: 1}) for m in monos], order, vars=names)
         report = staircase(I)
         got = (report.lead_monomials, report.standard_monomials, report.krull_dim)
         assert got == reference_staircase(monos, len(names))
@@ -822,7 +794,7 @@ class TestMultiplicationMatrix:
     (Stickelberger), and `local_component_dim(I, forms)` is what the stable
     images of the forms leave of k[x]/I.  Checked against the extra-variable
     saturation and `saturate_ideal`, and the standard monomials against the
-    Macaulay rank.  The algebra is over QQ only; p names the QQ case."""
+    Macaulay rank.  The coefficients are rational only; p names that case."""
 
     @pytest.mark.parametrize("p", [None])
     @given(seed=st.integers(0, 10**6), nv=st.integers(2, 3), g_terms=TERMS,
@@ -831,7 +803,7 @@ class TestMultiplicationMatrix:
     def test_stable_rank_is_the_saturation_dimension(self, p, seed, nv, g_terms, constant):
         gens = random_zero_dim_ideal(seed, nv)
         I = Ideal(gens)
-        g = Poly(I.vars, [(m[:nv], c) for m, c in g_terms] + [((0,) * nv, constant)], I.domain)
+        g = Poly(I.vars, [(m[:nv], c) for m, c in g_terms] + [((0,) * nv, constant)])
         std = _scaled_matrix(I, g)[0]
         S = rabinowitsch_saturate(I, g)
         stable_rank = len(std) - local_component_dim(I, [g])
@@ -848,7 +820,7 @@ class TestMultiplicationMatrix:
     def test_local_component_dim_against_saturation(self, p, seed, nv, forms_terms):
         I = Ideal(random_zero_dim_ideal(seed, nv))
         forms = [
-            Poly(I.vars, [(m[:nv], c) for m, c in terms] + [((0,) * nv, constant)], I.domain)
+            Poly(I.vars, [(m[:nv], c) for m, c in terms] + [((0,) * nv, constant)])
             for terms, constant in forms_terms
         ]
         assume(all(not g.is_zero() for g in forms))
@@ -894,22 +866,8 @@ class TestMultiplicationMatrix:
             _scaled_matrix(Ideal([P("x*y", V2)]), P("x", V2))
         with pytest.raises(NotZeroDimensional):
             local_component_dim(Ideal([P("x*y", V2)]), [P("x", V2)])
-        with pytest.raises(DomainMismatch):
-            _scaled_matrix(Ideal([P("x^2", V2), P("y", V2)]), to_prime_field(P("x", V2), 7))
-
-    def test_the_algebra_is_over_the_rationals_only(self):
-        # a GF(p) ideal still counts its staircase, but builds no algebra
-        I = Ideal([to_prime_field(g, 32003) for g in (P("x^2 - y", V2), P("y^2 - y", V2))])
-        x = to_prime_field(P("x", V2), 32003)
-        assert quotient_vs_dim(I) == 4
-        with pytest.raises(DomainMismatch):
-            I.algebra
-        with pytest.raises(DomainMismatch):
-            _scaled_matrix(I, x)
-        for forms in ([x], []):
-            with pytest.raises(DomainMismatch):
-                local_component_dim(I, forms)
-        assert I._algebra is None
+        with pytest.raises(DomainMismatch):  # a multiplier over other variables
+            _scaled_matrix(Ideal([P("x^2", V2), P("y", V2)]), P("x", V3))
 
 
 # a large denominator
@@ -955,7 +913,7 @@ class TestIntegerKernels:
     multiplication matrices built from the variable matrices, against the
     Fraction kernels and the normal forms they replaced
     (`tests/helpers.py::reference_*`) and against `fraction_rank`.  The
-    kernels are over QQ only; p names the QQ case."""
+    coefficients are rational only; p names that case."""
 
     @pytest.mark.parametrize("p", [None])
     @given(rows=fraction_matrices())
@@ -963,7 +921,7 @@ class TestIntegerKernels:
     def test_echelon_rank_and_form(self, p, rows):
         echelon = groebner._echelon(_integer_rows(rows))
         rank = fraction_rank(rows)
-        assert len(echelon) == len(reference_echelon(rows, QQ)) == rank
+        assert len(echelon) == len(reference_echelon(rows)) == rank
         # the echelon rows span the row space
         assert fraction_rank(rows + echelon) == rank
         # reduced: each pivot is the only nonzero entry of its column
@@ -984,7 +942,7 @@ class TestIntegerKernels:
     @settings(max_examples=60, deadline=None)
     def test_stable_image_dimension(self, p, rows):
         image = groebner._stable_image(_integer_rows(rows, common=True))
-        assert len(image) == len(reference_stable_image(rows, QQ))
+        assert len(image) == len(reference_stable_image(rows))
         nilpotent = all(not x for i, r in enumerate(rows) for x in r[: i + 1])
         if nilpotent or not rows:
             assert image == []
@@ -1040,15 +998,3 @@ class TestIntegerKernels:
             local_component_dim(I, [P("x", V2), P("y - 1", V2)])
         assert calls == [I.run, point.run] and reports == []
         assert I.algebra is I.algebra
-
-
-class TestPrimeFieldPipeline:
-    def test_saturation_mod_p_matches(self):
-        p = 2147483587
-        I = Ideal([P("x*y"), P("x*z")])
-        Ip = Ideal([to_prime_field(g, p) for g in I.gens])
-        S = saturate_ideal(I, Ideal([P("x")]))
-        Sp = saturate_ideal(Ip, Ideal([to_prime_field(P("x"), p)]))
-        assert {leading_monomial(g, GREVLEX) for g in S.basis} == {
-            leading_monomial(g, GREVLEX) for g in Sp.basis
-        }

@@ -454,7 +454,7 @@ class TestGenericFrame:
             if hypersurface._chart_may_certify(f, k, d):
                 continue
             h = hypersurface._affine_model(f, chart_matrix(nv, k))
-            J = Ideal(gradient(h), GREVLEX, vars=h.vars, domain=h.domain)
+            J = Ideal(gradient(h), GREVLEX, vars=h.vars)
             try:
                 assert quotient_vs_dim(J) < (d - 1) ** (nv - 1), k
             except NotZeroDimensional:
@@ -556,7 +556,7 @@ class TestGenericFrame:
         assert polar_degree_fiber_oracle(f, seed=1).value == 4
         assert len(loops) == 3 and finished == built == []
         # targets 2 and 3 follow target 1's schedule
-        assert [(run is None, followed) for _, _, run, followed in loops] == [
+        assert [(run is None, followed) for _, run, followed in loops] == [
             (False, False), (False, True), (False, True)
         ]
         loops.clear()
@@ -565,7 +565,7 @@ class TestGenericFrame:
         assert len(rational_singular_points(model)) == 5
         I = model.critical_ideal
         basis = I.basis
-        assert len(loops) == 2 and finished == [loops[1][2]] and built == [I.reduced]
+        assert len(loops) == 2 and finished == [loops[1][1]] and built == [I.reduced]
         assert I.basis is basis
         loops.clear()
         J = Ideal(gradient(model.h))

@@ -9,12 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polargrad.groebner import GREVLEX, leading_monomial
+from polargrad import hypersurface
+from polargrad.groebner import GREVLEX, Ideal, leading_monomial, normal_form
 from polargrad.parser import ParseError, UnknownVariable, parse_poly
 from polargrad.poly import (
-    GF,
-    QQ,
-    DomainMismatch,
     NotHomogeneous,
     Poly,
     ProjectivePoint,
@@ -27,12 +25,12 @@ from polargrad.poly import (
     poly_text,
     squarefree_probe,
     substitute_linear,
-    to_prime_field,
 )
 from polargrad.rng import SplitMix64
 
 from helpers import (
     expression_texts,
+    form_products,
     homogeneous_polys,
     invert_fraction_matrix,
     poly_pairs,
@@ -46,9 +44,9 @@ V3 = ("x", "y", "z")
 
 def euler_holds(f: Poly) -> bool:
     """Whether sum_i x_i * df/dx_i equals deg(f) * f exactly."""
-    acc = Poly.zero(f.vars, f.domain)
+    acc = Poly.zero(f.vars)
     for i in range(len(f.vars)):
-        acc = acc + Poly.variable(f.vars, i, f.domain) * f.partial(i)
+        acc = acc + Poly.variable(f.vars, i) * f.partial(i)
     return acc == f.scale(homogeneous_degree(f))
 
 
@@ -87,23 +85,12 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_poly("x^-2", V2)
 
-    def test_prime_field_coefficients(self):
-        # a constant is coerced into GF(p) when it is read, so 1/3 fails
-        # mod 3 even though the two terms would cancel
-        with pytest.raises(DomainMismatch):
-            parse_poly("1/3*x - 1/3*x", V2, GF(3))
-        assert parse_poly("3/3*x", V2, GF(3)) == parse_poly("x", V2, GF(3))
-        # coefficients that vanish mod 3 in a sum, product or power are dropped
-        for text in ("2*x + x + y", "(x + 1)*(x + 2)", "(x + y)^3"):
-            assert parse_poly(text, V2, GF(3)) == reference_parse_poly(text, V2, GF(3))
-        assert parse_poly("(x + y)^3", V2, GF(3)) == parse_poly("x^3 + y^3", V2, GF(3))
-
     @given(st.data())
     @settings(max_examples=500, deadline=None)
     def test_matches_the_poly_arithmetic_parser(self, data):
         # the same polynomial (coefficient types included), or the same
-        # ParseError at the same position, the same max_degree ValueError or
-        # the same DomainMismatch, as the parser on whole-Poly arithmetic
+        # ParseError at the same position or the same max_degree ValueError,
+        # as the parser on whole-Poly arithmetic
         names = data.draw(st.sampled_from((V2, V3)), label="vars")
         text = data.draw(expression_texts(names), label="text")
         if data.draw(st.booleans(), label="mutate"):
@@ -112,15 +99,14 @@ class TestParser:
             new = data.draw(st.sampled_from(("", "+", "-", "*", "^", "(", ")", "/", "#", "x", "q", "0")))
             text = text[:i] + new + text[i + 1 :]
             assume(all(int(e) <= 3 for e in re.findall(r"\^\s*(\d+)", text)))
-        domain = data.draw(st.sampled_from((QQ, GF(3), GF(32003))), label="domain")
         cap = data.draw(st.one_of(st.none(), st.integers(0, 4)), label="max_degree")
 
         def outcome(parse):
             try:
-                f = parse(text, names, domain, cap)
-            except (ParseError, ValueError, DomainMismatch) as exc:
+                f = parse(text, names, max_degree=cap)
+            except (ParseError, ValueError) as exc:
                 return type(exc), str(exc), getattr(exc, "position", None)
-            return f.vars, f.domain, {m: (type(c), c) for m, c in f.terms.items()}
+            return f.vars, {m: (type(c), c) for m, c in f.terms.items()}
 
         assert outcome(parse_poly) == outcome(reference_parse_poly)
 
@@ -142,23 +128,47 @@ class TestConstruction:
         assert from_dict == Poly(V2, iter(terms.items()))
         assert from_dict == parse_poly("3*x^2 - 5*y + 7", V2)
 
-    @pytest.mark.parametrize("prime", [None, 32003])
+    @pytest.mark.parametrize("prime", [None])  # rational coefficients only; prime names that case
     @given(polys(max_vars=3))
     @settings(max_examples=40, deadline=None)
     def test_pickle_round_trip(self, prime, p):
         # the terms come back in their dict order, the cached lead is
         # dropped, and the copy is as immutable as the original
-        if prime is not None:
-            p = to_prime_field(p, prime)
         if not p.is_zero():
             leading_monomial(p, GREVLEX)
             assert p._lead is not None
         q = pickle.loads(pickle.dumps(p))
         assert q == p and list(q.terms.items()) == list(p.terms.items())
-        assert (q.vars, q.domain) == (p.vars, p.domain)
+        assert q.vars == p.vars
         assert q._lead is None
         with pytest.raises(AttributeError):
             q.terms = {}
+
+    def test_only_ints_and_fractions_are_coefficients(self):
+        # a float or a string is refused, never read as a Fraction
+        m = (1, 0)
+        for bad in (0.5, "1"):
+            with pytest.raises(TypeError):
+                Poly(V2, {m: bad})
+        f = parse_poly("x + 2*y", V2)
+        with pytest.raises(TypeError):
+            f.scale(0.5)
+        with pytest.raises(TypeError):
+            f.evaluate([0.5, 1])
+        assert f.scale(2) == f.scale(Fraction(2)) and f.evaluate([1, Fraction(1, 2)]) == 2
+
+    @given(form_products(), st.lists(st.integers(-5, 5), min_size=3, max_size=3), st.integers(0, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_every_coefficient_is_a_fraction(self, case, row, k):
+        # f, grad f, an affine model, a reduced basis and a remainder, each
+        # built from int input, hold Fractions only
+        f, _ = case
+        row, k = row[: len(f.vars)], k % len(f.vars)
+        assume(row[0] != 0)
+        h = hypersurface._affine_model(f, hypersurface._frame_matrix(row, k))
+        built = [f, *gradient(f), h, *Ideal(gradient(f)).basis]
+        built.append(normal_form(f, [f.partial(0)], GREVLEX))
+        assert all(type(c) is Fraction for g in built for c in g.terms.values())
 
 
 class TestCalculus:
@@ -284,27 +294,6 @@ class TestDehomogenize:
         assert dehomogenize(f, 0).degree() < f.degree()
         g = parse_poly("x*y^2 + z^3", V3)
         assert dehomogenize(g, 0).degree() == g.degree()
-
-
-class TestPrimeField:
-    def test_reduction_is_ring_homomorphism(self):
-        p = 2147483629
-        f = parse_poly("3*x^2 + 5*y - 7", V2)
-        g = parse_poly("x*y - 2", V2)
-        assert to_prime_field(f * g, p) == to_prime_field(f, p) * to_prime_field(g, p)
-        assert to_prime_field(f + g, p) == to_prime_field(f, p) + to_prime_field(g, p)
-
-    def test_canonical_representatives(self):
-        p = 101
-        f = to_prime_field(parse_poly("102*x - 1", V2), p)
-        assert f.terms[(1, 0)] == 1
-        assert f.terms[(0, 0)] == 100
-
-    def test_bad_modulus_rejected(self):
-        with pytest.raises(ValueError):
-            GF(2)
-        with pytest.raises(ValueError):
-            GF(91)
 
 
 class TestProjectivePoint:

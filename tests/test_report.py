@@ -262,9 +262,9 @@ class TestPipeline:
         loops = record_pair_loops(monkeypatch)
         report = analyze_polynomial("x^3+y^3+z^3+x*y*z", V3).data
         assert report["d_f"]["consolidated"] == 4
-        assert [order for order, _, _, _ in loops] == [groebner.GREVLEX] * 5
+        assert [order for order, _, _ in loops] == [groebner.GREVLEX] * 5
         assert [followed for *_, followed in loops] == [False] * 3 + [True] * 2
-        assert all(run is not None for _, _, run, _ in loops)
+        assert all(run is not None for _, run, _ in loops)
 
     def test_milnor_sum_above_mu_on_raises(self, monkeypatch):
         real = hypersurface.rational_singular_points
