@@ -31,10 +31,13 @@ it; the fiber oracle packs grad f once and enters it with each cone target
 the one over QQ, so the same terms cancel and the same divisors act in the
 same sequence.  The finish inter-reduces a run (`_inter_reduce`) and builds
 its `Poly`s (`_Run.polys`); `buchberger` is run + finish.  An `Ideal` keeps
-its run and, on demand, the reduced run.  Counts need only the run: the
-staircase is read off its packed minimal leads (`_run_staircase`), so
-`quotient_vs_dim`, `run_quotient_dim` and `projective_dim` never
-inter-reduce and never build a `Fraction`.  `Fraction`s appear only at the
+its run and, on demand, the reduced run.  Counts need only the run's packed
+minimal leads, and never inter-reduce or build a `Fraction`:
+`projective_dim` takes the Krull dimension alone (`_run_krull_dim`), and
+only `quotient_vs_dim`, `run_quotient_dim` and the algebra list the
+standard monomials (`_run_staircase`).  A run that follows a schedule has
+the minimal leads, so the staircase and count, of the full run that made
+it; the fiber oracle counts once per schedule.  `Fraction`s appear only at the
 `Poly` boundary: generators and dividends on entry, `Ideal.basis`,
 remainders and quotients on exit.  `Poly` keeps tuple monomials everywhere else, and
 `leading_monomial` remembers its answer on the polynomial.
@@ -552,15 +555,17 @@ def _pair_loop(vars, packing: _Packing, caps: Caps, gens, follow=None) -> _Run |
     element is made primitive again whenever a reduction makes it.  No
     `Fraction` and no `Poly` is built.
 
-    The run keeps its schedule: the intake's leads, then each reduced pair
-    as (lcm, i, j, the remainder's lead or None for zero).  The loop's
-    choices (intake and pair order, both criteria, the kept leads) read
-    nothing else, so generators that reproduce a schedule of this packing
-    get the very run the full loop would build (compare Traverso's Groebner
-    trace, ISSAC 1988).  `follow`, such a schedule, replaces the queue and
-    the criteria; every reduction and cap check is still made, and the loop
-    returns None at the first intake lead, zero or remainder lead that
-    differs, for the caller to run the full loop."""
+    The run keeps its schedule: the intake's leads, each reduced pair as
+    (lcm, i, j, the remainder's lead or None for zero), and the indices of
+    the minimal leads among all the elements made.  The loop's choices
+    (intake and pair order, both criteria, the kept leads) read nothing else,
+    so generators that reproduce a schedule of this packing get the very run
+    the full loop would build (compare Traverso's Groebner trace, ISSAC
+    1988), with the same leads, hence the same staircase.  `follow`, such a
+    schedule, replaces the queue, the criteria and the minimalization; every
+    reduction and cap check is still made, and the loop returns None at the
+    first intake lead, zero or remainder lead that differs, for the caller
+    to run the full loop."""
     pack, unpack, guard, top, fmask = packing.pack, packing.unpack, packing.guard, packing.top, packing.fmask
     forms: dict[tuple, object] = {}
     for ((lead, lc), *tail), g in gens:
@@ -626,15 +631,18 @@ def _pair_loop(vars, packing: _Packing, caps: Caps, gens, follow=None) -> _Run |
             (_, lc), *tail = rem.items()
             add(lead, *_primitive(lc, tail)[:2])
 
-    # minimal generators of the leading-term ideal, ascending
-    kept: list[int] = []
-    for i in sorted(range(len(lts)), key=lts.__getitem__):
-        if not any(not (lts[i] - lts[k]) & guard for k in kept):
-            kept.append(i)
+    if follow is None:  # minimal generators of the leading-term ideal, ascending
+        kept: list[int] = []
+        for i in sorted(range(len(lts)), key=lts.__getitem__):
+            if not any(not (lts[i] - lts[k]) & guard for k in kept):
+                kept.append(i)
+        schedule = (*schedule, kept)
+    else:
+        schedule = follow
     return _Run(
         vars, packing.order, caps, packing,
-        *([seq[i] for i in kept] for seq in (lts, lcs, tails, given)),
-        schedule=schedule if follow is None else follow,
+        *([seq[i] for i in schedule[2]] for seq in (lts, lcs, tails, given)),
+        schedule=schedule,
     )
 
 
@@ -678,8 +686,9 @@ class Ideal:
     and, for a zero-dimensional ideal, the `QuotientAlgebra` k[x]/I.
     Counts read the run alone: the staircase takes its leads, so
     `quotient_vs_dim` and `projective_dim` neither inter-reduce nor build a
-    `Fraction`.  Every ideal derived from this one (intersection,
-    elimination, quotient, saturation) keeps its order and caps.
+    `Fraction`, and `projective_dim` lists no standard monomial.  Every
+    ideal derived from this one (intersection, elimination, quotient,
+    saturation) keeps its order and caps.
 
     Instances are immutable; each cached value is computed at most once and
     then shared read-only, so concurrent readers are safe, and it is freed
@@ -735,15 +744,15 @@ class Ideal:
         return () if reduced is None else reduced.polys()
 
     @property
-    def stairs(self) -> tuple[int, list[int] | None]:
-        """`_run_staircase` of the run: the Krull dimension and, when it is
-        0, the packed standard monomials; (len(vars), None) for the zero
-        ideal."""
-        if self._staircase is None:
-            run = self.run
-            stairs = (len(self.vars), None) if run is None else _run_staircase(run)
-            object.__setattr__(self, "_staircase", stairs)
-        return self._staircase
+    def stairs(self) -> list[int] | None:
+        """`_run_staircase` of the run: the packed standard monomials when
+        the ideal is zero-dimensional, listed once and kept, else None, as
+        for the zero ideal.  Only a count (`quotient_vs_dim`) and the algebra
+        read them; `projective_dim` reads the run's leads alone."""
+        if self._staircase is None and self.run is not None:
+            # kept in a 1-tuple, so that a kept None is not recomputed
+            object.__setattr__(self, "_staircase", (_run_staircase(self.run),))
+        return None if self._staircase is None else self._staircase[0]
 
     @property
     def algebra(self) -> "QuotientAlgebra":
@@ -913,7 +922,8 @@ def _standard_monomials(leads: list[int], packing: _Packing) -> list[int]:
     which holds a pure power of every variable.  A pruned walk: from 1,
     multiply by x_j for j at least the last variable used, and stop at any
     multiple of a lead, so each standard monomial is reached once, from
-    itself divided by its last variable."""
+    itself divided by its last variable.  A candidate is tested against the
+    leads by the loop `_reduce_terms` uses."""
     guard, step = packing.guard, packing.coefs  # step[j] is x_j packed
     std = [0]
     stack = [(0, 0)]  # (monomial, the last variable used)
@@ -921,7 +931,10 @@ def _standard_monomials(leads: list[int], packing: _Packing) -> list[int]:
         e, last = stack.pop()
         for j in range(last, len(step)):
             u = e + step[j]
-            if all((u - lead) & guard for lead in leads):
+            for lead in leads:
+                if not (u - lead) & guard:
+                    break
+            else:
                 std.append(u)
                 stack.append((u, j))
     return std
@@ -930,17 +943,25 @@ def _standard_monomials(leads: list[int], packing: _Packing) -> list[int]:
 _INFINITE = "no pure power of some variable among the leading terms"
 
 
-def _run_staircase(run: _Run) -> tuple[int, list[int] | None]:
-    """(the Krull dimension of k[x]/I, its packed standard monomials when
-    that is 0, else None) for the ideal I of a run, read off the run's packed
-    minimal leads; (-1, []) for the unit ideal, and for a run with no leads,
-    that of the zero ideal."""
+def _run_krull_dim(run: _Run) -> int:
+    """The Krull dimension of k[x]/I for the ideal I of a run, read off the
+    run's packed minimal leads alone; -1 for the unit ideal, and for a run
+    with no leads, that of the zero ideal."""
     if run.leads[:1] == [0]:  # the unit ideal: 1 packs to 0
-        return -1, []
+        return -1
     unpack = run.packing.unpack
     supports = [sum(1 << i for i, x in enumerate(unpack(e)) if x) for e in run.leads]
-    dim = _krull_dim(supports, len(run.vars))
-    return dim, _standard_monomials(run.leads, run.packing) if dim == 0 else None
+    return _krull_dim(supports, len(run.vars))
+
+
+def _run_staircase(run: _Run) -> list[int] | None:
+    """The packed standard monomials of k[x]/I for the ideal I of a run when
+    it is zero-dimensional (`_run_krull_dim`), else None; [] for the unit
+    ideal."""
+    dim = _run_krull_dim(run)
+    if dim > 0:
+        return None
+    return [] if dim < 0 else _standard_monomials(run.leads, run.packing)
 
 
 def staircase(I: Ideal) -> StaircaseReport:
@@ -948,29 +969,30 @@ def staircase(I: Ideal) -> StaircaseReport:
     run, nv = I.run, len(I.vars)
     if run is None:  # the zero ideal: every monomial is standard
         return StaircaseReport((), None if nv else ((),), nv)
-    unpack = run.packing.unpack
-    dim, std = I.stairs
+    unpack, std = run.packing.unpack, I.stairs
     return StaircaseReport(
         lead_monomials=tuple(sorted(map(unpack, run.leads), key=_by_degree)),
         standard_monomials=None if std is None else tuple(sorted(map(unpack, std), key=_by_degree)),
-        krull_dim=dim,
+        krull_dim=_run_krull_dim(run),
     )
 
 
 def projective_dim(I: Ideal) -> int:
-    """Dimension of Proj of the quotient; -1 for the empty scheme."""
+    """Dimension of Proj of the quotient; -1 for the empty scheme.  Read off
+    the run's minimal leads (`_run_krull_dim`), with no standard monomial
+    listed."""
     if not I.is_homogeneous():
         raise NotHomogeneousIdeal("projective dimension needs homogeneous generators")
     if I.is_zero_ideal():
         return len(I.vars) - 1
-    return max(I.stairs[0] - 1, -1)
+    return max(_run_krull_dim(I.run) - 1, -1)
 
 
 def quotient_vs_dim(I: Ideal) -> int:
     """Vector-space dimension of k[x]/I for a zero-dimensional affine ideal."""
     if I.is_zero_ideal():
         raise NotZeroDimensional("the zero ideal has an infinite quotient")
-    std = I.stairs[1]
+    std = I.stairs
     if std is None:
         raise NotZeroDimensional(_INFINITE)
     return len(std)
@@ -979,7 +1001,7 @@ def quotient_vs_dim(I: Ideal) -> int:
 def run_quotient_dim(run: _Run) -> int:
     """`quotient_vs_dim` of the ideal of a run, for a caller that holds the
     run and no `Ideal`: its number of standard monomials (`_run_staircase`)."""
-    std = _run_staircase(run)[1]
+    std = _run_staircase(run)
     if std is None:
         raise NotZeroDimensional(_INFINITE)
     return len(std)
@@ -1004,7 +1026,7 @@ class QuotientAlgebra:
     __slots__ = ("std", "index", "run", "divisors", "denominator", "rows", "cols")
 
     def __init__(self, I: Ideal):
-        packed = I.stairs[1]
+        packed = I.stairs
         if packed is None:
             raise NotZeroDimensional(_INFINITE)
         R = I.reduced

@@ -278,10 +278,20 @@ def generic_frame(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS) -> AffineModel:
     so no critical multiplicity escapes to infinity.  A singular point of
     V(f) on y_0 = 0 would be one of them, and every positive-dimensional
     singular locus meets that hyperplane, so a certified frame also proves
-    the singularities isolated."""
+    the singularities isolated.
+
+    So a draw is rejected with no Groebner basis when its row has a_i = 0
+    at a vertex e_i (i >= 1) where grad f vanishes: a_i = 0 puts e_i on the
+    hyperplane at infinity, and grad f(e_i) = 0 exactly when f has no term
+    with an x_i-exponent of d - 1 or more (the x_j-partial at e_i is the
+    coefficient of x_i^(d-1)*x_j, times d for j = i), so e_i is then a
+    singular point of V(f) there and the count must fail.  The row is still
+    drawn and numbered, so the frames and draws are those of certifying
+    every draw."""
     d = homogeneous_degree(f)
     nv = len(f.vars)
     count = (d - 1) ** (nv - 1)
+    singular_vertices = [i for i in range(1, nv) if all(m[i] < d - 1 for m in f.terms)]
 
     def certified(matrix, draws: int) -> AffineModel | None:
         h = _affine_model(f, matrix)
@@ -300,7 +310,9 @@ def generic_frame(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS) -> AffineModel:
     rng = SplitMix64(seed * 0x9E3779B9 + 17)
     for draw in range(1, MAX_FRAME_DRAWS + 1):
         row = rng.int_vector(nv, -5, 5)
-        if row[0] != 0 and (model := certified(_frame_matrix(row, 0), tried + draw)):
+        if row[0] == 0 or not all(row[i] for i in singular_vertices):
+            continue
+        if model := certified(_frame_matrix(row, 0), tried + draw):
             return model
     if not has_isolated_singularities(f, caps):
         raise NotIsolated("singular locus is positive-dimensional")
@@ -327,8 +339,10 @@ def rational_singular_points(model: AffineModel) -> dict[ProjectivePoint, int]:
     hold the j-th coordinates of the rational points.  The walk keeps a
     prefix (r_1, ..., r_j) while a part of A/S is left on which every
     y_i - r_i is nilpotent: mu_on minus the rank of the stacked stable images
-    of R_i - r_i.  At a full point that part is the local algebra, of
-    dimension mu_p.  A certified frame has no singular point at infinity, so
+    of R_i - r_i.  The parts of different roots r_j under one prefix are
+    disjoint, so the roots stop once their parts fill the prefix's.  At a
+    full point that part is the local algebra, of dimension mu_p.  A
+    certified frame has no singular point at infinity, so
     x = M (1, r_1, ..., r_n) gives them all.
     Whether they are all of the singular points is decided by `mu_summary`."""
     A, S = model.critical_ideal.algebra, model.off_fiber
@@ -358,6 +372,7 @@ def rational_singular_points(model: AffineModel) -> dict[ProjectivePoint, int]:
     for j, R in enumerate(Q):
         grown = []
         for prefix, stacked in walk:
+            left = mu_on - len(stacked)  # the part under the prefix not yet split
             for r in roots[j]:
                 if (j, r) not in images:  # the stable image of s * den(r) * (R_j - r)
                     shifted = [[x * r.denominator for x in row] for row in R]
@@ -367,6 +382,9 @@ def rational_singular_points(model: AffineModel) -> dict[ProjectivePoint, int]:
                 nxt = _echelon(stacked + images[j, r])
                 if len(nxt) < mu_on:
                     grown.append((prefix + (r,), nxt))
+                    left -= mu_on - len(nxt)
+                    if not left:  # the parts of the roots are disjoint: none is left
+                        break
         walk = grown
     M = model.matrix
     found = {

@@ -23,7 +23,9 @@
   follows the schedule of the last one run in full, reducing every pair
   itself and checking each lead; on the first difference it runs in full
   and its schedule is kept.  A followed run is the one the full loop would
-  build, and every count is exact: the cone bases are over the rationals.
+  build, with its minimal leads, so a followed target's count is its
+  schedule's, listed once by the full run.  Every count is exact: the cone
+  bases are over the rationals.
 """
 
 from __future__ import annotations
@@ -182,34 +184,38 @@ def _fiber_degree(
     grad: tuple, d: int, u: tuple[int, ...], caps: Caps = DEFAULT_CAPS, follow=None
 ) -> tuple[int, tuple | None]:
     """(fiber count over [u] of grad f, packed by `_packed_gradient`, from
-    one zero-dimensional basis and no saturation; the schedule of the pair
-    loop that gave it, or `follow` when none ran).
+    one zero-dimensional basis and no saturation; (schedule, quotient
+    dimension) of the full pair loop whose staircase gave it: this target's
+    own, or `follow` when the loop followed it or none ran).
 
     A fiber point is [x] with grad f(x) = c*u, c != 0; since grad f has
     degree d - 1, exactly d - 1 rescalings of x solve grad f(x) = u (etale),
     and points of the base locus grad f = 0 never do.  So the affine cone ideal (f_i - u_i) has
     quotient dimension d - 1 times the count, with multiplicity; a unit
     ideal is an empty fiber.  Its generators (`_cone_generators`) go
-    straight into the pair loop (`_pair_loop`), which first follows
-    `follow`, another target's schedule, when given, and runs in full when
-    that returns None.  Raises PositiveDimensionalFiber for a degenerate
-    target and OracleInconsistent when d - 1 does not divide the quotient
-    dimension."""
+    straight into the pair loop (`_pair_loop`), which first follows the
+    schedule of `follow`, another target's, when given, and runs in full
+    when that returns None.  A followed run has checked every intake and
+    remainder lead against the schedule, so its minimal leads, staircase
+    and quotient dimension are those of the full run: its count is read off
+    `follow`, computed once per schedule, and no staircase is listed.
+    Raises PositiveDimensionalFiber for a degenerate target and
+    OracleInconsistent when d - 1 does not divide the quotient dimension."""
     if d == 1:  # grad f is constant: the generic fiber is empty
         return 0, follow
     vars, packing, _ = grad
     gens = _cone_generators(grad, u)
-    run = None if follow is None else _pair_loop(vars, packing, caps, gens, follow)
-    if run is None:
+    if follow is None or _pair_loop(vars, packing, caps, gens, follow[0]) is None:
         run = _pair_loop(vars, packing, caps, gens)
-    try:
-        count = run_quotient_dim(run)
-    except NotZeroDimensional as exc:
-        raise PositiveDimensionalFiber(f"fiber over {list(u)} is not finite") from exc
+        try:
+            follow = run.schedule, run_quotient_dim(run)
+        except NotZeroDimensional as exc:
+            raise PositiveDimensionalFiber(f"fiber over {list(u)} is not finite") from exc
+    count = follow[1]
     degree, rest = divmod(count, d - 1)
     if rest:
         raise OracleInconsistent(f"{count} cone solutions is not a multiple of d - 1 = {d - 1}")
-    return degree, run.schedule
+    return degree, follow
 
 
 def check_oracle_options(trials: int) -> None:
@@ -238,7 +244,7 @@ def polar_degree_fiber_oracle(
     infos: list[dict] = []
     budget = max(4 * trials, trials + 9)
     drawn = 0
-    schedule = None  # that of the last target whose pair loop ran in full
+    full = None  # (schedule, count) of the last target whose pair loop ran in full
     while True:
         if values and len(set(values)) == 1 and len(values) >= trials:
             break
@@ -254,7 +260,7 @@ def polar_degree_fiber_oracle(
             u = rng.nonzero_vector(nv, -100, 100)
             drawn += 1
             try:
-                degree, schedule = _fiber_degree(grad, d, u, caps, schedule)
+                degree, full = _fiber_degree(grad, d, u, caps, full)
                 break
             except PositiveDimensionalFiber:
                 continue

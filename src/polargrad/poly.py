@@ -315,9 +315,10 @@ def is_homogeneous(f: Poly) -> bool:
 
 
 def det_fraction(M: Sequence[Sequence]) -> Fraction:
-    """Determinant of a square rational matrix via fraction Gaussian elimination."""
+    """Determinant of a square rational matrix via fraction Gaussian
+    elimination; its entries are ints or `Fraction`s (`_coerce`)."""
     n = len(M)
-    rows = [[Fraction(x) for x in row] for row in M]
+    rows = [[_coerce(x) for x in row] for row in M]
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
     det = Fraction(1)
@@ -338,7 +339,8 @@ def det_fraction(M: Sequence[Sequence]) -> Fraction:
 
 
 def substitute_linear(f: Poly, M: Sequence[Sequence]) -> Poly:
-    """f composed with the linear map x -> M x; M must be invertible over Q."""
+    """f composed with the linear map x -> M x; M must be invertible over Q,
+    its entries ints or `Fraction`s (`_coerce`)."""
     n = len(f.vars)
     if len(M) != n or any(len(row) != n for row in M):
         raise PolyError("matrix size does not match the variable count")
@@ -349,7 +351,7 @@ def substitute_linear(f: Poly, M: Sequence[Sequence]) -> Poly:
         img = Poly.zero(f.vars)
         for j, a in enumerate(M[i]):
             if a:
-                img = img + Poly.variable(f.vars, j).scale(Fraction(a))
+                img = img + Poly.variable(f.vars, j).scale(a)
         images.append(img)
     return f.subs(images)
 
@@ -426,13 +428,14 @@ class ProjectivePoint:
     """Point of P^n with exact rational coordinates.
 
     Normalized so the last nonzero coordinate equals 1; normalization is
-    idempotent and makes equality and hashing well defined.
+    idempotent and makes equality and hashing well defined.  Coordinates are
+    ints or `Fraction`s (`_coerce`).
     """
 
     coords: tuple[Fraction, ...]
 
     def __init__(self, coords: Sequence):
-        cs = [Fraction(c) for c in coords]
+        cs = [_coerce(c) for c in coords]
         last = next((i for i in range(len(cs) - 1, -1, -1) if cs[i] != 0), None)
         if last is None:
             raise ValueError("projective point cannot be all zero")

@@ -9,7 +9,8 @@ multiplicities by enumerating root-of-unity products, the completeness of
 the rational singular points from Tjurina numbers instead of Milnor numbers,
 the points themselves by lex bases on the coordinate cells instead of
 eigenvalues on the frame's algebra, the genericity of an affine frame from
-two projective certificates instead of one critical count, multivariate division, Buchberger's pair loop and the
+two projective certificates instead of one critical count (every frame
+draw certified, none skipped for its zeros), multivariate division, Buchberger's pair loop and the
 staircase's box walk on tuple monomials instead of packed ints, and echelon forms, stable images and
 multiplication matrices in `Fraction` arithmetic and by one normal form per
 standard monomial instead of on integer rows from the variable matrices, and
@@ -27,6 +28,7 @@ import hypothesis.strategies as st
 from hypothesis import assume
 
 import polargrad.groebner as groebner
+import polargrad.hypersurface as hypersurface
 import polargrad.polar as polar
 from polargrad.groebner import (
     DEFAULT_CAPS,
@@ -64,6 +66,7 @@ from polargrad.poly import (
     mono_lcm,
     mono_mul,
     ProjectivePoint,
+    substitute_linear,
 )
 from polargrad.rng import SplitMix64
 
@@ -712,6 +715,30 @@ def frame_certificates(fM: Poly, caps: Caps = DEFAULT_CAPS) -> bool:
         return False
     at_infinity = Ideal(list(gradient(fM)) + [Poly.variable(fM.vars, 0)], GREVLEX, caps=caps)
     return projective_dim(at_infinity) == -1
+
+
+def reference_generic_frame(f: Poly, seed: int, caps: Caps = DEFAULT_CAPS) -> tuple:
+    """(matrix, draws, certified): `generic_frame`'s frame and draw count for
+    seed, found by certifying every draw with `frame_certificates` on f(My),
+    and the number of draws certified.  The same draws in the same order: the
+    chart x_k = 0 when `_chart_may_certify` lets it be tried, then the seeded
+    rows, each with a_0 != 0 certified, none skipped for its zeros.  The
+    matrix is None when no draw certifies."""
+    nv, d = len(f.vars), f.degree()
+    k = (seed - 1) % nv
+    tried = hypersurface._chart_may_certify(f, k, d)
+    rows = [(hypersurface._frame_matrix((1,) + (0,) * (nv - 1), k), 1)] if tried else []
+    rng = SplitMix64(seed * 0x9E3779B9 + 17)
+    for draw in range(1, hypersurface.MAX_FRAME_DRAWS + 1):
+        row = rng.int_vector(nv, -5, 5)
+        if row[0]:
+            rows.append((hypersurface._frame_matrix(row, 0), tried + draw))
+    certified = 0
+    for matrix, draws in rows:
+        certified += 1
+        if frame_certificates(substitute_linear(f, matrix), caps):
+            return matrix, draws, certified
+    return None, tried + hypersurface.MAX_FRAME_DRAWS, certified
 
 
 # ------------------------------------------- eigenvalue product enumeration

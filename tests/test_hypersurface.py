@@ -55,6 +55,7 @@ from helpers import (
     homogeneous_polys,
     lex_singular_points,
     record_pair_loops,
+    reference_generic_frame,
     saturation_local_dim,
     tjurina_complete,
 )
@@ -541,6 +542,27 @@ class TestGenericFrame:
                 assert len(calls) == model.draws, (name, seed)
                 draws.append(model.draws)
         assert max(draws) == 2
+
+    def test_draws_with_a_singular_vertex_at_infinity_build_no_basis(self, monkeypatch):
+        # a row with a_i = 0 puts e_i at infinity; where grad f(e_i) = 0 the
+        # draw is rejected with no basis, and every frame and draw count is
+        # that of certifying every draw.  Seed 4 rejects draws on five
+        # catalog entries this way
+        calls, real = [], groebner.buchberger_run
+        monkeypatch.setattr(groebner, "buchberger_run", lambda *a, **k: calls.append(1) or real(*a, **k))
+        bases, certified = [0] * 9, [0] * 9
+        for text, vars, _ in BENCHMARK_FRAME_INPUTS:
+            f = parse_poly(text, vars)
+            for seed in range(1, 9):
+                calls.clear()
+                model = generic_frame(f, seed)
+                made = len(calls)
+                matrix, draws, count = reference_generic_frame(f, seed)
+                assert (model.matrix, model.draws) == (matrix, draws), (text, seed)
+                assert made <= count, (text, seed)
+                bases[seed] += made
+                certified[seed] += count
+        assert bases[4] < certified[4]
 
     def test_counts_read_the_run_alone(self, monkeypatch):
         # oracle cone ideals and rejected draws never inter-reduce nor build

@@ -312,20 +312,29 @@ class TestConeOracle:
 
         u1, u2 = target("u1"), target("u2")
         assume(any(u1) and any(u2))
-        schedule = _cone_loop(grad, u1).schedule
+        first = _cone_loop(grad, u1)
+        schedule, counted = first.schedule, groebner._run_staircase(first)
+        # what `_fiber_degree` keeps of a finite first target
+        follow = None if counted is None else (schedule, len(counted))
         full, followed = _cone_loop(grad, u2), _cone_loop(grad, u2, schedule)
         assert (followed is None) == (full.schedule != schedule)
         if followed is not None:
-            assert followed.schedule is schedule
+            # the followed run takes its minimal leads from the schedule; they,
+            # its staircase and its count are those of a fresh full run
+            assert followed.schedule is schedule and schedule[2] == full.schedule[2]
             for name in ("leads", "lcs", "tails", "given"):
                 assert getattr(followed, name) == getattr(full, name), name
+            assert groebner._run_staircase(followed) == groebner._run_staircase(full)
+            if follow is not None:
+                assert run_quotient_dim(full) == follow[1]
+                assert polar._fiber_degree(grad, d, u2, follow=follow)[1] is follow
         try:
             expected = saturation_fiber_count(grads, u2)
         except NotZeroDimensional:
             with pytest.raises(PositiveDimensionalFiber):
-                polar._fiber_degree(grad, d, u2, follow=schedule)
+                polar._fiber_degree(grad, d, u2, follow=follow)
             return
-        assert polar._fiber_degree(grad, d, u2, follow=schedule)[0] == expected
+        assert polar._fiber_degree(grad, d, u2, follow=follow)[0] == expected
 
     @pytest.mark.parametrize(
         "text, x0, count",
@@ -343,13 +352,16 @@ class TestConeOracle:
         d, grad = f.degree(), polar._packed_gradient(f, f.degree())
         u1 = tuple(polar_degree_fiber_oracle(f, seed=1).details["trials"][0]["u"])
         u2 = tuple(int(g.evaluate(x0)) for g in gradient(f))
-        schedule = _cone_loop(grad, u1).schedule
-        assert _cone_loop(grad, u2, schedule) is None
+        first = _cone_loop(grad, u1)
+        follow = first.schedule, run_quotient_dim(first)
+        assert _cone_loop(grad, u2, follow[0]) is None
         if count is None:
             with pytest.raises(PositiveDimensionalFiber):
-                polar._fiber_degree(grad, d, u2, follow=schedule)
+                polar._fiber_degree(grad, d, u2, follow=follow)
         else:
-            assert polar._fiber_degree(grad, d, u2, follow=schedule) == (count, _cone_loop(grad, u2).schedule)
+            # the count of u2's own full run, kept with its schedule
+            kept = (_cone_loop(grad, u2).schedule, (d - 1) * count)
+            assert polar._fiber_degree(grad, d, u2, follow=follow) == (count, kept)
             assert saturation_fiber_count(gradient(f), u2) == count
 
     @pytest.mark.parametrize("name", ["five-node-quartic", "e6-cubic", "cremona-triangle"])

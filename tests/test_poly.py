@@ -20,6 +20,7 @@ from polargrad.poly import (
     SingularMatrix,
     ZeroPolynomial,
     dehomogenize,
+    det_fraction,
     gradient,
     homogeneous_degree,
     poly_text,
@@ -156,6 +157,24 @@ class TestConstruction:
         with pytest.raises(TypeError):
             f.evaluate([0.5, 1])
         assert f.scale(2) == f.scale(Fraction(2)) and f.evaluate([1, Fraction(1, 2)]) == 2
+
+    def test_matrices_and_points_take_only_ints_and_fractions(self):
+        # substitute_linear, det_fraction and ProjectivePoint refuse what Poly
+        # refuses, and read ints and Fractions as before
+        f = parse_poly("x^2 + y^2", V2)
+        for bad in (0.1, "1/3"):
+            with pytest.raises(TypeError):
+                substitute_linear(f, [[bad, 0], [0, 1]])
+            with pytest.raises(TypeError):
+                det_fraction([[bad, 0], [0, 1]])
+            with pytest.raises(TypeError):
+                ProjectivePoint((bad, 1))
+        third = Fraction(1, 3)
+        assert substitute_linear(f, [[third, 0], [0, 1]]) == parse_poly("1/9*x^2 + y^2", V2)
+        assert substitute_linear(f, [[2, 1], [0, 1]]) == parse_poly("4*x^2 + 4*x*y + 2*y^2", V2)
+        assert det_fraction([[third, 1], [0, 3]]) == 1 and det_fraction([[2, 1], [4, 2]]) == 0
+        assert ProjectivePoint((third, 2)).coords == (Fraction(1, 6), 1)
+        assert str(ProjectivePoint((2, 4))) == "(1/2 : 1)"
 
     @given(form_products(), st.lists(st.integers(-5, 5), min_size=3, max_size=3), st.integers(0, 2))
     @settings(max_examples=40, deadline=None)

@@ -210,17 +210,31 @@ class TestPipeline:
         assert set(sizes) == {9, 5}
 
     def test_one_packed_staircase_per_ideal(self, monkeypatch):
-        # the gate, the frame certificate, the split, the points step and the
-        # oracle targets all count through `_run_staircase`, once per run;
-        # no stage builds a `StaircaseReport`
+        # each frame draw's certificate and oracle target 1 list a staircase
+        # through `_run_staircase`, once per run: the split and the points
+        # step read the accepted draw's, the gate reads only a Krull
+        # dimension, and targets 2 and 3 take target 1's count with its
+        # schedule; no stage builds a `StaircaseReport`
+        entry = BY_NAME["five-node-quartic"]
+        draws = hypersurface.generic_frame(parse_poly(entry.text, entry.vars), 1).draws
         runs, reports = [], []
         real_run, real_report = groebner._run_staircase, groebner.staircase
         monkeypatch.setattr(groebner, "_run_staircase", lambda run: runs.append(run) or real_run(run))
         monkeypatch.setattr(groebner, "staircase", lambda I: reports.append(I) or real_report(I))
-        entry = BY_NAME["five-node-quartic"]
         assert analyze_polynomial(entry.text, entry.vars).data["mu_V"] == 5
         assert reports == []
-        assert len(runs) > 2 and len({id(run) for run in runs}) == len(runs)
+        assert len(runs) == draws + 1 and len({id(run) for run in runs}) == len(runs)
+
+    def test_each_staircase_is_listed_once(self, monkeypatch):
+        # the Hesse cubic lists two staircases: its frame certificate's
+        # (d-1)^n = 4 standard monomials and oracle target 1's
+        # (d-1)*d(f) = 8; the gate lists none, and targets 2 and 3 list none
+        listed, real = [], groebner._standard_monomials
+        monkeypatch.setattr(
+            groebner, "_standard_monomials", lambda leads, packing: listed.append(real(leads, packing)) or listed[-1]
+        )
+        assert analyze_polynomial("x^3+y^3+z^3+x*y*z", V3).data["d_f"]["consolidated"] == 4
+        assert [len(std) for std in listed] == [4, 8]
 
     @pytest.mark.parametrize(
         "text,vars,built",
