@@ -14,33 +14,33 @@ one addition, a divisibility test one subtraction and one mask, and the term
 order integer comparison.  One heap loop, `_reduce_terms`, does every
 reduction, on Python int coefficients: a divisor is an integer
 lc*lead + tail, and a term c*e is pseudo-reduced by scaling the work by
-lc/gcd(lc, c) instead of dividing by lc.  `normal_form` and `poly_divmod`
-clear the denominators and pack on entry, and divide by the kernel's scale
-and unpack on exit.
+lc/gcd(lc, c) instead of dividing by lc.  It keeps the remainder alone: no
+quotient is tracked.  `normal_form` clears the denominators and packs on
+entry, and divides by the kernel's scale and unpacks on exit.
 
 Buchberger is split in two, a packed run and a finish.  The run is one
 pair loop, `_pair_loop`, on packed integer generators: it makes them
 primitive (`_primitive`: content removed, lc > 0) and keeps primitive
 integer elements, pairs in a heap keyed by the packed lcm of their leads
 (the normal strategy), a coprime test `lcm == a + b`, a guard-bit test for
-the chain criterion, and no S-polynomial ever built
-(`_s_remainder`); it returns the kept elements over the minimal leads as a
-`_Run`.  `buchberger_run` packs `Poly` generators (`_cleared`) and enters
-it; the fiber oracle packs grad f once and enters it with each cone target
-(`polar._fiber_degree`).  Every integer work set is a positive multiple of
-the one over QQ, so the same terms cancel and the same divisors act in the
-same sequence.  The finish inter-reduces a run (`_inter_reduce`) and builds
-its `Poly`s (`_Run.polys`); `buchberger` is run + finish.  An `Ideal` keeps
-its run and, on demand, the reduced run.  Counts need only the run's packed
-minimal leads, and never inter-reduce or build a `Fraction`:
+the chain criterion, and no S-polynomial ever built (`_s_remainder`); it
+returns the kept elements over the minimal leads as a `_Run`, which holds
+packed integers only.  `buchberger_run` packs `Poly` generators
+(`_cleared`) and enters it with their term lists; the fiber oracle packs
+grad f once and enters it with each cone target (`polar._fiber_degree`).
+Every integer work set is a positive multiple of the one over QQ, so the
+same terms cancel and the same divisors act in the same sequence.  The
+finish inter-reduces a run (`_inter_reduce`) and builds new monic `Poly`s
+(`_Run.polys`); `buchberger` returns those of an `Ideal`.  An `Ideal`
+keeps its run and, on demand, the reduced run.  Counts need only the run's
+packed minimal leads, and never inter-reduce or build a `Fraction`:
 `projective_dim` takes the Krull dimension alone (`_run_krull_dim`), and
 only `quotient_vs_dim`, `run_quotient_dim` and the algebra list the
 standard monomials (`_run_staircase`).  A run that follows a schedule has
 the minimal leads, so the staircase and count, of the full run that made
-it; the fiber oracle counts once per schedule.  `Fraction`s appear only at the
-`Poly` boundary: generators and dividends on entry, `Ideal.basis`,
-remainders and quotients on exit.  `Poly` keeps tuple monomials everywhere else, and
-`leading_monomial` remembers its answer on the polynomial.
+it; the fiber oracle counts once per schedule.  `Fraction`s appear only at
+the `Poly` boundary: generators and dividends on entry, `Ideal.basis` and
+remainders on exit.  `Poly` keeps tuple monomials everywhere else.
 
 Linear algebra on a zero-dimensional k[x]/I takes no Groebner work past
 the algebra itself.  `Ideal.algebra` builds it once per ideal from the
@@ -74,6 +74,7 @@ from .poly import (
     mono_div,
     mono_divides,
     mono_lcm,
+    mono_mul,
 )
 
 
@@ -156,9 +157,6 @@ class TermOrder:
             key = _composed(key, pick)
         object.__setattr__(self, "key", key)
 
-    def __reduce__(self):
-        return TermOrder, (self.kind, self.perm, self.block_size)
-
 
 GREVLEX = TermOrder("grevlex")
 LEX = TermOrder("lex")
@@ -169,14 +167,8 @@ def elimination_order(eliminated: tuple[int, ...], kept: tuple[int, ...]) -> Ter
 
 
 def leading_monomial(p: Poly, order: TermOrder) -> Mono:
-    """Largest monomial of a nonzero p; remembered on p for the last order
-    it was asked for."""
-    cached = p._lead
-    if cached is not None and (cached[0] is order or cached[0] == order):
-        return cached[1]
-    lt = max(p.terms, key=order.key)
-    object.__setattr__(p, "_lead", (order, lt))
-    return lt
+    """Largest monomial of a nonzero p."""
+    return max(p.terms, key=order.key)
 
 
 # --------------------------------------------------------- packed monomials
@@ -245,9 +237,6 @@ class _Packing:
         fmask = self.fmask
         return tuple([(e >> s) & fmask for s in self.shifts])
 
-    def degree(self, e: int) -> int:
-        return (e >> self.top) & self.fmask
-
     def top_degree(self, terms) -> int:
         """The largest degree among packed (monomial, c) terms; 0 for none."""
         top, fmask = self.top, self.fmask
@@ -272,21 +261,18 @@ def _primitive(lc: int, tail: list) -> tuple[int, list, int]:
     return lc // k, [(t, c // k) for t, c in tail], k
 
 
-def _reduce_terms(
-    work: dict, by_lead: dict, packing: _Packing, caps: Caps, found=None
-) -> tuple[dict, int]:
+def _reduce_terms(work: dict, by_lead: dict, packing: _Packing, caps: Caps) -> tuple[dict, int]:
     """(remainder, s): the remainder of s times the packed integer terms in
     `work` (consumed), in descending order, under full reduction, and the
     positive integer s it had to scale them by (1 when it scaled nothing).
     Each term is reduced by the first divisor in `by_lead` (packed lead ->
-    (index, lc, tail degree, packed tail), the divisor lc*lead + tail, lc > 0)
-    whose lead divides it, and found[index] collects that quotient, so that
-    s * work = sum of found[i] * divisor i + remainder.  A step on a term
-    c*e takes g = gcd(lc, c), scales everything held so far (the work set,
-    the remainder and the quotients) by lc/g and subtracts (c/g)*shift*tail:
-    a pseudo-reduction, with no division.  A step checks the cap on the shift's
-    degree plus the tail's before any product, so no term exceeds
-    max(degree in `work`, cap)."""
+    (lc, tail degree, packed tail), the divisor lc*lead + tail, lc > 0)
+    whose lead divides it; no quotient is kept.  A step on a term c*e takes
+    g = gcd(lc, c), scales everything held so far (the work set and the
+    remainder) by lc/g and subtracts (c/g)*shift*tail: a pseudo-reduction,
+    with no division.  A step checks the cap on the shift's degree plus the
+    tail's before any product, so no term exceeds max(degree in `work`,
+    cap)."""
     guard, top, fmask, max_degree = packing.guard, packing.top, packing.fmask, caps.max_degree
     heap = [-e for e in work]
     heapify(heap)
@@ -303,7 +289,7 @@ def _reduce_terms(
         else:
             remainder[e] = c
             continue
-        i, lc, tail_deg, tail = by_lead[lead]
+        lc, tail_deg, tail = by_lead[lead]
         shift = e - lead
         if tail and ((shift >> top) & fmask) + tail_deg > max_degree:
             raise ResourceLimit(f"degree cap {caps.max_degree} exceeded during reduction")
@@ -315,10 +301,6 @@ def _reduce_terms(
                 scale *= s
                 work = {t: s * x for t, x in work.items()}
                 remainder = {t: s * x for t, x in remainder.items()}
-                if found is not None:
-                    found[:] = [{t: s * x for t, x in q.items()} for q in found]
-        if found is not None:
-            found[i][shift] = c
         c = -c
         for t, tc in tail:
             t += shift
@@ -335,55 +317,32 @@ def _reduce_terms(
     return remainder, scale
 
 
-def _coefficients(terms, unpack, num: int, den: int) -> dict:
-    """The packed integer terms, (packed monomial, c) pairs, times num / den
-    as a `Poly` term dict."""
-    return {unpack(e): Fraction(num * c, den) for e, c in terms}
+def _coefficients(terms, unpack, den: int) -> dict:
+    """The packed integer terms, (packed monomial, c) pairs, over den as a
+    `Poly` term dict."""
+    return {unpack(e): Fraction(c, den) for e, c in terms}
 
 
-def _reduce(p: Poly, divisors, order: TermOrder, caps: Caps, quotients: bool = False):
-    """(remainder of p under full reduction by the divisors, the quotients'
-    term dicts, one per divisor, when `quotients` is set, else None), on the
+def _reduce(p: Poly, divisors, order: TermOrder, caps: Caps) -> Poly:
+    """The remainder of p under full reduction by the divisors, on the
     `_run_packing` of every degree given.  The kernel reduces L*p, with L
-    the lcm of p's denominators, by the integer divisors (L_i / k_i) * g_i
+    the lcm of p's denominators, by the primitive integer divisors
     (`_cleared`, then `_primitive`) and scales by s; so the remainder is
-    R / (s*L) and the i-th quotient is Q_i * L_i / (k_i*s*L)."""
-    nonzero = [(i, g) for i, g in enumerate(divisors) if g.terms]
-    degree = max([0, *map(sum, p.terms), *(max(map(sum, g.terms)) for _, g in nonzero)])
+    R / (s*L)."""
+    nonzero = [g for g in divisors if g.terms]
+    degree = max([0, *map(sum, p.terms), *(max(map(sum, g.terms)) for g in nonzero)])
     packing = _run_packing(order, len(p.vars), degree, caps)
-    pack, unpack = packing.pack, packing.unpack
+    pack = packing.pack
     by_lead: dict[int, tuple] = {}
-    ratios: dict[int, tuple[int, int]] = {}  # divisor index -> (L_i, k_i)
-    for i, g in nonzero:
-        L, terms = _cleared(g)
-        (lead, lc), *tail = sorted(((pack(m), c) for m, c in terms.items()), reverse=True)
-        if lead in by_lead:
-            continue
-        lc, tail, k = _primitive(lc, tail)
-        by_lead[lead] = (i, lc, packing.top_degree(tail), tail)
-        ratios[i] = (L, k)
-    found = [{} for _ in divisors] if quotients else None
+    for g in nonzero:
+        (lead, lc), *tail = sorted(((pack(m), c) for m, c in _cleared(g)[1].items()), reverse=True)
+        if lead not in by_lead:
+            lc, tail, _ = _primitive(lc, tail)
+            by_lead[lead] = (lc, packing.top_degree(tail), tail)
     L, terms = _cleared(p)
     work = {pack(m): c for m, c in terms.items()}
-    remainder, s = _reduce_terms(work, by_lead, packing, caps, found)
-    rem = Poly.from_clean(p.vars, _coefficients(remainder.items(), unpack, 1, s * L))
-    if found is None:
-        return rem, None
-    return rem, [
-        _coefficients(q.items(), unpack, ratios[i][0], ratios[i][1] * s * L) if q else {}
-        for i, q in enumerate(found)
-    ]
-
-
-# ----------------------------------------------------------------- division
-
-
-def poly_divmod(p: Poly, divisors: list[Poly], order: TermOrder, caps: Caps = DEFAULT_CAPS):
-    """Multivariate division: returns (quotients, remainder) with
-    p = sum(q_i * divisors_i) + remainder and no remainder term divisible by
-    any leading term of the divisors."""
-    rem, quotients = _reduce(p, divisors, order, caps, quotients=True)
-    return [Poly.from_clean(p.vars, q) for q in quotients], rem
+    remainder, s = _reduce_terms(work, by_lead, packing, caps)
+    return Poly.from_clean(p.vars, _coefficients(remainder.items(), packing.unpack, s * L))
 
 
 def normal_form(p: Poly, basis, order: TermOrder, caps: Caps = DEFAULT_CAPS) -> Poly:
@@ -391,28 +350,38 @@ def normal_form(p: Poly, basis, order: TermOrder, caps: Caps = DEFAULT_CAPS) -> 
     basis = list(basis)
     if p.is_zero() or not basis:
         return p
-    return _reduce(p, basis, order, caps)[0]
+    return _reduce(p, basis, order, caps)
 
 
 def exact_div(p: Poly, g: Poly, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_CAPS) -> Poly:
-    """p / g for exact divisibility; raises GroebnerError otherwise."""
+    """p / g for exact divisibility, by long division on g's leading term;
+    raises GroebnerError otherwise.  A step checks the cap on its shift's
+    degree plus g's tail degree, as `_reduce_terms` does."""
     if p.is_zero():
         return p
-    (q,), rem = poly_divmod(p, [g], order, caps)
-    if not rem.is_zero():
-        raise GroebnerError("exact division has a nonzero remainder")
-    return q
+    lt = leading_monomial(g, order)
+    lc, tail_deg = g.terms[lt], max((sum(m) for m in g.terms if m != lt), default=None)
+    quotient: dict[Mono, Fraction] = {}
+    work = dict(p.terms)
+    while work:
+        m = max(work, key=order.key)
+        if not mono_divides(lt, m):
+            raise GroebnerError("exact division has a nonzero remainder")
+        shift = mono_div(m, lt)
+        if tail_deg is not None and sum(shift) + tail_deg > caps.max_degree:
+            raise ResourceLimit(f"degree cap {caps.max_degree} exceeded during reduction")
+        quotient[shift] = c = work[m] / lc
+        for t, x in g.terms.items():
+            t = mono_mul(t, shift)
+            d = work.get(t, 0) - c * x
+            if d:
+                work[t] = d
+            else:
+                del work[t]
+    return Poly.from_clean(p.vars, quotient)
 
 
 # --------------------------------------------------------------- buchberger
-
-
-def _monic(p: Poly, order: TermOrder) -> Poly:
-    lt = leading_monomial(p, order)
-    lc = p.terms[lt]
-    if lc == 1:
-        return p
-    return p.scale(1 / lc)
 
 
 def s_polynomial(f: Poly, g: Poly, order: TermOrder) -> Poly:
@@ -447,59 +416,48 @@ def _s_remainder(lcm: int, f, g, by_lead: dict, packing: _Packing, caps: Caps) -
 
 
 class _Run:
-    """Packed Groebner elements of one ring, order and caps: element i is the
-    primitive integer polynomial lcs[i]*leads[i] + tails[i] (`_primitive`),
-    its packed tail in descending order, and `given[i]` the generator it
-    still equals up to a scalar, or None.  The leads ascend and generate the
-    leading-term ideal minimally.  `buchberger_run` makes one and
-    `_inter_reduce` a reduced copy; neither changes a run once made.  The
-    polynomials (`polys`) are built only when asked for.  A pair loop's run
-    keeps its `schedule` (see `_pair_loop`); a reduced copy keeps None."""
+    """Groebner elements of one ring, order and caps, held as packed
+    integers only: element i is the primitive integer polynomial
+    lcs[i]*leads[i] + tails[i] (`_primitive`), its packed tail in descending
+    order.  The leads ascend and generate the leading-term ideal minimally.
+    `buchberger_run` makes one and `_inter_reduce` a reduced copy; neither
+    changes a run once made.  The polynomials (`polys`) are built only when
+    asked for.  A pair loop's run keeps its `schedule` (see `_pair_loop`); a
+    reduced copy keeps None."""
 
-    __slots__ = ("vars", "order", "caps", "packing", "leads", "lcs", "tails", "given", "schedule", "_polys")
+    __slots__ = ("vars", "order", "caps", "packing", "leads", "lcs", "tails", "schedule", "_polys")
 
-    def __init__(self, vars, order, caps, packing, leads, lcs, tails, given, schedule=None):
+    def __init__(self, vars, order, caps, packing, leads, lcs, tails, schedule=None):
         self.vars, self.order, self.caps, self.packing = vars, order, caps, packing
-        self.leads, self.lcs, self.tails, self.given, self.schedule = leads, lcs, tails, given, schedule
+        self.leads, self.lcs, self.tails, self.schedule = leads, lcs, tails, schedule
         self._polys = None
 
     def divisors(self) -> dict:
         """The elements as `_reduce_terms` reads its divisors, in the order
         of their leads."""
         degree = self.packing.top_degree
-        return {
-            lead: (i, lc, degree(tail), tail)
-            for i, (lead, lc, tail) in enumerate(zip(self.leads, self.lcs, self.tails))
-        }
+        return {lead: (lc, degree(tail), tail) for lead, lc, tail in zip(self.leads, self.lcs, self.tails)}
 
     def polys(self) -> tuple[Poly, ...]:
-        """The elements as monic `Poly`s, leads descending: the terms of a
-        changed element are c / lc, and an element still equal to a
-        generator is that generator made monic (`_monic`), the very object
-        given when it already was.  Built once."""
+        """The elements as new monic `Poly`s, leads descending, each its lead
+        and then its tail's terms c / lc.  Built once."""
         if self._polys is None:
-            order, unpack = self.order, self.packing.unpack
-            out = []
-            for lead, lc, tail, g in zip(self.leads, self.lcs, self.tails, self.given):
-                if g is None:
-                    lt = unpack(lead)
-                    terms = {lt: Fraction(1)}
-                    terms.update(_coefficients(tail, unpack, 1, lc))
-                    g = Poly.from_clean(self.vars, terms)
-                    object.__setattr__(g, "_lead", (order, lt))
-                out.append(_monic(g, order))
-            self._polys = tuple(reversed(out))
+            unpack = self.packing.unpack
+            self._polys = tuple(
+                Poly.from_clean(self.vars, {unpack(lead): Fraction(1), **_coefficients(tail, unpack, lc)})
+                for lead, lc, tail in zip(reversed(self.leads), reversed(self.lcs), reversed(self.tails))
+            )
         return self._polys
 
 
 def _intake_cmp(unpack):
-    """Comparison of intake elements (lead, lc, tail, generator): by packed
-    lead, then, on equal leads, by the sorted (monomial, coefficient) items
-    of the monic polynomials, the coefficients c / lc compared by cross
-    multiplication (lc > 0)."""
+    """Comparison of intake elements (lead, lc, tail): by packed lead, then,
+    on equal leads, by the sorted (monomial, coefficient) items of the monic
+    polynomials, the coefficients c / lc compared by cross multiplication
+    (lc > 0)."""
 
     def items(x):
-        lead, lc, tail, _ = x
+        lead, lc, tail = x
         return lc, sorted((unpack(e), c) for e, c in [(lead, lc), *tail])
 
     def cmp(x, y) -> int:
@@ -524,33 +482,26 @@ def _run_packing(order: TermOrder, nvars: int, degree: int, caps: Caps) -> _Pack
     return _Packing(order, nvars, (2 * max(caps.max_degree, degree)).bit_length())
 
 
-def buchberger_run(gens, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_CAPS) -> _Run | None:
-    """The pair loop (`_pair_loop`) on `Poly` generators, or None when every
-    generator is zero: each one packed on one `_run_packing` with its
-    denominators cleared (`_cleared`), its terms descending."""
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return None
-    vars0 = gens[0].vars
-    for g in gens:
-        if g.vars != vars0:
-            raise DomainMismatch("generators live in different rings")
-    packing = _run_packing(order, len(vars0), max(g.degree() for g in gens), caps)
+def buchberger_run(gens, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_CAPS) -> _Run:
+    """The pair loop (`_pair_loop`) on nonzero `Poly` generators of one ring,
+    at least one (`Ideal.gens`): each one packed on one `_run_packing` with
+    its denominators cleared (`_cleared`), its terms descending."""
+    packing = _run_packing(order, len(gens[0].vars), max(g.degree() for g in gens), caps)
     pack = packing.pack
-    packed = [(sorted(((pack(m), c) for m, c in _cleared(g)[1].items()), reverse=True), g) for g in gens]
-    return _pair_loop(vars0, packing, caps, packed)
+    packed = [sorted(((pack(m), c) for m, c in _cleared(g)[1].items()), reverse=True) for g in gens]
+    return _pair_loop(gens[0].vars, packing, caps, packed)
 
 
 def _pair_loop(vars, packing: _Packing, caps: Caps, gens, follow=None) -> _Run | None:
     """Buchberger's pair loop (normal strategy, both skip criteria) and the
     minimal leading terms: a `_Run` of the kept elements, not inter-reduced.
-    `gens` holds (terms, given) pairs, possibly none: the packed integer
-    terms of a nonzero generator (its denominators cleared), descending, and the generator itself or None.
+    `gens` holds term lists, possibly none: the packed integer terms of a
+    nonzero generator (its denominators cleared), descending.
 
     The loop is fraction-free.  Each element is a primitive integer
-    polynomial (`_primitive`: its content removed and lc > 0): at intake a generator made primitive, which is its monic
-    form times its lc.  Equal forms are taken once, the first generator
-    giving one kept as `given`, and they enter by packed lead ascending, ties
+    polynomial (`_primitive`: its content removed and lc > 0): at intake a
+    generator made primitive, which is its monic form times its lc.  Equal
+    forms are taken once, and they enter by packed lead ascending, ties
     broken by the sorted terms of the monic forms (`_intake_cmp`).  An
     element is made primitive again whenever a reduction makes it.  No
     `Fraction` and no `Poly` is built.
@@ -567,24 +518,24 @@ def _pair_loop(vars, packing: _Packing, caps: Caps, gens, follow=None) -> _Run |
     first intake lead, zero or remainder lead that differs, for the caller
     to run the full loop."""
     pack, unpack, guard, top, fmask = packing.pack, packing.unpack, packing.guard, packing.top, packing.fmask
-    forms: dict[tuple, object] = {}
-    for ((lead, lc), *tail), g in gens:
+    forms = set()
+    for (lead, lc), *tail in gens:
         lc, tail, _ = _primitive(lc, tail)
-        forms.setdefault((lead, lc, tuple(tail)), g)
-    intake = sorted(((*form, g) for form, g in forms.items()), key=cmp_to_key(_intake_cmp(unpack)))
+        forms.add((lead, lc, tuple(tail)))
+    intake = sorted(forms, key=cmp_to_key(_intake_cmp(unpack)))
     schedule = ([form[0] for form in intake], [])
     if follow is not None and follow[0] != schedule[0]:
         return None
 
     # element i: packed lead lts[i] (exps[i] unpacked, when queueing) with
-    # the integer coefficient lcs[i], packed tail tails[i] in descending
-    # order, and given[i], the generator it still is, or None
-    lts, exps, lcs, tails, given = [], [], [], [], []
+    # the integer coefficient lcs[i] and packed tail tails[i] in descending
+    # order
+    lts, exps, lcs, tails = [], [], [], []
     by_lead: dict[int, tuple] = {}  # the divisors, as `_reduce_terms` reads them
     pending: set[tuple[int, int]] = set()
     queue: list = []  # heap of (packed lcm of the leads, i, j), the pair selection
 
-    def add(lead: int, lc: int, tail, poly: Poly | None = None) -> None:
+    def add(lead: int, lc: int, tail) -> None:
         idx = len(lts)
         if idx + 1 > caps.max_basis:
             raise ResourceLimit(f"basis cap {caps.max_basis} exceeded")
@@ -597,9 +548,8 @@ def _pair_loop(vars, packing: _Packing, caps: Caps, gens, follow=None) -> _Run |
         lts.append(lead)
         lcs.append(lc)
         tails.append(tail)
-        given.append(poly)
         if lead not in by_lead:
-            by_lead[lead] = idx, lc, packing.top_degree(tail), tail
+            by_lead[lead] = lc, packing.top_degree(tail), tail
 
     def selected():
         # the normal strategy: pairs by lcm, less those the criteria skip
@@ -641,7 +591,7 @@ def _pair_loop(vars, packing: _Packing, caps: Caps, gens, follow=None) -> _Run |
         schedule = follow
     return _Run(
         vars, packing.order, caps, packing,
-        *([seq[i] for i in schedule[2]] for seq in (lts, lcs, tails, given)),
+        *([seq[i] for i in schedule[2]] for seq in (lts, lcs, tails)),
         schedule=schedule,
     )
 
@@ -651,7 +601,7 @@ def _inter_reduce(run: _Run) -> _Run:
     stable.  No lead divides a term of its own tail, so every element
     reduces each tail, and a tail scaled by s scales its lc by s."""
     packing, caps = run.packing, run.caps
-    lcs, tails, given = list(run.lcs), list(run.tails), list(run.given)
+    lcs, tails = list(run.lcs), list(run.tails)
     reducers = run.divisors()
     changed = True
     while changed:
@@ -661,19 +611,19 @@ def _inter_reduce(run: _Run) -> _Run:
             rem, s = _reduce_terms(dict(before), reducers, packing, caps)
             if rem != before:
                 lcs[i], tails[i], _ = _primitive(lcs[i] * s, list(rem.items()))
-                given[i], changed = None, True
-                reducers[lead] = (i, lcs[i], packing.top_degree(tails[i]), tails[i])
-    return _Run(run.vars, run.order, caps, packing, run.leads, lcs, tails, given)
+                changed = True
+                reducers[lead] = (lcs[i], packing.top_degree(tails[i]), tails[i])
+    return _Run(run.vars, run.order, caps, packing, run.leads, lcs, tails)
 
 
 def buchberger(gens, order: TermOrder = GREVLEX, caps: Caps = DEFAULT_CAPS) -> list[Poly]:
-    """Unique reduced Groebner basis, leads descending: the pair loop
-    (`buchberger_run`), then the finish, inter-reduction (`_inter_reduce`)
-    and the `Poly`s (`_Run.polys`).  Fractions come back only in the output,
-    whose terms are c / lc, and a generator returned unchanged is the
-    (monic) object given."""
-    run = buchberger_run(gens, order, caps)
-    return [] if run is None else list(_inter_reduce(run).polys())
+    """Unique reduced Groebner basis, leads descending: the `basis` of the
+    `Ideal` of the nonzero generators, so the pair loop (`buchberger_run`),
+    then the finish, inter-reduction (`_inter_reduce`) and the `Poly`s
+    (`_Run.polys`).  Fractions come back only in the output: new monic
+    `Poly`s, never the objects given."""
+    gens = [g for g in gens if not g.is_zero()]
+    return list(Ideal(gens, order, caps=caps).basis) if gens else []
 
 
 # -------------------------------------------------------------------- ideal
@@ -717,10 +667,6 @@ class Ideal:
 
     def __setattr__(self, name, value):
         raise AttributeError("Ideal is immutable")
-
-    def __reduce__(self):
-        # pickle rebuilds from the generators; the cached values are recomputed
-        return Ideal, (self.gens, self.order, self.vars, self.caps)
 
     @property
     def run(self) -> _Run | None:

@@ -176,7 +176,7 @@ def _cone_generators(grad: tuple, u: tuple[int, ...]) -> list:
         if c:
             terms = [*terms, (0, c)]
         if terms:
-            gens.append((terms, None))
+            gens.append(terms)
     return gens
 
 

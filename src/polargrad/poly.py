@@ -83,12 +83,10 @@ def mono_degree(m: Mono) -> int:
 class Poly:
     """Immutable sparse polynomial: variable list and term map.
 
-    `_lead` holds (term order, leading monomial) for the last order the
-    leading monomial was asked for (see `groebner.leading_monomial`), and
-    `_grad` the tuple of partial derivatives once `gradient` has built it;
-    neither takes part in equality or hashing."""
+    `_grad` holds the tuple of partial derivatives once `gradient` has built
+    it; it takes no part in equality or hashing."""
 
-    __slots__ = ("vars", "terms", "_lead", "_grad")
+    __slots__ = ("vars", "terms", "_grad")
 
     def __init__(
         self,
@@ -117,15 +115,10 @@ class Poly:
     def _set(self, vars: tuple[str, ...], terms: dict[Mono, Fraction]) -> None:
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_lead", None)
         object.__setattr__(self, "_grad", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
-
-    def __reduce__(self):
-        # pickle rebuilds through the trusted constructor, without the caches
-        return Poly.from_clean, (self.vars, self.terms)
 
     # ---------------------------------------------------------------- basics
 

@@ -30,7 +30,7 @@ from . import monodromy as mono
 from .groebner import DEFAULT_CAPS, Caps
 from .hypersurface import SingularityRecord, frame_split, mu_summary
 from .parser import ParseError, parse_poly
-from .poly import Poly, ProjectivePoint
+from .poly import Poly, ProjectivePoint, _format_coeff
 from .polar import (
     check_multiplicity_inequality,
     check_polar_degree_lower_bound,
@@ -122,13 +122,6 @@ class AnalysisReport:
             for k, v in d["timings"].items():
                 lines.append(f"time {k:<{width}} {v:.3f}s")
         return "\n".join(lines)
-
-
-def _coords_strings(pt: ProjectivePoint) -> list[str]:
-    return [
-        str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-        for c in pt.coords
-    ]
 
 
 def parse_declarations(raw: list[dict], nvars: int) -> dict[ProjectivePoint, dict]:
@@ -306,7 +299,7 @@ def analyze_parsed(f: Poly, text: str, options: AnalysisOptions | None = None) -
         "frame_seed": summary.model.seed,
         "singular_points": [
             {
-                "point": _coords_strings(r.point),
+                "point": [_format_coeff(c) for c in r.point.coords],
                 "mu": r.mu,
                 "mu0": r.mu0,
                 "label": r.label,

@@ -39,7 +39,6 @@ from polargrad.groebner import (
     NotZeroDimensional,
     ResourceLimit,
     TermOrder,
-    _monic,
     buchberger,
     elimination_order,
     leading_monomial,
@@ -396,8 +395,8 @@ def saturation_fiber_count(grads: list[Poly], u) -> int:
 
 
 def reference_divmod(p: Poly, divisors: list[Poly], order: TermOrder, caps: Caps = DEFAULT_CAPS):
-    """The multivariate division of `groebner.poly_divmod` on tuple
-    monomials, as it was before monomials were packed into ints: a linear
+    """Multivariate division on tuple monomials, as `groebner.normal_form`
+    ran it before monomials were packed into ints: a linear
     scan of the divisors' leading monomials with `mono_divides` for each
     term, and a heap keyed by `order.key` negated.  Returns (quotients,
     remainder) with p = sum(q_i * divisors_i) + remainder and no remainder
@@ -457,6 +456,11 @@ def reference_divmod(p: Poly, divisors: list[Poly], order: TermOrder, caps: Caps
 
 
 # ------------------------------------------- tuple-monomial Buchberger
+
+
+def _monic(p: Poly, order: TermOrder) -> Poly:
+    lc = p.terms[leading_monomial(p, order)]
+    return p if lc == 1 else p.scale(1 / lc)
 
 
 def reference_normal_form(p: Poly, basis, order: TermOrder, caps: Caps = DEFAULT_CAPS) -> Poly:

@@ -322,7 +322,7 @@ class TestConeOracle:
             # the followed run takes its minimal leads from the schedule; they,
             # its staircase and its count are those of a fresh full run
             assert followed.schedule is schedule and schedule[2] == full.schedule[2]
-            for name in ("leads", "lcs", "tails", "given"):
+            for name in ("leads", "lcs", "tails"):
                 assert getattr(followed, name) == getattr(full, name), name
             assert groebner._run_staircase(followed) == groebner._run_staircase(full)
             if follow is not None:

@@ -1,6 +1,5 @@
 """Polynomial kernel: parser, calculus, substitution, reducedness probe."""
 
-import pickle
 import re
 from fractions import Fraction
 from types import MappingProxyType
@@ -10,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polargrad import hypersurface
-from polargrad.groebner import GREVLEX, Ideal, leading_monomial, normal_form
+from polargrad.groebner import GREVLEX, Ideal, normal_form
 from polargrad.parser import ParseError, UnknownVariable, parse_poly
 from polargrad.poly import (
     NotHomogeneous,
@@ -128,22 +127,6 @@ class TestConstruction:
         assert from_dict == Poly(V2, list(terms.items()))
         assert from_dict == Poly(V2, iter(terms.items()))
         assert from_dict == parse_poly("3*x^2 - 5*y + 7", V2)
-
-    @pytest.mark.parametrize("prime", [None])  # rational coefficients only; prime names that case
-    @given(polys(max_vars=3))
-    @settings(max_examples=40, deadline=None)
-    def test_pickle_round_trip(self, prime, p):
-        # the terms come back in their dict order, the cached lead is
-        # dropped, and the copy is as immutable as the original
-        if not p.is_zero():
-            leading_monomial(p, GREVLEX)
-            assert p._lead is not None
-        q = pickle.loads(pickle.dumps(p))
-        assert q == p and list(q.terms.items()) == list(p.terms.items())
-        assert q.vars == p.vars
-        assert q._lead is None
-        with pytest.raises(AttributeError):
-            q.terms = {}
 
     def test_only_ints_and_fractions_are_coefficients(self):
         # a float or a string is refused, never read as a Fraction
